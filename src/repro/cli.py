@@ -61,10 +61,28 @@ def _rate01(text: str) -> float:
     return value
 
 
-def _add_metrics_json(parser: argparse.ArgumentParser) -> None:
+def _add_metrics_flags(parser: argparse.ArgumentParser,
+                       counters: Optional[str] = None) -> None:
+    """``--metrics`` (when the command has a *counters* dump to offer)
+    and ``--metrics-json``."""
+    if counters is not None:
+        parser.add_argument("--metrics", action="store_true",
+                            help="print the run's %s" % counters)
     parser.add_argument("--metrics-json", metavar="PATH", default=None,
                         help="dump the run's metrics registry (and trace "
                              "summary when tracing is on) as JSON")
+
+
+def _add_scenario(sub, name: str, help: str, duration: float, seed: int,
+                  policy: bool = True) -> argparse.ArgumentParser:
+    """A scenario subcommand, with the flags they all share up front."""
+    parser = sub.add_parser(name, help=help)
+    if policy:
+        parser.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
+    parser.add_argument("--app", type=_app, default="face")
+    parser.add_argument("--duration", type=float, default=duration)
+    parser.add_argument("--seed", type=int, default=seed)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,17 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Swing (ICDCS'18) reproduction: swarm experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    testbed = sub.add_parser("testbed",
-                             help="the Sec. VI-B routing-comparison testbed")
-    testbed.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    testbed.add_argument("--app", type=_app, default="face")
-    testbed.add_argument("--duration", type=float, default=60.0)
-    testbed.add_argument("--seed", type=int, default=0)
+    testbed = _add_scenario(sub, "testbed",
+                            "the Sec. VI-B routing-comparison testbed",
+                            duration=60.0, seed=0)
     testbed.add_argument("--csv", metavar="PATH", default=None,
                          help="write the per-frame trace to PATH")
-    testbed.add_argument("--metrics", action="store_true",
-                         help="print the run's failure/loss counters")
-    _add_metrics_json(testbed)
+    _add_metrics_flags(testbed, "failure/loss counters")
 
     compare = sub.add_parser("compare",
                              help="all five policies, replicated over seeds")
@@ -98,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--duration", type=float, default=10.0)
     single.add_argument("--signal", default="good",
                         choices=["good", "fair", "poor"])
-    _add_metrics_json(single)
+    _add_metrics_flags(single)
 
     dynamics = sub.add_parser("dynamics",
                               help="join / leave / move experiments "
@@ -106,17 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--mode", required=True,
                           choices=["join", "leave", "move"])
     dynamics.add_argument("--seed", type=int, default=0)
-    dynamics.add_argument("--metrics", action="store_true",
-                          help="print the run's failure/loss counters")
-    _add_metrics_json(dynamics)
+    _add_metrics_flags(dynamics, "failure/loss counters")
 
-    faults = sub.add_parser("faults",
-                            help="fault injection: silent kills mid-stream "
-                                 "discovered via loss accounting")
-    faults.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    faults.add_argument("--app", type=_app, default="face")
-    faults.add_argument("--duration", type=float, default=30.0)
-    faults.add_argument("--seed", type=int, default=0)
+    faults = _add_scenario(sub, "faults",
+                           "fault injection: silent kills mid-stream "
+                           "discovered via loss accounting",
+                           duration=30.0, seed=0)
     faults.add_argument("--kill", nargs="+", default=["B", "G"],
                         metavar="DEVICE",
                         help="devices killed silently mid-run")
@@ -128,16 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--ack-timeout", type=float, default=2.0)
     faults.add_argument("--dead-after", type=int,
                         default=PolicyConfig().dead_after)
-    _add_metrics_json(faults)
+    _add_metrics_flags(faults)
 
-    overload = sub.add_parser("overload",
-                              help="chaos/soak: sustained overload with "
-                                   "bounded queues, TTL shedding and a "
-                                   "mid-run kill/revive")
-    overload.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    overload.add_argument("--app", type=_app, default="face")
-    overload.add_argument("--duration", type=float, default=30.0)
-    overload.add_argument("--seed", type=int, default=0)
+    overload = _add_scenario(sub, "overload",
+                             "chaos/soak: sustained overload with bounded "
+                             "queues, TTL shedding and a mid-run "
+                             "kill/revive", duration=30.0, seed=0)
     overload.add_argument("--overload-until", type=float, default=14.0,
                           help="background load lifts at this time")
     overload.add_argument("--background", type=float, default=0.8,
@@ -150,36 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(DROP_POLICIES))
     overload.add_argument("--no-kill", action="store_true",
                           help="skip the mid-overload kill/revive of G")
-    overload.add_argument("--metrics", action="store_true",
-                          help="print the run's shed/loss counters and "
-                               "queue-depth gauges")
-    _add_metrics_json(overload)
+    _add_metrics_flags(overload, "shed/loss counters and queue-depth gauges")
 
-    churn = sub.add_parser("churn",
-                           help="churn soak: seeded kill/leave/rejoin "
-                                "schedule under at-least-once delivery")
-    churn.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    churn.add_argument("--app", type=_app, default="face")
-    churn.add_argument("--duration", type=float, default=40.0)
-    churn.add_argument("--seed", type=int, default=7)
+    churn = _add_scenario(sub, "churn",
+                          "churn soak: seeded kill/leave/rejoin schedule "
+                          "under at-least-once delivery",
+                          duration=40.0, seed=7)
     churn.add_argument("--best-effort", action="store_true",
                        help="run the same schedule without replay/dedup "
                             "(reproduces today's loss accounting)")
     churn.add_argument("--settle", type=float, default=10.0,
                        help="churn stops this many seconds before the end "
                             "so outstanding redeliveries can land")
-    churn.add_argument("--metrics", action="store_true",
-                       help="print the run's delivery/loss counters")
-    _add_metrics_json(churn)
+    _add_metrics_flags(churn, "delivery/loss counters")
 
-    failover = sub.add_parser("failover",
-                              help="master failover soak: kill the master "
-                                   "mid-run, restart it, and require zero "
-                                   "at-least-once loss")
-    failover.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    failover.add_argument("--app", type=_app, default="face")
-    failover.add_argument("--duration", type=float, default=40.0)
-    failover.add_argument("--seed", type=int, default=11)
+    failover = _add_scenario(sub, "failover",
+                             "master failover soak: kill the master "
+                             "mid-run, restart it, and require zero "
+                             "at-least-once loss", duration=40.0, seed=11)
     failover.add_argument("--kill-time", type=float, default=12.0,
                           help="the master dies at this time")
     failover.add_argument("--outage", type=float, default=4.0,
@@ -190,18 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     failover.add_argument("--settle", type=float, default=10.0,
                           help="the outage must end this many seconds "
                                "before the run does, so redeliveries land")
-    failover.add_argument("--metrics", action="store_true",
-                          help="print the run's recovery/loss counters")
-    _add_metrics_json(failover)
+    _add_metrics_flags(failover, "recovery/loss counters")
 
-    tenants = sub.add_parser("tenants",
-                             help="multi-tenant isolation soak: N pipelines "
-                                  "share one swarm under fair-share "
-                                  "admission")
-    tenants.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
-    tenants.add_argument("--app", type=_app, default="face")
-    tenants.add_argument("--duration", type=float, default=30.0)
-    tenants.add_argument("--seed", type=int, default=3)
+    tenants = _add_scenario(sub, "tenants",
+                            "multi-tenant isolation soak: N pipelines "
+                            "share one swarm under fair-share admission",
+                            duration=30.0, seed=3)
     tenants.add_argument("--tenants", dest="tenant_count", type=int,
                          default=3, metavar="N",
                          help="number of tenant pipelines sharing the swarm")
@@ -219,16 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tuple time-to-live in seconds")
     tenants.add_argument("--best-effort", action="store_true",
                          help="run without at-least-once replay/dedup")
-    tenants.add_argument("--metrics", action="store_true",
-                         help="print the run's shed/loss counters")
-    _add_metrics_json(tenants)
+    _add_metrics_flags(tenants, "shed/loss counters")
 
-    skew = sub.add_parser("skew",
-                          help="keyed-skew soak: Zipf-hot keys, hot-range "
-                               "splitting and live state migration")
-    skew.add_argument("--app", type=_app, default="face")
-    skew.add_argument("--duration", type=float, default=40.0)
-    skew.add_argument("--seed", type=int, default=3)
+    skew = _add_scenario(sub, "skew",
+                         "keyed-skew soak: Zipf-hot keys, hot-range "
+                         "splitting and live state migration",
+                         duration=40.0, seed=3, policy=False)
     skew.add_argument("--keys", type=int, default=64,
                       help="size of the user/key universe")
     skew.add_argument("--alpha", type=float, default=1.2,
@@ -242,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="latency bound for SLO throughput in seconds")
     skew.add_argument("--best-effort", action="store_true",
                       help="run without at-least-once replay/dedup")
-    skew.add_argument("--metrics", action="store_true",
-                      help="print the run's keyed/migration counters")
-    _add_metrics_json(skew)
+    _add_metrics_flags(skew, "keyed/migration counters")
 
     verify = sub.add_parser("verify",
                             help="chaos sweep: N seeded fault schedules "
@@ -296,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "Perfetto)")
     trace.add_argument("--jsonl", metavar="PATH", default=None,
                        help="also write raw spans as JSONL")
-    _add_metrics_json(trace)
+    _add_metrics_flags(trace)
 
     return parser
 
@@ -346,6 +326,29 @@ def _write_metrics_json(result: SwarmResult, args) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(body, handle, indent=2, sort_keys=True)
     print("\nmetrics written to %s" % path)
+
+
+def _report(result: SwarmResult, args, failure: Optional[str],
+            rows: Optional[list] = None, min_width: int = 24) -> int:
+    """The tail every scenario command shares; returns the exit code.
+
+    Throughput sparkline and metric/value table (*rows*; ``None`` when
+    the command printed its own body), the counter dump (``--metrics``;
+    always for commands without the flag), ``--metrics-json``, then
+    *failure* — the first guarantee the run broke — as a ``FAIL:`` line.
+    """
+    if rows is not None:
+        series = result.throughput_series()
+        print("throughput: [%s] peak %.0f FPS"
+              % (sparkline(series, peak=28.0), max(series)))
+        print(format_table(["metric", "value"], rows, min_width=min_width))
+    if getattr(args, "metrics", True):
+        _print_registry(result)
+    _write_metrics_json(result, args)
+    if failure:
+        print("FAIL: %s" % failure)
+        return 1
+    return 0
 
 
 def cmd_testbed(args) -> int:
@@ -438,11 +441,16 @@ def cmd_faults(args) -> int:
                    else ", revived at t=%.0fs" % args.revive_time)
     print("fault injection: %s killed silently at t=%.0fs%s"
           % ("/".join(args.kill), args.kill_time, revive_note))
-    series = result.throughput_series()
-    print("throughput: [%s] peak %.0f FPS"
-          % (sparkline(series, peak=28.0), max(series)))
-    print(format_table(
-        ["metric", "value"],
+    # Guarantee: a silently-killed worker must be detected.  A kill with
+    # no revive that is still undetected at the end of the run means the
+    # failure detector lost it.
+    undetected = [device_id for device_id in args.kill
+                  if args.revive_time is None
+                  and device_id not in result.dead_downstreams]
+    return _report(
+        result, args,
+        "killed device(s) never dead-marked: %s" % ", ".join(undetected)
+        if undetected else None,
         [("throughput", "%.1f FPS" % result.throughput),
          ("frames lost", str(result.frames_lost)),
          ("lost per downstream",
@@ -450,20 +458,7 @@ def cmd_faults(args) -> int:
                     for device_id, count in
                     sorted(result.lost_by_downstream.items())) or "none"),
          ("dead at end", ", ".join(result.dead_downstreams) or "none")],
-        min_width=20))
-    _print_registry(result)
-    _write_metrics_json(result, args)
-    # Guarantee: a silently-killed worker must be detected.  A kill with
-    # no revive that is still undetected at the end of the run means the
-    # failure detector lost it.
-    if args.revive_time is None:
-        undetected = [device_id for device_id in args.kill
-                      if device_id not in result.dead_downstreams]
-        if undetected:
-            print("FAIL: killed device(s) never dead-marked: %s"
-                  % ", ".join(undetected))
-            return 1
-    return 0
+        min_width=20)
 
 
 def cmd_overload(args) -> int:
@@ -479,9 +474,6 @@ def cmd_overload(args) -> int:
           % (args.app, args.policy, 100 * args.background,
              args.overload_until, args.ttl, args.queue_capacity,
              args.drop_policy))
-    series = result.throughput_series()
-    print("throughput: [%s] peak %.0f FPS"
-          % (sparkline(series, peak=28.0), max(series)))
     completed = result.metrics.completed_frames()
     early = [record.total_delay for record in completed
              if record.created_at < args.overload_until]
@@ -491,8 +483,18 @@ def cmd_overload(args) -> int:
                       for item in sorted(result.shed_by_reason.items()))
     depths = ", ".join("%s=%d" % item
                        for item in sorted(result.max_queue_depths.items()))
-    print(format_table(
-        ["metric", "value"],
+    # Guarantee: overload protection keeps every bounded ingress queue
+    # at or under its configured capacity.
+    over = {name: depth
+            for name, depth in result.max_queue_depths.items()
+            if name.startswith("ingress:")
+            and depth > args.queue_capacity}
+    return _report(
+        result, args,
+        "bounded queue(s) exceeded capacity %d: %s"
+        % (args.queue_capacity,
+           ", ".join("%s=%d" % item for item in sorted(over.items())))
+        if over else None,
         [("throughput", "%.1f FPS" % result.throughput),
          ("shed by reason", sheds or "none"),
          ("max queue depth", depths or "none"),
@@ -501,22 +503,7 @@ def cmd_overload(args) -> int:
          ("p50 after recovery",
           format_latency(statistics.median(late)) if late else "n/a"),
          ("frames lost", str(result.frames_lost))],
-        min_width=20))
-    if args.metrics:
-        _print_registry(result)
-    _write_metrics_json(result, args)
-    # Guarantee: overload protection keeps every bounded ingress queue
-    # at or under its configured capacity.
-    over = {name: depth
-            for name, depth in result.max_queue_depths.items()
-            if name.startswith("ingress:")
-            and depth > args.queue_capacity}
-    if over:
-        print("FAIL: bounded queue(s) exceeded capacity %d: %s"
-              % (args.queue_capacity,
-                 ", ".join("%s=%d" % item for item in sorted(over.items()))))
-        return 1
-    return 0
+        min_width=20)
 
 
 def cmd_churn(args) -> int:
@@ -525,18 +512,14 @@ def cmd_churn(args) -> int:
                              at_least_once=not args.best_effort,
                              settle=args.settle)
     result = run_swarm(config)
-    schedule = config.churn
-    assert schedule is not None
+    schedule = config.schedule
     mode = "best-effort" if args.best_effort else "at-least-once"
     print("churn soak: %s under %s (%s), %d events over %.0fs"
           % (args.app, args.policy, mode, len(schedule), args.duration))
     print("schedule: %s"
           % "; ".join("t=%.1fs %s %s" % (event.time, event.action,
-                                         event.device_id)
+                                         event.target)
                       for event in schedule))
-    series = result.throughput_series()
-    print("throughput: [%s] peak %.0f FPS"
-          % (sparkline(series, peak=28.0), max(series)))
     # Judge loss on frames old enough that every redelivery had time to
     # land: the settle window at the end of the run.
     horizon = args.duration - args.settle / 2.0
@@ -546,8 +529,11 @@ def cmd_churn(args) -> int:
     evictions = ", ".join("%s=%d" % item
                           for item in
                           sorted(result.replay_evicted_by_reason.items()))
-    print(format_table(
-        ["metric", "value"],
+    return _report(
+        result, args,
+        "%d tuple(s) lost end-to-end under at-least-once delivery: %s"
+        % (len(losses), losses[:20])
+        if not args.best_effort and losses else None,
         [("throughput", "%.1f FPS" % result.throughput),
          ("frames dropped", str(result.frames_lost)),
          ("end-to-end lost", str(len(losses))),
@@ -555,16 +541,7 @@ def cmd_churn(args) -> int:
          ("sink duplicates deduped", str(result.deduped)),
          ("replay evictions", evictions or "none"),
          ("retained at end", str(result.replay_depth_end)),
-         ("graceful drains", drains or "none")],
-        min_width=24))
-    if args.metrics:
-        _print_registry(result)
-    _write_metrics_json(result, args)
-    if not args.best_effort and losses:
-        print("FAIL: %d tuple(s) lost end-to-end under at-least-once "
-              "delivery: %s" % (len(losses), losses[:20]))
-        return 1
-    return 0
+         ("graceful drains", drains or "none")])
 
 
 def cmd_failover(args) -> int:
@@ -580,35 +557,26 @@ def cmd_failover(args) -> int:
           "of %.0fs"
           % (args.app, args.policy, mode, args.kill_time,
              args.kill_time + args.outage, args.duration))
-    series = result.throughput_series()
-    print("throughput: [%s] peak %.0f FPS"
-          % (sparkline(series, peak=28.0), max(series)))
     # Judge loss on frames old enough that every post-recovery
     # redelivery had time to land: the settle window at the end.
     horizon = args.duration - args.settle / 2.0
     losses = result.end_to_end_losses(horizon)
-    print(format_table(
-        ["metric", "value"],
+    failure = None
+    if result.master_recoveries < 1:
+        failure = "the master never recovered during the run"
+    elif not args.best_effort and losses:
+        failure = ("%d tuple(s) lost end-to-end across the master "
+                   "kill+restart under at-least-once delivery: %s"
+                   % (len(losses), losses[:20]))
+    return _report(
+        result, args, failure,
         [("throughput", "%.1f FPS" % result.throughput),
          ("master recoveries", str(result.master_recoveries)),
          ("frames dropped", str(result.frames_lost)),
          ("end-to-end lost", str(len(losses))),
          ("redelivered", str(result.redelivered)),
          ("sink duplicates deduped", str(result.deduped)),
-         ("retained at end", str(result.replay_depth_end))],
-        min_width=24))
-    if args.metrics:
-        _print_registry(result)
-    _write_metrics_json(result, args)
-    if result.master_recoveries < 1:
-        print("FAIL: the master never recovered during the run")
-        return 1
-    if not args.best_effort and losses:
-        print("FAIL: %d tuple(s) lost end-to-end across the master "
-              "kill+restart under at-least-once delivery: %s"
-              % (len(losses), losses[:20]))
-        return 1
-    return 0
+         ("retained at end", str(result.replay_depth_end))])
 
 
 def cmd_tenants(args) -> int:
@@ -646,15 +614,11 @@ def cmd_tenants(args) -> int:
         ["tenant", "thr FPS", "lat mean", "lat max", "shed", "lost"], rows))
     print("frames dropped: %d  |  redelivered: %d  |  deduped: %d"
           % (result.frames_lost, result.redelivered, result.deduped))
-    if args.metrics:
-        _print_registry(result)
-    _write_metrics_json(result, args)
-    if not args.best_effort and victim_losses:
-        print("FAIL: %d victim-tenant tuple(s) lost end-to-end under "
-              "at-least-once delivery: %s"
-              % (len(victim_losses), sorted(victim_losses)[:20]))
-        return 1
-    return 0
+    return _report(
+        result, args,
+        "%d victim-tenant tuple(s) lost end-to-end under at-least-once "
+        "delivery: %s" % (len(victim_losses), sorted(victim_losses)[:20])
+        if not args.best_effort and victim_losses else None)
 
 
 def cmd_skew(args) -> int:
@@ -667,16 +631,16 @@ def cmd_skew(args) -> int:
     mode = "static hash routing" if args.static else "hot-range splitting"
     print("keyed skew: %s, %d keys Zipf(%.1f) at %.1f tup/s (%s)"
           % (args.app, args.keys, args.alpha, args.rate, mode))
-    series = result.throughput_series()
-    print("throughput: [%s] peak %.0f FPS"
-          % (sparkline(series, peak=28.0), max(series)))
     # Judge loss on frames old enough for every redelivery to land.
     horizon = args.duration - 5.0
     losses = result.end_to_end_losses(horizon)
     moves = ", ".join("%s=%d" % item
                       for item in sorted(result.key_moves_by_reason.items()))
-    print(format_table(
-        ["metric", "value"],
+    return _report(
+        result, args,
+        "%d tuple(s) lost end-to-end across hot-range migration under "
+        "at-least-once delivery: %s" % (len(losses), losses[:20])
+        if not args.best_effort and not args.static and losses else None,
         [("throughput", "%.1f FPS" % result.throughput),
          ("SLO throughput (<=%.1fs)" % args.bound,
           "%.1f FPS" % result.bounded_throughput(args.bound, warmup=5.0)),
@@ -685,17 +649,7 @@ def cmd_skew(args) -> int:
          ("range moves", moves or "none"),
          ("end-to-end lost", str(len(losses))),
          ("redelivered", str(result.redelivered)),
-         ("sink duplicates deduped", str(result.deduped))],
-        min_width=24))
-    if args.metrics:
-        _print_registry(result)
-    _write_metrics_json(result, args)
-    if not args.best_effort and not args.static and losses:
-        print("FAIL: %d tuple(s) lost end-to-end across hot-range "
-              "migration under at-least-once delivery: %s"
-              % (len(losses), losses[:20]))
-        return 1
-    return 0
+         ("sink duplicates deduped", str(result.deduped))])
 
 
 def cmd_trace(args) -> int:

@@ -1,14 +1,14 @@
 """Core dataflow model and resource-management algorithms (the paper's contribution)."""
 
 from repro.core.controller import AckResult, LrsController, PolicyConfig
-from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, ChurnEvent,
-                                 ChurnSchedule, DedupWindow, DeliveryConfig,
-                                 ReplayBuffer, ReplayEntry)
+from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, DedupWindow,
+                                 DeliveryConfig, ReplayBuffer, ReplayEntry)
 from repro.core.exceptions import (DeploymentError, DiscoveryError, GraphError,
                                    GraphValidationError, PolicyError,
                                    RoutingError, RuntimeStateError, SchemaError,
                                    SerializationError, SimulationError,
                                    SwingError)
+from repro.core.faults import FaultEvent, FaultSchedule
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       IterableSource, LambdaUnit,
                                       ReorderingSink, SinkUnit, SourceUnit,
@@ -27,9 +27,10 @@ from repro.core.tuples import DataTuple, HopTiming, TupleSchema, make_stream
 
 __all__ = [
     "AT_LEAST_ONCE", "AckResult", "AppGraph", "AckTracker", "BEST_EFFORT",
-    "ChurnEvent", "ChurnSchedule", "CollectingSink", "DataTuple",
+    "CollectingSink", "DataTuple",
     "DedupWindow", "DeliveryConfig",
     "DeploymentError", "DiscoveryError", "DownstreamStats", "EwmaEstimator",
+    "FaultEvent", "FaultSchedule",
     "FunctionUnit", "FunctionUnitSpec", "GraphBuilder", "GraphError",
     "GraphValidationError", "HopTiming", "IterableSource", "LambdaUnit",
     "LrsController",

@@ -21,19 +21,12 @@ supplies the pieces that upgrade an edge to configurable
     Bounded seen-window used by sinks (and relay workers) so
     at-least-once redelivery cannot double-count throughput/accuracy.
 
-``ChurnSchedule`` / ``ChurnEvent``
-    A seeded, replayable list of join/leave/kill/rejoin events consumed
-    identically by the discrete-event simulator and the runtime chaos
-    harness — the same schedule drives both substrates so their
-    behaviour can be compared on equal terms.
-
 Everything here is substrate-neutral: no SimPy, no threads beyond a
 plain lock, and time always arrives as an argument.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -47,23 +40,6 @@ from repro.core.exceptions import RuntimeStateError
 BEST_EFFORT = "best_effort"
 AT_LEAST_ONCE = "at_least_once"
 _MODES = frozenset({BEST_EFFORT, AT_LEAST_ONCE})
-
-#: churn schedule actions
-CHURN_JOIN = "join"
-CHURN_LEAVE = "leave"    # graceful: LEAVING handshake, drain, depart
-CHURN_KILL = "kill"      # abrupt: silent crash, detected by timeouts
-CHURN_REJOIN = "rejoin"  # previously departed device comes back
-# control-plane / link events (device_id names the master or an "a>b" link);
-# these do not move worker membership, so validate() skips their bookkeeping
-CHURN_KILL_MASTER = "kill_master"        # abrupt master crash
-CHURN_RESTART_MASTER = "restart_master"  # recovered master, next epoch
-CHURN_PARTITION = "partition"            # sever a directed link
-CHURN_HEAL = "heal"                      # heal a partitioned link
-_ACTIONS = frozenset({CHURN_JOIN, CHURN_LEAVE, CHURN_KILL, CHURN_REJOIN,
-                      CHURN_KILL_MASTER, CHURN_RESTART_MASTER,
-                      CHURN_PARTITION, CHURN_HEAL})
-_CONTROL_ACTIONS = frozenset({CHURN_KILL_MASTER, CHURN_RESTART_MASTER,
-                              CHURN_PARTITION, CHURN_HEAL})
 
 #: replay eviction reasons (``swing_replay_evicted_total{reason=...}``)
 EVICT_CAPACITY = "capacity"
@@ -343,119 +319,3 @@ class DedupWindow:
         with self._lock:
             return len(self._keys)
 
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One membership change at a point in scenario time."""
-
-    time: float
-    action: str
-    device_id: str
-
-    def __post_init__(self) -> None:
-        if self.action not in _ACTIONS:
-            raise RuntimeStateError("unknown churn action %r (want one of %s)"
-                                  % (self.action, sorted(_ACTIONS)))
-        if self.time < 0:
-            raise RuntimeStateError("churn event time must be >= 0")
-        if not self.device_id:
-            raise RuntimeStateError("churn event needs a device id")
-
-
-@dataclass(frozen=True)
-class ChurnSchedule:
-    """A seeded, replayable sequence of membership events.
-
-    The same schedule is consumed by the simulator (scenario time) and
-    the runtime chaos harness (wall-clock, optionally scaled), so one
-    seed describes one churn story on both substrates.
-    """
-
-    events: Tuple[ChurnEvent, ...] = ()
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events, key=lambda e: (e.time,
-                                                           e.device_id)))
-        object.__setattr__(self, "events", ordered)
-
-    @classmethod
-    def generate(cls, seed: int, device_ids: Sequence[str],
-                 duration: float, start_after: float = 5.0,
-                 settle: float = 8.0,
-                 kill_fraction: float = 0.5,
-                 rejoin_gap: Tuple[float, float] = (3.0, 6.0)
-                 ) -> "ChurnSchedule":
-        """Deterministic kill/leave + rejoin story for *device_ids*.
-
-        Each device departs once — abruptly (kill) or gracefully
-        (leave), chosen by the seeded RNG at ``kill_fraction`` odds —
-        and rejoins after a seeded gap.  All events land inside
-        ``[start_after, duration - settle]`` so the tail of the run can
-        recover and be measured.
-        """
-        if duration <= start_after + settle:
-            raise RuntimeStateError("duration too short for churn window "
-                                  "(need > start_after + settle)")
-        rng = random.Random(seed)
-        window_end = duration - settle
-        events: List[ChurnEvent] = []
-        for device_id in sorted(device_ids):
-            depart_at = rng.uniform(start_after,
-                                    max(start_after + 0.1,
-                                        window_end - rejoin_gap[1]))
-            action = CHURN_KILL if rng.random() < kill_fraction \
-                else CHURN_LEAVE
-            gap = rng.uniform(*rejoin_gap)
-            rejoin_at = min(window_end, depart_at + gap)
-            events.append(ChurnEvent(round(depart_at, 3), action, device_id))
-            events.append(ChurnEvent(round(rejoin_at, 3), CHURN_REJOIN,
-                                     device_id))
-        return cls(events=tuple(events), seed=seed)
-
-    def validate(self, initial_ids: Iterable[str]) -> None:
-        """Check the schedule is coherent against *initial_ids*.
-
-        Departures must target a present device, rejoins an absent one;
-        a fresh ``join`` must not collide with a present device.
-        """
-        present = set(initial_ids)
-        known = set(present)
-        for event in self.events:
-            if event.action in _CONTROL_ACTIONS:
-                # master / link events never move worker membership
-                continue
-            if event.action in (CHURN_LEAVE, CHURN_KILL):
-                if event.device_id not in present:
-                    raise RuntimeStateError(
-                        "churn %s of %r at t=%.3f: device not present"
-                        % (event.action, event.device_id, event.time))
-                present.discard(event.device_id)
-            elif event.action == CHURN_REJOIN:
-                if event.device_id in present:
-                    raise RuntimeStateError(
-                        "churn rejoin of %r at t=%.3f: device still present"
-                        % (event.device_id, event.time))
-                if event.device_id not in known:
-                    raise RuntimeStateError(
-                        "churn rejoin of %r at t=%.3f: device never joined"
-                        % (event.device_id, event.time))
-                present.add(event.device_id)
-            else:  # CHURN_JOIN
-                if event.device_id in present:
-                    raise RuntimeStateError(
-                        "churn join of %r at t=%.3f: device already present"
-                        % (event.device_id, event.time))
-                present.add(event.device_id)
-                known.add(event.device_id)
-        if not present:
-            raise RuntimeStateError("churn schedule ends with an empty swarm")
-
-    def end_time(self) -> float:
-        return self.events[-1].time if self.events else 0.0
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)

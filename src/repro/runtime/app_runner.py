@@ -38,7 +38,54 @@ from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, TraceSink
 
 
-class SwingRuntime:
+class _InProcSwarm:
+    """What both runtimes below are: one master, a worker pool and one
+    fabric — with the start-up waits and the teardown around them."""
+
+    recovery: RecoveryConfig
+    master: Master
+    workers: Dict[str, WorkerRuntime]
+    fabric: Fabric
+    _running: bool
+
+    def _await_membership(self, timeout: Optional[float] = None) -> None:
+        if timeout is None:
+            timeout = self.recovery.await_timeout
+        deadline = time.monotonic() + timeout
+        expected = set(self.workers)
+        while time.monotonic() < deadline:
+            if expected <= set(self.master.worker_ids):
+                return
+            time.sleep(self.recovery.await_poll)
+        missing = expected - set(self.master.worker_ids)
+        raise DeploymentError("workers never joined: %r" % sorted(missing))
+
+    def _await_deployment(self, timeout: Optional[float] = None) -> None:
+        if timeout is None:
+            timeout = self.recovery.await_timeout
+        deadline = time.monotonic() + timeout
+        runtimes = [self.master.runtime] + list(self.workers.values())
+        for runtime in runtimes:
+            remaining = max(0.0, deadline - time.monotonic())
+            if not runtime.deployed.wait(timeout=remaining):
+                raise DeploymentError("deployment timed out on %s"
+                                      % runtime.worker_id)
+
+    def stop(self) -> None:
+        if not self._running:
+            return
+        self.master.stop()
+        for worker in self.workers.values():
+            worker.stop()
+        self.master.runtime.stop()
+        self.fabric.close()
+        self._running = False
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stop()
+
+
+class SwingRuntime(_InProcSwarm):
     """Build, run and tear down a complete in-process swarm.
 
     ``requirement`` (a :class:`PerformanceRequirement`) takes precedence
@@ -154,39 +201,6 @@ class SwingRuntime:
         self.master.start()
         self._running = True
 
-    def _await_membership(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
-        deadline = time.monotonic() + timeout
-        expected = set(self.workers)
-        while time.monotonic() < deadline:
-            if expected <= set(self.master.worker_ids):
-                return
-            time.sleep(self.recovery.await_poll)
-        missing = expected - set(self.master.worker_ids)
-        raise DeploymentError("workers never joined: %r" % sorted(missing))
-
-    def _await_deployment(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
-        deadline = time.monotonic() + timeout
-        runtimes = [self.master.runtime] + list(self.workers.values())
-        for runtime in runtimes:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not runtime.deployed.wait(timeout=remaining):
-                raise DeploymentError("deployment timed out on %s"
-                                      % runtime.worker_id)
-
-    def stop(self) -> None:
-        if not self._running:
-            return
-        self.master.stop()
-        for worker in self.workers.values():
-            worker.stop()
-        self.master.runtime.stop()
-        self.fabric.close()
-        self._running = False
-
     # -- master failover (used by the chaos harness) -----------------------
     def crash_master(self) -> None:
         """Abruptly kill the master process-equivalent.
@@ -250,23 +264,6 @@ class SwingRuntime:
         imported = self.master.import_retention()
         self.master.checkpoint()
         return imported
-
-    def partition_link(self, sender_id: str, target_id: str) -> None:
-        """Sever a directed link (requires a chaos-capable fabric)."""
-        partition = getattr(self.fabric, "partition", None)
-        if partition is None:
-            raise RuntimeStateError(
-                "fabric %r cannot partition links; wrap it in a ChaosFabric"
-                % type(self.fabric).__name__)
-        partition(sender_id, target_id)
-
-    def heal_link(self, sender_id: str, target_id: str) -> None:
-        heal = getattr(self.fabric, "heal", None)
-        if heal is None:
-            raise RuntimeStateError(
-                "fabric %r cannot heal links; wrap it in a ChaosFabric"
-                % type(self.fabric).__name__)
-        heal(sender_id, target_id)
 
     # -- churn (used by the chaos harness) ---------------------------------
     def crash_worker(self, worker_id: str) -> None:
@@ -359,11 +356,8 @@ class SwingRuntime:
     def __enter__(self) -> "SwingRuntime":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
-
-class MultiTenantRuntime:
+class MultiTenantRuntime(_InProcSwarm):
     """Run N tenant pipelines over ONE shared in-process worker pool.
 
     Each entry of *pipelines* is a ``(TenantSpec, AppGraph)`` pair: one
@@ -479,29 +473,6 @@ class MultiTenantRuntime:
             self.sessions[tenant_id].start()
         self._running = True
 
-    def _await_membership(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
-        deadline = time.monotonic() + timeout
-        expected = set(self.workers)
-        while time.monotonic() < deadline:
-            if expected <= set(self.master.worker_ids):
-                return
-            time.sleep(self.recovery.await_poll)
-        missing = expected - set(self.master.worker_ids)
-        raise DeploymentError("workers never joined: %r" % sorted(missing))
-
-    def _await_deployment(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
-        deadline = time.monotonic() + timeout
-        runtimes = [self.master.runtime] + list(self.workers.values())
-        for runtime in runtimes:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not runtime.deployed.wait(timeout=remaining):
-                raise DeploymentError("deployment timed out on %s"
-                                      % runtime.worker_id)
-
     def stop_tenant(self, tenant_id: str) -> None:
         """Halt one tenant's sources; every other tenant keeps running."""
         try:
@@ -509,16 +480,6 @@ class MultiTenantRuntime:
         except KeyError:
             raise RuntimeStateError("unknown tenant %r" % tenant_id) from None
         session.stop()
-
-    def stop(self) -> None:
-        if not self._running:
-            return
-        self.master.stop()
-        for worker in self.workers.values():
-            worker.stop()
-        self.master.runtime.stop()
-        self.fabric.close()
-        self._running = False
 
     # -- convenience -------------------------------------------------------
     def sink_unit(self, tenant_id: str) -> SinkUnit:
@@ -550,9 +511,6 @@ class MultiTenantRuntime:
 
     def __enter__(self) -> "MultiTenantRuntime":
         return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
 
 def order_results(results: List[DataTuple], source_rate: float,

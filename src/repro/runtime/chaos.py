@@ -12,17 +12,11 @@ Two layers share this module:
     regardless of thread interleaving on other links.
 
 :class:`ChurnHarness`
-    Replays a :class:`ChurnSchedule` against a live
-    :class:`SwingRuntime` — the threaded-runtime twin of the
-    simulator's churn consumption, extended with control-plane events:
-
-    - ``kill``   → :meth:`SwingRuntime.crash_worker` (silent crash)
-    - ``leave``  → :meth:`SwingRuntime.drain_worker` (LEAVING drain)
-    - ``join`` / ``rejoin`` → :meth:`SwingRuntime.spawn_worker`
-    - ``kill_master``    → :meth:`SwingRuntime.crash_master`
-    - ``restart_master`` → :meth:`SwingRuntime.restart_master`
-    - ``partition`` / ``heal`` → sever / restore an ``a>b`` link
-      (requires the runtime's fabric to be a :class:`ChaosFabric`)
+    Replays a :class:`~repro.core.faults.FaultSchedule` — the same
+    object the simulator consumes — against a live
+    :class:`SwingRuntime`, through one action → handler table
+    (:attr:`ChurnHarness.FAULT_HANDLERS`); link partitions and chaos
+    windows need the runtime's fabric to be a :class:`ChaosFabric`.
 
 Because both substrates consume the schedule identically, a seeded
 churn trace produces the same membership timeline in simulation and on
@@ -36,15 +30,12 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (CHURN_HEAL, CHURN_JOIN, CHURN_KILL,
-                                 CHURN_KILL_MASTER, CHURN_LEAVE,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnEvent,
-                                 ChurnSchedule)
+from repro.core import faults
 from repro.core.exceptions import RuntimeStateError, SerializationError
+from repro.core.faults import FaultEvent, FaultSchedule
 from repro.runtime.app_runner import SwingRuntime
 from repro.runtime.channels import ChannelClosed
 from repro.runtime.fabric import Fabric, Mailbox
@@ -259,63 +250,109 @@ class ChaosFabric(Fabric):
             self.injected[key] = self.injected.get(key, 0) + 1
 
 
+#: the link profile a message-chaos window of intensity *value* imposes
+#: (a delay window holds every frame, for *value* compressed like the
+#: rest of the timeline)
+_LINK_CHAOS = {
+    faults.CHAOS_DROP: lambda value, scale: LinkChaos(drop=value),
+    faults.CHAOS_DELAY: lambda value, scale: LinkChaos(
+        delay=1.0, delay_seconds=value * scale),
+    faults.CHAOS_DUPLICATE: lambda value, scale: LinkChaos(duplicate=value),
+    faults.CHAOS_CORRUPT: lambda value, scale: LinkChaos(corrupt=value),
+}
+
+
 class ChurnHarness:
-    """Applies one churn schedule to a started :class:`SwingRuntime`.
+    """Applies one fault schedule to a started :class:`SwingRuntime`.
 
     *time_scale* stretches (>1) or compresses (<1) the schedule's event
     times — soak tests compress a long simulated schedule into a short
-    wall-clock run.  Events are applied strictly in schedule order; a
-    drain blocks until the leaver is empty, which is the point (the next
-    event must observe the post-drain swarm, as it would on the engine).
+    wall-clock run.  Steps are applied strictly in schedule order, a
+    window as two steps (impose at its start, lift at its end); a drain
+    blocks until the leaver is empty, which is the point (the next
+    step must observe the post-drain swarm, as it would on the engine).
     """
 
-    def __init__(self, runtime: SwingRuntime, schedule: ChurnSchedule,
+    def __init__(self, runtime: SwingRuntime, schedule: FaultSchedule,
                  time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise RuntimeStateError("time scale must be positive")
         self.runtime = runtime
         self.schedule = schedule
         self.time_scale = time_scale
-        #: (event, wall-clock offset it actually fired at) — in order
-        self.applied: List[Tuple[ChurnEvent, float]] = []
+        #: (event, wall-clock offset it actually fired at) — in order; a
+        #: window appears twice, imposed and lifted
+        self.applied: List[Tuple[FaultEvent, float]] = []
         #: measured drain duration per gracefully departed worker
         self.drain_seconds: Dict[str, float] = {}
+        self._steps: List[Tuple[float, Callable[[FaultEvent], None],
+                                FaultEvent]] = []
+        for event in schedule:
+            if event.action not in self.FAULT_HANDLERS:
+                continue  # the caller reports schedule.unapplied(...)
+            if event.action in faults.LINK_ACTIONS:
+                # Only a ChaosFabric can impose these, on an explicit link.
+                if not isinstance(runtime.fabric, ChaosFabric):
+                    raise RuntimeStateError(
+                        "fabric %r cannot impose %s; wrap it in a "
+                        "ChaosFabric" % (type(runtime.fabric).__name__,
+                                         event.action))
+                faults.split_link(event.target)  # explicit links only
+            self._steps.append((event.time, self._apply, event))
+            if event.duration:
+                self._steps.append((event.end, self._lift, event))
+        self._steps.sort(key=lambda step: step[0])
 
     def run(self, deadline: Optional[float] = None) -> None:
         """Blockingly replay the schedule against the running swarm."""
         started = time.monotonic()
-        for event in self.schedule:
-            target = started + event.time * self.time_scale
+        for when, step, event in self._steps:
+            target = started + when * self.time_scale
             if deadline is not None and target > started + deadline:
                 break
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            self._apply(event)
+            step(event)
             self.applied.append((event, time.monotonic() - started))
 
-    def _apply(self, event: ChurnEvent) -> None:
-        if event.action == CHURN_KILL:
-            self.runtime.crash_worker(event.device_id)
-        elif event.action == CHURN_LEAVE:
-            elapsed = self.runtime.drain_worker(event.device_id)
-            self.drain_seconds[event.device_id] = elapsed
-        elif event.action in (CHURN_JOIN, CHURN_REJOIN):
-            self.runtime.spawn_worker(event.device_id)
-        elif event.action == CHURN_KILL_MASTER:
-            self.runtime.crash_master()
-        elif event.action == CHURN_RESTART_MASTER:
-            self.runtime.restart_master()
-        elif event.action in (CHURN_PARTITION, CHURN_HEAL):
-            # The device id names a directed link, "sender>target".
-            sender_id, sep, target_id = event.device_id.partition(">")
-            if not sep or not sender_id or not target_id:
-                raise RuntimeStateError(
-                    "%s event needs a 'sender>target' link id, got %r"
-                    % (event.action, event.device_id))
-            if event.action == CHURN_PARTITION:
-                self.runtime.partition_link(sender_id, target_id)
-            else:
-                self.runtime.heal_link(sender_id, target_id)
-        else:  # pragma: no cover - ChurnEvent validates actions
-            raise RuntimeStateError("unknown churn action %r" % event.action)
+    def _apply(self, event: FaultEvent) -> None:
+        self.FAULT_HANDLERS[event.action](self, event)
+
+    def _drain(self, event: FaultEvent) -> None:
+        self.drain_seconds[event.target] = self.runtime.drain_worker(
+            event.target)
+
+    def _impose(self, event: FaultEvent) -> None:
+        """Open a message-chaos window on the event's directed link."""
+        self.runtime.fabric.set_link(
+            *faults.split_link(event.target),
+            _LINK_CHAOS[event.action](event.value, self.time_scale))
+
+    def _lift(self, event: FaultEvent) -> None:
+        self.runtime.fabric.set_link(*faults.split_link(event.target),
+                                     LinkChaos())
+
+    #: action → handler: the single statement of what this substrate
+    #: applies.  A schedule's remaining actions (``disconnect`` — an
+    #: in-process endpoint has no connection to break — and the
+    #: CPU-model ``load_burst``) are reported by
+    #: ``FaultSchedule.unapplied``, never skipped silently.
+    FAULT_HANDLERS = {
+        faults.KILL: lambda self, event: self.runtime.crash_worker(
+            event.target),
+        faults.LEAVE: _drain,
+        faults.JOIN: lambda self, event: self.runtime.spawn_worker(
+            event.target),
+        faults.REJOIN: lambda self, event: self.runtime.spawn_worker(
+            event.target),
+        faults.KILL_MASTER: lambda self, event: self.runtime.crash_master(),
+        faults.RESTART_MASTER: lambda self, event:
+            self.runtime.restart_master(),
+        faults.PARTITION: lambda self, event: self.runtime.fabric.partition(
+            *faults.split_link(event.target)),
+        faults.HEAL: lambda self, event: self.runtime.fabric.heal(
+            *faults.split_link(event.target)),
+        **dict.fromkeys(_LINK_CHAOS, _impose),
+    }
+

@@ -28,8 +28,9 @@ import time
 from typing import Optional
 
 from repro import metrics as metrics_mod
+from repro.core.exceptions import RuntimeStateError
 from repro.core.keyed import KeyRange
-from repro.runtime.dispatcher import UpstreamDispatcher
+from repro.runtime.dispatcher import UpstreamDispatcher, split_instance
 from repro.runtime.worker import WorkerRuntime
 
 
@@ -47,8 +48,26 @@ def migrate_range(dispatcher: UpstreamDispatcher, key_range: KeyRange,
     over routing.  Returns the number of keys migrated.  The tuple
     stream keeps flowing throughout: tuples for the moving range are
     parked and redelivered, everything else routes normally.
+
+    Refused (``RuntimeStateError``, table untouched) when the range is
+    already paused — another migration has it, and that one's resume
+    would reopen routing under this one's snapshot — or when *source*
+    does not host its owner: two handoffs of one range end with the
+    loser's copy stranded on a non-owner.  The simulator's mirror has
+    refused both since PR 10.
     """
     controller = dispatcher.controller
+    table = controller.key_table
+    if table is not None:
+        if table.is_paused(key_range):
+            raise RuntimeStateError("range %r is already migrating"
+                                    % (key_range,))
+        owner = table.owner(key_range)
+        if owner is not None \
+                and split_instance(owner)[1] != source.worker_id:
+            raise RuntimeStateError(
+                "range %r is owned by %s, not by an instance on %s"
+                % (key_range, owner, source.worker_id))
     started = time.monotonic()
     controller.pause_range(key_range)
     try:

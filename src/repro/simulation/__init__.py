@@ -19,8 +19,7 @@ from repro.simulation.pipeline import (PipelineConfig, PipelineResult,
 from repro.simulation.replication import (MetricSummary, ReplicatedResult,
                                           compare_policies, replicate)
 from repro.simulation.rng import RngRegistry, substream_seed
-from repro.simulation.swarm import (BackgroundLoadEvent, JoinEvent,
-                                    LeaveEvent, SwarmConfig, SwarmResult,
+from repro.simulation.swarm import (SwarmConfig, SwarmResult,
                                     SwarmSimulation, UNBOUNDED_QUEUE,
                                     run_swarm)
 from repro.simulation.workload import (ACK_BYTES, FACE_APP, FACE_FRAME_BYTES,
@@ -29,12 +28,11 @@ from repro.simulation.workload import (ACK_BYTES, FACE_APP, FACE_FRAME_BYTES,
                                        face_workload, translation_workload)
 
 __all__ = [
-    "ACK_BYTES", "BACKGROUND_CONTENTION", "BackgroundLoadEvent", "CpuModel",
-    "DROP_DEVICE_LEFT",
+    "ACK_BYTES", "BACKGROUND_CONTENTION", "CpuModel", "DROP_DEVICE_LEFT",
     "DROP_LINK_DOWN", "DROP_SOURCE_QUEUE", "DeviceCounters", "DevicePower",
     "DeviceProfile", "EnergyReport", "Event", "FACE_APP", "FACE_FRAME_BYTES",
-    "FrameRecord", "JoinEvent", "LatencyStats", "LeaveEvent",
-    "MetricSummary", "MetricsCollector", "MobilityPlan", "MobilityTrace",
+    "FrameRecord", "LatencyStats", "MetricSummary", "MetricsCollector",
+    "MobilityPlan", "MobilityTrace",
     "Network", "PipelineConfig", "PipelineResult", "PipelineSimulation",
     "ReplicatedResult", "StageSpec", "compare_policies",
     "face_pipeline_config", "replicate", "run_pipeline",

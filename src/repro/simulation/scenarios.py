@@ -10,20 +10,17 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro import profiles
-from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT,
-                                 CHURN_KILL_MASTER, CHURN_RESTART_MASTER,
-                                 ChurnEvent, ChurnSchedule, DeliveryConfig)
+from repro.core import faults
+from repro.core.delivery import AT_LEAST_ONCE, BEST_EFFORT, DeliveryConfig
 from repro.core.exceptions import SimulationError
+from repro.core.faults import FaultEvent, FaultSchedule
 from repro.core.keyed import KeyedConfig
 from repro.core.multitenant import TenantSpec
 from repro.core.overload import DROP_OLDEST, OverloadConfig
 from repro.simulation.mobility import MobilityPlan, MobilityTrace
 from repro.simulation.network import (RSSI_FAIR, RSSI_GOOD, RSSI_POOR,
                                       rssi_for_region)
-from repro.simulation.swarm import (BackgroundLoadEvent, DeviceKillEvent,
-                                    DeviceReviveEvent, JoinEvent, LeaveEvent,
-                                    MessageDelayEvent, MessageDropEvent,
-                                    SwarmConfig, UNBOUNDED_QUEUE)
+from repro.simulation.swarm import SwarmConfig, UNBOUNDED_QUEUE
 from repro.simulation.workload import (FACE_APP, TRANSLATE_APP, Workload,
                                        face_workload, translation_workload)
 
@@ -123,7 +120,8 @@ def joining(app: str = FACE_APP, duration: float = 30.0, seed: int = 0,
         policy="LRS",
         duration=duration,
         seed=seed,
-        joins=(JoinEvent(time=join_time, device_id=joiner_id),),
+        schedule=FaultSchedule(events=(
+            FaultEvent(join_time, faults.JOIN, joiner_id),)),
     )
 
 
@@ -138,7 +136,8 @@ def leaving(app: str = FACE_APP, duration: float = 35.0, seed: int = 0,
         policy="LRS",
         duration=duration,
         seed=seed,
-        leaves=(LeaveEvent(time=leave_time, device_id=leaver_id),),
+        schedule=FaultSchedule(events=(
+            FaultEvent(leave_time, faults.DISCONNECT, leaver_id),)),
     )
 
 
@@ -169,18 +168,19 @@ def fault_injection(app: str = FACE_APP, policy: str = "LRS",
                               % ", ".join(unknown))
     if len(kill_ids) >= len(list(worker_ids)):
         raise SimulationError("at least one worker must survive the faults")
-    faults: list = [DeviceKillEvent(time=kill_time, device_id=device_id)
-                    for device_id in kill_ids]
+    events = [FaultEvent(kill_time, faults.KILL, device_id)
+              for device_id in kill_ids]
     if revive_time is not None:
-        faults.extend(DeviceReviveEvent(time=revive_time,
-                                        device_id=device_id)
+        events.extend(FaultEvent(revive_time, faults.REJOIN, device_id)
                       for device_id in kill_ids)
     if drop_window is not None:
-        faults.append(MessageDropEvent(time=kill_time, duration=drop_window,
-                                       drop_prob=0.5))
+        events.append(FaultEvent(kill_time, faults.CHAOS_DROP,
+                                 faults.EVERY_LINK, duration=drop_window,
+                                 value=0.5))
     if delay_window is not None:
-        faults.append(MessageDelayEvent(time=kill_time, duration=delay_window,
-                                        extra_delay=extra_delay))
+        events.append(FaultEvent(kill_time, faults.CHAOS_DELAY,
+                                 faults.EVERY_LINK, duration=delay_window,
+                                 value=extra_delay))
     return SwarmConfig(
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(worker_ids)),
@@ -190,7 +190,7 @@ def fault_injection(app: str = FACE_APP, policy: str = "LRS",
         seed=seed,
         ack_timeout=ack_timeout,
         dead_after=dead_after,
-        faults=tuple(faults),
+        schedule=FaultSchedule(events=tuple(events)),
     )
 
 
@@ -226,14 +226,18 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
     worker_ids = list(worker_ids)
     if not 0.0 < overload_until < duration:
         raise SimulationError("overload_until must fall inside the run")
-    faults: list = []
+    # The background apps stop at overload_until: a load window at 0.0
+    # over the rest of the run, on top of the configured heavy load.
+    events = [FaultEvent(overload_until, faults.LOAD_BURST, device_id,
+                         duration=duration - overload_until, value=0.0)
+              for device_id in worker_ids]
     if kill_id is not None:
         if kill_id not in worker_ids:
             raise SimulationError("cannot kill %r: not in the swarm" % kill_id)
         if not kill_time < revive_time:
             raise SimulationError("revive must come after the kill")
-        faults.append(DeviceKillEvent(time=kill_time, device_id=kill_id))
-        faults.append(DeviceReviveEvent(time=revive_time, device_id=kill_id))
+        events.append(FaultEvent(kill_time, faults.KILL, kill_id))
+        events.append(FaultEvent(revive_time, faults.REJOIN, kill_id))
     return SwarmConfig(
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(worker_ids),
@@ -242,14 +246,10 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
         duration=duration,
         seed=seed,
         background_load={device_id: background for device_id in worker_ids},
-        background_events=tuple(
-            BackgroundLoadEvent(time=overload_until, device_id=device_id,
-                                load=0.0)
-            for device_id in worker_ids),
         thermal_throttling=False,
         ack_timeout=ack_timeout,
         dead_after=dead_after,
-        faults=tuple(faults),
+        schedule=FaultSchedule(events=tuple(events)),
         overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
                                 drop_policy=drop_policy),
     )
@@ -289,9 +289,9 @@ def churn(app: str = FACE_APP, policy: str = "LRS",
                               % ", ".join(unknown))
     if len(churner_ids) >= len(worker_ids):
         raise SimulationError("at least one worker must survive the churn")
-    schedule = ChurnSchedule.generate(seed=seed, device_ids=churner_ids,
-                                      duration=duration,
-                                      start_after=start_after, settle=settle)
+    schedule = FaultSchedule.churn(seed=seed, device_ids=churner_ids,
+                                   duration=duration,
+                                   start_after=start_after, settle=settle)
     delivery = DeliveryConfig(
         mode=AT_LEAST_ONCE if at_least_once else BEST_EFFORT,
         replay_capacity=replay_capacity,
@@ -308,7 +308,7 @@ def churn(app: str = FACE_APP, policy: str = "LRS",
         dead_after=dead_after,
         detection_delay=detection_delay,
         delivery=delivery,
-        churn=schedule,
+        schedule=schedule,
     )
 
 
@@ -347,11 +347,9 @@ def failover(app: str = FACE_APP, policy: str = "LRS",
         raise SimulationError("the outage must end %.1fs before the run"
                               " does, so recovery can be judged" % settle)
     master_id = profiles.SOURCE_ID
-    schedule = ChurnSchedule(events=(
-        ChurnEvent(time=kill_time, action=CHURN_KILL_MASTER,
-                   device_id=master_id),
-        ChurnEvent(time=restart_time, action=CHURN_RESTART_MASTER,
-                   device_id=master_id),
+    schedule = FaultSchedule(events=(
+        FaultEvent(kill_time, faults.KILL_MASTER, master_id),
+        FaultEvent(restart_time, faults.RESTART_MASTER, master_id),
     ), seed=seed)
     delivery = DeliveryConfig(
         mode=AT_LEAST_ONCE if at_least_once else BEST_EFFORT,
@@ -369,7 +367,7 @@ def failover(app: str = FACE_APP, policy: str = "LRS",
         dead_after=dead_after,
         detection_delay=detection_delay,
         delivery=delivery,
-        churn=schedule,
+        schedule=schedule,
     )
 
 

@@ -27,15 +27,14 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
+from repro.core import faults
 from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
 from repro.core.batching import BatchConfig
 from repro.core.controller import LrsController, PolicyConfig
-from repro.core.delivery import (CHURN_HEAL, CHURN_KILL, CHURN_KILL_MASTER,
-                                 CHURN_LEAVE, CHURN_PARTITION,
-                                 CHURN_RESTART_MASTER, ChurnSchedule,
-                                 DedupWindow, DeliveryConfig, EVICT_SHED)
+from repro.core.delivery import DedupWindow, DeliveryConfig, EVICT_SHED
 from repro.core.exceptions import RuntimeStateError, SimulationError
+from repro.core.faults import FaultEvent, FaultSchedule
 from repro.core.keyed import (KeyedConfig, KeyRange, KeyRangeTable,
                               MOVE_CRASH, MOVE_DRAIN, MOVE_HOT_SPLIT,
                               hash_key, zipf_weights)
@@ -68,86 +67,6 @@ UNBOUNDED_QUEUE = 0
 #: period, estimator window, failure-detection thresholds): the
 #: simulator's knobs default to exactly what the runtime uses
 _POLICY_DEFAULTS = PolicyConfig()
-
-
-@dataclass(frozen=True)
-class JoinEvent:
-    """A device launching Swing and joining mid-run (paper Sec. VI-C)."""
-
-    time: float
-    device_id: str
-    rssi: float = RSSI_GOOD
-
-
-@dataclass(frozen=True)
-class LeaveEvent:
-    """A device abruptly terminating Swing mid-run (paper Sec. VI-C)."""
-
-    time: float
-    device_id: str
-
-
-@dataclass(frozen=True)
-class DeviceKillEvent:
-    """A device dying *silently*: no LEAVE, no link-break notification.
-
-    Unlike :class:`LeaveEvent` (whose broken connection the upstream
-    notices after ``detection_delay``), a silent kill is only detectable
-    through loss accounting: tuples routed to the dead device expire,
-    its ``lost_count`` grows, and the tracker marks it dead after
-    ``dead_after`` expiry rounds.  This is the fault-injection hook the
-    failure-detection subsystem is tested against.
-    """
-
-    time: float
-    device_id: str
-
-
-@dataclass(frozen=True)
-class DeviceReviveEvent:
-    """A silently-killed device coming back online."""
-
-    time: float
-    device_id: str
-    rssi: float = RSSI_GOOD
-
-
-@dataclass(frozen=True)
-class MessageDropEvent:
-    """Drop (a fraction of) messages involving a device for a window."""
-
-    time: float
-    duration: float
-    drop_prob: float = 1.0
-    device_id: Optional[str] = None  # None = every device
-
-    def active(self, now: float, device_id: str) -> bool:
-        return (self.time <= now < self.time + self.duration
-                and (self.device_id is None or self.device_id == device_id))
-
-
-@dataclass(frozen=True)
-class MessageDelayEvent:
-    """Add latency to messages involving a device for a window."""
-
-    time: float
-    duration: float
-    extra_delay: float
-    device_id: Optional[str] = None  # None = every device
-
-    def active(self, now: float, device_id: str) -> bool:
-        return (self.time <= now < self.time + self.duration
-                and (self.device_id is None or self.device_id == device_id))
-
-
-@dataclass(frozen=True)
-class BackgroundLoadEvent:
-    """Another app starting/stopping on a device mid-run (paper Sec. III:
-    dynamism from 'changes in applications running in the devices')."""
-
-    time: float
-    device_id: str
-    load: float  # new background CPU load in [0, 1]
 
 
 @dataclass
@@ -185,9 +104,11 @@ class SwarmConfig:
     #: sustained-load thermal throttling (set False to disable, e.g. for
     #: the short single-device characterization runs)
     thermal_throttling: bool = True
-    joins: Sequence[JoinEvent] = ()
-    leaves: Sequence[LeaveEvent] = ()
-    background_events: Sequence[BackgroundLoadEvent] = ()
+    #: every injected event of the run — joins, departures, master
+    #: outages, partitions, message chaos, load bursts — in the one
+    #: vocabulary of :mod:`repro.core.faults`; the runtime chaos harness
+    #: replays the same object
+    schedule: FaultSchedule = field(default_factory=FaultSchedule)
     mobility: Optional[MobilityPlan] = None
     reorder_timespan: float = 1.0
     #: in-flight tuples older than this are charged as lost
@@ -195,9 +116,6 @@ class SwarmConfig:
     #: consecutive expiry rounds without an ACK before a downstream is
     #: marked dead (the tracker's failure-detection threshold)
     dead_after: int = _POLICY_DEFAULTS.dead_after
-    #: fault-injection schedule: DeviceKillEvent / DeviceReviveEvent /
-    #: MessageDropEvent / MessageDelayEvent instances
-    faults: Sequence = ()
     #: overload-protection knobs (TTL, bounded worker ingress queues,
     #: source admission control) shared verbatim with the threaded
     #: runtime; ``None`` keeps every mechanism off
@@ -209,9 +127,6 @@ class SwarmConfig:
     #: delivery-semantics knobs (at-least-once replay, sink dedup) shared
     #: verbatim with the threaded runtime; ``None`` keeps best-effort
     delivery: Optional[DeliveryConfig] = None
-    #: seeded churn schedule (join/leave/kill/rejoin) consumed
-    #: identically by this simulator and the runtime chaos harness
-    churn: Optional[ChurnSchedule] = None
     #: data-plane batching knobs shared verbatim with the threaded
     #: runtime; ``None`` (or ``max_tuples=1``) keeps per-tuple dispatch
     batching: Optional[BatchConfig] = None
@@ -269,10 +184,16 @@ class SwarmConfig:
                             batching=self.batching,
                             keyed=self.keyed)
 
-    def resolved_source_queue(self) -> Optional[int]:
-        """Source queue capacity for the engine (None = unbounded)."""
+    def resolved_source_queue(self, workload: Optional[Workload] = None
+                              ) -> Optional[int]:
+        """Source queue capacity for the engine (None = unbounded).
+
+        *workload* is one tenant's (rate-adjusted) workload; the
+        experiment's own by default.
+        """
         if self.source_queue_frames is None:
-            return max(1, int(round(2.0 * self.workload.input_rate)))
+            rate = (workload or self.workload).input_rate
+            return max(1, int(round(2.0 * rate)))
         if self.source_queue_frames == UNBOUNDED_QUEUE:
             return None
         if self.source_queue_frames < 0:
@@ -301,18 +222,13 @@ class SwarmConfig:
             raise SimulationError("dead_after must be >= 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise SimulationError("trace sample rate must be in [0, 1]")
-        for fault in self.faults:
-            if not isinstance(fault, (DeviceKillEvent, DeviceReviveEvent,
-                                      MessageDropEvent, MessageDelayEvent)):
-                raise SimulationError("unknown fault event %r" % (fault,))
-        if not self.workers and not self.joins:
+        if not isinstance(self.schedule, FaultSchedule):
+            raise SimulationError("schedule must be a FaultSchedule, got %r"
+                                  % (self.schedule,))
+        if not self.workers and not any(event.action == faults.JOIN
+                                        for event in self.schedule):
             raise SimulationError("a swarm needs at least one worker")
-        for event in self.joins:
-            if event.device_id in self.workers:
-                raise SimulationError(
-                    "device %s both initial and joining" % event.device_id)
-        if self.churn is not None:
-            self.churn.validate(set(self.workers))
+        self.schedule.validate(set(self.workers))
         if self.keyed is not None:
             self.keyed.validate()
             if self.keyed.key_count > 0 and self.batching_config().enabled:
@@ -584,10 +500,16 @@ class SwarmSimulation:
         self._master_down = False
         self._outage_results: List[Tuple[_Frame, float]] = []
         self.master_recoveries = 0
-        #: devices whose link is administratively severed (churn
-        #: ``partition`` events); every message involving them drops
+        #: devices whose link is administratively severed
+        #: (``partition`` events); every message involving them drops
         self._partitioned: set = set()
-        self._all_profiles: Dict[str, DeviceProfile] = {}
+        #: opened ``chaos_drop`` / ``chaos_delay`` windows with the
+        #: devices each covers (None = every device), in opening order
+        self._message_windows: List[
+            Tuple[FaultEvent, Optional[List[str]]]] = []
+        #: every device that ever computed here, initial pool first
+        self._all_profiles: Dict[str, DeviceProfile] = dict(
+            sorted(config.workers.items()))
         #: one sequence space for the whole swarm: FrameRecords are keyed
         #: by seq, so tenants must never collide
         self._next_seq = 0
@@ -634,7 +556,7 @@ class SwarmSimulation:
                         if self.delivery.at_least_once else None),
             tenant=tenant_id)
         egress = Store(self.sim,
-                       capacity=self._egress_capacity(workload),
+                       capacity=config.resolved_source_queue(workload),
                        name=egress_name)
         reorder = ReorderBuffer.for_rate(workload.input_rate,
                                          timespan=config.reorder_timespan)
@@ -648,16 +570,6 @@ class SwarmSimulation:
                             reorder=reorder, dedup=dedup,
                             arrivals_stream=arrivals_stream,
                             keys_stream=keys_stream)
-
-    def _egress_capacity(self, workload: Workload) -> Optional[int]:
-        """Source egress capacity for one tenant's queue (None = unbounded)."""
-        if self.config.source_queue_frames is None:
-            return max(1, int(round(2.0 * workload.input_rate)))
-        if self.config.source_queue_frames == UNBOUNDED_QUEUE:
-            return None
-        if self.config.source_queue_frames < 0:
-            raise SimulationError("source queue length must be >= 0")
-        return self.config.source_queue_frames
 
     # -- tenant routing ---------------------------------------------------
     def _controller_for(self, tenant: str) -> LrsController:
@@ -689,11 +601,11 @@ class SwarmSimulation:
     def _build(self) -> None:
         config = self.config
         self.network.attach(config.source.device_id, rssi=RSSI_GOOD)
-        for device_id, profile in sorted(config.workers.items()):
+        for device_id in sorted(config.workers):
             rssi = config.rssi.get(device_id, RSSI_GOOD)
             if config.mobility is not None:
                 rssi = config.mobility.initial_rssi(device_id, rssi)
-            self._add_worker(profile, rssi)
+            self._attach(device_id, rssi)
         # Keyed routing: every tenant's control plane starts from the
         # same even partition of the key space over the initial pool
         # (later joiners take ownership only through migration).
@@ -709,68 +621,20 @@ class SwarmSimulation:
             self.sim.process(self._dispatch(state),
                              name="dispatcher" + suffix)
         self.sim.process(self._control(), name="control")
-        for join in config.joins:
-            self.sim.schedule(join.time, self._make_join(join))
-        for leave in config.leaves:
-            self.sim.schedule(leave.time,
-                              lambda device_id=leave.device_id:
-                              self._remove_worker(device_id))
-        for event in config.background_events:
-            self.sim.schedule(event.time,
-                              lambda event=event:
-                              self._set_background_load(event.device_id,
-                                                        event.load))
         if config.mobility is not None:
             for when, device_id, rssi in config.mobility.events():
                 self.sim.schedule(
                     when, lambda device_id=device_id, rssi=rssi:
                     self._set_rssi(device_id, rssi))
-        for fault in config.faults:
-            if isinstance(fault, DeviceKillEvent):
-                self.sim.schedule(fault.time,
-                                  lambda fault=fault:
-                                  self._kill_worker(fault.device_id))
-            elif isinstance(fault, DeviceReviveEvent):
-                self.sim.schedule(fault.time,
-                                  lambda fault=fault:
-                                  self._revive_worker(fault.device_id,
-                                                      fault.rssi))
-            # Message drop/delay windows are consulted at delivery time.
-        if config.churn is not None:
-            # The same schedule the runtime chaos harness replays: kills
-            # are silent crashes, leaves run the graceful-drain protocol,
-            # joins/rejoins bring the device back at a good signal.
-            for event in config.churn:
-                if event.action == CHURN_KILL:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._kill_worker(d))
-                elif event.action == CHURN_LEAVE:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._begin_drain(d))
-                elif event.action == CHURN_KILL_MASTER:
-                    self.sim.schedule(event.time, self._kill_master)
-                elif event.action == CHURN_RESTART_MASTER:
-                    self.sim.schedule(event.time, self._restart_master)
-                elif event.action == CHURN_PARTITION:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._partition_link(d))
-                elif event.action == CHURN_HEAL:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._heal_link(d))
-                else:  # CHURN_JOIN / CHURN_REJOIN
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._revive_worker(d, RSSI_GOOD))
-
-    def _make_join(self, join: JoinEvent):
-        def _do_join() -> None:
-            profile = self._profile_for(join.device_id)
-            self._add_worker(profile, join.rssi)
-        return _do_join
+        # The same schedule the runtime chaos harness replays.  Actions
+        # missing from the handler table are the caller's to report
+        # (``schedule.unapplied(SwarmSimulation.FAULT_HANDLERS)``).
+        for event in config.schedule:
+            handler = self.FAULT_HANDLERS.get(event.action)
+            if handler is not None:
+                self.sim.schedule(event.time,
+                                  lambda handler=handler, event=event:
+                                  handler(self, event))
 
     def _profile_for(self, device_id: str) -> DeviceProfile:
         if device_id in self._all_profiles:
@@ -779,10 +643,15 @@ class SwarmSimulation:
         from repro.profiles import device_profile
         return device_profile(device_id)
 
-    def _add_worker(self, profile: DeviceProfile, rssi: float) -> None:
-        device_id = profile.device_id
+    def _attach(self, device_id: str, rssi: float = RSSI_GOOD) -> None:
+        """Bring a device into the swarm: initial pool, join or rejoin.
+
+        A dead-marked member that comes back stays dead in the tracker
+        until a probe's ACK resurrects it.
+        """
         if device_id in self.nodes:
-            raise SimulationError("device %s already in the swarm" % device_id)
+            return  # e.g. a rejoin racing a still-running drain
+        profile = self._profile_for(device_id)
         self._all_profiles[device_id] = profile
         if device_id in self.network.device_ids():
             self.network.reattach(device_id, rssi=rssi)
@@ -798,15 +667,32 @@ class SwarmSimulation:
         for state in self._states.values():
             state.controller.add_downstream(device_id)
 
-    def _remove_worker(self, device_id: str) -> None:
+    def _detach(self, device_id: str) -> Optional[_WorkerNode]:
+        """Take a device off the air; every departure ends here."""
         node = self.nodes.pop(device_id, None)
         if node is None:
-            return
+            return None
         node.alive = False
         node.left_at = self.sim.now
         self._departed[device_id] = node
         node.process.kill()
         self.network.detach(device_id)
+        return node
+
+    def _crash(self, device_id: str, notify: bool) -> None:
+        """Abrupt departure, with whatever the device held charged lost.
+
+        ``notify=False`` is the silent ``kill``: the upstream gets no
+        notification of any kind, tuples keep flowing into the void and
+        only loss accounting (expired in-flight entries) marks the
+        device dead — the failure-detection path end to end.
+        ``notify=True`` is the ``disconnect`` of Sec. VI-C: the upstream
+        notices the broken connection, but only after
+        ``detection_delay``, and routes into the void until then.
+        """
+        node = self._detach(device_id)
+        if node is None:
+            return
         if node.current_seq is not None:
             self._drop_unless_retained(node.current_seq, DROP_DEVICE_LEFT)
         for frame in node.ingress.drain():
@@ -814,60 +700,13 @@ class SwarmSimulation:
         # Unblock a dispatcher head-of-line-blocked on this connection.
         for _ in range(self.config.window_frames()):
             node.credits.try_put(True)
-        # The upstream only notices the broken connection after a delay,
-        # during which it keeps routing tuples into the void (Sec. VI-C).
-        self.sim.schedule(self.config.detection_delay,
-                          lambda: self._on_link_break(device_id))
+        if notify:
+            self.sim.schedule(self.config.detection_delay,
+                              lambda: self._on_link_break(device_id))
 
     def _on_link_break(self, device_id: str) -> None:
         for state in self._states.values():
             state.controller.remove_downstream(device_id)
-
-    # -- fault injection -------------------------------------------------
-    def _kill_worker(self, device_id: str) -> None:
-        """Silent crash: the upstream gets no notification of any kind.
-
-        Tuples keep flowing to the dead device and into the void until
-        loss accounting (expired in-flight entries) marks it dead —
-        exercising the failure-detection path end to end.
-        """
-        node = self.nodes.pop(device_id, None)
-        if node is None:
-            return
-        node.alive = False
-        node.left_at = self.sim.now
-        self._departed[device_id] = node
-        node.process.kill()
-        self.network.detach(device_id)
-        if node.current_seq is not None:
-            self._drop_unless_retained(node.current_seq, DROP_DEVICE_LEFT)
-        for frame in node.ingress.drain():
-            self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
-        # Unblock a dispatcher head-of-line-blocked on this connection.
-        for _ in range(self.config.window_frames()):
-            node.credits.try_put(True)
-        # Deliberately NO _on_link_break here: detection must come from
-        # the tracker, not from a control-plane notification.
-
-    def _revive_worker(self, device_id: str, rssi: float) -> None:
-        """A killed device rejoining; probing resurrects its tracker state."""
-        if device_id in self.nodes:
-            return
-        profile = self._profile_for(device_id)
-        self._all_profiles[device_id] = profile
-        if device_id in self.network.device_ids():
-            self.network.reattach(device_id, rssi=rssi)
-        else:
-            self.network.attach(device_id, rssi=rssi)
-        background = self.config.background_load.get(device_id, 0.0)
-        node = _WorkerNode(self, profile, background)
-        self.nodes[device_id] = node
-        self._departed.pop(device_id, None)
-        self.metrics.device(device_id)
-        # No-op if still a member; a dead-marked member stays dead until
-        # a probe's ACK resurrects it.
-        for state in self._states.values():
-            state.controller.add_downstream(device_id)
 
     # -- graceful drain (LEAVING protocol) -------------------------------
     def _begin_drain(self, device_id: str) -> None:
@@ -917,16 +756,11 @@ class SwarmSimulation:
                                                target, MOVE_DRAIN)
         if self.nodes.get(device_id) is not node:
             return  # superseded (e.g. rejoined under the same id)
-        del self.nodes[device_id]
-        node.alive = False
-        node.left_at = self.sim.now
-        self._departed[device_id] = node
-        node.process.kill()
-        self.network.detach(device_id)
         # No drops and no link-break notification: a graceful leave has
         # nothing left to lose by construction.
+        self._detach(device_id)
 
-    # -- master failover (churn control-plane events) --------------------
+    # -- master failover -------------------------------------------------
     def _kill_master(self) -> None:
         """Master device crash: source, dispatch, control and sink freeze.
 
@@ -958,28 +792,15 @@ class SwarmSimulation:
         for state in self._states.values():
             state.controller.update(self.sim.now)
 
-    def _partition_link(self, link_id: str) -> None:
-        """Sever the link named ``sender>target`` (churn ``partition``).
+    def _link_devices(self, link_id: str) -> List[str]:
+        """The devices a fault on link ``sender>target`` isolates.
 
         The engine's network is hub-and-spoke through the source radio,
-        so severing a link isolates its non-source endpoint: every
-        message involving that device drops until the matching ``heal``.
+        so a link fault applies to every message involving the link's
+        non-source endpoint(s).
         """
-        for device_id in self._link_devices(link_id):
-            self._partitioned.add(device_id)
-
-    def _heal_link(self, link_id: str) -> None:
-        for device_id in self._link_devices(link_id):
-            self._partitioned.discard(device_id)
-
-    def _link_devices(self, link_id: str) -> List[str]:
-        sender_id, sep, target_id = link_id.partition(">")
-        if not sep or not sender_id or not target_id:
-            raise SimulationError(
-                "partition/heal events need a 'sender>target' link id,"
-                " got %r" % link_id)
         source_id = self.config.source.device_id
-        return [device_id for device_id in (sender_id, target_id)
+        return [device_id for device_id in faults.split_link(link_id)
                 if device_id != source_id]
 
     # -- at-least-once redelivery ----------------------------------------
@@ -1071,15 +892,32 @@ class SwarmSimulation:
             return True, 0.0
         now = self.sim.now
         extra_delay = 0.0
-        for fault in self.config.faults:
-            if isinstance(fault, MessageDropEvent) \
-                    and fault.active(now, device_id):
-                if self.rngs.stream("faults").random() < fault.drop_prob:
-                    return True, 0.0
-            elif isinstance(fault, MessageDelayEvent) \
-                    and fault.active(now, device_id):
-                extra_delay += fault.extra_delay
+        for window, devices in self._message_windows:
+            if now >= window.end \
+                    or (devices is not None and device_id not in devices):
+                continue
+            if window.action == faults.CHAOS_DELAY:
+                extra_delay += window.value
+            elif self.rngs.stream("faults").random() < window.value:
+                return True, 0.0
         return False, extra_delay
+
+    def _open_message_window(self, event: FaultEvent) -> None:
+        """``chaos_drop`` / ``chaos_delay``: consulted per message until
+        the window's end (:meth:`_message_fault`)."""
+        devices = (None if event.target == faults.EVERY_LINK
+                   else self._link_devices(event.target))
+        self._message_windows.append((event, devices))
+
+    def _load_burst(self, event: FaultEvent) -> None:
+        """Another app runs on the device for the window (paper Sec. III:
+        dynamism from 'changes in applications running in the devices');
+        its configured background load returns when the window ends."""
+        device_id = event.target
+        self._set_background_load(device_id, event.value)
+        self.sim.schedule(
+            event.duration, lambda: self._set_background_load(
+                device_id, self.config.background_load.get(device_id, 0.0)))
 
     def _set_rssi(self, device_id: str, rssi: float) -> None:
         self.network.link(device_id).set_rssi(rssi)
@@ -1088,6 +926,30 @@ class SwarmSimulation:
         node = self.nodes.get(device_id)
         if node is not None:
             node.cpu.set_background_load(load)
+
+    #: action → handler: the single statement of what this substrate
+    #: applies.  A schedule's remaining actions (the codec-level
+    #: ``chaos_duplicate`` / ``chaos_corrupt`` — the engine has no byte
+    #: wire) are reported by ``FaultSchedule.unapplied``, never skipped
+    #: silently.
+    FAULT_HANDLERS = {
+        faults.JOIN: lambda self, event: self._attach(event.target),
+        faults.REJOIN: lambda self, event: self._attach(event.target),
+        faults.KILL: lambda self, event: self._crash(event.target,
+                                                     notify=False),
+        faults.DISCONNECT: lambda self, event: self._crash(event.target,
+                                                           notify=True),
+        faults.LEAVE: lambda self, event: self._begin_drain(event.target),
+        faults.KILL_MASTER: lambda self, event: self._kill_master(),
+        faults.RESTART_MASTER: lambda self, event: self._restart_master(),
+        faults.PARTITION: lambda self, event: self._partitioned.update(
+            self._link_devices(event.target)),
+        faults.HEAL: lambda self, event: self._partitioned.difference_update(
+            self._link_devices(event.target)),
+        faults.CHAOS_DROP: _open_message_window,
+        faults.CHAOS_DELAY: _open_message_window,
+        faults.LOAD_BURST: _load_burst,
+    }
 
     # -- keyed state & migration -----------------------------------------
     def _draw_key(self, state: _TenantState) -> Optional[str]:
@@ -1641,6 +1503,13 @@ class SwarmSimulation:
                                for frame in state.egress.items())
                 for tenant, state in self._states.items()
                 if len(state.egress.items())}
+
+    def export_retention(self) -> Dict[str, list]:
+        """Each tenant controller's replay-retention export — what the
+        upstreams still hold un-ACKed (``WorkerRuntime.export_retention``'s
+        twin, keyed by tenant instead of edge)."""
+        return {tenant: state.controller.export_retention()
+                for tenant, state in self._states.items()}
 
     def _finalize_counters(self) -> None:
         end = self.config.duration

@@ -4,12 +4,12 @@
 adversarial harness:
 
 ``schedule``
-    A :class:`FaultSchedule` vocabulary unifying every nemesis the
-    repo already has — worker kill / graceful drain / rejoin, master
-    kill+restart, link partition/heal, seeded drop / delay / duplicate
-    / corrupt windows, background-load bursts, keyed hot-range
-    migration and multi-tenant overload — generated from one seed with
-    validated composition rules.
+    A :class:`FaultSchedule` composing every nemesis of the repo's one
+    fault vocabulary (:mod:`repro.core.faults`) — worker kill /
+    graceful drain / rejoin, master kill+restart, link partition/heal,
+    seeded drop / delay / duplicate / corrupt windows, background-load
+    bursts — against a keyed or multi-tenant workload profile,
+    generated from one seed with validated composition rules.
 ``invariants``
     A :class:`RunHistory` normal form plus an :class:`InvariantChecker`
     over the guarantees the repo claims: tuple conservation,
@@ -30,5 +30,5 @@ adversarial harness:
 from repro.verify.explorer import explore, replay, shrink  # noqa: F401
 from repro.verify.invariants import (InvariantChecker,  # noqa: F401
                                      RunHistory, Violation)
-from repro.verify.schedule import (FaultEvent, FaultSchedule,  # noqa: F401
-                                   RunProfile, ScheduleSpec)
+from repro.verify.schedule import (FaultSchedule, RunProfile,  # noqa: F401
+                                   ScheduleSpec)

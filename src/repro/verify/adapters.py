@@ -1,21 +1,21 @@
 """One adapter per substrate: FaultSchedule in, RunHistory out.
 
-The simulator adapter maps a schedule onto a ``SwarmConfig`` — the
-churn projection drives membership / master / partition faults, window
-events map onto the engine's fault mirror (``MessageDropEvent`` /
-``MessageDelayEvent`` / ``BackgroundLoadEvent``) and the profile picks
-the keyed or multi-tenant workload shape.  ``chaos_duplicate`` /
-``chaos_corrupt`` windows are codec-level nemeses with no discrete-event
-mirror (the engine has no byte wire); the adapter records them as notes
-rather than silently claiming coverage.
+Both adapters hand the schedule *object* straight to their substrate —
+``SwarmConfig.schedule`` for the discrete-event engine, a
+:class:`ChurnHarness` for the threaded runtime — and each substrate
+applies it through its own action → handler table.  Whatever a table
+does not cover (codec-level ``chaos_duplicate`` / ``chaos_corrupt`` on
+the engine, which has no byte wire; CPU-model ``load_burst`` and
+``disconnect`` on the runtime) is computed from the table
+(:meth:`FaultSchedule.unapplied`) and recorded as a note rather than
+silently claimed as coverage.
 
-The runtime adapter builds a real threaded :class:`SwingRuntime` behind
-a seeded :class:`ChaosFabric`, replays the churn projection through the
-existing :class:`ChurnHarness` (time-compressed) while a window driver
-imposes and lifts per-link chaos, and normalises the sink collections,
-metrics registry and control-plane epochs into the same
-:class:`RunHistory` shape.  ``load_burst`` windows are CPU-model
-nemeses with no threaded mirror and are likewise recorded as notes.
+The simulator adapter maps the schedule's profile onto the keyed or
+multi-tenant ``SwarmConfig`` shape.  The runtime adapter builds a real
+threaded :class:`SwingRuntime` behind a seeded :class:`ChaosFabric`,
+replays the schedule time-compressed, and normalises the sink
+collections, metrics registry and control-plane epochs into the same
+:class:`RunHistory` shape.
 
 Both adapters run the *same* schedule bytes; the invariant checker
 never needs to know which substrate produced the history.
@@ -23,14 +23,13 @@ never needs to know which substrate produced the history.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (AT_LEAST_ONCE, CHURN_RESTART_MASTER,
-                                 DeliveryConfig)
+from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
 from repro.core.exceptions import RuntimeStateError
+from repro.core.faults import LOAD_BURST, RESTART_MASTER
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
@@ -40,16 +39,12 @@ from repro.core.overload import DROP_OLDEST, OverloadConfig
 from repro.core.recovery import InMemoryCheckpointStore, RecoveryConfig
 from repro import profiles
 from repro.runtime.app_runner import SwingRuntime
-from repro.runtime.chaos import ChaosFabric, ChurnHarness, LinkChaos
+from repro.runtime.chaos import ChaosFabric, ChurnHarness
 from repro.simulation import scenarios
-from repro.simulation.swarm import (BackgroundLoadEvent, MessageDelayEvent,
-                                    MessageDropEvent, SwarmConfig,
-                                    SwarmResult, SwarmSimulation)
+from repro.simulation.swarm import SwarmConfig, SwarmResult, SwarmSimulation
 from repro.simulation.workload import FACE_APP
 from repro.verify.invariants import RunHistory, TenantHistory
-from repro.verify.schedule import (CHAOS_CORRUPT, CHAOS_DELAY, CHAOS_DROP,
-                                   CHAOS_DUPLICATE, LOAD_BURST,
-                                   FaultSchedule)
+from repro.verify.schedule import FaultSchedule
 
 SIM = "sim"
 RUNTIME = "runtime"
@@ -63,42 +58,14 @@ TUPLES = 120
 _COLLECT_TIMEOUT = 30.0
 
 
-def _link_target(link: str) -> str:
-    """The receiving device of an ``a>b`` link (or a bare device id)."""
-    return link.partition(">")[2] or link
-
-
 # -- simulator ------------------------------------------------------------
 def build_sim_config(schedule: FaultSchedule,
                      delivery: Optional[DeliveryConfig] = None
                      ) -> SwarmConfig:
-    """Map *schedule* onto the discrete-event engine's fault mirror."""
+    """The engine experiment *schedule*'s spec and profile describe."""
     spec, profile = schedule.spec, schedule.profile
     workload = scenarios.workload_for_app(FACE_APP)
-    faults: List[object] = []
-    background: List[BackgroundLoadEvent] = []
-    bursting = False
-    for event in schedule.window_events():
-        target = _link_target(event.target)
-        if event.action == CHAOS_DROP:
-            faults.append(MessageDropEvent(time=event.time,
-                                           duration=event.duration,
-                                           drop_prob=event.value,
-                                           device_id=target))
-        elif event.action == CHAOS_DELAY:
-            faults.append(MessageDelayEvent(time=event.time,
-                                            duration=event.duration,
-                                            extra_delay=event.value,
-                                            device_id=target))
-        elif event.action == LOAD_BURST:
-            bursting = True
-            background.append(BackgroundLoadEvent(time=event.time,
-                                                  device_id=event.target,
-                                                  load=event.value))
-            background.append(BackgroundLoadEvent(
-                time=round(event.end, 3), device_id=event.target,
-                load=0.0))
-        # CHAOS_DUPLICATE / CHAOS_CORRUPT: codec-level, runtime-only.
+    bursting = any(event.action == LOAD_BURST for event in schedule)
     if delivery is None:
         delivery = DeliveryConfig(mode=AT_LEAST_ONCE, replay_capacity=4096,
                                   dedup_window=8192,
@@ -136,31 +103,23 @@ def build_sim_config(schedule: FaultSchedule,
         dead_after=dead_after,
         detection_delay=0.25,
         delivery=delivery,
-        churn=schedule.churn_view(),
-        faults=tuple(faults),
-        background_events=tuple(background),
+        schedule=schedule,
         overload=overload,
         keyed=keyed,
         tenants=tenants,
     )
 
 
-def history_from_sim(schedule: FaultSchedule,
-                     result: SwarmResult,
-                     horizon: Optional[float] = None,
-                     queued: Optional[Dict[str, List[int]]] = None,
-                     retained: Optional[Dict[str, Set[int]]] = None
-                     ) -> RunHistory:
+def history_from_sim(schedule: FaultSchedule, sim: SwarmSimulation,
+                     result: SwarmResult) -> RunHistory:
     """Normalise one engine run into the checker's RunHistory shape.
 
-    *queued* is the engine's end-of-run source-egress occupancy
-    (:meth:`SwarmSimulation.pending_source_frames`); *retained* the
-    per-tenant seqs the replay buffers still hold — together, the
-    conservation equation's in-flight term.
+    The finished *sim* supplies the conservation equation's in-flight
+    term: its end-of-run source-egress occupancy and the seqs its
+    replay buffers still hold, per tenant.
     """
     spec = schedule.spec
-    if horizon is None:
-        horizon = spec.duration - spec.settle / 2.0
+    horizon = spec.duration - spec.settle / 2.0
     tenants: Dict[str, TenantHistory] = {}
 
     def ledger(tenant: str) -> TenantHistory:
@@ -168,10 +127,10 @@ def history_from_sim(schedule: FaultSchedule,
             tenants[tenant] = TenantHistory()
         return tenants[tenant]
 
-    for tenant, seqs in (queued or {}).items():
+    for tenant, seqs in sim.pending_source_frames().items():
         ledger(tenant).queued_end.update(seqs)
-    for tenant, seqs in (retained or {}).items():
-        ledger(tenant).retained.update(seqs)
+    for tenant, items in sim.export_retention().items():
+        ledger(tenant).retained.update(_retained_seqs(items))
 
     drop_reasons: Dict[str, int] = {}
     for seq, record in result.metrics.frames.items():
@@ -186,6 +145,7 @@ def history_from_sim(schedule: FaultSchedule,
             drop_reasons[record.dropped] = \
                 drop_reasons.get(record.dropped, 0) + 1
     registry = result.registry
+    fenced = 0
     if registry is not None:
         # Per-tenant eviction budgets: the replay buffer's edge label is
         # the controller name — "A" single-tenant, "A@tX" multi-tenant.
@@ -194,12 +154,10 @@ def history_from_sim(schedule: FaultSchedule,
         for edge, count in by_edge.items():
             tenant = edge.partition("@")[2]
             ledger(tenant).evictions += count
-    fenced = 0
-    if registry is not None:
         fenced = sum(registry.values_by_label(
             metrics_mod.FENCED_TOTAL, "device").values())
     expected = sum(1 for event in schedule
-                   if event.action == CHURN_RESTART_MASTER)
+                   if event.action == RESTART_MASTER)
     config = result.config
     capacity = (config.overload.queue_capacity
                 if config.overload is not None else None)
@@ -207,8 +165,7 @@ def history_from_sim(schedule: FaultSchedule,
                      and config.delivery.at_least_once)
     notes = ["%s window on %s has no discrete-event mirror"
              % (event.action, event.target)
-             for event in schedule.window_events()
-             if event.action in (CHAOS_DUPLICATE, CHAOS_CORRUPT)]
+             for event in schedule.unapplied(SwarmSimulation.FAULT_HANDLERS)]
     return RunHistory(
         substrate=SIM,
         at_least_once=at_least_once,
@@ -245,12 +202,7 @@ def run_sim(schedule: FaultSchedule) -> RunHistory:
     """Run *schedule* on the discrete-event engine and normalise it."""
     schedule.validate()
     sim = SwarmSimulation(build_sim_config(schedule))
-    result = sim.run()
-    retained = {tenant: _retained_seqs(state.controller.export_retention())
-                for tenant, state in sim._states.items()}
-    return history_from_sim(schedule, result,
-                            queued=sim.pending_source_frames(),
-                            retained=retained)
+    return history_from_sim(schedule, sim, sim.run())
 
 
 # -- threaded runtime -----------------------------------------------------
@@ -266,70 +218,9 @@ class _RecordingHarness(ChurnHarness):
 
     def _apply(self, event) -> None:
         super()._apply(event)
-        if event.action == CHURN_RESTART_MASTER:
+        if event.action == RESTART_MASTER:
             self._sinks.append(self.runtime.sink_unit())
             self._epochs.append(self.runtime.master.pool.epoch)
-
-
-class _WindowDriver(threading.Thread):
-    """Imposes and lifts per-link chaos windows on a ChaosFabric."""
-
-    def __init__(self, fabric: ChaosFabric, schedule: FaultSchedule,
-                 time_scale: float) -> None:
-        super().__init__(name="chaos-windows", daemon=True)
-        self._ops: List[Tuple[float, Callable[[], None]]] = []
-        for event in schedule.window_events():
-            if event.action == LOAD_BURST:
-                continue  # CPU-model nemesis; no threaded mirror
-            link = event.target
-            if ">" not in link:
-                continue
-            sender_id, _, target_id = link.partition(">")
-            chaos = _link_chaos(event.action, event.value)
-            if chaos is None:
-                continue
-            self._ops.append((event.time * time_scale,
-                              _setter(fabric, sender_id, target_id,
-                                      chaos)))
-            self._ops.append((event.end * time_scale,
-                              _setter(fabric, sender_id, target_id,
-                                      LinkChaos())))
-        self._ops.sort(key=lambda item: item[0])
-
-    def run(self) -> None:
-        started = time.monotonic()
-        for offset, operation in self._ops:
-            delay = started + offset - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            operation()
-
-
-def _setter(fabric: ChaosFabric, sender_id: str, target_id: str,
-            chaos: LinkChaos) -> Callable[[], None]:
-    return lambda: fabric.set_link(sender_id, target_id, chaos)
-
-
-def _link_chaos(action: str, value: float) -> Optional[LinkChaos]:
-    if action == CHAOS_DROP:
-        return LinkChaos(drop=value)
-    if action == CHAOS_DELAY:
-        return LinkChaos(delay=1.0, delay_seconds=value * TIME_SCALE)
-    if action == CHAOS_DUPLICATE:
-        return LinkChaos(duplicate=value)
-    if action == CHAOS_CORRUPT:
-        return LinkChaos(corrupt=value)
-    return None
-
-
-def _retained_runtime_seqs(runtime: SwingRuntime) -> Set[int]:
-    """Un-ACKed seqs still held by the master's dispatchers."""
-    master_runtime = getattr(runtime.master, "runtime", None)
-    dispatchers = getattr(master_runtime, "_dispatchers", {})
-    seqs: Set[int] = set()
-    for dispatcher in dispatchers.values():
-        seqs |= _retained_seqs(dispatcher.controller.export_retention())
-    return seqs
 
 
 def run_runtime(schedule: FaultSchedule,
@@ -355,13 +246,6 @@ def run_runtime(schedule: FaultSchedule,
              .build())
     registry = metrics_mod.MetricsRegistry()
     seed = schedule.seed or 0
-    fabric_holder: List[ChaosFabric] = []
-
-    def wrap(inner):
-        fabric = ChaosFabric(inner, seed=seed, registry=registry)
-        fabric_holder.append(fabric)
-        return fabric
-
     source_rate = tuples / max(0.5, spec.window_end * time_scale)
     delivery = DeliveryConfig(mode=AT_LEAST_ONCE, replay_capacity=4096,
                               dedup_window=8192, max_delivery_attempts=8,
@@ -369,23 +253,22 @@ def run_runtime(schedule: FaultSchedule,
     runtime = SwingRuntime(
         graph, worker_ids=sorted(spec.workers), policy="RR",
         source_rate=source_rate, seed=seed, registry=registry,
-        delivery=delivery, fabric_wrapper=wrap,
+        delivery=delivery,
+        fabric_wrapper=lambda inner: ChaosFabric(inner, seed=seed,
+                                                 registry=registry),
         heartbeat_interval=0.1, heartbeat_timeout=0.6,
         recovery=RecoveryConfig(checkpoint_interval=0.2),
         checkpoint_store=InMemoryCheckpointStore())
     sinks: List[CollectingSink] = []
     epochs: List[int] = []
-    harness = _RecordingHarness(runtime, schedule.churn_view(),
-                                time_scale, sinks, epochs)
-    windows = _WindowDriver(fabric_holder[0], schedule, time_scale)
+    harness = _RecordingHarness(runtime, schedule, time_scale, sinks,
+                                epochs)
     expected = set(range(tuples))
     runtime.start()
     try:
         sinks.append(runtime.sink_unit())
         epochs.append(runtime.master.pool.epoch)
-        windows.start()
         harness.run()
-        windows.join(timeout=_COLLECT_TIMEOUT)
         deadline = time.monotonic() + _COLLECT_TIMEOUT
         while time.monotonic() < deadline:
             union = {data.seq for sink in sinks for data in sink.results}
@@ -393,7 +276,10 @@ def run_runtime(schedule: FaultSchedule,
                 break
             time.sleep(0.05)
         time.sleep(0.4)  # let straggling duplicates land
-        retained = _retained_runtime_seqs(runtime)
+        # Un-ACKed seqs the master's dispatchers still hold.
+        retained: Set[int] = set()
+        for items in runtime.master.runtime.export_retention().values():
+            retained |= _retained_seqs(items)
         recoveries = int(registry.value(
             metrics_mod.MASTER_RECOVERIES_TOTAL,
             device=runtime.master.master_id))
@@ -414,9 +300,9 @@ def run_runtime(schedule: FaultSchedule,
                           else [])
              + (["tenant overload"]
                 if schedule.profile.tenant_count > 1 else [])]
-    notes.extend("load_burst on %s has no threaded mirror" % event.target
-                 for event in schedule.window_events()
-                 if event.action == LOAD_BURST)
+    notes.extend("%s on %s has no threaded mirror"
+                 % (event.action, event.target)
+                 for event in schedule.unapplied(ChurnHarness.FAULT_HANDLERS))
     return RunHistory(
         substrate=RUNTIME,
         at_least_once=True,
@@ -434,7 +320,7 @@ def run_runtime(schedule: FaultSchedule,
         queue_capacity=None,
         expected_recoveries=sum(
             1 for event in schedule
-            if event.action == CHURN_RESTART_MASTER),
+            if event.action == RESTART_MASTER),
         recoveries=recoveries,
         epochs=tuple(epochs),
         fenced=fenced,

@@ -1,23 +1,13 @@
-"""Seeded fault schedules: one nemesis vocabulary for both substrates.
+"""Seeded fault compositions: the verification extension of the vocabulary.
 
-A :class:`FaultSchedule` is a validated, replayable composition of every
-fault the repo can inject, generated deterministically from a seed.  It
-extends the membership-only :class:`~repro.core.delivery.ChurnSchedule`
-with *windowed* nemeses (message drop / delay / duplicate / corrupt,
-background-load bursts) and a :class:`RunProfile` selecting the keyed /
-multi-tenant workload shape the faults compose against.
-
-Events come in two shapes:
-
-- **point events** reuse the churn vocabulary (``kill`` / ``leave`` /
-  ``rejoin`` / ``kill_master`` / ``restart_master`` / ``partition`` /
-  ``heal``) and project onto a plain ``ChurnSchedule`` via
-  :meth:`FaultSchedule.churn_view` — the projection both substrates
-  already consume.
-- **window events** (``chaos_*`` / ``load_burst``) carry a duration and
-  an intensity; the simulator maps them onto its fault mirror
-  (``MessageDropEvent`` …) and the runtime onto per-link
-  :class:`~repro.runtime.chaos.LinkChaos` settings.
+The fault vocabulary itself — action constants, :class:`FaultEvent`, the
+membership/target validation — lives in :mod:`repro.core.faults`.  This
+module keeps only what verification needs on top: a :class:`FaultSchedule`
+that extends the core type with the :class:`ScheduleSpec` its faults
+were drawn from and the :class:`RunProfile` (plain / keyed /
+multi-tenant workload shape) they compose against, the seeded generator,
+the spec-bound composition rules, atoms for shrinking, and a canonical
+serialization.
 
 Every event belongs to an **atom** — the smallest unit that can be
 removed while keeping the schedule coherent (a departure travels with
@@ -34,88 +24,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.delivery import (CHURN_HEAL, CHURN_JOIN, CHURN_KILL,
-                                 CHURN_KILL_MASTER, CHURN_LEAVE,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnEvent,
-                                 ChurnSchedule)
+from repro.core import faults
 from repro.core.exceptions import RuntimeStateError
-
-#: windowed nemeses (duration > 0; ``value`` is the intensity)
-CHAOS_DROP = "chaos_drop"            # drop probability on one link
-CHAOS_DELAY = "chaos_delay"          # extra per-message delay (seconds)
-CHAOS_DUPLICATE = "chaos_duplicate"  # duplicate probability (runtime codec)
-CHAOS_CORRUPT = "chaos_corrupt"      # bit-flip probability (runtime codec)
-LOAD_BURST = "load_burst"            # background CPU load on one worker
-
-_POINT_ACTIONS = frozenset({CHURN_JOIN, CHURN_KILL, CHURN_LEAVE,
-                            CHURN_REJOIN, CHURN_KILL_MASTER,
-                            CHURN_RESTART_MASTER, CHURN_PARTITION,
-                            CHURN_HEAL})
-_WINDOW_ACTIONS = frozenset({CHAOS_DROP, CHAOS_DELAY, CHAOS_DUPLICATE,
-                             CHAOS_CORRUPT, LOAD_BURST})
-_ACTIONS = _POINT_ACTIONS | _WINDOW_ACTIONS
-#: window intensities that are probabilities (bounded to [0, 1])
-_PROBABILITY_ACTIONS = frozenset({CHAOS_DROP, CHAOS_DUPLICATE,
-                                  CHAOS_CORRUPT, LOAD_BURST})
+from repro.core.faults import (CHAOS_CORRUPT, CHAOS_DELAY, CHAOS_DROP,
+                               CHAOS_DUPLICATE, HEAL, KILL, KILL_MASTER,
+                               LEAVE, LOAD_BURST, PARTITION, REJOIN,
+                               RESTART_MASTER, FaultEvent)
 
 _SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault at a point (or over a window) of scenario time."""
-
-    time: float
-    action: str
-    target: str          # device id, master id, or a directed "a>b" link
-    duration: float = 0.0
-    value: float = 0.0
-    atom: int = 0        # shrink unit this event belongs to
-
-    def __post_init__(self) -> None:
-        if self.action not in _ACTIONS:
-            raise RuntimeStateError("unknown fault action %r (want one "
-                                    "of %s)" % (self.action,
-                                                sorted(_ACTIONS)))
-        if self.time < 0:
-            raise RuntimeStateError("fault event time must be >= 0")
-        if not self.target:
-            raise RuntimeStateError("fault event needs a target")
-        if self.action in _WINDOW_ACTIONS:
-            if self.duration <= 0:
-                raise RuntimeStateError("%s window needs a positive "
-                                        "duration" % self.action)
-        elif self.duration:
-            raise RuntimeStateError("%s is a point event; duration must "
-                                    "be 0" % self.action)
-        if self.action in _PROBABILITY_ACTIONS \
-                and not 0.0 <= self.value <= 1.0:
-            raise RuntimeStateError("%s intensity must be in [0, 1], got "
-                                    "%r" % (self.action, self.value))
-        if self.action == CHAOS_DELAY and self.value < 0:
-            raise RuntimeStateError("chaos_delay needs a non-negative "
-                                    "extra delay")
-
-    @property
-    def end(self) -> float:
-        return self.time + self.duration
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"time": self.time, "action": self.action,
-                "target": self.target, "duration": self.duration,
-                "value": self.value, "atom": self.atom}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultEvent":
-        return cls(time=float(data["time"]), action=str(data["action"]),
-                   target=str(data["target"]),
-                   duration=float(data.get("duration", 0.0)),
-                   value=float(data.get("value", 0.0)),
-                   atom=int(data.get("atom", 0)))
 
 
 @dataclass(frozen=True)
@@ -203,18 +122,12 @@ class RunProfile:
 
 
 @dataclass(frozen=True)
-class FaultSchedule:
-    """A seeded, validated composition of faults over one run."""
+class FaultSchedule(faults.FaultSchedule):
+    """A seeded, validated composition of faults over one run: the core
+    schedule plus the spec it was drawn from and its workload profile."""
 
-    events: Tuple[FaultEvent, ...] = ()
-    seed: Optional[int] = None
     spec: ScheduleSpec = field(default_factory=ScheduleSpec)
     profile: RunProfile = field(default_factory=RunProfile)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events,
-                               key=lambda e: (e.time, e.action, e.target)))
-        object.__setattr__(self, "events", ordered)
 
     # -- generation --------------------------------------------------------
     @classmethod
@@ -245,23 +158,6 @@ class FaultSchedule:
                    profile=builder.profile)
 
     # -- views -------------------------------------------------------------
-    def churn_view(self) -> ChurnSchedule:
-        """The point events as a plain membership/control schedule."""
-        churn = tuple(ChurnEvent(time=event.time, action=event.action,
-                                 device_id=event.target)
-                      for event in self.events
-                      if event.action in _POINT_ACTIONS)
-        return ChurnSchedule(events=churn, seed=self.seed)
-
-    def window_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(event for event in self.events
-                     if event.action in _WINDOW_ACTIONS)
-
-    def end_time(self) -> float:
-        """When the last fault (or fault window) is over."""
-        return max((max(event.time, event.end) for event in self.events),
-                   default=0.0)
-
     def atoms(self) -> Tuple[int, ...]:
         """Distinct shrink units, in first-appearance order."""
         seen: List[int] = []
@@ -273,42 +169,46 @@ class FaultSchedule:
     def subset(self, atoms: Iterable[int]) -> "FaultSchedule":
         """The schedule restricted to the given shrink units."""
         keep = set(atoms)
-        return FaultSchedule(events=tuple(e for e in self.events
-                                          if e.atom in keep),
-                             seed=self.seed, spec=self.spec,
-                             profile=self.profile)
+        return replace(self, events=tuple(e for e in self.events
+                                          if e.atom in keep))
 
     # -- validation --------------------------------------------------------
-    def validate(self) -> None:
-        """Check the composition rules; raises RuntimeStateError."""
-        spec = self.spec
-        self.churn_view().validate(spec.workers)
+    def validate(self, initial_ids: Optional[Iterable[str]] = None) -> None:
+        """The core coherence checks (against the spec's worker pool
+        unless *initial_ids* says otherwise) plus the composition rules;
+        raises RuntimeStateError."""
+        super().validate(self.spec.workers if initial_ids is None
+                         else initial_ids)
         self._validate_master_outages()
         self._validate_partitions()
         self._validate_windows()
         self._validate_survivor()
 
-    def _master_outages(self) -> List[Tuple[float, float]]:
-        outages: List[Tuple[float, float]] = []
-        kill_at: Optional[float] = None
+    def _paired(self, opener: str, closer: str) -> List[Tuple[float, float]]:
+        """``(opened_at, closed_at)`` of every *opener* … *closer* pair on
+        one target; raises unless each opener meets exactly one closer."""
+        open_at: Dict[str, float] = {}
+        pairs: List[Tuple[float, float]] = []
         for event in self.events:
-            if event.action == CHURN_KILL_MASTER:
-                if kill_at is not None:
-                    raise RuntimeStateError("master killed twice without "
-                                            "a restart in between")
-                kill_at = event.time
-            elif event.action == CHURN_RESTART_MASTER:
-                if kill_at is None:
-                    raise RuntimeStateError("master restart without a "
-                                            "preceding kill")
-                outages.append((kill_at, event.time))
-                kill_at = None
-        if kill_at is not None:
-            raise RuntimeStateError("master killed but never restarted")
-        return outages
+            if event.action == opener:
+                if event.target in open_at:
+                    raise RuntimeStateError(
+                        "%s of %r twice without a %s in between"
+                        % (opener, event.target, closer))
+                open_at[event.target] = event.time
+            elif event.action == closer:
+                if event.target not in open_at:
+                    raise RuntimeStateError(
+                        "%s of %r without a preceding %s"
+                        % (closer, event.target, opener))
+                pairs.append((open_at.pop(event.target), event.time))
+        if open_at:
+            raise RuntimeStateError("%s never followed by a %s: %s"
+                                    % (opener, closer, sorted(open_at)))
+        return pairs
 
     def _validate_master_outages(self) -> None:
-        outages = self._master_outages()
+        outages = self._paired(KILL_MASTER, RESTART_MASTER)
         for kill_at, restart_at in outages:
             if restart_at <= kill_at:
                 raise RuntimeStateError("master restart must come after "
@@ -318,8 +218,7 @@ class FaultSchedule:
                                         "t=%.1f so recovery can be "
                                         "judged" % self.spec.window_end)
             for event in self.events:
-                if event.action in (CHURN_KILL_MASTER,
-                                    CHURN_RESTART_MASTER):
+                if event.action in (KILL_MASTER, RESTART_MASTER):
                     continue
                 if event.end > kill_at and event.time < restart_at:
                     raise RuntimeStateError(
@@ -334,29 +233,10 @@ class FaultSchedule:
                                     "the plain single-tenant profile")
 
     def _validate_partitions(self) -> None:
-        open_links: Dict[str, float] = {}
-        for event in self.events:
-            if event.action == CHURN_PARTITION:
-                if event.target in open_links:
-                    raise RuntimeStateError("link %r partitioned twice "
-                                            "without a heal"
-                                            % event.target)
-                if ">" not in event.target:
-                    raise RuntimeStateError("partition target must be a "
-                                            "directed 'a>b' link, got %r"
-                                            % event.target)
-                open_links[event.target] = event.time
-            elif event.action == CHURN_HEAL:
-                if event.target not in open_links:
-                    raise RuntimeStateError("heal of %r without an open "
-                                            "partition" % event.target)
-                del open_links[event.target]
-                if event.time > self.spec.window_end:
-                    raise RuntimeStateError("partitions must heal by "
-                                            "t=%.1f" % self.spec.window_end)
-        if open_links:
-            raise RuntimeStateError("links never healed: %s"
-                                    % sorted(open_links))
+        for _cut_at, healed_at in self._paired(PARTITION, HEAL):
+            if healed_at > self.spec.window_end:
+                raise RuntimeStateError("partitions must heal by t=%.1f"
+                                        % self.spec.window_end)
 
     def _validate_windows(self) -> None:
         for event in self.window_events():
@@ -365,14 +245,10 @@ class FaultSchedule:
                     "%s window on %r runs to t=%.1f, past the fault "
                     "window end t=%.1f" % (event.action, event.target,
                                            event.end, self.spec.window_end))
-            if event.action == LOAD_BURST \
-                    and event.target not in self.spec.workers:
-                raise RuntimeStateError("load burst targets unknown "
-                                        "worker %r" % event.target)
 
     def _validate_survivor(self) -> None:
         churned: Set[str] = {event.target for event in self.events
-                             if event.action in (CHURN_KILL, CHURN_LEAVE)}
+                             if event.action in (KILL, LEAVE)}
         if not set(self.spec.workers) - churned:
             raise RuntimeStateError("every worker churns at some point; "
                                     "keep at least one untouched survivor")
@@ -405,12 +281,6 @@ class FaultSchedule:
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
         return cls.from_dict(json.loads(text))
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class _Builder:
@@ -481,9 +351,9 @@ class _Builder:
         kill_at = round(rng.uniform(earliest, latest), 3)
         restart_at = round(kill_at + outage, 3)
         atom = self._atom()
-        self.events.append(FaultEvent(kill_at, CHURN_KILL_MASTER,
+        self.events.append(FaultEvent(kill_at, KILL_MASTER,
                                       spec.source_id, atom=atom))
-        self.events.append(FaultEvent(restart_at, CHURN_RESTART_MASTER,
+        self.events.append(FaultEvent(restart_at, RESTART_MASTER,
                                       spec.source_id, atom=atom))
         self._outage = (kill_at, restart_at)
 
@@ -499,11 +369,11 @@ class _Builder:
                 continue
             depart_at, segment_end = window
             rejoin_at = round(min(segment_end, depart_at + gap), 3)
-            action = CHURN_KILL if rng.random() < 0.5 else CHURN_LEAVE
+            action = KILL if rng.random() < 0.5 else LEAVE
             atom = self._atom()
             self.events.append(FaultEvent(depart_at, action, device_id,
                                           atom=atom))
-            self.events.append(FaultEvent(rejoin_at, CHURN_REJOIN,
+            self.events.append(FaultEvent(rejoin_at, REJOIN,
                                           device_id, atom=atom))
             self._churned.add(device_id)
 
@@ -521,10 +391,10 @@ class _Builder:
             start, _ = window
             link = "%s>%s" % (spec.source_id, target)
             atom = self._atom()
-            self.events.append(FaultEvent(start, CHURN_PARTITION, link,
+            self.events.append(FaultEvent(start, PARTITION, link,
                                           atom=atom))
             self.events.append(FaultEvent(round(start + hold, 3),
-                                          CHURN_HEAL, link, atom=atom))
+                                          HEAL, link, atom=atom))
 
     def _add_chaos_windows(self) -> None:
         rng, spec = self.rng, self.spec

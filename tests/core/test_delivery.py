@@ -3,11 +3,9 @@
 import pytest
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, CHURN_KILL,
-                                 CHURN_LEAVE, CHURN_REJOIN, ChurnEvent,
-                                 ChurnSchedule, DedupWindow, DeliveryConfig,
-                                 EVICT_BYTES, EVICT_CAPACITY, EVICT_EXPIRED,
-                                 EVICT_SHED, ReplayBuffer)
+from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, DedupWindow,
+                                 DeliveryConfig, EVICT_BYTES, EVICT_CAPACITY,
+                                 EVICT_EXPIRED, EVICT_SHED, ReplayBuffer)
 from repro.core.exceptions import RuntimeStateError
 
 
@@ -145,65 +143,3 @@ class TestDedupWindow:
     def test_capacity_validated(self):
         with pytest.raises(RuntimeStateError):
             DedupWindow(capacity=0)
-
-
-class TestChurnEvent:
-    def test_validates_action_time_device(self):
-        with pytest.raises(RuntimeStateError):
-            ChurnEvent(1.0, "explode", "B")
-        with pytest.raises(RuntimeStateError):
-            ChurnEvent(-1.0, CHURN_KILL, "B")
-        with pytest.raises(RuntimeStateError):
-            ChurnEvent(1.0, CHURN_KILL, "")
-
-
-class TestChurnSchedule:
-    def test_generate_is_deterministic(self):
-        first = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                       duration=40.0)
-        second = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                        duration=40.0)
-        assert first.events == second.events
-        different = ChurnSchedule.generate(seed=8, device_ids=("D", "G"),
-                                           duration=40.0)
-        assert first.events != different.events
-
-    def test_generate_events_inside_window(self):
-        schedule = ChurnSchedule.generate(seed=3, device_ids=("B", "C", "D"),
-                                          duration=60.0, start_after=5.0,
-                                          settle=8.0)
-        assert len(schedule) == 6  # one departure + one rejoin per device
-        for event in schedule:
-            assert 5.0 <= event.time <= 52.0
-
-    def test_generate_validates_against_initial_ids(self):
-        schedule = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                          duration=40.0)
-        schedule.validate({"B", "D", "G", "H"})  # must not raise
-
-    def test_events_sorted_by_time(self):
-        schedule = ChurnSchedule(events=(
-            ChurnEvent(5.0, CHURN_REJOIN, "B"),
-            ChurnEvent(1.0, CHURN_KILL, "B"),
-        ))
-        assert [event.time for event in schedule] == [1.0, 5.0]
-
-    def test_validate_rejects_departing_absent_device(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_KILL, "Z"),))
-        with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
-
-    def test_validate_rejects_rejoin_of_present_device(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_REJOIN, "B"),))
-        with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
-
-    def test_validate_rejects_emptying_the_swarm(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_LEAVE, "B"),))
-        with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
-
-    def test_too_short_duration_rejected(self):
-        with pytest.raises(RuntimeStateError):
-            ChurnSchedule.generate(seed=0, device_ids=("B",), duration=5.0,
-                                   start_after=5.0, settle=8.0)

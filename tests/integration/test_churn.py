@@ -26,8 +26,8 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.controller import PolicyConfig
-from repro.core.delivery import (AT_LEAST_ONCE, CHURN_LEAVE, CHURN_REJOIN,
-                                 ChurnEvent, ChurnSchedule, DeliveryConfig)
+from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
+from repro.core.faults import LEAVE, REJOIN, FaultEvent, FaultSchedule
 from repro.core.function_unit import CollectingSink, IterableSource, LambdaUnit
 from repro.core.graph import GraphBuilder
 from repro.core.tuples import DataTuple
@@ -64,7 +64,7 @@ class TestAtLeastOnceSoak:
     """scenarios.churn seed 7: one graceful leave, one kill, two rejoins."""
 
     def test_schedule_mixes_kill_and_leave(self, at_least_once):
-        actions = [event.action for event in at_least_once.config.churn]
+        actions = [event.action for event in at_least_once.config.schedule]
         assert "kill" in actions and "leave" in actions
 
     def test_zero_tuple_loss(self, at_least_once):
@@ -86,7 +86,7 @@ class TestAtLeastOnceSoak:
         assert at_least_once.deduped >= 0  # counted, not silently eaten
 
     def test_graceful_drain_observed(self, at_least_once):
-        leavers = {event.device_id for event in at_least_once.config.churn
+        leavers = {event.target for event in at_least_once.config.schedule
                    if event.action == "leave"}
         assert leavers  # schedule degenerating would void this test
         for device_id in leavers:
@@ -126,9 +126,9 @@ class TestGracefulDrainOnly:
         # mode — the drain protocol, not replay, carries the guarantee.
         config = scenarios.churn(seed=SEED, duration=DURATION, settle=SETTLE,
                                  at_least_once=False)
-        config.churn = ChurnSchedule(events=(
-            ChurnEvent(12.0, CHURN_LEAVE, "G"),
-            ChurnEvent(20.0, CHURN_REJOIN, "G"),
+        config.schedule = FaultSchedule(events=(
+            FaultEvent(12.0, LEAVE, "G"),
+            FaultEvent(20.0, REJOIN, "G"),
         ))
         result = run_swarm(config)
         assert result.frames_lost == 0
@@ -403,9 +403,9 @@ class TestRuntimeChurn:
         runtime.start()
         try:
             sink = runtime.sink_unit()
-            schedule = ChurnSchedule(events=(
-                ChurnEvent(0.5, CHURN_LEAVE, "B"),
-                ChurnEvent(1.6, CHURN_REJOIN, "B")))
+            schedule = FaultSchedule(events=(
+                FaultEvent(0.5, LEAVE, "B"),
+                FaultEvent(1.6, REJOIN, "B")))
             harness = ChurnHarness(runtime, schedule)
             harness.run()
             got = _await_sink(sink, RUNTIME_TUPLES)

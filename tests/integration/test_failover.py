@@ -213,7 +213,7 @@ class TestSimulatorFailover:
                                             settle=SETTLE))
 
     def test_schedule_kills_and_restarts_the_master(self, at_least_once):
-        actions = [event.action for event in at_least_once.config.churn]
+        actions = [event.action for event in at_least_once.config.schedule]
         assert actions == ["kill_master", "restart_master"]
 
     def test_master_recovery_happened(self, at_least_once):
@@ -234,9 +234,9 @@ class TestSimulatorFailover:
         # captured timeline must have a hole covering the outage.
         frames = at_least_once.metrics.frames
         config = at_least_once.config
-        kill = next(e.time for e in config.churn
+        kill = next(e.time for e in config.schedule
                     if e.action == "kill_master")
-        restart = next(e.time for e in config.churn
+        restart = next(e.time for e in config.schedule
                        if e.action == "restart_master")
         captured_during_outage = [
             seq for seq, record in frames.items()

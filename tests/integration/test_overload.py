@@ -16,14 +16,15 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro import profiles
+from repro.core.faults import KILL, FaultEvent, FaultSchedule
 from repro.core.overload import (DROP_NEWEST, DROP_OLDEST, OverloadConfig,
                                  REASON_BACKPRESSURE, REASON_EXPIRED,
                                  REASON_QUEUE_FULL)
 from repro.runtime import messages
 from repro.runtime.fabric import Mailbox
 from repro.simulation import scenarios
-from repro.simulation.swarm import (DeviceKillEvent, SwarmConfig,
-                                    SwarmSimulation, _Frame, run_swarm)
+from repro.simulation.swarm import (SwarmConfig, SwarmSimulation, _Frame,
+                                    run_swarm)
 from repro.simulation.workload import face_workload
 
 OVERLOAD_UNTIL = 14.0
@@ -156,7 +157,7 @@ class TestShedBehaviors:
             seed=0,
             ack_timeout=1.0,
             dead_after=2,
-            faults=(DeviceKillEvent(time=4.0, device_id="B"),),
+            schedule=FaultSchedule(events=(FaultEvent(4.0, KILL, "B"),)),
             overload=OverloadConfig(ttl=TTL, queue_capacity=QUEUE_CAPACITY),
         )
         result = run_swarm(config)

@@ -1,17 +1,20 @@
 """Tests for the deterministic link-fault injector (ChaosFabric)."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError
+from repro.core.faults import (CHAOS_DELAY, CHAOS_DROP, EVERY_LINK,
+                               FaultEvent, FaultSchedule)
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
 from repro.core.tuples import DataTuple
 from repro.runtime.app_runner import SwingRuntime
-from repro.runtime.chaos import ChaosFabric, LinkChaos
+from repro.runtime.chaos import ChaosFabric, ChurnHarness, LinkChaos
 from repro.runtime.channels import ChannelClosed
 from repro.runtime.fabric import InProcFabric
 from repro.runtime.messages import DATA, batch_message, data_message
@@ -281,3 +284,53 @@ class TestPerLinkOverride:
         send_n(fabric, 5)
         assert len(drain(inbox)) == 5
         assert fabric.injected == {}
+
+
+class TestHarnessWindows:
+    """ChurnHarness imposes a schedule's chaos windows on the fabric and
+    lifts them when they close — and refuses, loudly and before the run,
+    a window it could not impose."""
+
+    @staticmethod
+    def window(action, target="A>B", value=1.0):
+        return FaultSchedule(events=(
+            FaultEvent(0.0, action, target, duration=0.05, value=value),))
+
+    def test_window_is_imposed_then_lifted(self):
+        fabric, inbox, _registry = make_fabric()
+        runtime = SimpleNamespace(fabric=fabric)
+        schedule = self.window(CHAOS_DROP)
+        ChurnHarness(runtime, schedule).run(deadline=0.01)  # start only
+        send_n(fabric, 5)
+        assert drain(inbox) == []
+        harness = ChurnHarness(runtime, schedule)
+        harness.run()
+        send_n(fabric, 5)
+        assert len(drain(inbox)) == 5
+        assert [event.action for event, _ in harness.applied] == [
+            CHAOS_DROP, CHAOS_DROP]  # imposed, lifted
+
+    def test_delay_is_compressed_with_the_timeline(self):
+        fabric, inbox, _registry = make_fabric()
+        harness = ChurnHarness(SimpleNamespace(fabric=fabric),
+                               self.window(CHAOS_DELAY, value=0.5),
+                               time_scale=0.1)
+        harness.run(deadline=0.001)
+        send_n(fabric, 1)
+        assert len(inbox) == 0  # held for 0.5 s x 0.1
+        deadline = time.monotonic() + 2.0
+        while len(inbox) == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(drain(inbox)) == 1
+        fabric.close()
+
+    def test_window_needs_a_chaos_fabric(self):
+        with pytest.raises(RuntimeStateError, match="ChaosFabric"):
+            ChurnHarness(SimpleNamespace(fabric=InProcFabric()),
+                         self.window(CHAOS_DROP))
+
+    def test_window_needs_an_explicit_link(self):
+        fabric, _inbox, _registry = make_fabric()
+        with pytest.raises(RuntimeStateError, match="sender>target"):
+            ChurnHarness(SimpleNamespace(fabric=fabric),
+                         self.window(CHAOS_DROP, target=EVERY_LINK))

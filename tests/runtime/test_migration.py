@@ -6,7 +6,7 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
-from repro.core.exceptions import DeploymentError
+from repro.core.exceptions import DeploymentError, RuntimeStateError
 from repro.core.keyed import KEY_SPACE, KeyedConfig, KeyRange, hash_key
 from repro.apps.sensing import build_sensing_graph
 from repro.runtime.app_runner import SwingRuntime
@@ -150,5 +150,41 @@ class TestMigrateRange:
             assert registry.value(metrics_mod.KEY_RANGE_MOVES_TOTAL,
                                   reason="drain",
                                   edge="sensor>aggregate") == 1
+        finally:
+            runtime.stop()
+
+    def test_overlapping_or_misowned_migration_refused(self):
+        # The guards the simulator's mirror has had since PR 10: a range
+        # that is already migrating, or that *source* does not own, is
+        # refused before anything is paused — table untouched.
+        runtime = _keyed_runtime(reading_count=4)
+        runtime.start()
+        try:
+            disp = runtime.master.runtime.dispatcher("sensor", "aggregate")
+            table = disp.controller.key_table
+            b_range = table.ranges_owned_by(instance_id("aggregate", "B"))[0]
+            before = table.snapshot()
+
+            def migrate(source_id, target_id):
+                return migrate_range(
+                    disp, b_range, runtime.workers[source_id],
+                    runtime.workers[target_id],
+                    instance_id("aggregate", target_id), "aggregate")
+
+            # C does not host the owner (B does).
+            with pytest.raises(RuntimeStateError, match="owned by"):
+                migrate("C", "B")
+            assert table.snapshot() == before
+            assert not table.is_paused(b_range)
+            # Another migration holds the range: its resume must not be
+            # pre-empted, and its pause must survive our refusal.
+            disp.controller.pause_range(b_range)
+            with pytest.raises(RuntimeStateError, match="already migrating"):
+                migrate("B", "C")
+            assert table.snapshot() == before
+            assert table.is_paused(b_range)
+            disp.controller.resume_range(b_range)
+            assert migrate("B", "C") >= 0
+            assert table.owner(b_range) == instance_id("aggregate", "C")
         finally:
             runtime.stop()

@@ -9,9 +9,17 @@ computing capability when processor usage changes".
 import pytest
 
 from repro import profiles
-from repro.simulation.swarm import (BackgroundLoadEvent, SwarmConfig,
+from repro.core.exceptions import RuntimeStateError
+from repro.core.faults import LOAD_BURST, FaultEvent, FaultSchedule
+from repro.simulation.swarm import (SwarmConfig, SwarmSimulation,
                                     run_swarm)
 from repro.simulation.workload import face_workload
+
+
+def burst(device_id, load, start, end):
+    """Another app runs on *device_id* from *start* to *end*."""
+    return FaultSchedule(events=(FaultEvent(
+        start, LOAD_BURST, device_id, duration=end - start, value=load),))
 
 
 def config_with_event(policy="LRS", load=0.9, at=15.0, duration=30.0):
@@ -22,12 +30,11 @@ def config_with_event(policy="LRS", load=0.9, at=15.0, duration=30.0):
         policy=policy,
         duration=duration,
         seed=2,
-        background_events=(BackgroundLoadEvent(time=at, device_id="H",
-                                               load=load),),
+        schedule=burst("H", load, at, duration),
     )
 
 
-class TestBackgroundLoadEvents:
+class TestLoadBursts:
     def test_loaded_device_slows_down(self):
         result = run_swarm(config_with_event(policy="RR"))
         per_device = result.metrics.per_device_throughput_series(30.0)
@@ -54,19 +61,29 @@ class TestBackgroundLoadEvents:
 
     def test_load_can_be_lifted_again(self):
         config = config_with_event(policy="LRS", duration=40.0)
-        config.background_events = (
-            BackgroundLoadEvent(time=10.0, device_id="H", load=0.9),
-            BackgroundLoadEvent(time=25.0, device_id="H", load=0.0),
-        )
+        # The window's end restores H's configured (zero) load.
+        config.schedule = burst("H", 0.9, 10.0, 25.0)
         result = run_swarm(config)
         per_device = result.metrics.per_device_throughput_series(40.0)
         loaded = sum(per_device["H"][15:24]) / 9
         recovered = sum(per_device["H"][32:39]) / 7
         assert recovered > loaded
 
-    def test_event_for_unknown_device_ignored(self):
+    def test_event_for_unknown_device_rejected(self):
+        # A burst on a device that is never a member used to be dropped
+        # silently; the schedule's validation now refuses it up front.
         config = config_with_event()
-        config.background_events = (
-            BackgroundLoadEvent(time=5.0, device_id="Z", load=0.5),)
-        result = run_swarm(config)  # must not raise
-        assert result.throughput > 20.0
+        config.schedule = burst("Z", 0.5, 5.0, 30.0)
+        with pytest.raises(RuntimeStateError):
+            run_swarm(config)
+
+    def test_burst_end_restores_the_configured_load(self):
+        # ... not 0.0: a device that was already busy stays busy.
+        config = config_with_event()
+        config.background_load = {"H": 0.6}
+        config.schedule = burst("H", 0.9, 5.0, 15.0)
+        swarm = SwarmSimulation(config)
+        swarm.sim.run(10.0)
+        assert swarm.nodes["H"].cpu.background_load == 0.9
+        swarm.sim.run(20.0)
+        assert swarm.nodes["H"].cpu.background_load == 0.6

@@ -12,10 +12,10 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import SimulationError
+from repro.core.faults import (CHAOS_DELAY, CHAOS_DROP, EVERY_LINK, KILL,
+                               REJOIN, FaultEvent, FaultSchedule)
 from repro.simulation.scenarios import fault_injection
-from repro.simulation.swarm import (DeviceKillEvent, DeviceReviveEvent,
-                                    MessageDelayEvent, MessageDropEvent,
-                                    SwarmConfig, run_swarm)
+from repro.simulation.swarm import SwarmConfig, run_swarm
 from repro.simulation.workload import face_workload
 from repro import profiles
 
@@ -131,7 +131,7 @@ class TestFaultInjectionAcceptance:
 
 
 class TestMessageFaults:
-    def _config(self, faults, duration=12.0):
+    def _config(self, events, duration=12.0):
         return SwarmConfig(
             workload=face_workload(),
             workers=profiles.worker_profiles(["D", "H"]),
@@ -140,13 +140,14 @@ class TestMessageFaults:
             duration=duration,
             seed=0,
             ack_timeout=ACK_TIMEOUT,
-            faults=faults,
+            schedule=FaultSchedule(events=events),
         )
 
     def test_message_drop_window_loses_tuples(self):
         clean = run_swarm(self._config(()))
         faulty = run_swarm(self._config(
-            (MessageDropEvent(time=3.0, duration=4.0, drop_prob=1.0),)))
+            (FaultEvent(3.0, CHAOS_DROP, EVERY_LINK, duration=4.0,
+                        value=1.0),)))
         assert faulty.throughput < clean.throughput
         dropped = faulty.registry.values_by_label(
             metrics_mod.DROPPED_TOTAL, "reason")
@@ -155,13 +156,14 @@ class TestMessageFaults:
     def test_message_delay_window_stretches_latency(self):
         clean = run_swarm(self._config(()))
         faulty = run_swarm(self._config(
-            (MessageDelayEvent(time=3.0, duration=4.0, extra_delay=0.4),)))
+            (FaultEvent(3.0, CHAOS_DELAY, EVERY_LINK, duration=4.0,
+                        value=0.4),)))
         assert faulty.latency.mean > clean.latency.mean
 
     def test_targeted_drop_only_hits_named_device(self):
         faulty = run_swarm(self._config(
-            (MessageDropEvent(time=3.0, duration=6.0, drop_prob=1.0,
-                              device_id="D"),)))
+            (FaultEvent(3.0, CHAOS_DROP, "A>D", duration=6.0,
+                        value=1.0),)))
         lost = faulty.lost_by_downstream
         assert lost.get("H", 0) == 0
 
@@ -172,7 +174,7 @@ class TestFaultConfigValidation:
             workload=face_workload(),
             workers=profiles.worker_profiles(["D"]),
             source=profiles.device_profile(profiles.SOURCE_ID),
-            faults=("not-a-fault",),
+            schedule=("not-a-fault",),
         )
         with pytest.raises(SimulationError):
             config.validate()
@@ -197,8 +199,7 @@ class TestFaultConfigValidation:
 
     def test_kill_and_revive_events_schedule(self):
         config = fault_injection(revive_time=20.0)
-        kills = [f for f in config.faults if isinstance(f, DeviceKillEvent)]
-        revives = [f for f in config.faults
-                   if isinstance(f, DeviceReviveEvent)]
-        assert {f.device_id for f in kills} == {"B", "G"}
-        assert {f.device_id for f in revives} == {"B", "G"}
+        kills = [e for e in config.schedule if e.action == KILL]
+        revives = [e for e in config.schedule if e.action == REJOIN]
+        assert {e.target for e in kills} == {"B", "G"}
+        assert {e.target for e in revives} == {"B", "G"}

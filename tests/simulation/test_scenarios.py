@@ -4,6 +4,7 @@ import pytest
 
 from repro import profiles
 from repro.core.exceptions import SimulationError
+from repro.core.faults import DISCONNECT, JOIN, KILL, LOAD_BURST, REJOIN
 from repro.simulation import scenarios
 from repro.simulation.network import RSSI_GOOD, RSSI_POOR
 from repro.simulation.workload import FACE_APP, TRANSLATE_APP
@@ -68,14 +69,14 @@ class TestSingleDevice:
 class TestDynamicsScenarios:
     def test_joining_has_one_join_event(self):
         config = scenarios.joining()
-        assert len(config.joins) == 1
-        assert config.joins[0].device_id == "G"
+        assert [(event.action, event.target)
+                for event in config.schedule] == [(JOIN, "G")]
         assert sorted(config.workers) == ["B", "D"]
 
     def test_leaving_has_one_leave_event(self):
         config = scenarios.leaving()
-        assert len(config.leaves) == 1
-        assert config.leaves[0].device_id == "G"
+        assert [(event.action, event.target)
+                for event in config.schedule] == [(DISCONNECT, "G")]
         assert sorted(config.workers) == ["B", "G", "H"]
 
     def test_moving_builds_walk_for_mover(self):
@@ -125,9 +126,11 @@ class TestOverloadScenario:
         # Every worker starts loaded, and every load lifts at the same
         # instant so the recovery phase is well-defined.
         assert all(load > 0.0 for load in config.background_load.values())
-        lifts = {event.device_id: event for event in config.background_events}
+        lifts = {event.target: event for event in config.schedule
+                 if event.action == LOAD_BURST}
         assert sorted(lifts) == sorted(config.workers)
-        assert all(event.load == 0.0 and event.time == 14.0
+        assert all(event.value == 0.0 and event.time == 14.0
+                   and event.end == config.duration
                    for event in lifts.values())
         assert config.thermal_throttling is False
 
@@ -140,13 +143,14 @@ class TestOverloadScenario:
 
     def test_kill_and_revive_events(self):
         config = scenarios.overload()
-        kinds = [type(event).__name__ for event in config.faults]
-        assert kinds == ["DeviceKillEvent", "DeviceReviveEvent"]
-        assert all(event.device_id == "G" for event in config.faults)
+        membership = [event for event in config.schedule
+                      if event.action != LOAD_BURST]
+        assert [event.action for event in membership] == [KILL, REJOIN]
+        assert all(event.target == "G" for event in membership)
 
     def test_kill_optional(self):
         config = scenarios.overload(kill_id=None)
-        assert config.faults == ()
+        assert {event.action for event in config.schedule} == {LOAD_BURST}
 
     def test_validation(self):
         with pytest.raises(SimulationError):

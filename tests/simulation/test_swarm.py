@@ -3,12 +3,14 @@
 import pytest
 
 from repro import profiles
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import RuntimeStateError, SimulationError
+from repro.core.faults import JOIN, FaultEvent, FaultSchedule
+from repro.core.multitenant import TenantSpec
 from repro.simulation import scenarios
 from repro.simulation.metrics import (DROP_CONN_OVERFLOW, DROP_DEVICE_LEFT,
                                       DROP_LINK_DOWN, DROP_SOURCE_QUEUE)
 from repro.simulation.network import RSSI_GOOD, RSSI_POOR
-from repro.simulation.swarm import (JoinEvent, LeaveEvent, SwarmConfig,
+from repro.simulation.swarm import (SwarmConfig, SwarmSimulation,
                                     UNBOUNDED_QUEUE, run_swarm)
 from repro.simulation.workload import face_workload
 
@@ -36,8 +38,9 @@ class TestConfigValidation:
             small_config(workers={}).validate()
 
     def test_join_conflicts_with_initial(self):
-        config = small_config(joins=(JoinEvent(time=1.0, device_id="G"),))
-        with pytest.raises(SimulationError):
+        config = small_config(schedule=FaultSchedule(events=(
+            FaultEvent(1.0, JOIN, "G"),)))
+        with pytest.raises(RuntimeStateError):
             config.validate()
 
     def test_window_frames_at_least_two(self):
@@ -58,6 +61,17 @@ class TestConfigValidation:
     def test_source_queue_negative_rejected(self):
         with pytest.raises(SimulationError):
             small_config(source_queue_frames=-1).resolved_source_queue()
+
+    def test_source_queue_is_what_the_engine_sizes_egress_with(self):
+        # Per tenant: two seconds of that tenant's own input rate.
+        config = small_config(tenants=(
+            TenantSpec(tenant_id="t0", input_rate=6.0),
+            TenantSpec(tenant_id="t1")))
+        swarm = SwarmSimulation(config)
+        capacities = {tenant: state.egress.capacity
+                      for tenant, state in swarm._states.items()}
+        assert capacities == {"t0": 12,
+                              "t1": config.resolved_source_queue()}
 
 
 class TestBasicOperation:

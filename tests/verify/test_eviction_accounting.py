@@ -4,14 +4,13 @@ the invariant checker must classify them as *accounted* loss — never
 silent, never double-booked."""
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (AT_LEAST_ONCE, CHURN_HEAL,
-                                 CHURN_PARTITION, EVICT_BYTES,
-                                 DeliveryConfig)
+from repro.core.delivery import AT_LEAST_ONCE, EVICT_BYTES, DeliveryConfig
+from repro.core.faults import HEAL, PARTITION, FaultEvent
 from repro.simulation import scenarios
 from repro.simulation.swarm import SwarmSimulation
 from repro.verify import adapters
 from repro.verify.invariants import InvariantChecker
-from repro.verify.schedule import FaultEvent, FaultSchedule, ScheduleSpec
+from repro.verify.schedule import FaultSchedule, ScheduleSpec
 
 #: one captured frame's weight against the replay byte bound
 FRAME_BYTES = scenarios.workload_for_app(adapters.FACE_APP).frame_bytes
@@ -24,10 +23,10 @@ def partition_schedule() -> FaultSchedule:
     for atom, worker in enumerate(spec.workers):
         link = "%s>%s" % (spec.source_id, worker)
         events.append(FaultEvent(time=8.0 + 0.1 * atom,
-                                 action=CHURN_PARTITION, target=link,
+                                 action=PARTITION, target=link,
                                  atom=atom))
         events.append(FaultEvent(time=20.0 + 0.1 * atom,
-                                 action=CHURN_HEAL, target=link,
+                                 action=HEAL, target=link,
                                  atom=atom))
     schedule = FaultSchedule(events=tuple(events), spec=spec)
     schedule.validate()
@@ -44,13 +43,7 @@ def run_partitioned(replay_bytes):
     sim = SwarmSimulation(adapters.build_sim_config(schedule,
                                                     delivery=delivery))
     result = sim.run()
-    retained = {tenant: adapters._retained_seqs(
-                    state.controller.export_retention())
-                for tenant, state in sim._states.items()}
-    history = adapters.history_from_sim(
-        schedule, result, queued=sim.pending_source_frames(),
-        retained=retained)
-    return result, history
+    return result, adapters.history_from_sim(schedule, sim, result)
 
 
 class TestByteBoundEvictions:

@@ -24,11 +24,11 @@ class TestRuntimeSubstrate:
         # Seed 2 includes a master kill/restart pair: the history must
         # show a fenced recovery and still satisfy every invariant.
         schedule = None
-        from repro.core.delivery import CHURN_KILL_MASTER
+        from repro.core.faults import KILL_MASTER
         from repro.verify.schedule import FaultSchedule
         for seed in range(1, 20):
             candidate = FaultSchedule.generate(seed)
-            if any(event.action == CHURN_KILL_MASTER
+            if any(event.action == KILL_MASTER
                    for event in candidate):
                 schedule = candidate
                 break

@@ -4,18 +4,17 @@ import json
 
 import pytest
 
-from repro.core.delivery import (CHURN_KILL, CHURN_KILL_MASTER,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnSchedule)
+from repro.core import faults
 from repro.core.exceptions import RuntimeStateError
-from repro.verify.schedule import (CHAOS_CORRUPT, CHAOS_DROP, LOAD_BURST,
-                                   FaultEvent, FaultSchedule, RunProfile,
-                                   ScheduleSpec)
+from repro.core.faults import (CHAOS_CORRUPT, CHAOS_DROP, KILL, KILL_MASTER,
+                               LOAD_BURST, PARTITION, REJOIN,
+                               RESTART_MASTER, FaultEvent)
+from repro.verify.schedule import FaultSchedule, RunProfile, ScheduleSpec
 
 
 class TestFaultEvent:
     def test_point_event_round_trips(self):
-        event = FaultEvent(time=4.0, action=CHURN_KILL, target="B")
+        event = FaultEvent(time=4.0, action=KILL, target="B")
         assert FaultEvent.from_dict(event.to_dict()) == event
 
     def test_unknown_action_rejected(self):
@@ -29,7 +28,7 @@ class TestFaultEvent:
 
     def test_point_action_rejects_duration(self):
         with pytest.raises(RuntimeStateError):
-            FaultEvent(time=1.0, action=CHURN_KILL, target="B",
+            FaultEvent(time=1.0, action=KILL, target="B",
                        duration=2.0)
 
     def test_probability_bounds(self):
@@ -87,12 +86,14 @@ class TestGeneratedSchedulesValidate:
 
 
 class TestProjections:
-    def test_churn_view_holds_only_point_events(self):
+    def test_extends_the_core_schedule(self):
+        # No projection layer any more: the generated schedule IS a core
+        # schedule, point events and windows in one sequence.
         schedule = FaultSchedule.generate(13)
-        churn = schedule.churn_view()
-        assert isinstance(churn, ChurnSchedule)
+        assert isinstance(schedule, faults.FaultSchedule)
+        points = [event for event in schedule if not event.duration]
         window_count = len(list(schedule.window_events()))
-        assert len(churn) + window_count == len(schedule)
+        assert len(points) + window_count == len(schedule)
 
     def test_atoms_partition_the_schedule(self):
         schedule = FaultSchedule.generate(13)
@@ -105,13 +106,13 @@ class TestProjections:
         for seed in range(40):
             schedule = FaultSchedule.generate(seed)
             kills = [event for event in schedule
-                     if event.action == CHURN_KILL]
+                     if event.action == KILL]
             if not kills:
                 continue
             atom = kills[0].atom
             subset = schedule.subset((atom,))
             actions = sorted(event.action for event in subset)
-            assert actions == sorted([CHURN_KILL, CHURN_REJOIN])
+            assert actions == sorted([KILL, REJOIN])
             subset.validate()
             return
         pytest.fail("no seed under 40 produced a kill pair")
@@ -123,7 +124,7 @@ class TestCompositionRules:
 
     def test_unpaired_partition_rejected(self):
         schedule = FaultSchedule(
-            events=(FaultEvent(time=10.0, action=CHURN_PARTITION,
+            events=(FaultEvent(time=10.0, action=PARTITION,
                                target="A>B"),),
             spec=self._spec())
         with pytest.raises(RuntimeStateError):
@@ -131,11 +132,11 @@ class TestCompositionRules:
 
     def test_master_outage_must_not_overlap_other_faults(self):
         events = (
-            FaultEvent(time=10.0, action=CHURN_KILL_MASTER, target="A"),
-            FaultEvent(time=11.0, action=CHURN_KILL, target="B", atom=1),
-            FaultEvent(time=13.0, action=CHURN_RESTART_MASTER,
+            FaultEvent(time=10.0, action=KILL_MASTER, target="A"),
+            FaultEvent(time=11.0, action=KILL, target="B", atom=1),
+            FaultEvent(time=13.0, action=RESTART_MASTER,
                        target="A"),
-            FaultEvent(time=14.0, action=CHURN_REJOIN, target="B",
+            FaultEvent(time=14.0, action=REJOIN, target="B",
                        atom=1),
         )
         with pytest.raises(RuntimeStateError):
@@ -145,10 +146,10 @@ class TestCompositionRules:
         spec = self._spec()
         events = []
         for index, worker in enumerate(spec.workers):
-            events.append(FaultEvent(time=10.0 + index, action=CHURN_KILL,
+            events.append(FaultEvent(time=10.0 + index, action=KILL,
                                      target=worker, atom=index))
             events.append(FaultEvent(time=20.0 + index,
-                                     action=CHURN_REJOIN, target=worker,
+                                     action=REJOIN, target=worker,
                                      atom=index))
         with pytest.raises(RuntimeStateError):
             FaultSchedule(events=tuple(events), spec=spec).validate()
