@@ -376,6 +376,21 @@ class LrsController:
         """
         if key_hash is not None and self._key_table is not None:
             return self._dispatch_keyed(seq, key_hash, context, deadline)
+        return self._place(seq, None, context, deadline)
+
+    def _place(self, head: int, members: Optional[List[int]],
+               context: Optional[object],
+               deadline: Optional[float]) -> Optional[str]:
+        """One placement decision for one wire unit, whatever its size.
+
+        *head* keys the unit's single pending-ACK entry (one latency
+        sample, one loss charge on expiry — what lets a batch amortize
+        the control-plane cost) and its single replay entry.  *members*
+        lists a batch's seqs, head first; it is ``None`` for a lone
+        tuple, which needs no membership maps.
+        """
+        count = 1 if members is None else len(members)
+        retain = self._replay is not None and context is not None
         with self._lock:
             try:
                 chosen = self._policy.route()
@@ -383,30 +398,34 @@ class LrsController:
                 chosen = None
         tried = set()
         while chosen is not None:
-            sent_at = self._send(chosen, seq, context)
+            sent_at = self._send(chosen, head, context)
             if sent_at is not None:
-                self.record_send(seq, chosen, sent_at)
-                if self._replay is not None and context is not None:
-                    self._replay.retain(seq, chosen, context, now=sent_at,
+                self.record_send(head, chosen, sent_at)
+                if retain:
+                    if members is not None:
+                        self._register_batch(members)
+                    self._replay.retain(head, chosen, context, now=sent_at,
                                         deadline=deadline)
                 if tried:
                     self._registry.increment(metrics_mod.REROUTED_TOTAL,
                                              downstream=chosen)
                     if self._trace.enabled:
                         self._trace.emit(Span(
-                            RETRY, seq, sent_at, sent_at,
+                            RETRY, head, sent_at, sent_at,
                             device_id=self.name or "-",
                             hop="egress:%s" % (self.name or "-"),
                             detail=",".join(sorted(tried))))
-                self.dispatched += 1
+                self.dispatched += count
                 return chosen
             tried.add(chosen)
             self.mark_dead(chosen)
             chosen = self._fallback(tried)
-        if self._replay is not None and context is not None:
-            # No live member took the tuple: retain it unassigned so the
-            # next redelivery sweep can place it once someone comes back.
-            self._replay.retain(seq, None, context, now=self._clock(),
+        if retain:
+            # No live member took it: retain it unassigned so the next
+            # redelivery sweep can place it once someone comes back.
+            if members is not None:
+                self._register_batch(members)
+            self._replay.retain(head, None, context, now=self._clock(),
                                 deadline=deadline)
         return None
 
@@ -545,57 +564,16 @@ class LrsController:
         whole batch (*context* is the framed batch; redelivery re-sends
         it wholesale, and the receiver's dedup window suppresses any
         members that already made it through).  ``deadline`` should be
-        the earliest member deadline.  A batch of one degenerates to
-        :meth:`dispatch`, so the size-1 path is byte- and
+        the earliest member deadline.  A batch of one takes the same
+        placement as :meth:`dispatch`, so the size-1 path is byte- and
         decision-identical to per-tuple dispatch.
         """
         seqs = list(seqs)
         if not seqs:
             return None
         self._observe_batch_size(len(seqs))
-        if len(seqs) == 1:
-            return self.dispatch(seqs[0], context=context, deadline=deadline)
-        head = seqs[0]
-        with self._lock:
-            try:
-                chosen = self._policy.route()
-            except RoutingError:
-                chosen = None
-        tried = set()
-        while chosen is not None:
-            sent_at = self._send(chosen, head, context)
-            if sent_at is not None:
-                # Per-batch tracker bookkeeping: the head seq stands in
-                # for the whole batch (one pending entry, one latency
-                # sample, one loss charge on expiry) — this is what lets
-                # the batched path amortize the control-plane cost.
-                self.record_send(head, chosen, sent_at)
-                if self._replay is not None and context is not None:
-                    self._register_batch(seqs)
-                    self._replay.retain(head, chosen, context, now=sent_at,
-                                        deadline=deadline,
-                                        nbytes=getattr(context, "nbytes",
-                                                       None))
-                if tried:
-                    self._registry.increment(metrics_mod.REROUTED_TOTAL,
-                                             downstream=chosen)
-                    if self._trace.enabled:
-                        self._trace.emit(Span(
-                            RETRY, head, sent_at, sent_at,
-                            device_id=self.name or "-",
-                            hop="egress:%s" % (self.name or "-"),
-                            detail=",".join(sorted(tried))))
-                self.dispatched += len(seqs)
-                return chosen
-            tried.add(chosen)
-            self.mark_dead(chosen)
-            chosen = self._fallback(tried)
-        if self._replay is not None and context is not None:
-            self._register_batch(seqs)
-            self._replay.retain(head, None, context, now=self._clock(),
-                                deadline=deadline,
-                                nbytes=getattr(context, "nbytes", None))
-        return None
+        return self._place(seqs[0], seqs if len(seqs) > 1 else None,
+                           context, deadline)
 
     def _register_batch(self, seqs: List[int]) -> None:
         """Map batch members to their head before retaining the batch."""
@@ -670,61 +648,15 @@ class LrsController:
         pending entry already expired: the substrate knows where the
         tuple went even if the tracker gave up on it.
         """
-        if now is None:
-            now = self._clock()
         if self._replay is not None:
             # Any ACK for this seq releases retention — including one
-            # from a previous delivery attempt racing a redelivery.
-            self._release_retention(seq)
-        with self._lock:
-            downstream_id = self._tracker.pending_downstream(seq)
-            sample = self._tracker.record_ack(
-                seq, now, processing_delay=processing_delay)
-            if sample is not None:
-                self.ack_count += 1
-            resolved = (downstream_id if downstream_id is not None
-                        else downstream_hint)
-            if resolved is not None:
-                on_acked = getattr(self._policy, "on_acked", None)
-                if on_acked is not None:
-                    on_acked(resolved)
-        if sample is None or downstream_id is None:
-            return None
-        # Record the RTT distribution unconditionally (percentiles must
-        # survive tracing being sampled out); the span itself is built
-        # only for sampled tuples — this sits on the per-ACK hot path.
-        self._registry.observe_histogram(metrics_mod.ACK_RTT_SECONDS,
-                                         sample, downstream=downstream_id)
-        if self._trace.enabled and self._trace.sampled(seq):
-            self._trace.emit(Span(ACK_RTT, seq, now - sample, now,
-                                  device_id=self.name or "-",
-                                  hop="egress:%s" % (self.name or "-"),
-                                  detail=downstream_id),
-                             sampled=True)
-        return AckResult(downstream_id=downstream_id, sample=sample)
-
-    def _release_retention(self, seq: int) -> None:
-        """Release replay retention for one ACKed seq, batch-aware.
-
-        A batch is retained as one entry keyed by its head seq; a
-        member's ACK only shrinks the membership, and the entry is
-        released when the last member is acknowledged (the simulator
-        ACKs batch members one result at a time).
-        """
-        if self._replay is None:
-            return
-        with self._lock:
-            self._key_of.pop(seq, None)
-            head = self._batch_of.pop(seq, None)
-            if head is not None:
-                members = self._batch_members.get(head)
-                if members is not None:
-                    members.discard(seq)
-                    if members:
-                        return  # batch still partially un-ACKed
-                    del self._batch_members[head]
-                seq = head
-        self._replay.release(seq)
+            # from a previous delivery attempt racing a redelivery.  A
+            # batch member's ACK only shrinks the membership (the
+            # simulator ACKs batch members one result at a time).
+            target = self._shrink_batch(seq)
+            if target is not None:
+                self._replay.release(target)
+        return self._fold_ack(seq, 1, processing_delay, now, downstream_hint)
 
     def on_ack_batch(self, seqs: Iterable[int],
                      processing_delay: Optional[float] = None,
@@ -744,8 +676,6 @@ class LrsController:
         if len(seqs) == 1:
             return self.on_ack(seqs[0], processing_delay=processing_delay,
                                now=now, downstream_hint=downstream_hint)
-        if now is None:
-            now = self._clock()
         head = seqs[0]
         if self._replay is not None:
             with self._lock:
@@ -754,12 +684,21 @@ class LrsController:
                     self._key_of.pop(seq, None)
                 self._batch_members.pop(head, None)
             self._replay.release(head)
+        return self._fold_ack(head, len(seqs), processing_delay, now,
+                              downstream_hint)
+
+    def _fold_ack(self, head: int, count: int,
+                  processing_delay: Optional[float], now: Optional[float],
+                  downstream_hint: Optional[str]) -> Optional[AckResult]:
+        """Match *head*'s pending entry: one sample, *count* tuples."""
+        if now is None:
+            now = self._clock()
         with self._lock:
             downstream_id = self._tracker.pending_downstream(head)
             sample = self._tracker.record_ack(
                 head, now, processing_delay=processing_delay)
             if sample is not None:
-                self.ack_count += len(seqs)
+                self.ack_count += count
             resolved = (downstream_id if downstream_id is not None
                         else downstream_hint)
             if resolved is not None:
@@ -768,6 +707,9 @@ class LrsController:
                     on_acked(resolved)
         if sample is None or downstream_id is None:
             return None
+        # Record the RTT distribution unconditionally (percentiles must
+        # survive tracing being sampled out); the span itself is built
+        # only for sampled tuples — this sits on the per-ACK hot path.
         self._registry.observe_histogram(metrics_mod.ACK_RTT_SECONDS,
                                          sample, downstream=downstream_id)
         if self._trace.enabled and self._trace.sampled(head):
@@ -777,6 +719,27 @@ class LrsController:
                                   detail=downstream_id),
                              sampled=True)
         return AckResult(downstream_id=downstream_id, sample=sample)
+
+    def _shrink_batch(self, seq: int) -> Optional[int]:
+        """Strike *seq* from its batch's un-ACKed membership.
+
+        A batch is retained as ONE entry keyed by its head seq.  Returns
+        the replay key whose entry may go now — *seq* itself for a lone
+        tuple, the head once a batch's last member is struck — or
+        ``None`` while other members still need the entry.
+        """
+        with self._lock:
+            self._key_of.pop(seq, None)
+            head = self._batch_of.pop(seq, None)
+            if head is None:
+                return seq
+            members = self._batch_members.get(head)
+            if members is not None:
+                members.discard(seq)
+                if members:
+                    return None
+                del self._batch_members[head]
+            return head
 
     # -- control plane ---------------------------------------------------
     def maybe_update(self, now: Optional[float] = None) -> PolicyDecision:
@@ -869,8 +832,7 @@ class LrsController:
                 ordered = [seq] + [s for s in members if s != seq]
                 self._register_batch(ordered)
             self._replay.retain(seq, None, context, now=now,
-                                deadline=deadline, attempt=attempt,
-                                nbytes=getattr(context, "nbytes", None))
+                                deadline=deadline, attempt=attempt)
             count += 1
         return count
 
@@ -887,18 +849,9 @@ class LrsController:
         """
         if self._replay is None:
             return False
-        target = seq
-        with self._lock:
-            self._key_of.pop(seq, None)
-            head = self._batch_of.pop(seq, None)
-            if head is not None:
-                members = self._batch_members.get(head)
-                if members is not None:
-                    members.discard(seq)
-                    if members:
-                        return True  # entry stays for the other members
-                    del self._batch_members[head]
-                target = head
+        target = self._shrink_batch(seq)
+        if target is None:
+            return True  # entry stays for the other members
         return self._replay.evict(target, reason)
 
     def _sweep_replay(self, now: float) -> None:
@@ -981,18 +934,16 @@ class LrsController:
             self._fault_skip_redelivery = False
             self._forget_batch(entry.seq)
             return
-        now = self._clock()
-        if entry.deadline is not None and now > entry.deadline:
+        give_up = None
+        if entry.deadline is not None and self._clock() > entry.deadline:
             # Shed-aware: an expired tuple would be dropped on arrival
             # anyway, so redelivering it only wastes the network.
-            self._replay.discard(entry, EVICT_EXPIRED)
-            self._forget_batch(entry.seq)
-            with self._lock:
-                self._key_of.pop(entry.seq, None)
-            return
-        if entry.attempt >= self.config.delivery_config() \
+            give_up = EVICT_EXPIRED
+        elif entry.attempt >= self.config.delivery_config() \
                 .max_delivery_attempts:
-            self._replay.discard(entry, EVICT_ATTEMPTS)
+            give_up = EVICT_ATTEMPTS
+        if give_up is not None:
+            self._replay.discard(entry, give_up)
             self._forget_batch(entry.seq)
             with self._lock:
                 self._key_of.pop(entry.seq, None)

@@ -1,4 +1,4 @@
-"""Delivery semantics under churn: replay, dedup and churn schedules.
+"""Delivery semantics under churn: replay and dedup.
 
 Swing's swarm is made of *mobile* devices, so membership churn is the
 normal case rather than the failure case.  Best-effort delivery (the
@@ -30,8 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import (Deque, Hashable, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Deque, Hashable, Iterable, List, Optional, Set
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError

@@ -42,7 +42,7 @@ queue is full:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core import overload as overload_mod
 from repro.core.exceptions import RuntimeStateError
@@ -182,51 +182,3 @@ def fair_admission(tenant_id: TenantId,
     if victim is None:
         return FairDecision(overload_mod.REJECT)
     return FairDecision(overload_mod.EVICT_OLDEST, victim=victim)
-
-
-class MultiTenantController:
-    """Owns one controller per tenant over a shared clock and registry.
-
-    The per-tenant controllers are the existing single-tenant unit
-    (``LrsController`` or the simulator's engine adapter); this class
-    only holds the map and the shared fair-share state — it has no
-    opinions about transport, which is what lets both substrates reuse
-    it.
-    """
-
-    def __init__(self, specs: Sequence[TenantSpec],
-                 factory: Callable[[TenantSpec], object],
-                 queue_capacity: Optional[int] = None) -> None:
-        if not specs:
-            raise RuntimeStateError("need at least one tenant spec")
-        self.specs: Dict[TenantId, TenantSpec] = {}
-        for spec in specs:
-            if spec.tenant_id in self.specs:
-                raise RuntimeStateError("duplicate tenant id %r" % (spec.tenant_id,))
-            self.specs[spec.tenant_id] = spec
-        self._controllers: Dict[TenantId, object] = {
-            tenant_id: factory(spec) for tenant_id, spec in self.specs.items()}
-        self.queue_capacity = queue_capacity
-        self.budgets: Dict[TenantId, int] = (
-            tenant_budgets(list(self.specs.values()), queue_capacity)
-            if queue_capacity is not None else {})
-        self.priorities: Dict[TenantId, int] = {
-            tenant_id: spec.priority for tenant_id, spec in self.specs.items()}
-
-    def tenant_ids(self) -> Sequence[TenantId]:
-        return list(self.specs)
-
-    def controller(self, tenant_id: TenantId) -> object:
-        try:
-            return self._controllers[tenant_id]
-        except KeyError:
-            raise RuntimeStateError("unknown tenant %r" % (tenant_id,)) from None
-
-    def controllers(self) -> Dict[TenantId, object]:
-        return dict(self._controllers)
-
-    def admit(self, tenant_id: TenantId,
-              depths: Mapping[TenantId, int]) -> FairDecision:
-        """Fair-share admission for one arrival at the shared queue."""
-        return fair_admission(tenant_id, depths, self.budgets,
-                              self.queue_capacity, self.priorities)

@@ -274,8 +274,8 @@ class UpstreamDispatcher:
     def flush(self, now: Optional[float] = None) -> Optional[InstanceId]:
         """Send the pending batch now; returns the chosen downstream.
 
-        A one-tuple batch goes through the per-tuple controller path and
-        the legacy DATA envelope, byte-identical to unbatched dispatch.
+        A one-tuple batch is placed like any other and rides the DATA
+        envelope, byte-identical to unbatched dispatch.
         """
         if self._batch is None:
             return None
@@ -369,15 +369,16 @@ class UpstreamDispatcher:
 
     def on_ack(self, seq: int, processing_delay: float) -> None:
         """Fold a downstream's timestamp echo into the estimators."""
-        result = self.controller.on_ack(seq,
-                                        processing_delay=processing_delay)
-        if result is not None and self._health is not None:
-            self._health.record_ack(split_instance(result.downstream_id)[1])
+        self._credit_health(self.controller.on_ack(
+            seq, processing_delay=processing_delay))
 
     def on_ack_batch(self, seqs, processing_delay: float) -> None:
         """Fold one batched timestamp echo into the estimators."""
-        result = self.controller.on_ack_batch(
-            seqs, processing_delay=processing_delay)
+        self._credit_health(self.controller.on_ack_batch(
+            seqs, processing_delay=processing_delay))
+
+    def _credit_health(self, result) -> None:
+        """A matched echo is proof of life for the worker that sent it."""
         if result is not None and self._health is not None:
             self._health.record_ack(split_instance(result.downstream_id)[1])
 

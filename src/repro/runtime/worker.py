@@ -116,6 +116,9 @@ class WorkerRuntime:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_target = heartbeat_target
         self._mailbox: Mailbox = fabric.register(worker_id)
+        #: this device's span hop and shed/dedup queue label, built once
+        #: (the data plane formats no string per tuple)
+        self._hop = "worker:%s" % worker_id
         #: per-tenant pipeline graphs; "" is the constructor graph (the
         #: single-tenant namespace).  Sessions of a shared pool register
         #: their tenants' graphs before deploying to this worker.
@@ -266,8 +269,11 @@ class WorkerRuntime:
             try:
                 self._handle(sender_id, message)
             except Exception:
-                # A poison message must not kill the device's service.
-                continue
+                # A poison message must not kill the device's service —
+                # but what it cost is counted, never silent.
+                self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                         reason="handler_error",
+                                         link="?>%s" % self.worker_id)
             finally:
                 self._flush_dispatchers()
 
@@ -341,16 +347,10 @@ class WorkerRuntime:
             return
         if message.kind == messages.DEPLOY:
             self._on_deploy(message)
-        elif message.kind == messages.DATA:
+        elif message.kind == messages.DATA or message.kind == messages.BATCH:
             self._data_active = True
             try:
-                self._on_data(sender_id, message)
-            finally:
-                self._data_active = False
-        elif message.kind == messages.BATCH:
-            self._data_active = True
-            try:
-                self._on_batch(sender_id, message)
+                self._serve(sender_id, message)
             finally:
                 self._data_active = False
         elif message.kind == messages.ACK:
@@ -517,110 +517,30 @@ class WorkerRuntime:
 
     # -- data plane ------------------------------------------------------
     def _shed_labels(self, reason: str, tenant: str) -> Dict[str, str]:
-        labels = {"reason": reason, "queue": "worker:%s" % self.worker_id}
+        labels = {"reason": reason, "queue": self._hop}
         if tenant:
             labels["tenant"] = tenant
         return labels
 
     def _count_deduped(self, tenant: str) -> None:
-        labels = {"queue": "worker:%s" % self.worker_id}
+        labels = {"queue": self._hop}
         if tenant:
             labels["tenant"] = tenant
         self._registry.increment(metrics_mod.DEDUPED_TOTAL, **labels)
 
-    def _on_data(self, sender_id: str, message: messages.Message) -> None:
-        unit_name = message.payload["unit"]
-        tenant = message.payload.get("tenant", "")
-        unit = self._units.get(self.unit_key(unit_name, tenant))
-        if unit is None:
-            return
-        data = decode_tuple(message.payload["tuple"])
-        data.delivery_attempt = message.payload.get("delivery_attempt", 1)
-        if self._dedup is not None and self._dedup.seen(
-                (message.payload.get("edge", ""), data.seq)):
-            # At-least-once redelivery raced the original: suppress the
-            # duplicate before the unit sees it, but still ACK so the
-            # upstream releases its replay retention.
-            self._count_deduped(tenant)
-            ack = messages.ack_message(message.payload["seq"],
-                                       message.payload["sent_at"], 0.0,
-                                       epoch=self._master_epoch)
-            ack.payload["edge"] = message.payload.get("edge", "")
-            try:
-                self.fabric.send(self.worker_id, sender_id, ack)
-            except Exception:
-                pass
-            return
-        started = time.monotonic()
-        tracer = self.tracer
-        sampled = (data.trace.sampled if data.trace is not None
-                   else tracer.sampled(data.seq))
-        if tracer.enabled:
-            # Mailbox wait + wire time, as observed by the shared
-            # in-process clock (sent_at is the sender's stamp).
-            tracer.emit(Span(QUEUE_WAIT, data.seq,
-                             message.payload["sent_at"], started,
-                             device_id=self.worker_id,
-                             hop="worker:%s" % self.worker_id,
-                             detail=unit_name, tenant=tenant),
-                        sampled=sampled)
-        if data.expired(started):
-            # Too stale to be useful: skip the compute but still ACK, so
-            # the upstream's failure detector sees a healthy worker (a
-            # shed is a policy decision, not a fault) and its ACK
-            # accounting does not double-count the tuple as lost.
-            self._registry.increment(
-                metrics_mod.SHED_TOTAL,
-                **self._shed_labels(overload_mod.REASON_EXPIRED, tenant))
-            if tracer.enabled:
-                tracer.emit(Span(SHED, data.seq, started, started,
-                                 device_id=self.worker_id,
-                                 hop="worker:%s" % self.worker_id,
-                                 detail=overload_mod.REASON_EXPIRED,
-                                 tenant=tenant),
-                            sampled=sampled)
-            ack = messages.ack_message(message.payload["seq"],
-                                       message.payload["sent_at"], 0.0,
-                                       epoch=self._master_epoch)
-            ack.payload["edge"] = message.payload.get("edge", "")
-            try:
-                self.fabric.send(self.worker_id, sender_id, ack)
-            except Exception:
-                pass
-            return
-        unit.process_data(data)
-        elapsed = time.monotonic() - started
-        if self.slowdown > 0.0:
-            time.sleep(self.slowdown * max(elapsed, 1e-6))
-            elapsed = time.monotonic() - started
-        if tracer.enabled:
-            tracer.emit(Span(PROCESS, data.seq, started, started + elapsed,
-                             device_id=self.worker_id,
-                             hop="worker:%s" % self.worker_id,
-                             detail=unit_name, tenant=tenant),
-                        sampled=sampled)
-        self.processed_count += 1
-        self.processed_by_tenant[tenant] = \
-            self.processed_by_tenant.get(tenant, 0) + 1
-        ack = messages.ack_message(message.payload["seq"],
-                                   message.payload["sent_at"], elapsed,
-                                   epoch=self._master_epoch)
-        ack.payload["edge"] = message.payload.get("edge", "")
-        try:
-            self.fabric.send(self.worker_id, sender_id, ack)
-        except Exception:
-            pass  # the upstream is gone; nothing to acknowledge
+    def _serve(self, sender_id: str, message: messages.Message) -> None:
+        """Serve one DATA or BATCH message: a tuple is a batch of one.
 
-    def _on_batch(self, sender_id: str, message: messages.Message) -> None:
-        """Process one batched flush: many tuples, one ACK.
-
-        Mirrors :meth:`_on_data` per tuple (dedup, expiry shed, spans,
-        unit processing), but acknowledges the whole batch with a single
-        timestamp echo carrying the mean per-tuple compute time.  The
-        ACK is sent even when every member was deduped or shed — the
-        upstream's per-batch retention must still be released.  A frame
-        that fails to decode gets no ACK at all: the upstream's replay
-        machinery redelivers or expires it.
+        Per tuple: ingress dedup, expiry shed, spans, unit processing.
+        Per message: ONE timestamp echo, shaped by the kind that arrived
+        — ``seq`` for DATA, ``seqs`` plus the mean per-tuple compute
+        time for BATCH (the same number at n = 1).  The ACK is sent even
+        when every member was deduped or shed: the upstream must still
+        release its replay retention, its failure detector must see a
+        healthy worker (a skip is a policy decision, not a fault), and
+        its ACK accounting must not charge the tuple as lost as well.
+        A frame that fails to decode gets no ACK at all: the upstream's
+        replay machinery redelivers or expires it.
         """
         payload = message.payload
         unit_name = payload["unit"]
@@ -628,8 +548,12 @@ class WorkerRuntime:
         unit = self._units.get(self.unit_key(unit_name, tenant))
         if unit is None:
             return
+        single = message.kind == messages.DATA
         try:
-            batch = decode_batch(payload["batch"])
+            # A DATA tuple is decoded detached (units keep receiving
+            # ``bytes``); BATCH members are zero-copy views of the frame.
+            batch = ([decode_tuple(payload["tuple"])] if single
+                     else decode_batch(payload["batch"]))
         except SerializationError:
             # Poison frame: no ACK, so upstream replay/expiry handles
             # the tuples — but the drop itself must be loud.
@@ -641,22 +565,27 @@ class WorkerRuntime:
         attempt = payload.get("delivery_attempt", 1)
         sent_at = payload["sent_at"]
         tracer = self.tracer
-        hop = "worker:%s" % self.worker_id
+        hop = self._hop
         busy = 0.0
         for data in batch:
             data.delivery_attempt = attempt
             if self._dedup is not None and self._dedup.seen((edge, data.seq)):
+                # At-least-once redelivery raced the original: suppress
+                # the duplicate before the unit sees it, but still ACK.
                 self._count_deduped(tenant)
                 continue
             started = time.monotonic()
             sampled = (data.trace.sampled if data.trace is not None
                        else tracer.sampled(data.seq))
             if tracer.enabled:
+                # Mailbox wait + wire time, as observed by the shared
+                # in-process clock (sent_at is the sender's stamp).
                 tracer.emit(Span(QUEUE_WAIT, data.seq, sent_at, started,
                                  device_id=self.worker_id, hop=hop,
                                  detail=unit_name, tenant=tenant),
                             sampled=sampled)
             if data.expired(started):
+                # Too stale to be useful: skip the compute, not the ACK.
                 self._registry.increment(
                     metrics_mod.SHED_TOTAL,
                     **self._shed_labels(overload_mod.REASON_EXPIRED, tenant))
@@ -681,15 +610,26 @@ class WorkerRuntime:
             self.processed_by_tenant[tenant] = \
                 self.processed_by_tenant.get(tenant, 0) + 1
             busy += elapsed
-        seqs = payload.get("seqs") or [data.seq for data in batch]
-        ack = messages.batch_ack_message(seqs, sent_at,
-                                         busy / max(1, len(batch)),
-                                         epoch=self._master_epoch)
+        if single:
+            ack = messages.ack_message(payload["seq"], sent_at, busy,
+                                       epoch=self._master_epoch)
+        else:
+            seqs = payload.get("seqs") or [data.seq for data in batch]
+            ack = messages.batch_ack_message(seqs, sent_at,
+                                             busy / len(batch),
+                                             epoch=self._master_epoch)
         ack.payload["edge"] = edge
+        self._send_ack(sender_id, ack)
+
+    def _send_ack(self, upstream_id: str, ack: messages.Message) -> None:
         try:
-            self.fabric.send(self.worker_id, sender_id, ack)
+            self.fabric.send(self.worker_id, upstream_id, ack)
         except Exception:
-            pass  # the upstream is gone; nothing to acknowledge
+            # The upstream is gone: nothing to acknowledge — but an echo
+            # that never left is counted here, where it was lost.
+            self._registry.increment(
+                metrics_mod.DROPPED_TOTAL, reason="ack_unsent",
+                link="%s>%s" % (self.worker_id, upstream_id))
 
     def _on_ack(self, message: messages.Message) -> None:
         dispatcher = self._dispatchers.get(message.payload.get("edge", ""))

@@ -1183,12 +1183,8 @@ class SwarmSimulation:
             if self._master_down:
                 yield self.sim.timeout(0.05)
                 continue
-            if batching.enabled:
-                frames = yield from collect_batch(self.sim, egress,
-                                                  batching)
-            else:
-                frame = yield egress.get()
-                frames = [frame]
+            # At max_tuples=1 this is ``[first]`` with no flush wait.
+            frames = yield from collect_batch(self.sim, egress, batching)
             live = []
             for frame in frames:
                 if frame.expired(self.sim.now):

@@ -59,7 +59,10 @@ KNOWN_DROP_REASONS = frozenset({
     sim_metrics.DROP_STALE, sim_metrics.DROP_EXPIRED,
     sim_metrics.DROP_BACKPRESSURE, sim_metrics.DROP_QUEUE_FULL,
     # runtime chaos fabric injections (always counted, never silent)
-    "chaos_drop", "chaos_corrupt", "chaos_partition", "corrupt_batch",
+    "chaos_drop", "chaos_corrupt", "chaos_partition",
+    # runtime worker: undecodable DATA/BATCH frame, ACK the fabric could
+    # not carry, message whose handler raised
+    "corrupt_batch", "ack_unsent", "handler_error",
 })
 KNOWN_EVICT_REASONS = frozenset({
     delivery.EVICT_CAPACITY, delivery.EVICT_BYTES, delivery.EVICT_ATTEMPTS,

@@ -6,7 +6,9 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.controller import AckResult, LrsController, PolicyConfig
+from repro.core.delivery import AT_LEAST_ONCE, EVICT_SHED, DeliveryConfig
 from repro.core.policies import POLICY_NAMES
+from repro.trace import ACK_RTT, RETRY, Tracer
 
 
 class FakeClock:
@@ -185,6 +187,116 @@ class TestDispatch:
                                    clock=FakeClock(),
                                    registry=metrics_mod.MetricsRegistry())
         assert controller.dispatch(1) is None
+
+
+def _at_least_once_controller(clock, egress, registry, trace=None):
+    controller = LrsController(
+        PolicyConfig(policy="RR", seed=0, delivery=DeliveryConfig(
+            mode=AT_LEAST_ONCE, redelivery_timeout=0.5)),
+        clock=clock, egress=egress, registry=registry, name="s>d",
+        trace=trace)
+    controller.add_downstream("a")
+    controller.add_downstream("b")
+    return controller
+
+
+def _dispatch(controller, seqs, context=None):
+    if len(seqs) == 1:
+        return controller.dispatch(seqs[0], context=context)
+    return controller.dispatch_batch(seqs, context=context)
+
+
+#: the two public entry points over the one placement loop / ACK fold
+either_size = pytest.mark.parametrize(
+    "seqs", [[5], [5, 6, 7]], ids=["dispatch", "dispatch_batch"])
+
+
+class TestOnePlacementOneFold:
+    """A tuple is a batch of one: ``dispatch`` and ``dispatch_batch``
+    (``on_ack`` and ``on_ack_batch``) differ in nothing but n."""
+
+    @either_size
+    def test_dead_first_choice_is_rerouted_once(self, seqs):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        tracer = Tracer(sample_rate=1.0)
+        egress = _FailingEgress(clock, failing={"a"})
+        controller = _at_least_once_controller(clock, egress, registry,
+                                               trace=tracer)
+        assert _dispatch(controller, seqs, context=b"frame") == "b"
+        assert egress.sent == [("b", seqs[0])]
+        assert controller.dead_downstreams() == ["a"]
+        assert controller.dispatched == len(seqs)
+        assert registry.value(metrics_mod.REROUTED_TOTAL,
+                              downstream="b") == 1
+        (retry,) = [s for s in tracer.spans() if s.kind == RETRY]
+        assert (retry.seq, retry.detail) == (seqs[0], "a")
+
+    @either_size
+    def test_nobody_alive_retains_the_unit_unassigned(self, seqs):
+        clock = FakeClock()
+        egress = _FailingEgress(clock, failing={"a", "b"})
+        controller = _at_least_once_controller(
+            clock, egress, metrics_mod.MetricsRegistry())
+        assert _dispatch(controller, seqs, context=b"frame") is None
+        assert controller.dispatched == 0
+        assert controller.replay_depth() == 1  # one entry, whatever n
+        assert all(controller.replay_holds(seq) for seq in seqs)
+        # Unassigned means the next sweep places it as soon as anyone
+        # is back, without waiting for a death signal.
+        egress.failing.clear()
+        controller.revive_downstream("a")
+        clock.now = 1.0
+        controller.update(clock.now)
+        assert egress.sent == [("a", seqs[0])]
+
+    @either_size
+    def test_ack_is_one_sample_n_tuples_and_releases_retention(self, seqs):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        tracer = Tracer(sample_rate=1.0)
+        controller = _at_least_once_controller(
+            clock, _FailingEgress(clock, failing=()), registry,
+            trace=tracer)
+        chosen = _dispatch(controller, seqs, context=b"frame")
+        assert all(controller.replay_holds(seq) for seq in seqs)
+        clock.now = 0.25
+        result = (controller.on_ack(seqs[0]) if len(seqs) == 1
+                  else controller.on_ack_batch(seqs))
+        assert result == AckResult(downstream_id=chosen, sample=0.25)
+        assert controller.ack_count == len(seqs)
+        assert registry.histogram(metrics_mod.ACK_RTT_SECONDS,
+                                  downstream=chosen).count == 1
+        (rtt,) = [s for s in tracer.spans() if s.kind == ACK_RTT]
+        assert (rtt.seq, rtt.detail) == (seqs[0], chosen)
+        assert controller.replay_depth() == 0
+        assert not any(controller.replay_holds(seq) for seq in seqs)
+
+    @pytest.mark.parametrize("evicts", [False, True],
+                             ids=["on_ack", "release_replay"])
+    def test_batch_entry_stays_until_its_last_member_goes(self, evicts):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        controller = _at_least_once_controller(
+            clock, _FailingEgress(clock, failing=()), registry)
+        controller.dispatch_batch([5, 6, 7], context=b"frame")
+
+        def strike(seq):
+            if evicts:
+                assert controller.release_replay(seq, EVICT_SHED)
+            else:
+                controller.on_ack(seq)
+
+        strike(6)
+        strike(5)  # the head is a member like any other
+        assert controller.replay_depth() == 1
+        assert controller.replay_holds(7)
+        strike(7)
+        assert controller.replay_depth() == 0
+        # Giving up is counted (once, when the entry goes); an ACK is not.
+        assert registry.values_by_label(
+            metrics_mod.REPLAY_EVICTED_TOTAL, "reason") == (
+                {EVICT_SHED: 1} if evicts else {})
 
 
 class TestUpdateCadence:

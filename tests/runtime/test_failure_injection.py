@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import metrics as metrics_mod
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       IterableSource, LambdaUnit)
 from repro.core.graph import GraphBuilder
@@ -46,11 +47,13 @@ def flaky_graph(payloads):
             .build())
 
 
-def start_swarm(graph, worker_ids=("B",), policy="RR", source_rate=200.0):
+def start_swarm(graph, worker_ids=("B",), policy="RR", source_rate=200.0,
+                registry=None):
     fabric = InProcFabric()
     master = Master("A", fabric, graph, policy=policy,
                     source_rate=source_rate, control_interval=0.1)
-    workers = {wid: WorkerRuntime(wid, fabric, graph, policy=policy)
+    workers = {wid: WorkerRuntime(wid, fabric, graph, policy=policy,
+                                  registry=registry)
                for wid in worker_ids}
     master.runtime.start()
     for worker in workers.values():
@@ -72,7 +75,9 @@ def stop_swarm(master, workers):
 class TestPoisonTuples:
     def test_crashing_tuple_does_not_kill_worker(self):
         payloads = [{"x": 1}, {"x": "poison"}, {"x": 3}]
-        _f, master, workers = start_swarm(flaky_graph(payloads))
+        registry = metrics_mod.MetricsRegistry()
+        _f, master, workers = start_swarm(flaky_graph(payloads),
+                                          registry=registry)
         try:
             master.start()
             sink = master.runtime.unit("snk")
@@ -81,6 +86,9 @@ class TestPoisonTuples:
             assert values == [1, 3]
             # The worker survived and keeps counting work.
             assert workers["B"].processed_count >= 2
+            # The tuple it could not serve is counted, not silent.
+            assert registry.value(metrics_mod.DROPPED_TOTAL,
+                                  reason="handler_error", link="?>B") == 1
         finally:
             stop_swarm(master, workers)
 
