@@ -4,8 +4,9 @@ from repro.core.controller import AckResult, LrsController, PolicyConfig
 from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, DedupWindow,
                                  DeliveryConfig, ReplayBuffer, ReplayEntry)
 from repro.core.exceptions import (DeploymentError, DiscoveryError, GraphError,
-                                   GraphValidationError, PolicyError,
-                                   RoutingError, RuntimeStateError, SchemaError,
+                                   GraphValidationError, MigrationAborted,
+                                   PolicyError, RoutingError,
+                                   RuntimeStateError, SchemaError,
                                    SerializationError, SimulationError,
                                    SwingError)
 from repro.core.faults import FaultEvent, FaultSchedule
@@ -33,7 +34,7 @@ __all__ = [
     "FaultEvent", "FaultSchedule",
     "FunctionUnit", "FunctionUnitSpec", "GraphBuilder", "GraphError",
     "GraphValidationError", "HopTiming", "IterableSource", "LambdaUnit",
-    "LrsController",
+    "LrsController", "MigrationAborted",
     "MovingAverageEstimator", "POLICY_NAMES", "PerformanceRequirement",
     "PlaybackRecord", "PolicyConfig", "PolicyDecision", "PolicyError",
     "RateMeter",

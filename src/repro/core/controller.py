@@ -208,8 +208,6 @@ class LrsController:
         self.tenant = tenant
         self._clock = clock
         self._egress = egress
-        # Internal component: an uninjected registry means a private
-        # one, never the process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._trace = trace if trace is not None else NULL_TRACER
@@ -503,13 +501,16 @@ class LrsController:
                                      edge=self.name or "-")
         return found
 
+    def _table(self) -> KeyRangeTable:
+        if self._key_table is None:
+            raise RoutingError("no key table attached to %r"
+                               % (self.name or "-"))
+        return self._key_table
+
     def split_range(self, key_range: KeyRange) -> Tuple[KeyRange, KeyRange]:
         """Split an owned range in place (both halves keep the owner)."""
         with self._lock:
-            if self._key_table is None:
-                raise RoutingError("no key table attached to %r"
-                                   % (self.name or "-"))
-            left, right = self._key_table.split(key_range)
+            left, right = self._table().split(key_range)
             if self._key_detector is not None:
                 self._key_detector.forget(key_range)
                 self._key_detector.mark_split(self._clock())
@@ -519,10 +520,7 @@ class LrsController:
                    reason: str) -> None:
         """Re-own a range and count the move (reason=hot_split|drain|crash)."""
         with self._lock:
-            if self._key_table is None:
-                raise RoutingError("no key table attached to %r"
-                                   % (self.name or "-"))
-            self._key_table.assign(key_range, new_owner)
+            self._table().assign(key_range, new_owner)
         labels = {"reason": reason, "edge": self.name or "-"}
         if self.tenant:
             labels["tenant"] = self.tenant
@@ -530,18 +528,12 @@ class LrsController:
 
     def pause_range(self, key_range: KeyRange) -> None:
         with self._lock:
-            if self._key_table is None:
-                raise RoutingError("no key table attached to %r"
-                                   % (self.name or "-"))
-            self._key_table.pause(key_range)
+            self._table().pause(key_range)
 
     def resume_range(self, key_range: KeyRange) -> None:
         """Resume a paused range and re-place everything parked on it."""
         with self._lock:
-            if self._key_table is None:
-                raise RoutingError("no key table attached to %r"
-                                   % (self.name or "-"))
-            self._key_table.resume(key_range)
+            self._table().resume(key_range)
         # Parked tuples sit unassigned in the replay buffer; a sweep
         # pops unassigned entries immediately, so the new owner sees
         # them without waiting out the redelivery timeout.
@@ -1025,6 +1017,10 @@ class LrsController:
         return self._egress.send(downstream_id, entry.seq, entry.context)
 
     # -- snapshots -------------------------------------------------------
+    @property
+    def clock(self) -> Clock:
+        return self._clock
+
     @property
     def policy(self) -> RoutingPolicy:
         return self._policy

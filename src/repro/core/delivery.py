@@ -130,8 +130,6 @@ class ReplayBuffer:
                  name: str = "") -> None:
         self.config = config
         self.name = name
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self._registry = registry if registry is not None \
             else metrics_mod.MetricsRegistry()
         self._entries: "OrderedDict[int, ReplayEntry]" = OrderedDict()

@@ -37,6 +37,10 @@ class RuntimeStateError(SwingError):
     """Raised when a runtime component is driven through an invalid state."""
 
 
+class MigrationAborted(RuntimeStateError):
+    """Raised when a key-range migration ends with the range not moved."""
+
+
 class DiscoveryError(SwingError):
     """Raised when master/worker discovery fails."""
 

@@ -173,8 +173,6 @@ class AckTracker:
         self._estimator_kwargs = dict(estimator_kwargs)
         self._timeout = timeout
         self._dead_after = dead_after
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._latency: Dict[str, object] = {}

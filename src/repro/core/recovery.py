@@ -365,8 +365,6 @@ class CheckpointManager:
         self.store = store
         self._capture = capture
         self._clock = clock
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._lock = threading.Lock()

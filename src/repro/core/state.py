@@ -68,12 +68,14 @@ class StateStore:
         return tuple(moved)
 
     def install(self, entries: Iterable[Tuple[str, Dict[str, Any]]]) -> None:
-        """Adopt entries extracted from a previous owner."""
-        for key, state in entries:
-            existing = self.load(key)
-            if existing is not None:
+        """Adopt entries extracted from a previous owner — all or none:
+        every key is checked before the first one is stored."""
+        entries = tuple(entries)
+        for key, _ in entries:
+            if self.load(key) is not None:
                 raise RuntimeStateError(
                     "state install collides on key %r" % key)
+        for key, state in entries:
             self.store(key, state)
 
 
@@ -237,10 +239,6 @@ def snapshot_range(store: StateStore, tenant: str, unit: str,
     """Extract the range from *store* into a migratable snapshot."""
     return StateSnapshot(tenant=tenant, unit=unit, key_range=key_range,
                          entries=store.extract_range(key_range))
-
-
-def install_snapshot(store: StateStore, snapshot: StateSnapshot) -> None:
-    store.install(snapshot.entries)
 
 
 def encode_state_snapshot(snapshot: StateSnapshot) -> bytes:

@@ -8,9 +8,9 @@ labels (Prometheus-style ``name{key=value}`` identity), so the CLI and
 the simulation harness can print one coherent accounting table after a
 run.
 
-A process-wide default registry backs components that are not handed an
-explicit one; simulations create a private registry per run so repeated
-experiments never bleed counts into each other.
+Every runtime, controller and simulation is handed a registry (or
+builds a private one), so repeated experiments never bleed counts into
+each other.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ MASTER_RECOVERIES_TOTAL = "swing_master_recoveries_total"
 KEY_RANGE_MOVES_TOTAL = "swing_key_range_moves_total"
 #: keyed routing: hot ranges flagged by the split detector
 HOT_KEYS_DETECTED_TOTAL = "swing_hot_keys_detected_total"
+#: graceful drains that departed at their timeout with work still undone
+DRAIN_TIMEOUTS_TOTAL = "swing_drain_timeouts_total"
 
 #: gauge: current depth of one named queue (mailbox / sim store)
 QUEUE_DEPTH = "swing_queue_depth"
@@ -357,12 +359,3 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-
-#: Process-wide registry for top-level entry points and ad-hoc scripts
-#: ONLY.  Internal components (runtimes, controllers, simulations) must
-#: be handed a registry explicitly — two Masters or simulations sharing
-#: this default would merge their counters, which is exactly the
-#: cross-instance pollution the mandatory-injection rule prevents.  No
-#: module under ``repro`` reads this fallback.
-REGISTRY = MetricsRegistry()

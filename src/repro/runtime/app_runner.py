@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
+from repro.core import migration
 from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
 from repro.core.controller import PolicyConfig
@@ -122,8 +123,7 @@ class SwingRuntime(_InProcSwarm):
         self.overload = overload
         # Top-level entry point: when no registry is injected, create ONE
         # shared registry here and thread it through the fabric, master
-        # and every worker, so the whole swarm's metrics aggregate in a
-        # single place without touching the process-wide default.
+        # and every worker, so the whole swarm's metrics aggregate.
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
         registry = self.registry
@@ -286,8 +286,6 @@ class SwingRuntime(_InProcSwarm):
                      timeout: float = 10.0) -> float:
         """Gracefully drain *worker_id* (LEAVING protocol); returns the
         measured drain duration in seconds."""
-        if quiet is None:
-            quiet = self.recovery.drain_quiet
         worker = self.workers.pop(worker_id, None)
         if worker is None:
             raise RuntimeStateError("unknown worker %r" % worker_id)
@@ -330,18 +328,16 @@ class SwingRuntime(_InProcSwarm):
         """
         self.start()
         sink = self.sink_unit()
-        deadline = time.monotonic() + timeout
-        last_count = -1
-        last_change = time.monotonic()
-        while time.monotonic() < deadline:
-            count = len(sink.results)
-            now = time.monotonic()
-            if count != last_count:
-                last_count = count
-                last_change = now
-            elif count > 0 and now - last_change >= until_idle:
-                break
-            time.sleep(self.recovery.run_poll)
+        seen = 0
+
+        def flowing() -> bool:
+            nonlocal seen
+            before, seen = seen, len(sink.results)
+            return seen == 0 or seen != before
+
+        migration.run(migration.quiesce(flowing, until_idle,
+                                        self.recovery.run_poll, timeout),
+                      time.sleep)
         self.stop()
         results = list(sink.results)
         if not reorder:

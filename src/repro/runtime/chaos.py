@@ -94,8 +94,6 @@ class ChaosFabric(Fabric):
         self.inner = inner
         self.seed = seed
         self._default = default if default is not None else LinkChaos()
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._lock = threading.Lock()

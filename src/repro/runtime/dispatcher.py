@@ -126,9 +126,6 @@ class UpstreamDispatcher:
                 ack_timeout=(ack_timeout if ack_timeout is not None
                              else defaults.ack_timeout),
                 delivery=delivery)
-        # Internal component: never the process-wide default registry —
-        # an uninjected dispatcher gets a private one so two runtimes in
-        # one process cannot merge their counters.
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._health = health

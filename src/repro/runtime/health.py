@@ -78,8 +78,6 @@ class HealthMonitor:
         self.jitter = jitter
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._lock = threading.Lock()

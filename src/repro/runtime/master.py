@@ -135,8 +135,6 @@ class SwarmPool:
         self.lock = threading.RLock()
         self._workers: List[str] = []
         self._sessions: List["DeploymentSession"] = []
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
         self.health = HealthMonitor(timeout=heartbeat_timeout,

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
+from repro.core import migration
 from repro.core import overload as overload_mod
 from repro.core.controller import PolicyConfig
 from repro.core.exceptions import (DeploymentError, RuntimeStateError,
@@ -103,10 +104,8 @@ class WorkerRuntime:
         self._dedup = (delivery_mod.DedupWindow(delivery.dedup_window)
                        if delivery is not None and delivery.at_least_once
                        else None)
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution); the top-level
-        # entry points (Master / SwingRuntime) create one shared registry
-        # and thread it through every worker they own.
+        # The top-level entry points (Master / SwingRuntime) create one
+        # shared registry and thread it through every worker they own.
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         #: TraceSink shared by this worker's units, dispatchers and the
@@ -153,7 +152,6 @@ class WorkerRuntime:
         self.deployed = threading.Event()
         #: True while a DATA message is being handled (drain visibility)
         self._data_active = False
-        self._draining_since: Optional[float] = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -214,45 +212,48 @@ class WorkerRuntime:
                          messages.join_message(self.worker_id))
 
     # -- graceful drain ----------------------------------------------------
-    def begin_leave(self, master_id: str) -> None:
-        """Announce intent to depart: the master stops routing new
-        tuples here while this worker keeps serving its queue."""
-        self._draining_since = time.monotonic()
-        self.fabric.send(self.worker_id, master_id,
-                         messages.leaving_message(self.worker_id))
-
     def leave(self, master_id: str, quiet: Optional[float] = None,
               timeout: float = 10.0) -> float:
         """Graceful drain: LEAVING, finish the mailbox, then depart.
 
-        Blocks until the mailbox has been empty and no DATA message has
-        been in flight for *quiet* seconds (default: the recovery
-        config's ``drain_quiet``; *timeout* caps it — a drain must
-        terminate even if control chatter keeps trickling in).  Returns
-        the drain duration, which is also observed into
+        The master stops routing here on LEAVING; this blocks until the
+        mailbox has been empty and no DATA message in flight for *quiet*
+        seconds (default: the recovery config's ``drain_quiet``).  A
+        drain must terminate, so *timeout* caps the wait, but leaving
+        with work undone is counted: ``swing_drain_timeouts_total``.
+        Returns the drain duration, also observed into
         ``swing_drain_duration_seconds{device=...}``.
         """
         if quiet is None:
             quiet = self.recovery.drain_quiet
-        self.begin_leave(master_id)
-        deadline = time.monotonic() + timeout
-        last_busy = time.monotonic()
-        while time.monotonic() < deadline:
+        started = time.monotonic()
+        self.fabric.send(self.worker_id, master_id,
+                         messages.leaving_message(self.worker_id))
+
+        def busy() -> bool:
             self._flush_dispatchers(force=True)
-            pending = sum(d.pending_batch()
-                          for d in list(self._dispatchers.values()))
-            if len(self._mailbox) > 0 or self._data_active or pending:
-                last_busy = time.monotonic()
-            elif time.monotonic() - last_busy >= quiet:
-                break
-            time.sleep(self.recovery.drain_poll)
-        elapsed = time.monotonic() - (self._draining_since
-                                      or time.monotonic())
+            return self.busy() or any(
+                d.pending_batch() for d in list(self._dispatchers.values()))
+
+        if not migration.run(
+                migration.quiesce(busy, quiet, self.recovery.drain_poll,
+                                  timeout), time.sleep):
+            self._registry.increment(metrics_mod.DRAIN_TIMEOUTS_TOTAL,
+                                     device=self.worker_id)
+        elapsed = time.monotonic() - started
         self._registry.observe_histogram(metrics_mod.DRAIN_SECONDS, elapsed,
                                          device=self.worker_id)
         self.stop()
-        self._draining_since = None
         return elapsed
+
+    # -- migration host (repro.core.migration.MigrationHost) ---------------
+    def alive(self) -> bool:
+        return self._running.is_set()
+
+    def busy(self, key_range: Optional[KeyRange] = None) -> bool:
+        """A frame is queued or in service.  The mailbox holds undecoded
+        frames, so this answers for every key range at once."""
+        return len(self._mailbox) > 0 or self._data_active
 
     # -- main loop ---------------------------------------------------------
     def _loop(self) -> None:
@@ -810,7 +811,7 @@ class WorkerRuntime:
         try:
             return self._key_states[key]
         except KeyError:
-            raise DeploymentError("no keyed state for %r on %s"
+            raise DeploymentError("no keyed state for %r: not hosted on %s"
                                   % (key, self.worker_id)) from None
 
     def export_key_state(self, unit_name: str, key_range: KeyRange,
@@ -825,19 +826,11 @@ class WorkerRuntime:
             snapshot_range(store, tenant, unit_name, key_range))
 
     def import_key_state(self, frame: bytes) -> int:
-        """Install a migrated state snapshot on this worker.
-
-        Returns the number of keys installed.  The target unit must be
-        hosted (and stateful) here already — routing is flipped only
-        after the install succeeds.
-        """
+        """Install a state snapshot on this worker, which must already
+        host the (stateful) unit; returns the number of keys installed."""
         snapshot = decode_state_snapshot(frame)
-        key = self.unit_key(snapshot.unit, snapshot.tenant)
-        if key not in self._units:
-            raise DeploymentError("cannot install state for %r: unit not "
-                                  "hosted on %s" % (key, self.worker_id))
-        store = self._key_states.setdefault(key, InMemoryStateStore())
-        store.install(snapshot.entries)
+        self.state_store(snapshot.unit, snapshot.tenant).install(
+            snapshot.entries)
         return len(snapshot.entries)
 
     def export_key_ranges(self) -> Dict[str, List[tuple]]:

@@ -59,6 +59,19 @@ def engine_controller(
                          tenant=tenant)
 
 
+def spend(sim: Simulator, steps):
+    """Spend a sans-IO step sequence (``repro.core.migration``: it yields
+    the delays it wants to wait) on the engine clock; returns its result.
+    ``Process.kill`` closes *steps* too, so its ``finally`` runs."""
+    try:
+        while True:
+            yield sim.timeout(next(steps))
+    except StopIteration as done:
+        return done.value
+    finally:
+        steps.close()
+
+
 def collect_batch(sim: Simulator, store: Store,
                   config: BatchConfig) -> List[object]:
     """Collect one flush worth of items from *store* (engine generator).

@@ -129,8 +129,6 @@ class MetricsCollector:
         self.devices: Dict[str, DeviceCounters] = {}
         self.generated = 0
         self.dropped: Dict[str, int] = defaultdict(int)
-        # Internal component: uninjected -> private registry, never the
-        # process-wide default (cross-instance pollution).
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
 

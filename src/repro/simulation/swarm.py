@@ -28,12 +28,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
 from repro.core import faults
+from repro.core import migration
 from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
 from repro.core.batching import BatchConfig
 from repro.core.controller import LrsController, PolicyConfig
 from repro.core.delivery import DedupWindow, DeliveryConfig, EVICT_SHED
-from repro.core.exceptions import RuntimeStateError, SimulationError
+from repro.core.exceptions import MigrationAborted, SimulationError
 from repro.core.faults import FaultEvent, FaultSchedule
 from repro.core.keyed import (KeyedConfig, KeyRange, KeyRangeTable,
                               MOVE_CRASH, MOVE_DRAIN, MOVE_HOT_SPLIT,
@@ -41,10 +42,9 @@ from repro.core.keyed import (KeyedConfig, KeyRange, KeyRangeTable,
 from repro.core.overload import OverloadConfig
 from repro.core.policies import PolicyDecision
 from repro.core.reorder import ReorderBuffer
-from repro.core.state import (InMemoryStateStore, WindowAggregator,
-                              decode_state_snapshot, encode_state_snapshot,
-                              snapshot_range)
-from repro.simulation.control import collect_batch, engine_controller
+from repro.core.state import InMemoryStateStore, WindowAggregator
+from repro.simulation.control import (collect_batch, engine_controller,
+                                      spend)
 from repro.simulation.device import CpuModel, DeviceProfile, ThermalThrottle
 from repro.simulation.energy import EnergyReport, PowerEstimator
 from repro.simulation.engine import Simulator, Store
@@ -62,6 +62,11 @@ from repro.trace import (NULL_TRACER, PROCESS, QUEUE_WAIT, SHED, Span,
 
 #: sentinel for an unbounded source egress queue (Fig. 1 style experiments)
 UNBOUNDED_QUEUE = 0
+
+#: seconds between a drain's looks at the device it is waiting on, and
+#: the one keyed stateful unit every simulated worker hosts
+_DRAIN_POLL = 0.05
+_KEYED_UNIT = "agg"
 
 #: single source of truth for policy-construction defaults (probe
 #: period, estimator window, failure-detection thresholds): the
@@ -305,12 +310,10 @@ class _WorkerNode:
         # Socket-window tokens: the dispatcher takes one per in-flight
         # frame; the worker returns it when it reads the frame to process.
         window = swarm.config.window_frames()
-        self.window = window
         self.credits = Store(sim, capacity=window,
                              name="credits:%s" % self.device_id)
         for _ in range(window):
             self.credits.try_put(True)
-        self.alive = True
         #: per-tenant ingress occupancy (multi-tenant fair-share input);
         #: stays empty at N=1
         self.tenant_depths: Dict[str, int] = {}
@@ -320,16 +323,13 @@ class _WorkerNode:
         #: results handed to the radio but not yet delivered to the sink
         self.results_in_flight = 0
         self.joined_at = sim.now
+        #: set once, by ``_detach``: the device is off the air
         self.left_at: Optional[float] = None
-        self.current_seq: Optional[int] = None
-        #: the frame being processed right now (drain-watch inspects its
-        #: key hash during a range migration)
+        #: the frame being processed right now
         self.current_frame: Optional[_Frame] = None
-        #: per-tenant keyed operator state — the SAME StateStore the
-        #: threaded runtime's workers host, so snapshot/install run the
-        #: identical code path in both substrates
+        #: per-tenant keyed operator state, in the same StateStore the
+        #: threaded runtime's workers host
         self.key_stores: Dict[str, InMemoryStateStore] = {}
-        self._aggregators: Dict[str, WindowAggregator] = {}
         self.thermal: Optional[ThermalThrottle] = (
             ThermalThrottle()
             if swarm.config.thermal_throttling and profile.throttles
@@ -341,7 +341,7 @@ class _WorkerNode:
         swarm = self.swarm
         sim = swarm.sim
         counters = swarm.metrics.device(self.device_id)
-        while self.alive:
+        while self.alive():
             frame = yield self.ingress.get()
             self.forget_depth(frame)
             self.credits.try_put(True)  # socket slot freed by the read
@@ -368,7 +368,6 @@ class _WorkerNode:
                                        device_id=self.device_id,
                                        hop="ingress:%s" % self.device_id,
                                        tenant=frame.tenant))
-            self.current_seq = frame.seq
             self.current_frame = frame
             jitter = swarm.rngs.lognormal_jitter(
                 "service:%s" % self.device_id, swarm.config.jitter_sigma)
@@ -389,24 +388,38 @@ class _WorkerNode:
             counters.frames_completed += 1
             if frame.key is not None:
                 self._observe_key(frame)
-            self.current_seq = None
             self.current_frame = None
             self._send_result(frame, service)
 
-    def key_store(self, tenant: str) -> InMemoryStateStore:
-        """This device's keyed state for one tenant (created on demand)."""
-        store = self.key_stores.get(tenant)
-        if store is None:
-            store = InMemoryStateStore()
-            self.key_stores[tenant] = store
-            self._aggregators[tenant] = WindowAggregator(store, window=1.0)
-        return store
+    # -- migration host (repro.core.migration.MigrationHost) -------------
+    def alive(self) -> bool:
+        return self.left_at is None
+
+    def busy(self, key_range: Optional[KeyRange] = None) -> bool:
+        """Holding a frame of *key_range*, queued or in service.  ``None``
+        asks about the whole device, wire included: a frame in flight
+        holds a socket credit until the worker reads it, a result is in
+        flight until the sink has it."""
+        frames = self.ingress.items()
+        if self.current_frame is not None:
+            frames += (self.current_frame,)
+        if key_range is None:
+            return (bool(frames) or not self.credits.is_full
+                    or self.results_in_flight > 0)
+        return any(frame.key_hash is not None
+                   and key_range.contains(frame.key_hash)
+                   for frame in frames)
+
+    def state_store(self, unit: str, tenant: str = "") -> InMemoryStateStore:
+        """This device's keyed state for one tenant (created on demand;
+        every simulated worker hosts the one keyed unit)."""
+        return self.key_stores.setdefault(tenant, InMemoryStateStore())
 
     def _observe_key(self, frame: _Frame) -> None:
         """Fold one processed frame into its key's windowed aggregate."""
-        self.key_store(frame.tenant)
-        self._aggregators[frame.tenant].observe(frame.key, 1.0,
-                                                self.swarm.sim.now)
+        WindowAggregator(self.state_store(_KEYED_UNIT, frame.tenant),
+                         window=1.0).observe(frame.key, 1.0,
+                                             self.swarm.sim.now)
 
     def forget_depth(self, frame: _Frame) -> None:
         """Release one ingress slot from the frame's tenant account."""
@@ -433,7 +446,7 @@ class _WorkerNode:
             self.results_in_flight -= 1
             # A draining worker's results must still land: its link stays
             # up until the drain watcher sees the last one delivered.
-            if (self.alive or self.draining) \
+            if (self.alive() or self.draining) \
                     and swarm.network.link(self.device_id).up:
                 swarm._deliver_result(frame, processing_delay)
 
@@ -672,7 +685,6 @@ class SwarmSimulation:
         node = self.nodes.pop(device_id, None)
         if node is None:
             return None
-        node.alive = False
         node.left_at = self.sim.now
         self._departed[device_id] = node
         node.process.kill()
@@ -693,8 +705,9 @@ class SwarmSimulation:
         node = self._detach(device_id)
         if node is None:
             return
-        if node.current_seq is not None:
-            self._drop_unless_retained(node.current_seq, DROP_DEVICE_LEFT)
+        if node.current_frame is not None:
+            self._drop_unless_retained(node.current_frame.seq,
+                                       DROP_DEVICE_LEFT)
         for frame in node.ingress.drain():
             self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
         # Unblock a dispatcher head-of-line-blocked on this connection.
@@ -729,31 +742,23 @@ class SwarmSimulation:
 
     def _drain_watch(self, node: _WorkerNode):
         started = self.sim.now
-        # Credits-full proves no frame is still in flight on the wire:
-        # the dispatcher holds one credit per undelivered frame, and the
-        # worker only returns it after reading the frame off its ingress.
-        while (len(node.ingress) > 0 or node.current_seq is not None
-               or len(node.credits) < node.window
-               or node.results_in_flight > 0):
-            yield self.sim.timeout(0.05)
+        yield from spend(self.sim, migration.quiesce(node.busy, quiet=0.0,
+                                                     poll=_DRAIN_POLL))
         elapsed = self.sim.now - started
         self.registry.observe_histogram(metrics_mod.DRAIN_SECONDS, elapsed,
                                         device=node.device_id)
         self.drain_durations[node.device_id] = elapsed
         device_id = node.device_id
         # Keyed ranges leave WITH their state before the device detaches:
-        # the drain-triggered move runs the same migrate path as a
-        # hot-split, so churn- and load-driven migration never diverge.
+        # the drain-triggered move runs the same protocol as a hot-split,
+        # so churn- and load-driven migration never diverge.
         for state in self._states.values():
-            table = state.controller.key_table
-            if table is None:
-                continue
-            for key_range in table.ranges_owned_by(device_id):
+            for key_range in state.controller.keyed_ranges_of(device_id):
                 target = self._keyed_target(exclude=device_id)
                 if target is None:
                     break
-                yield from self._migrate_range(state, key_range, device_id,
-                                               target, MOVE_DRAIN)
+                yield from self._migrate_range(state, key_range, node,
+                                               self.nodes[target], MOVE_DRAIN)
         if self.nodes.get(device_id) is not node:
             return  # superseded (e.g. rejoined under the same id)
         # No drops and no link-break notification: a graceful leave has
@@ -823,7 +828,7 @@ class SwarmSimulation:
                 self._redeliver_frame(member.seq, destination, member, attempt)
             return
         node = self.nodes.get(destination)
-        if node is None or not node.alive or node.draining:
+        if node is None or not node.alive() or node.draining:
             return
         link = self.network.link(destination)
         if not link.up:
@@ -966,110 +971,32 @@ class SwarmSimulation:
         """Least-loaded live worker to receive a migrating range."""
         candidates = [(len(node.ingress), device_id)
                       for device_id, node in sorted(self.nodes.items())
-                      if device_id != exclude and node.alive
+                      if device_id != exclude and node.alive()
                       and not node.draining]
         if not candidates:
             return None
         return min(candidates)[1]
 
     def _migrate_range(self, state: _TenantState, key_range: KeyRange,
-                       source_id: str, target_id: str, reason: str):
-        """Engine process: pause → drain → snapshot → install → flip.
+                       source: _WorkerNode, target: _WorkerNode,
+                       reason: str):
+        """Engine driver for :func:`repro.core.migration.migrate_range`
+        (``drain`` and ``hot_split`` moves alike).  An aborted move left
+        the range with its owner; the next control round decides again."""
+        def retarget():
+            fallback = self._keyed_target(exclude=source.device_id)
+            return None if fallback is None \
+                else (self.nodes[fallback], fallback)
 
-        The churn-driven (``drain``) and load-driven (``hot_split``)
-        moves both run through here — one migration code path, mirroring
-        :func:`repro.runtime.migration.migrate_range` step for step.
-        Pausing parks the range's new tuples unassigned in the replay
-        buffer; resume's sweep re-places them on the new owner, so under
-        at-least-once delivery the handoff loses nothing.
-        """
-        controller = state.controller
-        started = self.sim.now
-        table = controller.key_table
-        if table is None or table.is_paused(key_range) \
-                or table.owner(key_range) != source_id:
-            # Another migration already has this range (a drain-watch
-            # racing a hot-split); two concurrent handoffs of one range
-            # end with the loser's copy stranded on a non-owner.
-            return
-        controller.pause_range(key_range)
         try:
-            yield from self._drain_range(source_id, key_range)
-            if table.owner(key_range) != source_id:
-                return  # re-owned while draining; nothing left to move
-            target = self.nodes.get(target_id)
-            if target is None or not target.alive or target.draining:
-                # The chosen receiver churned away while the range was
-                # draining; flipping ownership to a corpse would strand
-                # the state on the old owner (split-brain).  Re-target,
-                # or leave the range where it is and let the next
-                # control round reconcile.
-                fallback = self._keyed_target(exclude=source_id)
-                if fallback is None:
-                    return
-                target_id = fallback
-            self._transfer_state(state, key_range, source_id, target_id)
-            controller.move_range(key_range, target_id, reason=reason)
-        finally:
-            controller.resume_range(key_range)
-        self.registry.observe_histogram(metrics_mod.STATE_MIGRATION_SECONDS,
-                                        self.sim.now - started,
-                                        edge=state.edge_name)
-
-    def _drain_range(self, device_id: str, key_range: KeyRange):
-        """Wait until the old owner holds no in-flight frame of the range.
-
-        Pausing already stopped new sends; whatever is queued or on the
-        wire clears within a few poll ticks.  Two consecutive quiet
-        polls guard against a frame landing between checks.
-        """
-        quiet = 0
-        while quiet < 2:
-            node = self.nodes.get(device_id)
-            if node is None or not node.alive:
-                return
-            busy = any(frame.key_hash is not None
-                       and key_range.contains(frame.key_hash)
-                       for frame in node.ingress._items)
-            current = node.current_frame
-            if current is not None and current.key_hash is not None \
-                    and key_range.contains(current.key_hash):
-                busy = True
-            quiet = 0 if busy else quiet + 1
-            yield self.sim.timeout(0.05)
-
-    def _transfer_state(self, state: _TenantState, key_range: KeyRange,
-                        source_id: str, target_id: str) -> int:
-        """Ship one range's keyed state through the hardened codec.
-
-        Encode→decode round-trips the real wire frame even though both
-        ends live in one process: the simulator exercises exactly the
-        bytes the threaded runtime ships between workers.
-        """
-        source = self.nodes.get(source_id) or self._departed.get(source_id)
-        target = self.nodes.get(target_id)
-        if source is None or target is None:
-            return 0
-        store = source.key_stores.get(state.tenant_id)
-        if store is None:
-            return 0
-        frame = encode_state_snapshot(snapshot_range(
-            store, state.tenant_id, "agg", key_range))
-        snapshot = decode_state_snapshot(frame)
-        target_store = target.key_store(state.tenant_id)
-        try:
-            target_store.install(snapshot.entries)
-        except RuntimeStateError:
-            # A revive/re-drain cycle can leave a stale copy behind; the
-            # migrating snapshot is the authoritative one.
-            for key, value in snapshot.entries:
-                target_store.store(key, dict(value))
-        # Hand-off, not copy: the paused+drained range can take no more
-        # writes at the source, so the snapshot is exact — discard it or
-        # the old owner keeps a diverging replica (split-brain state).
-        for key, _value in snapshot.entries:
-            store.delete(key)
-        return len(snapshot.entries)
+            yield from spend(self.sim, migration.migrate_range(
+                state.controller, key_range, source, target,
+                source.device_id, target.device_id, _KEYED_UNIT,
+                state.tenant_id, reason, quiet=2 * _DRAIN_POLL,
+                poll=_DRAIN_POLL, retarget=retarget,
+                registry=self.registry))
+        except MigrationAborted:
+            pass
 
     def _keyed_round(self, state: _TenantState) -> None:
         """One keyed control round: crash reconciliation, then hot-split.
@@ -1105,7 +1032,8 @@ class SwarmSimulation:
             return
         _lower, upper = controller.split_range(hot)
         self.sim.process(
-            self._migrate_range(state, upper, owner, target, MOVE_HOT_SPLIT),
+            self._migrate_range(state, upper, self.nodes[owner],
+                                self.nodes[target], MOVE_HOT_SPLIT),
             name="migrate:%s" % (state.tenant_id or "-"))
 
     # -- processes -------------------------------------------------------
@@ -1241,7 +1169,7 @@ class SwarmSimulation:
         record = self.metrics.frame(frame.seq, frame.created_at)
         record.device_id = destination
         node = self.nodes.get(destination)
-        if node is None or not node.alive:
+        if node is None or not node.alive():
             # Routed to a device that already left: the tuple is lost
             # (unless the replay buffer still retains it).
             self._drop_unless_retained(frame.seq, DROP_LINK_DOWN)
@@ -1249,7 +1177,7 @@ class SwarmSimulation:
         # Blocking socket write: wait for a window slot on this
         # connection, head-of-line blocking every frame behind us.
         yield node.credits.get()
-        if not node.alive:
+        if not node.alive():
             self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
             return
         record.tx_started_at = self.sim.now
@@ -1302,7 +1230,7 @@ class SwarmSimulation:
         record = self.metrics.frame(frame.seq, frame.created_at)
         node = self.nodes.get(destination)
         link = self.network.link(destination)
-        if node is None or not node.alive or not link.up:
+        if node is None or not node.alive() or not link.up:
             # Delivered into the void: the device left mid-flight.
             self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
             self._return_credit(destination)

@@ -7,7 +7,7 @@ from repro.core.keyed import KEY_SPACE, KeyRange, hash_key
 from repro.core.state import (STATE_SNAPSHOT_VERSION, InMemoryStateStore,
                               SessionTracker, StateSnapshot, WindowAggregator,
                               decode_state_snapshot, encode_state_snapshot,
-                              install_snapshot, snapshot_range)
+                              snapshot_range)
 from repro.runtime.serialization import encode_value
 
 
@@ -38,6 +38,15 @@ class TestInMemoryStateStore:
         store.store("k", {"n": 1})
         with pytest.raises(RuntimeStateError):
             store.install([("k", {"n": 2})])
+
+    def test_install_is_all_or_nothing(self):
+        store = InMemoryStateStore()
+        store.store("k", {"n": 1})
+        with pytest.raises(RuntimeStateError):
+            store.install([("fresh", {"n": 2}), ("k", {"n": 3})])
+        # the collision on the second entry kept the first one out too
+        assert store.keys() == ("k",)
+        assert store.load("k") == {"n": 1}
 
 
 class TestWindowAggregator:
@@ -116,8 +125,8 @@ class TestSnapshotCodec:
     def test_install_round_trip(self):
         snapshot = self._snapshot()
         target = InMemoryStateStore()
-        install_snapshot(target,
-                         decode_state_snapshot(encode_state_snapshot(snapshot)))
+        target.install(
+            decode_state_snapshot(encode_state_snapshot(snapshot)).entries)
         assert len(target) == len(snapshot.entries)
 
     def test_foreign_version_rejected(self):

@@ -19,10 +19,16 @@ substrates.
 import heapq
 
 from repro import metrics as metrics_mod
+from repro.core import migration
 from repro.core.controller import PolicyConfig
+from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
+from repro.core.keyed import (MOVE_DRAIN, KeyedConfig, KeyRangeTable,
+                              hash_key)
+from repro.core.state import InMemoryStateStore
 from repro.core.tuples import DataTuple
 from repro.runtime.dispatcher import UpstreamDispatcher
-from repro.simulation.control import engine_controller
+from repro.runtime.serialization import decode_tuple
+from repro.simulation.control import engine_controller, spend
 from repro.simulation.engine import Simulator
 
 DOWNSTREAMS = ("det@B", "det@C", "det@D")
@@ -202,3 +208,221 @@ class TestSimRuntimeParity:
         assert runtime.decisions == sim.decisions  # exact float equality
         assert runtime.counters == sim.counters
         assert runtime.dead == sim.dead
+
+
+# -- keyed trace with one mid-trace migration ---------------------------
+#
+# The same two adapters, now with a key table and at-least-once
+# delivery, replay one keyed stream while det@B hands its range to
+# det@C through ``repro.core.migration.migrate_range``.  Each side
+# spends the protocol's waits its own way (a heap event per step / an
+# engine timeout per step); everything the migration decides must agree.
+
+KEYED_CONFIG = PolicyConfig(
+    policy="RR", seed=7, control_interval=1e9,
+    keyed=KeyedConfig(split_enabled=False),
+    delivery=DeliveryConfig(mode=AT_LEAST_ONCE))
+KEYED_DURATION = 3.0
+KEY_COUNT = 16
+#: off every arrival/ACK/service instant, so step order is unambiguous
+MIGRATE_AT = 1.0071
+DRAIN_QUIET, DRAIN_POLL = 0.10, 0.05
+
+
+def _key(seq):
+    return "user-%d" % (seq % KEY_COUNT)
+
+
+class _KeyedWorker(migration.MigrationHost):
+    """One downstream instance: serves a tuple for PROCESSING_DELAY,
+    counting it into per-key state — the same object on both sides."""
+
+    def __init__(self):
+        self.store = InMemoryStateStore()
+        self.serving = {}  # seq -> key
+
+    def alive(self):
+        return True
+
+    def busy(self, key_range=None):
+        return any(key_range is None or key_range.contains(hash_key(key))
+                   for key in self.serving.values())
+
+    def state_store(self, unit, tenant=""):
+        return self.store
+
+    def finish(self, seq):
+        key = self.serving.pop(seq)
+        state = self.store.load(key) or {"count": 0, "seqs": []}
+        self.store.store(key, {"count": state["count"] + 1,
+                               "seqs": state["seqs"] + [seq]})
+
+
+class _KeyedTrace:
+    def __init__(self, controller, registry, workers, parked, redelivered,
+                 moved):
+        self.table = controller.key_table.snapshot()
+        self.parked = parked
+        self.redelivered = redelivered
+        self.moved = moved
+        self.moves = registry.values_by_label(
+            metrics_mod.KEY_RANGE_MOVES_TOTAL, "reason")
+        self.migrations = registry.histogram(
+            metrics_mod.STATE_MIGRATION_SECONDS, edge="det").count
+        self.states = {name: {key: worker.store.load(key)
+                              for key in sorted(worker.store.keys())}
+                       for name, worker in workers.items()}
+        self.retained = controller.replay_depth()
+
+
+def _migration_steps(controller, workers, registry):
+    table = controller.key_table
+    (b_range,) = table.ranges_owned_by("det@B")
+    return migration.migrate_range(
+        controller, b_range, workers["det@B"], workers["det@C"],
+        "det@B", "det@C", "det", "", MOVE_DRAIN, quiet=DRAIN_QUIET,
+        poll=DRAIN_POLL, registry=registry)
+
+
+def _keyed_arrivals():
+    # stop early enough for the last ACK to land inside the run
+    return [when for when in _arrival_times() if when < KEYED_DURATION - 0.5]
+
+
+def _run_keyed_runtime_side():
+    clock_now = [0.0]
+    registry = metrics_mod.MetricsRegistry()
+    workers = {name: _KeyedWorker() for name in DOWNSTREAMS}
+    events, order = [], [0]
+    parked, redelivered, moved = [], [], []
+
+    def push(when, kind, payload=None):
+        heapq.heappush(events, (when, order[0], kind, payload))
+        order[0] += 1
+
+    def send(worker_id, message):
+        # What the fabric would carry: the real DATA envelope.
+        instance = "det@%s" % worker_id
+        data = decode_tuple(message.payload["tuple"])
+        if message.payload.get("delivery_attempt", 1) > 1:
+            redelivered.append((data.seq, instance))
+        workers[instance].serving[data.seq] = data.key
+        now = clock_now[0]
+        push(now + PROCESSING_DELAY[instance], "served",
+             (instance, data.seq))
+        push(now + ACK_DELAY[instance], "ack",
+             (data.seq, PROCESSING_DELAY[instance]))
+
+    dispatcher = UpstreamDispatcher("det", send=send,
+                                    clock=lambda: clock_now[0],
+                                    registry=registry, config=KEYED_CONFIG)
+    dispatcher.set_downstreams(DOWNSTREAMS)
+    dispatcher.controller.set_key_table(KeyRangeTable.bootstrap(DOWNSTREAMS))
+    for seq, when in enumerate(_keyed_arrivals()):
+        push(when, "tuple", seq)
+    for when in _tick_times():
+        push(when, "tick")
+    push(MIGRATE_AT, "migrate")
+
+    steps = None
+    while events:
+        now, _, kind, payload = heapq.heappop(events)
+        if now > KEYED_DURATION:
+            break
+        clock_now[0] = now
+        if kind == "tuple":
+            data = DataTuple(values={"frame": payload}, seq=payload,
+                             created_at=now, key=_key(payload))
+            if dispatcher.dispatch(data) is None:
+                parked.append(payload)
+        elif kind == "served":
+            workers[payload[0]].finish(payload[1])
+        elif kind == "ack":
+            dispatcher.on_ack(*payload)
+        elif kind == "tick":
+            dispatcher.force_update()
+        else:
+            if kind == "migrate":
+                steps = _migration_steps(dispatcher.controller, workers,
+                                         registry)
+            try:
+                push(now + next(steps), "step")
+            except StopIteration as done:
+                moved.append(done.value)
+    return _KeyedTrace(dispatcher.controller, registry, workers, parked,
+                       redelivered, moved)
+
+
+def _run_keyed_sim_side():
+    sim = Simulator()
+    registry = metrics_mod.MetricsRegistry()
+    workers = {name: _KeyedWorker() for name in DOWNSTREAMS}
+    parked, redelivered, moved = [], [], []
+
+    def deliver(seq, instance):
+        workers[instance].serving[seq] = _key(seq)
+        sim.schedule(PROCESSING_DELAY[instance],
+                     lambda: workers[instance].finish(seq))
+        sim.schedule(ACK_DELAY[instance],
+                     lambda: controller.on_ack(
+                         seq, processing_delay=PROCESSING_DELAY[instance],
+                         now=sim.now))
+
+    def on_redeliver(seq, instance, _context, _attempt):
+        redelivered.append((seq, instance))
+        deliver(seq, instance)
+
+    controller = engine_controller(sim, KEYED_CONFIG, registry=registry,
+                                   name="det", redelivery=on_redeliver)
+    controller.set_downstreams(DOWNSTREAMS)
+    controller.set_key_table(KeyRangeTable.bootstrap(DOWNSTREAMS))
+
+    def _arrive(seq):
+        controller.observe_arrival(sim.now)
+        chosen = controller.dispatch(seq, context=("frame", seq),
+                                     key_hash=hash_key(_key(seq)))
+        if chosen is None:
+            parked.append(seq)
+        else:
+            deliver(seq, chosen)
+
+    def _migrate():
+        moved.append((yield from spend(
+            sim, _migration_steps(controller, workers, registry))))
+
+    for seq, when in enumerate(_keyed_arrivals()):
+        sim.schedule(when, lambda seq=seq: _arrive(seq))
+    for when in _tick_times():
+        sim.schedule(when, lambda: controller.update(sim.now))
+    sim.schedule(MIGRATE_AT, lambda: sim.process(_migrate()))
+    sim.run(KEYED_DURATION)
+    return _KeyedTrace(controller, registry, workers, parked, redelivered,
+                       moved)
+
+
+class TestMigrationParity:
+    def test_trace_exercises_the_hand_off(self):
+        # Guard against degenerating: the range must drain while busy,
+        # park tuples, move state, and redeliver what it parked.
+        trace = _run_keyed_sim_side()
+        assert trace.moves == {MOVE_DRAIN: 1}
+        assert trace.migrations == 1
+        assert trace.moved and trace.moved[0] > 0
+        assert trace.parked
+        assert [seq for seq, _ in trace.redelivered] == trace.parked
+        assert {owner for _, owner in trace.redelivered} == {"det@C"}
+        assert "det@B" not in {owner for _lo, _hi, owner in trace.table}
+        assert not trace.states["det@B"]
+        assert trace.retained == 0
+
+    def test_both_substrates_migrate_identically(self):
+        runtime = _run_keyed_runtime_side()
+        sim = _run_keyed_sim_side()
+        assert runtime.table == sim.table
+        assert runtime.parked == sim.parked
+        assert runtime.redelivered == sim.redelivered
+        assert runtime.moved == sim.moved
+        assert runtime.moves == sim.moves
+        assert runtime.migrations == sim.migrations
+        assert runtime.states == sim.states
+        assert runtime.retained == sim.retained

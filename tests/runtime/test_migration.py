@@ -188,3 +188,53 @@ class TestMigrateRange:
             assert table.owner(b_range) == instance_id("aggregate", "C")
         finally:
             runtime.stop()
+
+    def test_unhosted_target_loses_no_state(self):
+        # The master hosts sensor + collect, never the aggregate: the
+        # install cannot happen, and the range's state must stay put.
+        runtime = _keyed_runtime()
+        runtime.start()
+        try:
+            disp = runtime.master.runtime.dispatcher("sensor", "aggregate")
+            table = disp.controller.key_table
+            worker_b = runtime.workers["B"]
+            b_range = table.ranges_owned_by(instance_id("aggregate", "B"))[0]
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline \
+                    and len(runtime.sink_unit().results) < 5:
+                time.sleep(0.05)
+            before = table.snapshot()
+            with pytest.raises(DeploymentError):
+                migrate_range(disp, b_range, worker_b,
+                              runtime.master.runtime,
+                              instance_id("aggregate", "C"), "aggregate")
+            assert table.snapshot() == before
+            assert not table.is_paused(b_range)
+            store_b = worker_b.state_store("aggregate")
+            held = [key for key in store_b.keys()
+                    if b_range.contains(hash_key(key))]
+            assert held, "B lost its range's state to a failed install"
+            assert all(store_b.load(key) is not None for key in held)
+        finally:
+            runtime.stop()
+
+    def test_source_that_never_goes_quiet_is_not_snapshotted(self):
+        runtime = _keyed_runtime(reading_count=40)
+        runtime.start()
+        try:
+            disp = runtime.master.runtime.dispatcher("sensor", "aggregate")
+            table = disp.controller.key_table
+            worker_b = runtime.workers["B"]
+            b_range = table.ranges_owned_by(instance_id("aggregate", "B"))[0]
+            worker_b.busy = lambda key_range=None: True
+            before = table.snapshot()
+            with pytest.raises(RuntimeStateError, match="still busy") \
+                    as error:
+                migrate_range(disp, b_range, worker_b, runtime.workers["C"],
+                              instance_id("aggregate", "C"), "aggregate",
+                              quiet=0.05, timeout=0.2)
+            assert repr(b_range) in str(error.value)
+            assert table.snapshot() == before
+            assert not table.is_paused(b_range)
+        finally:
+            runtime.stop()

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro import metrics as metrics_mod
 from repro.core.exceptions import DeploymentError, RuntimeStateError
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       IterableSource, LambdaUnit)
@@ -52,6 +53,22 @@ class TestWorkerLifecycle:
         worker.start()
         worker.stop()
         worker.stop()  # no error
+
+    @pytest.mark.parametrize("stuck", [False, True])
+    def test_leave_at_its_timeout_is_not_a_clean_drain(self, stuck):
+        fabric = InProcFabric()
+        fabric.register("A")  # somewhere for LEAVING to go
+        registry = metrics_mod.MetricsRegistry()
+        worker = WorkerRuntime("B", fabric, build_graph(), registry=registry)
+        worker.start()
+        if stuck:
+            worker.busy = lambda key_range=None: True
+        worker.leave("A", quiet=0.02, timeout=0.1)
+        assert not worker.alive()  # it departs either way
+        assert registry.value(metrics_mod.DRAIN_TIMEOUTS_TOTAL,
+                              device="B") == (1 if stuck else 0)
+        assert registry.histogram(metrics_mod.DRAIN_SECONDS,
+                                  device="B").count == 1
 
     def test_unit_accessor_before_deploy_raises(self):
         worker = WorkerRuntime("B", InProcFabric(), build_graph())

@@ -38,6 +38,27 @@ def test_no_wall_clock_calls_in_src():
         "(time.monotonic / sim.now) instead:\n" + "\n".join(offenders))
 
 
+def test_core_never_sleeps():
+    # core/ is sans-IO: a protocol that needs to wait yields the delay
+    # and its substrate spends it (time.sleep / an engine timeout).
+    offenders = [path.relative_to(SRC).as_posix()
+                 for path in sorted((SRC / "repro" / "core").rglob("*.py"))
+                 if "time.sleep(" in path.read_text(encoding="utf-8")]
+    assert not offenders, "core/ module(s) sleep: %s" % offenders
+
+
+def test_migration_protocol_imports_no_substrate():
+    text = (SRC / "repro" / "core" / "migration.py").read_text(
+        encoding="utf-8")
+    imported = re.findall(r"^\s*(?:from|import)\s+([\w.]+)", text,
+                          flags=re.MULTILINE)
+    assert imported, "the import scan found nothing to check"
+    banned = [name for name in imported
+              if name in ("time", "threading")
+              or name.startswith(("repro.runtime", "repro.simulation"))]
+    assert not banned, "core/migration.py imports %s" % banned
+
+
 def test_src_tree_is_where_we_think_it_is():
     # Guard the guard: if the layout moves, the grep must not silently
     # pass over an empty directory.

@@ -93,9 +93,6 @@ class TestRegistry:
                  metrics_mod.HEARTBEAT_MISS_TOTAL]
         assert len(set(names)) == len(names)
 
-    def test_global_registry_exists(self):
-        assert isinstance(metrics_mod.REGISTRY, MetricsRegistry)
-
 
 class TestHistogram:
     def test_buckets_must_ascend(self):
