@@ -389,6 +389,8 @@ class LrsController:
         """
         count = 1 if members is None else len(members)
         retain = self._replay is not None and context is not None
+        if retain and members is not None:
+            self._register_batch(members)
         with self._lock:
             try:
                 chosen = self._policy.route()
@@ -396,14 +398,8 @@ class LrsController:
                 chosen = None
         tried = set()
         while chosen is not None:
-            sent_at = self._send(chosen, head, context)
+            sent_at = self._send_registered(chosen, head, context, deadline)
             if sent_at is not None:
-                self.record_send(head, chosen, sent_at)
-                if retain:
-                    if members is not None:
-                        self._register_batch(members)
-                    self._replay.retain(head, chosen, context, now=sent_at,
-                                        deadline=deadline)
                 if tried:
                     self._registry.increment(metrics_mod.REROUTED_TOTAL,
                                              downstream=chosen)
@@ -421,11 +417,50 @@ class LrsController:
         if retain:
             # No live member took it: retain it unassigned so the next
             # redelivery sweep can place it once someone comes back.
-            if members is not None:
-                self._register_batch(members)
             self._replay.retain(head, None, context, now=self._clock(),
                                 deadline=deadline)
         return None
+
+    def _send_registered(self, downstream_id: str, seq: int,
+                         context: Optional[object],
+                         deadline: Optional[float],
+                         redelivered: Optional[ReplayEntry] = None
+                         ) -> Optional[float]:
+        """Register *seq* as in flight and retained, THEN run the egress.
+
+        The egress may block and drop the GIL (a socket write), and the
+        ACK can be folded by another thread before it returns.  Registered
+        first, that ACK finds its pending entry and its retention.
+        Registered afterwards it found neither, and what was then
+        retained was an orphan: swept as stale, redelivered past the
+        dedup windows and delivered twice, its pending entry charged as a
+        lost tuple.  A failed send is undone exactly — the pending entry
+        it displaced (an earlier attempt, when *redelivered*) is put
+        back, retention released, nothing counted as sent.
+        """
+        now = self._clock()
+        retain = self._replay is not None and context is not None
+        with self._lock:
+            displaced = self._tracker.begin_send(seq, downstream_id, now)
+        if redelivered is None:
+            if retain:
+                self._replay.retain(seq, downstream_id, context, now=now,
+                                    deadline=deadline)
+            sent_at = self._send(downstream_id, seq, context)
+        else:
+            self._replay.retain(seq, downstream_id, context, now=now,
+                                deadline=deadline,
+                                attempt=redelivered.attempt + 1,
+                                nbytes=redelivered.nbytes)
+            sent_at = self._send_redelivery(downstream_id, redelivered)
+        with self._lock:
+            if sent_at is None:
+                self._tracker.cancel_send(seq, displaced)
+            else:
+                self._tracker.commit_send(downstream_id)
+        if sent_at is None and retain:
+            self._replay.release(seq)
+        return sent_at
 
     def _dispatch_keyed(self, seq: int, key_hash: int,
                         context: Optional[object],
@@ -437,15 +472,15 @@ class LrsController:
                                            self._clock())
             owner = table.owner_of(key_hash)
             alive = owner is not None and self._tracker.is_alive(owner)
+            retain = self._replay is not None and context is not None
+            if retain:
+                # Sent or parked, the retained tuple keeps its key — and
+                # like the retention itself it is on record before the
+                # send, so an early ACK clears it.
+                self._key_of[seq] = key_hash
         if alive:
-            sent_at = self._send(owner, seq, context)
-            if sent_at is not None:
-                self.record_send(seq, owner, sent_at)
-                if self._replay is not None and context is not None:
-                    with self._lock:
-                        self._key_of[seq] = key_hash
-                    self._replay.retain(seq, owner, context, now=sent_at,
-                                        deadline=deadline)
+            if self._send_registered(owner, seq, context,
+                                     deadline) is not None:
                 self.dispatched += 1
                 return owner
             self.mark_dead(owner)
@@ -454,9 +489,7 @@ class LrsController:
         # range is routable again.  Without a replay buffer (best
         # effort) the tuple is simply dropped, like an exhausted
         # stateless dispatch.
-        if self._replay is not None and context is not None:
-            with self._lock:
-                self._key_of[seq] = key_hash
+        if retain:
             self._replay.retain(seq, None, context, now=self._clock(),
                                 deadline=deadline)
         return None
@@ -953,9 +986,7 @@ class LrsController:
             # mid-migration, or the owner is down) re-parks it for the
             # next sweep.
             if owner is not None:
-                sent_at = self._send_redelivery(owner, entry)
-                if sent_at is not None:
-                    self._record_redelivery(entry, owner, sent_at)
+                if self._redeliver_to(owner, entry):
                     return
                 self.mark_dead(owner)
             self._replay.retain(entry.seq, None, entry.context,
@@ -968,9 +999,7 @@ class LrsController:
                 and self.is_alive(entry.downstream):
             chosen = entry.downstream  # sole survivor: retry in place
         while chosen is not None:
-            sent_at = self._send_redelivery(chosen, entry)
-            if sent_at is not None:
-                self._record_redelivery(entry, chosen, sent_at)
+            if self._redeliver_to(chosen, entry):
                 return
             tried.add(chosen)
             self.mark_dead(chosen)
@@ -981,14 +1010,14 @@ class LrsController:
                             now=entry.sent_at, deadline=entry.deadline,
                             attempt=entry.attempt, nbytes=entry.nbytes)
 
-    def _record_redelivery(self, entry: ReplayEntry, chosen: str,
-                           sent_at: float) -> None:
-        """Bookkeeping for one successful redelivery send."""
+    def _redeliver_to(self, chosen: str, entry: ReplayEntry) -> bool:
+        """One redelivery send (registered first, like a first send) and,
+        when it went out, its counter, span and substrate hook."""
+        sent_at = self._send_registered(chosen, entry.seq, entry.context,
+                                        entry.deadline, redelivered=entry)
+        if sent_at is None:
+            return False
         attempt = entry.attempt + 1
-        self.record_send(entry.seq, chosen, sent_at)
-        self._replay.retain(entry.seq, chosen, entry.context,
-                            now=sent_at, deadline=entry.deadline,
-                            attempt=attempt, nbytes=entry.nbytes)
         labels = {"downstream": chosen, "edge": self.name or "-"}
         if self.tenant:
             labels["tenant"] = self.tenant
@@ -1005,6 +1034,7 @@ class LrsController:
         if self.on_redeliver is not None:
             self.on_redeliver(entry.seq, chosen, entry.context,
                               attempt)
+        return True
 
     def _send_redelivery(self, downstream_id: str,
                          entry: ReplayEntry) -> Optional[float]:

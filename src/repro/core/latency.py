@@ -224,12 +224,37 @@ class AckTracker:
 
     # -- data plane ------------------------------------------------------
     def record_send(self, seq: int, downstream_id: str, now: float) -> None:
+        self.begin_send(seq, downstream_id, now)
+        self.commit_send(downstream_id)
+
+    def begin_send(self, seq: int, downstream_id: str,
+                   now: float) -> Optional[_PendingSend]:
+        """Put *seq* in flight before its send runs, uncounted.
+
+        An ACK that overtakes the sender's own bookkeeping then still
+        finds its entry.  Returns the entry this one displaced (the
+        earlier attempt of a redelivery), for :meth:`cancel_send`.
+        """
         if downstream_id not in self._latency:
             self.add_downstream(downstream_id)
+        displaced = self._pending.get(seq)
         self._pending[seq] = _PendingSend(seq, downstream_id, now)
-        self._sent[downstream_id] += 1
+        return displaced
+
+    def commit_send(self, downstream_id: str) -> None:
+        """Count a send that went out."""
+        if downstream_id in self._sent:
+            self._sent[downstream_id] += 1
         self._registry.increment(metrics_mod.SENT_TOTAL,
                                  downstream=downstream_id)
+
+    def cancel_send(self, seq: int,
+                    displaced: Optional[_PendingSend]) -> None:
+        """Undo :meth:`begin_send` for a send that failed."""
+        if displaced is None:
+            self._pending.pop(seq, None)
+        else:
+            self._pending[seq] = displaced
 
     def record_ack(self, seq: int, now: float,
                    processing_delay: Optional[float] = None) -> Optional[float]:

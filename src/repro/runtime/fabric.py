@@ -16,12 +16,13 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
 from repro.core import multitenant
 from repro.core import overload as overload_mod
-from repro.core.exceptions import DiscoveryError, RuntimeStateError
+from repro.core.exceptions import (DiscoveryError, RuntimeStateError,
+                                   SerializationError)
 from repro.runtime.channels import ChannelClosed, TcpChannel, TcpListener
 from repro.runtime import messages as messages_mod
 from repro.runtime.messages import Message
@@ -120,50 +121,78 @@ class Mailbox:
         Only DATA messages participate in shedding/blocking; control
         traffic is always admitted immediately.
         """
-        entry = (sender_id, message)
+        with self._cond:
+            admitted = self._admit(sender_id, message, timeout)
+            if admitted:
+                self._depth_gauge.set(len(self._items))
+                self._cond.notify_all()
+        return admitted
+
+    def put_many(self, sender_id: str, messages: Sequence[Message],
+                 timeout: Optional[float] = None) -> int:
+        """Enqueue a burst from one sender; returns how many were admitted.
+
+        Every message gets the admission decision :meth:`put` would have
+        given it, in order, so the queue, the shed counters and the
+        tenant depths end up exactly as after N ``put`` calls — but under
+        one lock acquisition, with one gauge write and one wake-up.
+        """
+        admitted = 0
+        with self._cond:
+            for message in messages:
+                admitted += self._admit(sender_id, message, timeout)
+            if admitted:
+                self._depth_gauge.set(len(self._items))
+                self._cond.notify_all()
+        return admitted
+
+    def _admit(self, sender_id: str, message: Message,
+               timeout: Optional[float]) -> bool:
+        """Admission decision + append for one message (lock held)."""
         droppable = self._droppable(message)
         tenant = self._message_tenant(message) if droppable else ""
-        with self._cond:
-            if self.capacity is not None and droppable:
-                if self._tenant_budgets is not None:
-                    decision = multitenant.fair_admission(
-                        tenant, self.tenant_depths, self._tenant_budgets,
-                        self.capacity, self._tenant_priorities)
-                    if decision.action == overload_mod.REJECT:
-                        self._shed(self._tuple_count(message), tenant)
-                        return False
-                    if decision.action == overload_mod.EVICT_OLDEST:
-                        self._evict_oldest_droppable(decision.victim)
-                else:
-                    action = overload_mod.admission(
-                        len(self._items), self.capacity,
-                        self.overload.drop_policy)
-                    if action == overload_mod.WAIT:
-                        deadline = (None if timeout is None
-                                    else time.monotonic() + timeout)
-                        while len(self._items) >= self.capacity:
-                            leftover = (None if deadline is None
-                                        else deadline - time.monotonic())
-                            if leftover is not None and leftover <= 0:
-                                self._shed(self._tuple_count(message), tenant)
-                                return False
-                            self._cond.wait(timeout=leftover)
-                    elif action == overload_mod.EVICT_OLDEST:
-                        if not self._evict_oldest_droppable():
-                            # Nothing sheddable queued; admit over capacity
-                            # rather than lose control-plane traffic.
-                            pass
-                    elif action == overload_mod.REJECT:
-                        self._shed(self._tuple_count(message), tenant)
-                        return False
-            self._items.append(entry)
-            if droppable:
-                self.tenant_depths[tenant] = (
-                    self.tenant_depths.get(tenant, 0)
-                    + self._tuple_count(message))
-            self.max_depth = max(self.max_depth, len(self._items))
-            self._depth_gauge.set(len(self._items))
-            self._cond.notify_all()
+        if self.capacity is not None and droppable:
+            if self._tenant_budgets is not None:
+                decision = multitenant.fair_admission(
+                    tenant, self.tenant_depths, self._tenant_budgets,
+                    self.capacity, self._tenant_priorities)
+                if decision.action == overload_mod.REJECT:
+                    self._shed(self._tuple_count(message), tenant)
+                    return False
+                if decision.action == overload_mod.EVICT_OLDEST:
+                    self._evict_oldest_droppable(decision.victim)
+            else:
+                action = overload_mod.admission(
+                    len(self._items), self.capacity,
+                    self.overload.drop_policy)
+                if action == overload_mod.WAIT:
+                    deadline = (None if timeout is None
+                                else time.monotonic() + timeout)
+                    # Earlier members of this burst are queued but not
+                    # yet announced: wake the consumer before waiting
+                    # for it to make room.
+                    self._cond.notify_all()
+                    while len(self._items) >= self.capacity:
+                        leftover = (None if deadline is None
+                                    else deadline - time.monotonic())
+                        if leftover is not None and leftover <= 0:
+                            self._shed(self._tuple_count(message), tenant)
+                            return False
+                        self._cond.wait(timeout=leftover)
+                elif action == overload_mod.EVICT_OLDEST:
+                    # Nothing sheddable queued: admit over capacity
+                    # rather than lose control-plane traffic.
+                    self._evict_oldest_droppable()
+                elif action == overload_mod.REJECT:
+                    self._shed(self._tuple_count(message), tenant)
+                    return False
+        self._items.append((sender_id, message))
+        if droppable:
+            self.tenant_depths[tenant] = (
+                self.tenant_depths.get(tenant, 0)
+                + self._tuple_count(message))
+        if len(self._items) > self.max_depth:
+            self.max_depth = len(self._items)
         return True
 
     def _forget_tenant_depth(self, message: Message) -> None:
@@ -227,6 +256,20 @@ class Fabric:
     def send(self, sender_id: str, target_id: str, message: Message) -> None:
         raise NotImplementedError
 
+    def send_many(self, sender_id: str, target_id: str,
+                  messages: Sequence[Message]) -> None:
+        """Send a burst to one target, in order.
+
+        Each message stays its own frame.  The default is one
+        :meth:`send` per message, so decorating fabrics that only
+        override ``send`` see every message as before; a transport that
+        can write the burst in one go overrides this.  Raises on the
+        first failure — the caller must treat the whole burst as
+        possibly undelivered.
+        """
+        for message in messages:
+            self.send(sender_id, target_id, message)
+
     def close(self) -> None:
         """Release transport resources (no-op for in-process fabrics)."""
 
@@ -261,11 +304,19 @@ class InProcFabric(Fabric):
             self._mailboxes.pop(endpoint_id, None)
 
     def send(self, sender_id: str, target_id: str, message: Message) -> None:
+        self._mailbox_of(target_id).put(sender_id, message)
+
+    def send_many(self, sender_id: str, target_id: str,
+                  messages: Sequence[Message]) -> None:
+        """The burst in one mailbox hand-off: one lock, one wake-up."""
+        self._mailbox_of(target_id).put_many(sender_id, messages)
+
+    def _mailbox_of(self, target_id: str) -> Mailbox:
         with self._lock:
             mailbox = self._mailboxes.get(target_id)
         if mailbox is None:
             raise ChannelClosed("endpoint %r is gone" % target_id)
-        mailbox.put(sender_id, message)
+        return mailbox
 
     def endpoint_ids(self):
         with self._lock:
@@ -285,8 +336,10 @@ class TcpFabric(Fabric):
         self.endpoint_id = endpoint_id
         self._listener = TcpListener(host=host, port=0)
         self.address: Tuple[str, int] = self._listener.address
+        self._registry = (registry if registry is not None
+                          else metrics_mod.MetricsRegistry())
         self._mailbox = Mailbox(endpoint_id, overload=overload,
-                                registry=registry)
+                                registry=self._registry)
         self._directory: Dict[str, Tuple[str, int]] = {}
         self._outgoing: Dict[str, TcpChannel] = {}
         self._lock = threading.Lock()
@@ -312,17 +365,22 @@ class TcpFabric(Fabric):
 
     # -- data path -----------------------------------------------------------
     def send(self, sender_id: str, target_id: str, message: Message) -> None:
+        self.send_many(sender_id, target_id, (message,))
+
+    def send_many(self, sender_id: str, target_id: str,
+                  messages: Sequence[Message]) -> None:
+        """One frame per message, the whole burst in one socket write."""
         if target_id == self.endpoint_id:
             # Local delivery (e.g. the master deploying to itself).
-            self._mailbox.put(sender_id, message)
+            self._mailbox.put_many(sender_id, messages)
             return
-        frame = message.encode()
+        frames = [message.encode() for message in messages]
         # A cached channel may be stale (peer restarted, NAT rebind); one
         # fresh dial distinguishes "stale cache" from "peer is gone".
         for attempt in range(2):
             channel = self._channel_to(target_id)
             try:
-                channel.send(frame)
+                channel.send_many(frames)
                 return
             except ChannelClosed:
                 with self._lock:
@@ -367,20 +425,41 @@ class TcpFabric(Fabric):
             reader.start()
 
     def _read_loop(self, channel: TcpChannel) -> None:
+        peer_id = "?"
         try:
             hello = decode_value(channel.recv(timeout=5.0))
-            peer_id = hello.get("hello") if isinstance(hello, dict) else None
-            if not isinstance(peer_id, str):
+            if not isinstance(hello, dict) \
+                    or not isinstance(hello.get("hello"), str):
                 return
+            peer_id = hello["hello"]
             while self._running:
-                frame = channel.recv(timeout=None)
-                self._mailbox.put(peer_id, Message.decode(frame))
+                # Everything the peer wrote since the last wake-up: one
+                # syscall, one decode pass, one mailbox hand-off.
+                messages: List[Message] = []
+                for frame in channel.recv_many():
+                    try:
+                        messages.append(Message.decode(frame))
+                    except SerializationError:
+                        # Length framing is intact, so the stream is
+                        # still in step: count the frame, keep reading.
+                        self._count_corrupt(peer_id)
+                if messages:
+                    self._mailbox.put_many(peer_id, messages)
+        except SerializationError:
+            # An unreadable hello or an absurd announced length: the
+            # stream cannot be resynchronised, so the connection goes.
+            self._count_corrupt(peer_id)
         except (ChannelClosed, TimeoutError, OSError):
             pass
         finally:
             channel.close()
             with self._lock:
                 self._readers.pop(threading.current_thread(), None)
+
+    def _count_corrupt(self, peer_id: str) -> None:
+        self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                 reason="corrupt_frame",
+                                 link="%s>%s" % (peer_id, self.endpoint_id))
 
     def reader_count(self) -> int:
         """Live inbound reader threads (introspection for leak tests)."""

@@ -48,7 +48,8 @@ class Message:
     @classmethod
     def decode(cls, data: bytes) -> "Message":
         decoded = decode_value(data)
-        if not isinstance(decoded, dict) or "kind" not in decoded:
+        if not isinstance(decoded, dict) \
+                or not isinstance(decoded.get("kind"), str):
             raise SerializationError("malformed message frame")
         return cls(kind=decoded["kind"], payload=decoded.get("payload", {}))
 

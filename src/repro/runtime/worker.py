@@ -47,6 +47,18 @@ from repro.trace import (NULL_TRACER, PROCESS, QUEUE_WAIT, SHED, Span,
 _FENCED_KINDS = frozenset({messages.DEPLOY, messages.START, messages.STOP,
                            messages.WELCOME})
 
+#: A loop thread writes its held frames out once this many are waiting:
+#: bounds the burst one ``sendmsg`` carries and how long the first frame
+#: can sit behind the bookkeeping of the messages that followed it.
+HOLD_MAX_FRAMES = 32
+
+#: A unit whose previous call took longer than this is compute, not
+#: bookkeeping: held frames go out before it is called again.  A held
+#: frame may wait for bookkeeping, never for user compute — the paper's
+#: units take 9-46 ms, so in its regime nothing is ever held across a
+#: unit call and LRS's L_i samples are what they were.
+HOLD_MAX_UNIT_S = 0.001
+
 
 class WorkerRuntime:
     """Hosts and drives function units on one swarm endpoint."""
@@ -152,6 +164,15 @@ class WorkerRuntime:
         self.deployed = threading.Event()
         #: True while a DATA message is being handled (drain visibility)
         self._data_active = False
+        #: results and ACKs the loop thread has emitted but not yet
+        #: written, per target, in emission order.  Touched by the loop
+        #: thread only, so it needs no lock: every other thread's sends
+        #: go straight out (see _emit).
+        self._held: Dict[str, List[messages.Message]] = {}
+        self._held_count = 0
+        self._loop_ident: Optional[int] = None
+        #: duration of each hosted unit's most recent call (hold rule)
+        self._last_call_s: Dict[str, float] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -251,13 +272,30 @@ class WorkerRuntime:
         return self._running.is_set()
 
     def busy(self, key_range: Optional[KeyRange] = None) -> bool:
-        """A frame is queued or in service.  The mailbox holds undecoded
-        frames, so this answers for every key range at once."""
-        return len(self._mailbox) > 0 or self._data_active
+        """A frame is queued, in service, or emitted but still held.  The
+        mailbox holds undecoded frames, so this answers for every key
+        range at once."""
+        return (len(self._mailbox) > 0 or self._data_active
+                or self._held_count > 0)
 
     # -- main loop ---------------------------------------------------------
     def _loop(self) -> None:
+        self._loop_ident = threading.get_ident()
+        try:
+            self._serve_mailbox()
+        finally:
+            self._flush_held()
+            # Thread idents are recycled: a later thread must not be
+            # mistaken for this loop and have its sends held for ever.
+            self._loop_ident = None
+
+    def _serve_mailbox(self) -> None:
         while self._running.is_set():
+            if self._held_count and (self._held_count >= HOLD_MAX_FRAMES
+                                     or not len(self._mailbox)):
+                # Full, or about to block with nothing queued behind
+                # which a held frame could usefully wait.
+                self._flush_held()
             try:
                 sender_id, message = self._mailbox.get(
                     timeout=self.recovery.worker_idle_tick)
@@ -287,7 +325,64 @@ class WorkerRuntime:
                 else:
                     dispatcher.maybe_flush()
             except Exception:
-                pass  # a failed flush send is already health-accounted
+                # The send itself is health-accounted by the dispatcher;
+                # anything else that broke the flush is counted here.
+                self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                         reason="flush_error",
+                                         link="%s>?" % self.worker_id)
+
+    # -- held writes -------------------------------------------------------
+    def _emit(self, target_id: str, message: messages.Message) -> None:
+        """Send one result or ACK frame: held on the loop thread, straight
+        out from any other.
+
+        The loop thread emits a result and an ACK per tuple, each a
+        ``sendall`` that gives the GIL away; holding them per target and
+        writing the burst in one :meth:`Fabric.send_many` is what makes
+        the TCP path one syscall per burst.  Held frames are written
+        when the mailbox is empty (:meth:`_serve_mailbox`), before a
+        unit that is known to be slow is called (:meth:`_serve`), and at
+        ``HOLD_MAX_FRAMES`` — always between unit calls, never from in
+        here, so a burst write is not charged to the unit whose emit
+        happened to fill the buffer.  Source pumps, heartbeats,
+        ``leave()``'s and ``stop()``'s force-flush and master control run
+        on other threads and bypass the buffer, which is why it needs no
+        lock.  A held frame's send cannot fail synchronously; see
+        :meth:`_flush_held`.
+        """
+        if threading.get_ident() != self._loop_ident:
+            self.fabric.send(self.worker_id, target_id, message)
+            return
+        held = self._held.get(target_id)
+        if held is None:
+            held = self._held[target_id] = []
+        held.append(message)
+        self._held_count += 1
+
+    def _flush_held(self) -> None:
+        """Write every held frame, one burst per target.
+
+        A burst that fails is never silent: the peer's health record
+        takes the failure (so the dispatcher's next send to it is gated
+        like after a synchronous failure), and every frame of the burst
+        is counted — ``ack_unsent`` for an echo, ``send_failed`` for a
+        result, which its upstream edge will redeliver or charge as lost.
+        """
+        if not self._held_count:
+            return
+        held, self._held = self._held, {}
+        self._held_count = 0
+        for target_id, burst in held.items():
+            try:
+                self.fabric.send_many(self.worker_id, target_id, burst)
+            except Exception:
+                self.health.record_failure(target_id)
+                link = "%s>%s" % (self.worker_id, target_id)
+                for message in burst:
+                    self._registry.increment(
+                        metrics_mod.DROPPED_TOTAL, link=link,
+                        reason=("ack_unsent" if message.kind == messages.ACK
+                                else "send_failed"))
 
     # -- epoch fencing -----------------------------------------------------
     @property
@@ -476,8 +571,7 @@ class WorkerRuntime:
             key = self.edge_key(unit_name, downstream_unit, tenant)
             dispatcher = UpstreamDispatcher(
                 unit_name,
-                send=lambda target, msg: self.fabric.send(self.worker_id,
-                                                          target, msg),
+                send=self._emit,
                 policy=self.policy_name, seed=self.seed,
                 control_interval=self.control_interval, edge=key,
                 health=self.health, config=self.policy_config,
@@ -512,6 +606,7 @@ class WorkerRuntime:
         if unit is not None:
             unit.on_stop()
         self._key_states.pop(unit_key, None)
+        self._last_call_s.pop(unit_key, None)
         prefix = "%s>" % unit_key
         for key in [key for key in self._dispatchers if key.startswith(prefix)]:
             del self._dispatchers[key]
@@ -546,7 +641,8 @@ class WorkerRuntime:
         payload = message.payload
         unit_name = payload["unit"]
         tenant = payload.get("tenant", "")
-        unit = self._units.get(self.unit_key(unit_name, tenant))
+        unit_key = self.unit_key(unit_name, tenant)
+        unit = self._units.get(unit_key)
         if unit is None:
             return
         single = message.kind == messages.DATA
@@ -575,6 +671,12 @@ class WorkerRuntime:
                 # the duplicate before the unit sees it, but still ACK.
                 self._count_deduped(tenant)
                 continue
+            if self._held_count and (
+                    self._held_count >= HOLD_MAX_FRAMES
+                    or self._last_call_s.get(unit_key, 0.0) > HOLD_MAX_UNIT_S):
+                # Before the clock starts: writing earlier results is
+                # not this tuple's processing time.
+                self._flush_held()
             started = time.monotonic()
             sampled = (data.trace.sampled if data.trace is not None
                        else tracer.sampled(data.seq))
@@ -602,6 +704,7 @@ class WorkerRuntime:
             if self.slowdown > 0.0:
                 time.sleep(self.slowdown * max(elapsed, 1e-6))
                 elapsed = time.monotonic() - started
+            self._last_call_s[unit_key] = elapsed
             if tracer.enabled:
                 tracer.emit(Span(PROCESS, data.seq, started, started + elapsed,
                                  device_id=self.worker_id, hop=hop,
@@ -624,7 +727,7 @@ class WorkerRuntime:
 
     def _send_ack(self, upstream_id: str, ack: messages.Message) -> None:
         try:
-            self.fabric.send(self.worker_id, upstream_id, ack)
+            self._emit(upstream_id, ack)
         except Exception:
             # The upstream is gone: nothing to acknowledge — but an echo
             # that never left is counted here, where it was lost.

@@ -7,6 +7,7 @@ import pytest
 from repro import metrics as metrics_mod
 from repro.core.controller import AckResult, LrsController, PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, EVICT_SHED, DeliveryConfig
+from repro.core.keyed import KeyRangeTable
 from repro.core.policies import POLICY_NAMES
 from repro.trace import ACK_RTT, RETRY, Tracer
 
@@ -297,6 +298,131 @@ class TestOnePlacementOneFold:
         assert registry.values_by_label(
             metrics_mod.REPLAY_EVICTED_TOTAL, "reason") == (
                 {EVICT_SHED: 1} if evicts else {})
+
+
+class _AckingEgress:
+    """Egress whose ``send`` is overtaken by the ACK: the echo is folded
+    (as another thread would, once a socket write drops the GIL) before
+    ``send`` returns to the controller's bookkeeping."""
+
+    def __init__(self, clock, members=None):
+        self.clock = clock
+        self.members = members
+        self.controller = None
+        self.acking = True
+        self.sent = []
+
+    def send(self, downstream_id, seq, context):
+        self.sent.append((downstream_id, seq))
+        if self.acking:
+            if self.members and len(self.members) > 1:
+                self.controller.on_ack_batch(self.members)
+            else:
+                self.controller.on_ack(seq)
+        return self.clock()
+
+
+class TestAckOvertakesSend:
+    """Pending entry, retention and batch membership are registered
+    BEFORE the egress runs, so an ACK folded inside ``send`` finds them;
+    a failed send takes them back out, exactly."""
+
+    def _controller(self, clock, egress, registry):
+        controller = _at_least_once_controller(clock, egress, registry)
+        egress.controller = controller
+        return controller
+
+    def _assert_settled(self, controller, registry, egress, clock, acked,
+                        redelivered=0):
+        assert controller.replay_depth() == 0
+        assert controller.tracker.pending_count() == 0
+        assert controller.ack_count == acked
+        samples = sum(h.count for h in registry.histograms()
+                      if h.name == metrics_mod.ACK_RTT_SECONDS)
+        assert samples == 1
+        sends = len(egress.sent)
+        # Past the redelivery timeout (0.5 s) and the ACK timeout (10 s):
+        # nothing is left to redeliver or to charge as lost.
+        for clock.now in (1.0, 11.0):
+            controller.update(clock.now)
+        assert len(egress.sent) == sends
+        assert sum(registry.values_by_label(
+            metrics_mod.REDELIVERED_TOTAL, "downstream").values()) \
+            == redelivered
+        assert controller.tracker.lost_count() == 0
+
+    @either_size
+    def test_ack_folded_inside_send_leaves_no_orphan(self, seqs):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _AckingEgress(clock, members=seqs)
+        controller = self._controller(clock, egress, registry)
+        assert _dispatch(controller, seqs, context=b"frame") is not None
+        assert not any(controller.replay_holds(seq) for seq in seqs)
+        self._assert_settled(controller, registry, egress, clock, len(seqs))
+
+    def test_ack_folded_inside_a_redelivery_send(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _AckingEgress(clock)
+        egress.acking = False
+        controller = self._controller(clock, egress, registry)
+        first = controller.dispatch(5, context=b"frame")
+        egress.acking = True
+        clock.now = 1.0
+        controller.update(clock.now)  # overdue: redelivered, ACKed inline
+        (second,) = {target for target, _seq in egress.sent} - {first}
+        assert registry.value(metrics_mod.REDELIVERED_TOTAL,
+                              downstream=second, edge="s>d") == 1
+        self._assert_settled(controller, registry, egress, clock, 1,
+                             redelivered=1)
+
+    def test_keyed_ack_folded_inside_send(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _AckingEgress(clock)
+        controller = self._controller(clock, egress, registry)
+        controller.set_key_table(KeyRangeTable.bootstrap(["a", "b"]))
+        assert controller.dispatch(5, context=b"frame", key_hash=0) == "a"
+        assert controller._key_of == {}
+        self._assert_settled(controller, registry, egress, clock, 1)
+
+    @either_size
+    def test_failed_sends_leave_no_residue(self, seqs):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _FailingEgress(clock, failing={"a", "b"})
+        controller = _at_least_once_controller(clock, egress, registry)
+        assert _dispatch(controller, seqs, context=b"frame") is None
+        # Same books as when nothing was registered up front: no pending
+        # entry, nothing counted as sent, one unassigned retention and no
+        # eviction on the way there.
+        assert controller.tracker.pending_count() == 0
+        assert registry.values_by_label(metrics_mod.SENT_TOTAL,
+                                        "downstream") == {}
+        assert all(stats.sent_count == 0
+                   for stats in controller.stats().values())
+        assert controller.replay_depth() == 1
+        assert registry.values_by_label(metrics_mod.REPLAY_EVICTED_TOTAL,
+                                        "reason") == {}
+        clock.now = 11.0
+        controller.update(clock.now)
+        assert controller.tracker.lost_count() == 0
+
+    def test_failed_redelivery_restores_the_earlier_attempt(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _FailingEgress(clock, failing=())
+        controller = _at_least_once_controller(clock, egress, registry)
+        first = controller.dispatch(5, context=b"frame")
+        egress.failing = {"a", "b"}
+        clock.now = 1.0
+        controller.update(clock.now)  # overdue, but nobody takes it
+        assert controller.tracker.pending_downstream(5) == first
+        assert controller.replay_depth() == 1
+        assert registry.value(metrics_mod.SENT_TOTAL, downstream=first) == 1
+        assert registry.values_by_label(metrics_mod.REDELIVERED_TOTAL,
+                                        "downstream") == {}
 
 
 class TestUpdateCadence:

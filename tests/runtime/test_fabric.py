@@ -106,6 +106,21 @@ class TestBoundedMailbox:
                                     queue="mailbox:W") == 2
         assert mailbox.max_depth == 3
 
+    def test_put_many_under_block_policy_wakes_the_consumer(self):
+        # The burst is larger than the queue: the producer must announce
+        # what it has queued before it waits for room, or nobody drains.
+        mailbox, _registry = bounded_mailbox(capacity=2, policy=BLOCK)
+        outcome = {}
+        thread = threading.Thread(target=lambda: outcome.update(
+            admitted=mailbox.put_many("A", [data(seq) for seq in range(6)],
+                                      timeout=2.0)))
+        thread.start()
+        seqs = [mailbox.get(timeout=2.0)[1].payload["seq"] for _ in range(6)]
+        thread.join(timeout=2.0)
+        assert seqs == list(range(6))
+        assert outcome["admitted"] == 6
+        assert mailbox.shed_count == 0
+
     def test_fabric_passes_overload_to_mailboxes(self):
         registry = metrics_mod.MetricsRegistry()
         overload = OverloadConfig(queue_capacity=2, drop_policy=DROP_NEWEST)
@@ -116,6 +131,72 @@ class TestBoundedMailbox:
             fabric.send("A", "B", data(seq))
         assert registry.value(metrics_mod.SHED_TOTAL, reason="queue_full",
                               queue="mailbox:B") == 3
+
+
+def _burst():
+    """Data from two tenants with control traffic in between."""
+    burst = []
+    for seq in range(8):
+        burst.append(messages.data_message(
+            "u", b"x", seq, 0.0, tenant="t0" if seq % 4 else "t1"))
+        if seq in (2, 5):
+            burst.append(messages.start_message())
+    burst.append(messages.batch_message("u", b"frame", [20, 21, 22], 0.0,
+                                        tenant="t1"))
+    return burst
+
+
+def _mailbox_for(mode):
+    registry = metrics_mod.MetricsRegistry()
+    if mode == "unbounded":
+        return Mailbox("W", registry=registry), registry
+    policy = DROP_OLDEST if mode == "fair_share" else mode
+    mailbox = Mailbox("W", registry=registry, overload=OverloadConfig(
+        queue_capacity=4, drop_policy=policy))
+    if mode == "fair_share":
+        mailbox.set_tenant_budgets({"t0": 3, "t1": 1})
+    return mailbox, registry
+
+
+def _mailbox_state(mailbox, registry):
+    queued = [(sender, message.kind,
+               message.payload.get("seq", message.payload.get("seqs")))
+              for sender, message in mailbox._items]
+    return {
+        "queue": queued,
+        "shed_count": mailbox.shed_count,
+        "tenant_depths": dict(mailbox.tenant_depths),
+        "max_depth": mailbox.max_depth,
+        "gauge": registry.gauge_value(metrics_mod.QUEUE_DEPTH,
+                                      queue="mailbox:W"),
+        "shed_by_tenant": registry.values_by_label(metrics_mod.SHED_TOTAL,
+                                                   "tenant"),
+    }
+
+
+class TestPutMany:
+    @pytest.mark.parametrize(
+        "mode", ["unbounded", DROP_OLDEST, DROP_NEWEST, BLOCK, "fair_share"])
+    def test_put_many_equals_n_puts(self, mode):
+        one_by_one, registry_a = _mailbox_for(mode)
+        admitted = sum(one_by_one.put("A", message, timeout=0.01)
+                       for message in _burst())
+        at_once, registry_b = _mailbox_for(mode)
+        assert at_once.put_many("A", _burst(), timeout=0.01) == admitted
+        assert _mailbox_state(at_once, registry_b) \
+            == _mailbox_state(one_by_one, registry_a)
+        # Control messages are never shed, whatever the policy.
+        kinds = [message.kind for _sender, message in at_once._items]
+        assert kinds.count(messages.START) == 2
+        if mode != "unbounded":
+            assert at_once.shed_count > 0
+
+    def test_one_wake_up_delivers_the_whole_burst(self):
+        mailbox = Mailbox("W", registry=metrics_mod.MetricsRegistry())
+        assert mailbox.put_many("A", []) == 0
+        assert mailbox.put_many("A", [data(seq) for seq in range(3)]) == 3
+        assert [mailbox.get(timeout=0.1)[1].payload["seq"]
+                for _ in range(3)] == [0, 1, 2]
 
 
 class TestInProcFabric:
@@ -289,3 +370,68 @@ class TestTcpFabric:
         finally:
             alpha.close()
             beta.close()
+
+    def test_send_many_arrives_as_separate_messages_in_order(self):
+        alpha = TcpFabric("alpha")
+        beta = TcpFabric("beta")
+        try:
+            alpha.learn("beta", beta.address)
+            mailbox = beta.register("beta")
+            burst = [messages.data_message("u", b"x" * 7000, seq, 0.0)
+                     for seq in range(40)]
+            burst.append(messages.ack_message(7, 0.0, 0.001))
+            alpha.send_many("alpha", "beta", burst)
+            received = [mailbox.get(timeout=3.0) for _ in burst]
+            assert [sender for sender, _message in received] \
+                == ["alpha"] * len(burst)
+            assert [message for _sender, message in received] == burst
+            # A burst to oneself is delivered locally, like a send.
+            own = alpha.register("alpha")
+            alpha.send_many("alpha", "alpha", burst[:2])
+            assert [own.get(timeout=1.0)[1] for _ in range(2)] == burst[:2]
+        finally:
+            alpha.close()
+            beta.close()
+
+    def test_corrupt_frame_is_counted_and_skipped(self):
+        # Regression: a frame that failed Message.decode used to kill the
+        # reader thread (and the connection) without a counter.
+        from repro.runtime.channels import TcpChannel
+        from repro.runtime.serialization import encode_value
+        registry = metrics_mod.MetricsRegistry()
+        fabric = TcpFabric("hub", registry=registry)
+        mailbox = fabric.register("hub")
+        channel = TcpChannel.connect(*fabric.address)
+        try:
+            channel.send(encode_value({"hello": "peer"}))
+            channel.send_many([messages.start_message().encode(),
+                               b"\xffnot a message",
+                               encode_value({"kind": ["not", "a", "str"]}),
+                               messages.stop_message().encode()])
+            kinds = [mailbox.get(timeout=3.0)[1].kind for _ in range(2)]
+            assert kinds == [messages.START, messages.STOP]
+            assert registry.value(metrics_mod.DROPPED_TOTAL,
+                                  reason="corrupt_frame",
+                                  link="peer>hub") == 2
+            # The reader survived: the connection still carries traffic.
+            channel.send(messages.start_message().encode())
+            assert mailbox.get(timeout=3.0) == \
+                ("peer", messages.start_message())
+            assert fabric.reader_count() == 1
+        finally:
+            channel.close()
+            fabric.close()
+
+    def test_close_does_not_wait_out_the_accept_poll(self):
+        alpha = TcpFabric("alpha")
+        beta = TcpFabric("beta")
+        alpha.learn("beta", beta.address)
+        mailbox = beta.register("beta")
+        alpha.send("alpha", "beta", messages.start_message())
+        mailbox.get(timeout=3.0)
+        for fabric in (alpha, beta):
+            started = time.monotonic()
+            fabric.close()
+            assert time.monotonic() - started < 0.1
+            assert not fabric._accept_thread.is_alive()
+            assert fabric.reader_count() == 0

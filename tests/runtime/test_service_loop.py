@@ -165,3 +165,15 @@ class TestLoudFailures:
         assert ack["seq"] == 1
         assert served.dropped("ack_unsent", "B>ghost") == 1
         assert served.worker.processed_count == 2
+
+    def test_a_flush_that_raises_is_counted(self, served):
+        class _BrokenDispatcher:
+            def maybe_flush(self):
+                raise RuntimeError("flush broke outside the send")
+
+        served.worker._dispatchers["broken>edge"] = _BrokenDispatcher()
+        frame = encode_tuple(DataTuple(values={"x": 1}, seq=0))
+        served.send(messages.data_message("snk", frame, 0, 1.0))
+        served.acks(1)  # the loop kept serving
+        del served.worker._dispatchers["broken>edge"]
+        assert served.dropped("flush_error", "B>?") >= 1
