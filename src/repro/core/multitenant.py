@@ -15,10 +15,9 @@ cross-tenant decision function both substrates share:
 * **PipelineDeployment** — the record a deployment session is built
   from: the spec plus the pipeline it runs.
 * :func:`fair_admission` — the cross-tenant extension of
-  ``repro.core.overload.admission``.  It is a pure function of queue
-  state so shedding decisions stay replayable and identical across the
-  threaded runtime and the discrete-event simulator, exactly like the
-  single-tenant admission function it generalises.
+  ``repro.core.overload.admission``: a pure function of queue state,
+  taken per arrival by :class:`repro.core.admission.AdmissionQueue`
+  once tenant budgets are installed.
 
 Fair-share semantics
 --------------------
@@ -148,8 +147,8 @@ def fair_admission(tenant_id: TenantId,
 
     *depths* maps each tenant to the number of its tuples currently in
     the queue; *budgets* comes from :func:`tenant_budgets`.  Pure
-    function — both substrates consult it so a replayed trace sheds
-    identically on either side.
+    function; its one caller is
+    :meth:`repro.core.admission.AdmissionQueue.offer`.
     """
     if capacity is None:
         return FairDecision(overload_mod.ADMIT)

@@ -11,11 +11,9 @@ the system degrades *gracefully* instead:
   ingress, sink) drops an expired tuple instead of spending transmission
   or compute on work nobody can use.
 * **Bounded queues** — every queue (the runtime's mailboxes, the
-  simulator's source egress and device ingress queues) takes a capacity
-  and a drop policy.  :func:`admission` is the one decision function
-  both substrates consult, so a replayed trace sheds identically on
-  either side (mirrored by the parity harness in
-  ``tests/integration/test_overload.py``).
+  simulator's source egress and device ingress queues) is one
+  :class:`repro.core.admission.AdmissionQueue` with a capacity and a
+  drop policy; :func:`admission` is the decision it takes per arrival.
 * **Source admission control** — :func:`source_admission` turns the
   local backpressure signal (queue depth, all-downstreams-dead) into a
   shed-at-source decision, so doomed work is refused before it is
@@ -115,15 +113,14 @@ def expired(deadline: Optional[float], now: float) -> bool:
 
 
 def admission(depth: int, capacity: Optional[int], drop_policy: str) -> str:
-    """The one bounded-queue decision both substrates consult.
+    """The single-tenant bounded-queue decision (pure; its one caller
+    is :meth:`repro.core.admission.AdmissionQueue.offer`).
 
     Given the queue's current *depth* and its configured *capacity*,
     returns what to do with one arriving element: :data:`ADMIT`,
-    :data:`EVICT_OLDEST` (admit after shedding the head),
+    :data:`EVICT_OLDEST` (admit after shedding the oldest),
     :data:`REJECT` (shed the newcomer) or :data:`WAIT` (block the
-    producer).  Keeping this a pure function is what makes shedding
-    decisions replayable and identical across the runtime and the
-    simulator.
+    producer).
     """
     if capacity is None or depth < capacity:
         return ADMIT

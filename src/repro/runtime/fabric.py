@@ -15,12 +15,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
-from repro.core import multitenant
 from repro.core import overload as overload_mod
+from repro.core.admission import AdmissionQueue
 from repro.core.exceptions import (DiscoveryError, RuntimeStateError,
                                    SerializationError)
 from repro.runtime.channels import ChannelClosed, TcpChannel, TcpListener
@@ -30,16 +29,22 @@ from repro.runtime.serialization import decode_value, encode_value
 
 
 class Mailbox:
-    """Inbound message queue of one endpoint.
+    """Inbound message queue of one endpoint: a condition variable,
+    message classification and shed counters over one
+    :class:`~repro.core.admission.AdmissionQueue`.
 
     With an :class:`~repro.core.overload.OverloadConfig` the queue is
-    bounded: a full mailbox sheds DATA messages per the configured drop
-    policy (``drop_oldest`` / ``drop_newest``) or blocks the producer
-    (``block``) — the runtime's backpressure point.  Control messages
-    (DEPLOY, ACK, heartbeats...) are never shed: losing them would wedge
-    the control plane, and their volume is bounded by design.  Sheds are
-    counted as ``swing_tuples_shed_total{reason=queue_full}`` and the
-    current depth is exported as the ``swing_queue_depth`` gauge.
+    bounded in *tuples* (a DATA message weighs 1, a BATCH its ``seqs``):
+    a full mailbox sheds per the drop policy (``drop_oldest`` /
+    ``drop_newest``), blocks the producer (``block``) — the runtime's
+    backpressure point — or, with tenant budgets installed, runs
+    cross-tenant fair share.  Control messages (DEPLOY, ACK,
+    heartbeats...) take no capacity and are never shed: losing them
+    would wedge the control plane, and their volume is bounded by design.
+    Sheds count in tuples (``shed_count``,
+    ``swing_tuples_shed_total{reason=queue_full}``); ``len(mailbox)``,
+    ``max_depth`` and the ``swing_queue_depth`` gauge count *messages*
+    of every kind — what a loop has left to serve.
     """
 
     def __init__(self, owner_id: str,
@@ -48,93 +53,59 @@ class Mailbox:
         self.owner_id = owner_id
         self.overload = (overload if overload is not None
                          else overload_mod.OverloadConfig())
-        # Internal component: an uninjected registry means a private
-        # one, never the process-wide default (cross-instance pollution).
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
-        self._items: Deque[Tuple[str, Message]] = deque()
+        self._queue = AdmissionQueue(self.overload.queue_capacity,
+                                     self.overload.drop_policy)
         self._cond = threading.Condition()
+        #: tuples shed here over the mailbox's lifetime
         self.shed_count = 0
+        #: high-water mark of ``len(mailbox)``, in messages
         self.max_depth = 0
+        self._queue_label = "mailbox:%s" % owner_id
         self._depth_gauge = self._registry.gauge(metrics_mod.QUEUE_DEPTH,
-                                                 queue="mailbox:%s" % owner_id)
-        # -- multi-tenant accounting / fair-share admission --------------
-        #: queued data-plane tuples per tenant ("" = default tenant)
-        self.tenant_depths: Dict[str, int] = {}
-        self._tenant_budgets: Optional[Dict[str, int]] = None
-        self._tenant_priorities: Dict[str, int] = {}
+                                                 queue=self._queue_label)
+        #: queued data-plane tuples per tenant ("" = default tenant);
+        #: the queue's own dict, updated in place
+        self.tenant_depths: Dict[str, int] = self._queue.tenant_depths
 
     @property
     def capacity(self) -> Optional[int]:
-        return self.overload.queue_capacity
+        return self._queue.capacity
 
-    #: message kinds carrying data-plane tuples: the only sheddable ones
-    _DATA_KINDS = frozenset({messages_mod.DATA, messages_mod.BATCH})
-
-    @classmethod
-    def _droppable(cls, message: Message) -> bool:
-        return getattr(message, "kind", None) in cls._DATA_KINDS
-
-    @staticmethod
-    def _tuple_count(message: Message) -> int:
-        """Tuples carried by one data-plane message (batches hold many)."""
-        if getattr(message, "kind", None) == messages_mod.BATCH:
-            return max(1, len(message.payload.get("seqs", ())))
-        return 1
-
-    @staticmethod
-    def _message_tenant(message: Message) -> str:
-        payload = getattr(message, "payload", None)
-        if isinstance(payload, dict):
-            return payload.get("tenant", "")
-        return ""
+    @property
+    def tenant_budgets(self) -> Optional[Dict[str, int]]:
+        """The installed fair-share budgets (``None`` = single tenant)."""
+        return self._queue.budgets
 
     def set_tenant_budgets(self, budgets: Dict[str, int],
                            priorities: Optional[Dict[str, int]] = None
                            ) -> None:
-        """Switch this mailbox to cross-tenant fair-share admission.
-
-        With budgets installed (and a bounded capacity), data-plane
-        arrivals go through :func:`repro.core.multitenant.fair_admission`
-        instead of the single-tenant drop policy: an over-budget tenant
-        sheds its own newest tuples, an under-budget arrival evicts from
-        the most-over-budget tenant.  Never engaged at N=1, so the
-        single-tenant behavior stays byte-identical.
-        """
+        """Switch this mailbox to cross-tenant fair-share admission
+        (:meth:`AdmissionQueue.set_tenant_budgets`).  Never engaged at
+        N=1, so the single-tenant behavior stays byte-identical."""
         with self._cond:
-            self._tenant_budgets = dict(budgets) if budgets else None
-            self._tenant_priorities = dict(priorities or {})
+            self._queue.set_tenant_budgets(budgets, priorities)
 
-    def _shed(self, count: int = 1, tenant: str = "") -> None:
-        self.shed_count += count
-        labels = {"reason": overload_mod.REASON_QUEUE_FULL,
-                  "queue": "mailbox:%s" % self.owner_id}
-        if tenant:
-            labels["tenant"] = tenant
-        self._registry.increment(metrics_mod.SHED_TOTAL, amount=count,
-                                 **labels)
+    def items(self) -> Tuple[Tuple[str, Message], ...]:
+        """The queued ``(sender, message)`` pairs, oldest first."""
+        with self._cond:
+            return self._queue.items()
 
     def put(self, sender_id: str, message: Message,
             timeout: Optional[float] = None) -> bool:
         """Enqueue one message; returns False when it was shed.
 
-        Only DATA messages participate in shedding/blocking; control
-        traffic is always admitted immediately.
+        Only DATA/BATCH messages participate in shedding/blocking;
+        control traffic is always admitted immediately.
         """
-        with self._cond:
-            admitted = self._admit(sender_id, message, timeout)
-            if admitted:
-                self._depth_gauge.set(len(self._items))
-                self._cond.notify_all()
-        return admitted
+        return self.put_many(sender_id, (message,), timeout) == 1
 
     def put_many(self, sender_id: str, messages: Sequence[Message],
                  timeout: Optional[float] = None) -> int:
         """Enqueue a burst from one sender; returns how many were admitted.
 
-        Every message gets the admission decision :meth:`put` would have
-        given it, in order, so the queue, the shed counters and the
-        tenant depths end up exactly as after N ``put`` calls — but under
+        Every message gets its own admission decision, in order, under
         one lock acquisition, with one gauge write and one wake-up.
         """
         admitted = 0
@@ -142,104 +113,75 @@ class Mailbox:
             for message in messages:
                 admitted += self._admit(sender_id, message, timeout)
             if admitted:
-                self._depth_gauge.set(len(self._items))
+                self._depth_gauge.set(len(self._queue))
                 self._cond.notify_all()
         return admitted
 
     def _admit(self, sender_id: str, message: Message,
                timeout: Optional[float]) -> bool:
-        """Admission decision + append for one message (lock held)."""
-        droppable = self._droppable(message)
-        tenant = self._message_tenant(message) if droppable else ""
-        if self.capacity is not None and droppable:
-            if self._tenant_budgets is not None:
-                decision = multitenant.fair_admission(
-                    tenant, self.tenant_depths, self._tenant_budgets,
-                    self.capacity, self._tenant_priorities)
-                if decision.action == overload_mod.REJECT:
-                    self._shed(self._tuple_count(message), tenant)
-                    return False
-                if decision.action == overload_mod.EVICT_OLDEST:
-                    self._evict_oldest_droppable(decision.victim)
-            else:
-                action = overload_mod.admission(
-                    len(self._items), self.capacity,
-                    self.overload.drop_policy)
-                if action == overload_mod.WAIT:
-                    deadline = (None if timeout is None
-                                else time.monotonic() + timeout)
-                    # Earlier members of this burst are queued but not
-                    # yet announced: wake the consumer before waiting
-                    # for it to make room.
-                    self._cond.notify_all()
-                    while len(self._items) >= self.capacity:
-                        leftover = (None if deadline is None
-                                    else deadline - time.monotonic())
-                        if leftover is not None and leftover <= 0:
-                            self._shed(self._tuple_count(message), tenant)
-                            return False
-                        self._cond.wait(timeout=leftover)
-                elif action == overload_mod.EVICT_OLDEST:
-                    # Nothing sheddable queued: admit over capacity
-                    # rather than lose control-plane traffic.
-                    self._evict_oldest_droppable()
-                elif action == overload_mod.REJECT:
-                    self._shed(self._tuple_count(message), tenant)
-                    return False
-        self._items.append((sender_id, message))
-        if droppable:
-            self.tenant_depths[tenant] = (
-                self.tenant_depths.get(tenant, 0)
-                + self._tuple_count(message))
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-        return True
-
-    def _forget_tenant_depth(self, message: Message) -> None:
-        tenant = self._message_tenant(message)
-        depth = self.tenant_depths.get(tenant, 0) - self._tuple_count(message)
-        if depth > 0:
-            self.tenant_depths[tenant] = depth
+        """Classify one message and offer it to the queue (lock held)."""
+        kind = message.kind
+        if kind == messages_mod.DATA:
+            tenant, tuples = message.payload.get("tenant", ""), 1
+        elif kind == messages_mod.BATCH:
+            payload = message.payload
+            tenant = payload.get("tenant", "")
+            tuples = max(1, len(payload.get("seqs", ())))
         else:
-            self.tenant_depths.pop(tenant, None)
-
-    def _evict_oldest_droppable(self, tenant: Optional[str] = None) -> bool:
-        """Drop the oldest DATA/BATCH entry in place; False when none queued.
-
-        With *tenant* given, only that tenant's entries are candidates
-        (fair-share eviction never touches another tenant's tuples).
-        """
-        for index, (_sender, queued) in enumerate(self._items):
-            if not self._droppable(queued):
-                continue
-            if tenant is not None and self._message_tenant(queued) != tenant:
-                continue
-            del self._items[index]
-            self._forget_tenant_depth(queued)
-            self._shed(self._tuple_count(queued),
-                       self._message_tenant(queued))
-            return True
-        return False
+            tenant, tuples = "", 0
+        entry = (sender_id, message)
+        action, shed = self._queue.offer(entry, tenant, tuples)
+        if action == overload_mod.WAIT:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            # Earlier members of this burst are queued but not yet
+            # announced: wake the consumer before waiting for it to
+            # make room.
+            self._cond.notify_all()
+            while action == overload_mod.WAIT:
+                leftover = (None if deadline is None
+                            else deadline - time.monotonic())
+                if leftover is not None and leftover <= 0:
+                    action, shed = overload_mod.REJECT, ((entry, tenant,
+                                                          tuples),)
+                    break
+                self._cond.wait(timeout=leftover)
+                action, shed = self._queue.offer(entry, tenant, tuples)
+        for _entry, shed_tenant, shed_tuples in shed:
+            self.shed_count += shed_tuples
+            labels = {"reason": overload_mod.REASON_QUEUE_FULL,
+                      "queue": self._queue_label}
+            if shed_tenant:
+                labels["tenant"] = shed_tenant
+            self._registry.increment(metrics_mod.SHED_TOTAL,
+                                     amount=shed_tuples, **labels)
+        if action != overload_mod.ADMIT:
+            return False
+        depth = len(self._queue)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        return True
 
     def get(self, timeout: Optional[float] = None) -> Tuple[str, Message]:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._items:
+            while not len(self._queue):
                 leftover = (None if deadline is None
                             else deadline - time.monotonic())
                 if leftover is not None and leftover <= 0:
                     raise TimeoutError("mailbox %r empty" % self.owner_id)
                 self._cond.wait(timeout=leftover)
-            entry = self._items.popleft()
-            if self._droppable(entry[1]):
-                self._forget_tenant_depth(entry[1])
-            self._depth_gauge.set(len(self._items))
+            entry = self._queue.pop()
+            self._depth_gauge.set(len(self._queue))
             self._cond.notify_all()
         return entry
 
     def __len__(self) -> int:
         with self._cond:
-            return len(self._items)
+            return len(self._queue)
+
+
+#: what :meth:`Fabric.send` raises for a peer that is gone or unreachable
+SEND_ERRORS = (ChannelClosed, DiscoveryError, OSError)
 
 
 class Fabric:

@@ -35,14 +35,14 @@ from repro.core import delivery as delivery_mod
 from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
 from repro.core.controller import PolicyConfig
-from repro.core.exceptions import DeploymentError
+from repro.core.exceptions import DeploymentError, SerializationError
 from repro.core.graph import AppGraph
 from repro.core.recovery import (CheckpointManager, CheckpointStore,
                                  ControlPlaneCheckpoint, RecoveryConfig,
                                  SessionState, retention_entries)
 from repro.runtime import messages
 from repro.runtime.dispatcher import instance_id
-from repro.runtime.fabric import Fabric
+from repro.runtime.fabric import SEND_ERRORS, Fabric
 from repro.runtime.health import HealthMonitor
 from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, RECOVERY, Span, TraceSink
@@ -188,13 +188,24 @@ class SwarmPool:
                 # re-admitted yet: announce the new epoch so the worker
                 # re-registers with its inventory.  Absent at epoch 0,
                 # so the steady-state heartbeat path sends no replies.
-                try:
-                    self.fabric.send(
-                        self.master_id, worker_id,
-                        messages.welcome_message(worker_id,
-                                                 epoch=self.epoch))
-                except Exception:
-                    pass
+                self.send_control(worker_id, messages.welcome_message(
+                    worker_id, epoch=self.epoch))
+
+    def send_control(self, worker_id: str,
+                     message: messages.Message) -> bool:
+        """Send a control frame the caller can afford to lose — the peer
+        may have vanished (churn is the normal case) and a later
+        membership change, heartbeat or teardown covers for it.  Returns
+        whether the frame left; one that did not is counted as
+        ``swing_frames_dropped_total{reason="control_unsent"}``."""
+        try:
+            self.fabric.send(self.master_id, worker_id, message)
+        except SEND_ERRORS:
+            self.registry.increment(
+                metrics_mod.DROPPED_TOTAL, reason="control_unsent",
+                link="%s>%s" % (self.master_id, worker_id))
+            return False
+        return True
 
     def _detect_failures(self) -> None:
         """Evict workers whose heartbeats stopped (broken link / crash)."""
@@ -258,8 +269,10 @@ class SwarmPool:
         if self.on_mutation is not None:
             try:
                 self.on_mutation()
-            except Exception:
-                pass  # a failed checkpoint write must not break control
+            except (OSError, SerializationError):
+                # A failed checkpoint write must not break control; it
+                # shows as a growing swing_checkpoint_age_seconds.
+                pass
 
     def admit(self, worker_ids: Sequence[str]) -> None:
         """Add workers to the pool without the JOIN protocol (an
@@ -346,6 +359,10 @@ class DeploymentSession:
                 self._send_deploy(worker_id)
 
     def _send_deploy(self, worker_id: str) -> None:
+        self.pool.fabric.send(self.pool.master_id, worker_id,
+                              self._deploy_message(worker_id))
+
+    def _deploy_message(self, worker_id: str) -> messages.Message:
         assert self.placement is not None
         unit_names = self.placement.units_on(worker_id)
         downstream_map = {}
@@ -355,11 +372,9 @@ class DeploymentSession:
                                               self.tenant_id)
                 downstream_map[edge] = self.placement.instances_of(
                     downstream_unit)
-        self.pool.fabric.send(
-            self.pool.master_id, worker_id,
-            messages.deploy_message(worker_id, unit_names, downstream_map,
-                                    tenant=self.tenant_id,
-                                    epoch=self.pool.epoch))
+        return messages.deploy_message(worker_id, unit_names, downstream_map,
+                                       tenant=self.tenant_id,
+                                       epoch=self.pool.epoch)
 
     def _refresh_upstreams(self) -> None:
         """Re-send DEPLOY everywhere so routing tables reflect membership.
@@ -368,12 +383,9 @@ class DeploymentSession:
         is the normal case); its refresh is skipped, not fatal — the
         next membership change re-sends anyway.
         """
-        assert self.placement is not None
         for worker_id in self.pool.members():
-            try:
-                self._send_deploy(worker_id)
-            except Exception:
-                continue
+            self.pool.send_control(worker_id,
+                                   self._deploy_message(worker_id))
 
     # -- execution ---------------------------------------------------------
     def start(self) -> None:
@@ -400,13 +412,8 @@ class DeploymentSession:
             if self.tenant_id == "":
                 return
             for worker_id in self.pool.members():
-                try:
-                    self.pool.fabric.send(
-                        self.pool.master_id, worker_id,
-                        messages.stop_message(tenant=self.tenant_id,
-                                              epoch=self.pool.epoch))
-                except Exception:
-                    continue
+                self.pool.send_control(worker_id, messages.stop_message(
+                    tenant=self.tenant_id, epoch=self.pool.epoch))
 
 
 class Master:
@@ -561,12 +568,8 @@ class Master:
             for session in self._tenant_sessions.values():
                 session.started = False
             for worker_id in self.pool.worker_ids:
-                try:
-                    self.fabric.send(self.master_id, worker_id,
-                                     messages.stop_message(
-                                         epoch=self.pool.epoch))
-                except Exception:
-                    continue
+                self.pool.send_control(worker_id, messages.stop_message(
+                    epoch=self.pool.epoch))
 
     # -- crash recovery ----------------------------------------------------
     def _capture_checkpoint(self) -> ControlPlaneCheckpoint:
@@ -622,10 +625,7 @@ class Master:
         self.runtime.stop()
         if self.checkpoints is not None:
             self.checkpoints.write()
-        try:
-            self.fabric.unregister(self.master_id)
-        except Exception:
-            pass
+        self.fabric.unregister(self.master_id)
 
     def restore(self, checkpoint: ControlPlaneCheckpoint) -> Tuple[str, ...]:
         """Adopt a predecessor's checkpoint (call before deploy/start).

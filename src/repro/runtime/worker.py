@@ -35,7 +35,7 @@ from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import (BatchPayload, UpstreamDispatcher,
                                       instance_id)
-from repro.runtime.fabric import Fabric, Mailbox
+from repro.runtime.fabric import SEND_ERRORS, Fabric, Mailbox
 from repro.runtime.health import HealthMonitor
 from repro.runtime.serialization import decode_batch, decode_tuple
 from repro.trace import (NULL_TRACER, PROCESS, QUEUE_WAIT, SHED, Span,
@@ -426,17 +426,17 @@ class WorkerRuntime:
         could never observe the recovery on its own.
         """
         for dispatcher in list(self._dispatchers.values()):
-            try:
-                dispatcher.revive_worker(master_id)
-            except Exception:
-                pass  # revival is best-effort; replay sweeps retry
+            dispatcher.revive_worker(master_id)
         try:
             self.fabric.send(self.worker_id, master_id,
                              messages.join_message(self.worker_id,
                                                    units=self.hosted_units(),
                                                    epoch=self._master_epoch))
-        except Exception:
-            pass  # the next heartbeat's WELCOME reply retriggers this
+        except SEND_ERRORS:
+            # The next heartbeat's WELCOME reply retriggers this.
+            self._registry.increment(
+                metrics_mod.DROPPED_TOTAL, reason="control_unsent",
+                link="%s>%s" % (self.worker_id, master_id))
 
     def _handle(self, sender_id: str, message: messages.Message) -> None:
         if not self._admit_epoch(message):

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from collections import deque
 
+from repro.core import overload
+from repro.core.admission import AdmissionQueue, Entry
 from repro.core.exceptions import SimulationError
 
 
@@ -181,109 +184,109 @@ class Simulator:
 
 
 class Store:
-    """FIFO queue with optional capacity; put/get block via events."""
+    """FIFO queue with optional capacity; put/get block via events.
+
+    The contents live in an :class:`~repro.core.admission.AdmissionQueue`
+    (``store.queue``), so a bounded store sheds exactly as a runtime
+    mailbox does; the store adds the engine's way of waiting.  The
+    default policy is the classic blocking store: :meth:`put` parks the
+    producer until a get frees a slot, :meth:`try_put` refuses.  Every
+    stored item weighs one tuple, so ``queue.depth`` is the store's length.
+    """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 name: str = "store") -> None:
+                 name: str = "store",
+                 drop_policy: str = overload.BLOCK) -> None:
         if capacity is not None and capacity < 1:
             raise SimulationError("store capacity must be >= 1 or None")
         self.sim = sim
         self.name = name
         self.capacity = capacity
+        self.queue = AdmissionQueue(capacity, drop_policy)
         #: high-water mark of the queue depth over the store's lifetime
         #: (bounded-memory invariant checks read this after a run)
         self.max_len = 0
-        self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
+        #: arrivals told to wait: (item, tenant, event to fire once stored)
+        self._putters: Deque[Tuple[Any, str, Optional[Event]]] = deque()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.queue)
 
     def items(self) -> Tuple[Any, ...]:
         """Current contents, oldest first — stored items plus parked
         putters (end-of-run conservation audits walk these)."""
-        return tuple(self._items) + tuple(item for _, item in self._putters)
+        return self.queue.items() + tuple(
+            item for item, _tenant, _stored in self._putters)
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and self.queue.depth >= self.capacity
+
+    def offer(self, item: Any, tenant: str = "",
+              stored: Optional[Event] = None) -> Sequence[Entry]:
+        """Admit *item* per the queue's policy; returns the
+        ``(item, tenant, tuples)`` entries shed — the one evicted to make
+        room, or the arrival itself when refused.
+
+        A waiting getter takes the item directly (it never queues); an
+        arrival the queue tells to wait is parked until a get makes
+        room.  *stored* fires once the item is stored or handed over.
+        """
+        shed: Sequence[Entry] = ()
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            action, shed = self.queue.offer(item, tenant)
+            if action == overload.WAIT:
+                self._putters.append((item, tenant, stored))
+                return shed
+            if self.queue.depth > self.max_len:
+                self.max_len = self.queue.depth
+        if stored is not None:
+            stored.succeed()
+        return shed
 
     def put(self, item: Any) -> Event:
         """Blocking put: the returned event fires once *item* is stored."""
         event = Event(self.sim, label="%s.put" % self.name)
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif not self.is_full:
-            self._items.append(item)
-            self.max_len = max(self.max_len, len(self._items))
-            event.succeed()
-        else:
-            self._putters.append((event, item))
+        self.offer(item, stored=event)
         return event
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: False when the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
         if self.is_full:
             return False
-        self._items.append(item)
-        self.max_len = max(self.max_len, len(self._items))
+        self.offer(item)
         return True
 
     def get(self) -> Event:
         """Blocking get: the returned event fires with the next item."""
         event = Event(self.sim, label="%s.get" % self.name)
-        if self._items:
-            event.succeed(self._items.popleft())
-            self._admit_putter()
+        if self.queue.depth:
+            event.succeed(self.try_get())
         else:
             self._getters.append(event)
         return event
 
     def try_get(self):
         """Non-blocking get: the next item, or ``None`` when empty."""
-        if not self._items:
+        if not self.queue.depth:
             return None
-        item = self._items.popleft()
-        self._admit_putter()
+        item = self.queue.pop()
+        if self._putters and not self.is_full:
+            self.offer(*self._putters.popleft())
         return item
-
-    def take_first(self, predicate):
-        """Remove and return the oldest queued item matching *predicate*.
-
-        ``None`` when nothing matches.  Used by cross-tenant fair-share
-        eviction, which must shed the victim tenant's oldest entry
-        rather than whatever happens to be at the head.
-        """
-        for index, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[index]
-                self._admit_putter()
-                return item
-        return None
 
     def drain(self) -> List[Any]:
         """Remove and return all queued items (e.g. a device vanishing)."""
-        items = list(self._items)
-        self._items.clear()
+        items = self.queue.drain()
         while self._putters:
-            event, item = self._putters.popleft()
+            item, _tenant, stored = self._putters.popleft()
             items.append(item)
-            event.succeed()
+            if stored is not None:
+                stored.succeed()
         return items
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            self.max_len = max(self.max_len, len(self._items))
-            event.succeed()
 
 
 class Resource:

@@ -306,7 +306,11 @@ class _WorkerNode:
                             background_load=background_load)
         sim = swarm.sim
         self.ingress = Store(sim, capacity=swarm.overload.queue_capacity,
-                             name="ingress:%s" % self.device_id)
+                             name="ingress:%s" % self.device_id,
+                             drop_policy=swarm.overload.drop_policy)
+        # Cross-tenant fair share at a bounded ingress (no-op at N=1).
+        self.ingress.queue.set_tenant_budgets(swarm._budgets,
+                                              swarm._priorities)
         # Socket-window tokens: the dispatcher takes one per in-flight
         # frame; the worker returns it when it reads the frame to process.
         window = swarm.config.window_frames()
@@ -314,9 +318,6 @@ class _WorkerNode:
                              name="credits:%s" % self.device_id)
         for _ in range(window):
             self.credits.try_put(True)
-        #: per-tenant ingress occupancy (multi-tenant fair-share input);
-        #: stays empty at N=1
-        self.tenant_depths: Dict[str, int] = {}
         #: graceful-drain flag: still processing its backlog, but the
         #: upstream no longer routes new tuples here
         self.draining = False
@@ -343,7 +344,6 @@ class _WorkerNode:
         counters = swarm.metrics.device(self.device_id)
         while self.alive():
             frame = yield self.ingress.get()
-            self.forget_depth(frame)
             self.credits.try_put(True)  # socket slot freed by the read
             if frame.expired(sim.now):
                 # Past its deadline while queued: shed instead of burning
@@ -421,16 +421,6 @@ class _WorkerNode:
                          window=1.0).observe(frame.key, 1.0,
                                              self.swarm.sim.now)
 
-    def forget_depth(self, frame: _Frame) -> None:
-        """Release one ingress slot from the frame's tenant account."""
-        depth = self.tenant_depths.get(frame.tenant)
-        if depth is None:
-            return
-        if depth <= 1:
-            self.tenant_depths.pop(frame.tenant, None)
-        else:
-            self.tenant_depths[frame.tenant] = depth - 1
-
     def _send_result(self, frame: _Frame, processing_delay: float) -> None:
         """Queue the result (which doubles as the ACK) back to the sink."""
         swarm = self.swarm
@@ -488,7 +478,6 @@ class SwarmSimulation:
         self.controller: LrsController = default_state.controller
         self.reorder = default_state.reorder
         self._dedup = default_state.dedup
-        self._egress = default_state.egress
         #: cross-tenant fair-share budgets for bounded worker ingress
         #: queues (None = single tenant, historical admission path)
         self._budgets: Optional[Dict[str, int]] = None
@@ -568,9 +557,15 @@ class SwarmSimulation:
             redelivery=(self._redeliver_frame
                         if self.delivery.at_least_once else None),
             tenant=tenant_id)
+        # A real-time sensor cannot block on its own queue: it evicts
+        # under drop_oldest and sheds the newest frame otherwise.
+        evicts = (self.overload.enabled
+                  and self.overload.drop_policy == overload_mod.DROP_OLDEST)
         egress = Store(self.sim,
                        capacity=config.resolved_source_queue(workload),
-                       name=egress_name)
+                       name=egress_name,
+                       drop_policy=(overload_mod.DROP_OLDEST if evicts
+                                    else overload_mod.DROP_NEWEST))
         reorder = ReorderBuffer.for_rate(workload.input_rate,
                                          timespan=config.reorder_timespan)
         # Sink-side duplicate suppression: at-least-once replay may hand
@@ -1076,27 +1071,13 @@ class SwarmSimulation:
                            key_hash=hash_key(key)
                            if key is not None else None,
                            nbytes=self.config.workload.frame_bytes)
-            if overload.enabled and egress.capacity is not None:
-                decision = overload_mod.admission(
-                    len(egress), egress.capacity,
-                    overload.drop_policy)
-                if decision == overload_mod.EVICT_OLDEST:
-                    victim = egress.try_get()
-                    if victim is not None:
-                        self._shed(victim.seq, DROP_SOURCE_QUEUE,
-                                   overload_mod.REASON_QUEUE_FULL,
-                                   queue=egress_name, tenant=tenant)
-                elif decision != overload_mod.ADMIT:
-                    # A real-time sensor cannot block on its own queue:
-                    # REJECT and WAIT both shed the newest frame here.
-                    self._shed(seq, DROP_SOURCE_QUEUE,
+            for victim, _tenant, _tuples in egress.offer(frame, tenant):
+                if overload.enabled:
+                    self._shed(victim.seq, DROP_SOURCE_QUEUE,
                                overload_mod.REASON_QUEUE_FULL,
                                queue=egress_name, tenant=tenant)
-                    yield self.sim.timeout(next(gaps))
-                    continue
-                egress.try_put(frame)
-            elif not egress.try_put(frame):
-                self.metrics.drop(seq, DROP_SOURCE_QUEUE)
+                else:
+                    self.metrics.drop(victim.seq, DROP_SOURCE_QUEUE)
             yield self.sim.timeout(next(gaps))
 
     def _dispatch(self, state: _TenantState):
@@ -1247,74 +1228,19 @@ class SwarmSimulation:
         self._ingress_put(node, frame)
 
     def _ingress_put(self, node: _WorkerNode, frame: _Frame) -> None:
-        """Admit one delivered frame into a worker's (bounded) ingress.
+        """Offer one delivered frame to a worker's (bounded) ingress.
 
-        The shared :func:`~repro.core.overload.admission` function
-        decides; a shed frame must hand its socket-window credit back or
-        the connection's in-flight window would shrink permanently.
+        A shed frame — the newcomer or the one evicted for it — must
+        hand its socket-window credit back or the connection's in-flight
+        window would shrink permanently.  Under ``block`` the store
+        parks the frame; the producer side is already bounded by socket
+        credits, so the parked frames can never exceed the window.
         """
-        ingress = node.ingress
-        queue_name = "ingress:%s" % node.device_id
-        if self._budgets is not None and ingress.capacity is not None:
-            self._ingress_put_fair(node, frame, ingress, queue_name)
-            return
-        decision = overload_mod.admission(len(ingress), ingress.capacity,
-                                          self.overload.drop_policy)
-        if decision == overload_mod.EVICT_OLDEST:
-            victim = ingress.try_get()
-            if victim is not None:
-                self._shed(victim.seq, DROP_QUEUE_FULL,
-                           overload_mod.REASON_QUEUE_FULL, queue=queue_name)
-                node.credits.try_put(True)  # the victim's window slot
-            ingress.try_put(frame)
-        elif decision == overload_mod.REJECT:
-            self._shed(frame.seq, DROP_QUEUE_FULL,
-                       overload_mod.REASON_QUEUE_FULL, queue=queue_name)
-            node.credits.try_put(True)  # the newcomer's window slot
-        elif decision == overload_mod.WAIT:
-            # Backpressure: park the frame on the store's putter queue.
-            # The producer side is already bounded by socket credits, so
-            # the number of parked putters can never exceed the window.
-            ingress.put(frame)
-        else:
-            ingress.try_put(frame)
-
-    def _ingress_put_fair(self, node: _WorkerNode, frame: _Frame,
-                          ingress: Store, queue_name: str) -> None:
-        """Cross-tenant fair-share admission at a bounded worker ingress.
-
-        The shared :func:`~repro.core.multitenant.fair_admission`
-        decides; an over-budget tenant sheds its own newest tuple, an
-        under-budget arrival evicts the most-over-budget tenant's oldest
-        one.  Per-tenant occupancy lives in ``node.tenant_depths``.
-        """
-        decision = multitenant_mod.fair_admission(
-            frame.tenant, node.tenant_depths, self._budgets,
-            ingress.capacity, self._priorities)
-        if decision.action == overload_mod.EVICT_OLDEST:
-            victim = ingress.take_first(
-                lambda queued: queued.tenant == decision.victim)
-            if victim is not None:
-                node.forget_depth(victim)
-                self._shed(victim.seq, DROP_QUEUE_FULL,
-                           overload_mod.REASON_QUEUE_FULL, queue=queue_name,
-                           tenant=victim.tenant)
-                node.credits.try_put(True)  # the victim's window slot
-        elif decision.action == overload_mod.REJECT:
-            self._shed(frame.seq, DROP_QUEUE_FULL,
-                       overload_mod.REASON_QUEUE_FULL, queue=queue_name,
-                       tenant=frame.tenant)
-            node.credits.try_put(True)  # the newcomer's window slot
-            return
-        if ingress.try_put(frame):
-            node.tenant_depths[frame.tenant] = (
-                node.tenant_depths.get(frame.tenant, 0) + 1)
-        else:
-            # Eviction found no victim in the queue (it was all in
-            # flight): shed the newcomer rather than block the radio.
-            self._shed(frame.seq, DROP_QUEUE_FULL,
-                       overload_mod.REASON_QUEUE_FULL, queue=queue_name,
-                       tenant=frame.tenant)
+        for victim, tenant, _tuples in node.ingress.offer(frame,
+                                                          frame.tenant):
+            self._shed(victim.seq, DROP_QUEUE_FULL,
+                       overload_mod.REASON_QUEUE_FULL,
+                       queue="ingress:%s" % node.device_id, tenant=tenant)
             node.credits.try_put(True)
 
     def _control(self):

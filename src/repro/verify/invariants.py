@@ -60,9 +60,13 @@ KNOWN_DROP_REASONS = frozenset({
     sim_metrics.DROP_BACKPRESSURE, sim_metrics.DROP_QUEUE_FULL,
     # runtime chaos fabric injections (always counted, never silent)
     "chaos_drop", "chaos_corrupt", "chaos_partition",
-    # runtime worker: undecodable DATA/BATCH frame, ACK the fabric could
-    # not carry, message whose handler raised
-    "corrupt_batch", "ack_unsent", "handler_error",
+    # runtime worker: undecodable DATA/BATCH frame, ACK / result the
+    # fabric could not carry, message whose handler raised, batch flush
+    # that raised; TCP reader: undecodable frame; master or worker:
+    # control frame to a peer that is gone
+    # (tests/verify/test_invariants.py greps the runtime for new ones)
+    "corrupt_batch", "ack_unsent", "send_failed", "handler_error",
+    "flush_error", "corrupt_frame", "control_unsent",
 })
 KNOWN_EVICT_REASONS = frozenset({
     delivery.EVICT_CAPACITY, delivery.EVICT_BYTES, delivery.EVICT_ATTEMPTS,

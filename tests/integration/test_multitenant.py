@@ -350,5 +350,5 @@ class TestRuntimeIsolation:
         assert expected == {"alpha": 6, "beta": 2}
         for host in [runtime.master.runtime] + list(
                 runtime.workers.values()):
-            assert host.mailbox._tenant_budgets == expected
+            assert host.mailbox.tenant_budgets == expected
         runtime.fabric.close()

@@ -6,17 +6,19 @@ collapse: bounded queue depths, no stale deliveries, monotone shed
 counters, conservation of tuples, and latency/throughput recovery once
 the background load lifts.  A parity harness replays one admission trace
 through the runtime's Mailbox and the simulator's ingress path and
-requires identical shedding decisions — both sides consult the same
-:func:`repro.core.overload.admission` function.
+requires identical shedding decisions — both sides sit on the same
+:class:`repro.core.admission.AdmissionQueue`.
 """
 
 import statistics
+from dataclasses import replace
 
 import pytest
 
 from repro import metrics as metrics_mod
 from repro import profiles
 from repro.core.faults import KILL, FaultEvent, FaultSchedule
+from repro.core.multitenant import TenantSpec, tenant_budgets
 from repro.core.overload import (DROP_NEWEST, DROP_OLDEST, OverloadConfig,
                                  REASON_BACKPRESSURE, REASON_EXPIRED,
                                  REASON_QUEUE_FULL)
@@ -26,6 +28,7 @@ from repro.simulation import scenarios
 from repro.simulation.swarm import (SwarmConfig, SwarmSimulation, _Frame,
                                     run_swarm)
 from repro.simulation.workload import face_workload
+from repro.trace import SHED
 
 OVERLOAD_UNTIL = 14.0
 TTL = 2.0
@@ -172,60 +175,108 @@ class TestShedBehaviors:
 class TestSubstrateSheddingParity:
     """The runtime Mailbox and the simulator ingress must shed identically.
 
-    Both consult :func:`repro.core.overload.admission`; replaying one
-    put/get trace through each side must keep the same survivors in the
-    same order — the property that makes simulator results transfer to
-    the runtime under overload.
+    Both sit on one :class:`repro.core.admission.AdmissionQueue`;
+    replaying one put/get trace through each side must keep the same
+    survivors in the same order AND shed the same ``(seq, tenant)``
+    victims in the same order — the property that makes simulator
+    results transfer to the runtime under overload.
     """
 
-    TRACE = ([("put", seq) for seq in range(4)]
-             + [("get",), ("put", 4), ("put", 5), ("get",), ("get",),
-                ("put", 6), ("put", 7), ("put", 8), ("get",), ("put", 9)])
+    CAPACITY = 4
+    #: weights 3:1 -> budgets {"t0": 3, "t1": 1} of the 4 slots
+    SPECS = (TenantSpec("t0", weight=3.0), TenantSpec("t1", weight=1.0))
+    #: t0 floods, t1 trickles
+    TRACE = ([("put", seq, "t0") for seq in range(4)]
+             + [("put", 4, "t1"), ("put", 5, "t1"), ("put", 6, "t0"),
+                ("get",), ("put", 7, "t0"), ("put", 8, "t0"),
+                ("put", 9, "t1"), ("get",), ("get",), ("put", 10, "t1"),
+                ("put", 11, "t0"), ("put", 12, "t0")])
+    MODES = [DROP_OLDEST, DROP_NEWEST, "fair_share"]
 
-    def _runtime_survivors(self, overload):
-        mailbox = Mailbox("W", overload=overload,
+    def _overload(self, mode):
+        return OverloadConfig(
+            queue_capacity=self.CAPACITY,
+            drop_policy=DROP_OLDEST if mode == "fair_share" else mode)
+
+    def _runtime(self, mode):
+        """(survivors, shed) of the trace through a runtime Mailbox."""
+        mailbox = Mailbox("W", overload=self._overload(mode),
                           registry=metrics_mod.MetricsRegistry())
-        out = []
+        if mode == "fair_share":
+            mailbox.set_tenant_budgets(
+                tenant_budgets(self.SPECS, self.CAPACITY))
+
+        def queued():
+            return [(message.payload["seq"], message.payload["tenant"])
+                    for _sender, message in mailbox.items()]
+
+        survivors, shed = [], []
         for op in self.TRACE:
             if op[0] == "put":
-                mailbox.put("A", messages.data_message("u", b"x", op[1], 0.0))
+                candidates = queued() + [(op[1], op[2])]
+                mailbox.put("A", messages.data_message(
+                    "u", b"x", op[1], 0.0, tenant=op[2]))
+                kept = queued()
+                shed.extend(entry for entry in candidates
+                            if entry not in kept)
             else:
-                out.append(mailbox.get(timeout=0.1)[1].payload["seq"])
+                survivors.append(mailbox.get(timeout=0.1)[1].payload["seq"])
         while len(mailbox):
-            out.append(mailbox.get(timeout=0.1)[1].payload["seq"])
-        return out
+            survivors.append(mailbox.get(timeout=0.1)[1].payload["seq"])
+        assert mailbox.shed_count == len(shed)
+        return survivors, shed
 
-    def _sim_survivors(self, overload):
-        config = scenarios.overload(worker_ids=("B",), kill_id=None,
-                                    ttl=overload.ttl,
-                                    queue_capacity=overload.queue_capacity,
-                                    drop_policy=overload.drop_policy)
+    def _sim(self, mode):
+        """(survivors, shed) of the trace through a simulated ingress."""
+        overload = self._overload(mode)
+        config = replace(
+            scenarios.overload(worker_ids=("B",), kill_id=None,
+                               ttl=overload.ttl,
+                               queue_capacity=overload.queue_capacity,
+                               drop_policy=overload.drop_policy),
+            tenants=self.SPECS if mode == "fair_share" else (),
+            trace_sample_rate=1.0)  # SHED spans are the ordered shed list
         swarm = SwarmSimulation(config)  # built, never run
         node = swarm.nodes["B"]
-        out = []
+        survivors = []
         for op in self.TRACE:
             if op[0] == "put":
-                swarm._ingress_put(node, _Frame(seq=op[1], created_at=0.0))
+                swarm._ingress_put(node, _Frame(seq=op[1], created_at=0.0,
+                                                tenant=op[2]))
             else:
-                out.append(node.ingress.try_get().seq)
-        while True:
-            frame = node.ingress.try_get()
-            if frame is None:
-                break
-            out.append(frame.seq)
-        return out
+                survivors.append(node.ingress.try_get().seq)
+        while len(node.ingress):
+            survivors.append(node.ingress.try_get().seq)
+        shed = [(span.seq, span.tenant) for span in swarm.tracer.spans()
+                if span.kind == SHED]
+        return survivors, shed
 
-    @pytest.mark.parametrize("policy", [DROP_OLDEST, DROP_NEWEST])
-    def test_identical_survivors_across_substrates(self, policy):
-        overload = OverloadConfig(queue_capacity=3, drop_policy=policy)
-        assert (self._runtime_survivors(overload)
-                == self._sim_survivors(overload))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_identical_survivors_across_substrates(self, mode):
+        survivors, shed = self._runtime(mode)
+        assert (survivors, shed) == self._sim(mode)
+        assert shed, "the trace must overflow the queue"
+        # Conservation: every seq either survived or was shed, once.
+        puts = [op[1] for op in self.TRACE if op[0] == "put"]
+        assert sorted(survivors + [seq for seq, _tenant in shed]) == puts
+
+    def test_the_three_modes_shed_differently(self):
+        # Guard the trace: if it cannot tell the modes apart, the parity
+        # above proves nothing about which rule ran.
+        shed = {mode: self._runtime(mode)[1] for mode in self.MODES}
+        assert shed[DROP_OLDEST] == [(0, "t0"), (1, "t0"), (2, "t0"),
+                                     (4, "t1"), (5, "t1"), (8, "t0")]
+        assert shed[DROP_NEWEST] == [(4, "t1"), (5, "t1"), (6, "t0"),
+                                     (8, "t0"), (9, "t1"), (12, "t0")]
+        # Under-budget t1 evicts flooding t0's oldest (0); each tenant at
+        # its budget sheds its own arrivals; at the end t1 holds 2 of its
+        # 1 and under-budget t0 evicts t1's oldest (4).
+        assert shed["fair_share"] == [(0, "t0"), (5, "t1"), (6, "t0"),
+                                      (8, "t0"), (9, "t1"), (4, "t1")]
 
     def test_drop_oldest_keeps_the_newest_frames(self):
-        overload = OverloadConfig(queue_capacity=3, drop_policy=DROP_OLDEST)
-        survivors = self._runtime_survivors(overload)
-        # Capacity 3: seq 0 is evicted by seq 3's arrival, and so on —
-        # the exact survivor set is fully determined by the trace.
-        assert survivors == self._sim_survivors(overload)
+        survivors, _shed = self._runtime(DROP_OLDEST)
+        # The exact survivor set is fully determined by the trace.
+        assert survivors == self._sim(DROP_OLDEST)[0]
         assert survivors[0] != 0  # the oldest frame was shed
-        assert 9 in survivors     # the newest frame always survives
+        assert 12 in survivors    # the newest frame always survives

@@ -18,6 +18,7 @@ from repro.core.exceptions import SwingError
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
+from repro.core.overload import OverloadConfig
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import UpstreamDispatcher
@@ -252,14 +253,19 @@ class TestControllerBatchReplay:
 
 class TestMailboxBatchShedding:
     def test_batch_is_droppable_and_weighted(self):
-        mailbox = Mailbox("W")
-        batch = messages.batch_message("f", b"frame", [1, 2, 3], 0.0)
-        assert mailbox._droppable(batch)
-        assert mailbox._tuple_count(batch) == 3
-        data = messages.data_message("f", b"p", 1, 0.0)
-        assert mailbox._tuple_count(data) == 1
-        ack = messages.ack_message(1, 0.0, 0.0)
-        assert not mailbox._droppable(ack)
+        mailbox = Mailbox("W", overload=OverloadConfig(queue_capacity=4))
+        mailbox.put("A", messages.batch_message("f", b"frame", [1, 2, 3], 0.0))
+        assert mailbox.tenant_depths == {"": 3}
+        mailbox.put("A", messages.data_message("f", b"p", 4, 0.0))
+        assert mailbox.tenant_depths == {"": 4}
+        mailbox.put("A", messages.ack_message(1, 0.0, 0.0))
+        assert mailbox.tenant_depths == {"": 4}  # an ACK weighs nothing
+        # Full: the next arrival evicts the whole batch, never the ACK.
+        mailbox.put("A", messages.data_message("f", b"p", 5, 0.0))
+        assert mailbox.shed_count == 3
+        assert mailbox.tenant_depths == {"": 2}
+        assert [message.kind for _sender, message in mailbox.items()] \
+            == [messages.DATA, messages.ACK, messages.DATA]
 
 
 def wait_until(predicate, timeout=5.0):

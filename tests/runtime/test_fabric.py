@@ -66,9 +66,40 @@ class TestBoundedMailbox:
         mailbox, _registry = bounded_mailbox(capacity=2, policy=DROP_OLDEST)
         assert mailbox.put("A", messages.start_message())
         assert mailbox.put("A", data(0))
-        assert mailbox.put("A", data(1))  # evicts DATA 0, not START
+        assert mailbox.put("A", data(1))  # START takes no slot: no eviction
+        assert mailbox.shed_count == 0
+        assert mailbox.put("A", data(2))  # evicts DATA 0, never START
+        queued = [(message.kind, message.payload.get("seq"))
+                  for _sender, message in mailbox.items()]
+        assert queued == [(messages.START, None), (messages.DATA, 1),
+                          (messages.DATA, 2)]
         kinds = [mailbox.get(timeout=0.1)[1].kind for _ in range(2)]
         assert kinds == [messages.START, messages.DATA]
+
+    def test_capacity_counts_tuples_not_messages(self):
+        # OverloadConfig.queue_capacity is "in tuples": a BATCH weighs its
+        # seqs and control messages weigh nothing.  (The single-tenant
+        # branch used to count messages: 100 frames / 6,400 tuples queued,
+        # nothing shed.)
+        mailbox, registry = bounded_mailbox(capacity=100, policy=DROP_OLDEST)
+        for index in range(100):
+            seqs = list(range(index * 64, (index + 1) * 64))
+            assert mailbox.put("A", messages.batch_message(
+                "u", b"frame", seqs, 0.0))
+        assert len(mailbox) == 2
+        assert mailbox.tenant_depths == {"": 128}
+        assert mailbox.shed_count == 98 * 64 == 6272
+        assert registry.value(metrics_mod.SHED_TOTAL, reason="queue_full",
+                              queue="mailbox:W") == 6272
+        # Control traffic into the full queue: admitted, evicting nothing.
+        assert mailbox.put("A", messages.start_message())
+        assert mailbox.put("A", messages.ack_message(1, 0.0, 0.0))
+        assert len(mailbox) == 4
+        assert mailbox.shed_count == 6272
+        # len / max_depth / the gauge count messages of every kind.
+        assert mailbox.max_depth == 4
+        assert registry.gauge_value(metrics_mod.QUEUE_DEPTH,
+                                    queue="mailbox:W") == 4
 
     def test_block_policy_times_out_and_sheds(self):
         mailbox, registry = bounded_mailbox(capacity=1, policy=BLOCK)
@@ -161,7 +192,7 @@ def _mailbox_for(mode):
 def _mailbox_state(mailbox, registry):
     queued = [(sender, message.kind,
                message.payload.get("seq", message.payload.get("seqs")))
-              for sender, message in mailbox._items]
+              for sender, message in mailbox.items()]
     return {
         "queue": queued,
         "shed_count": mailbox.shed_count,
@@ -186,7 +217,7 @@ class TestPutMany:
         assert _mailbox_state(at_once, registry_b) \
             == _mailbox_state(one_by_one, registry_a)
         # Control messages are never shed, whatever the policy.
-        kinds = [message.kind for _sender, message in at_once._items]
+        kinds = [message.kind for _sender, message in at_once.items()]
         assert kinds.count(messages.START) == 2
         if mode != "unbounded":
             assert at_once.shed_count > 0

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro import metrics as metrics_mod
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
@@ -165,6 +166,27 @@ class TestMasterWorkerFlow:
             dispatcher = master.runtime.dispatcher("src")
             assert wait_until(
                 lambda: dispatcher.downstream_instances() == ["f@B"])
+        finally:
+            self._teardown(master, workers)
+
+    def test_unsendable_control_frame_is_counted_not_fatal(self):
+        fabric, master, workers = self._swarm(worker_ids=("B", "C", "D"),
+                                              items=0)
+        try:
+            master.deploy()
+            assert wait_until(lambda: workers["C"].deployed.is_set())
+            # B's endpoint vanishes without a LEAVE; D's departure then
+            # re-sends DEPLOY to A, B (gone) and C, in that order.
+            fabric.unregister("B")
+            workers["C"].deployed.clear()
+            master.handle_leave("D")
+            assert wait_until(lambda: workers["C"].deployed.is_set())
+            assert master.registry.value(
+                metrics_mod.DROPPED_TOTAL, reason="control_unsent",
+                link="A>B") == 1
+            dispatcher = master.runtime.dispatcher("src")
+            assert wait_until(lambda: dispatcher.downstream_instances()
+                              == ["f@B", "f@C"])
         finally:
             self._teardown(master, workers)
 

@@ -48,15 +48,17 @@ def test_core_never_sleeps():
 
 
 def test_migration_protocol_imports_no_substrate():
-    text = (SRC / "repro" / "core" / "migration.py").read_text(
-        encoding="utf-8")
-    imported = re.findall(r"^\s*(?:from|import)\s+([\w.]+)", text,
-                          flags=re.MULTILINE)
-    assert imported, "the import scan found nothing to check"
-    banned = [name for name in imported
-              if name in ("time", "threading")
-              or name.startswith(("repro.runtime", "repro.simulation"))]
-    assert not banned, "core/migration.py imports %s" % banned
+    # The sans-IO protocols both substrates drive: migration/drain and
+    # the bounded admission queue.
+    for module in ("migration.py", "admission.py"):
+        text = (SRC / "repro" / "core" / module).read_text(encoding="utf-8")
+        imported = re.findall(r"^\s*(?:from|import)\s+([\w.]+)", text,
+                              flags=re.MULTILINE)
+        assert imported, "the import scan found nothing to check"
+        banned = [name for name in imported
+                  if name in ("time", "threading")
+                  or name.startswith(("repro.runtime", "repro.simulation"))]
+        assert not banned, "core/%s imports %s" % (module, banned)
 
 
 def test_src_tree_is_where_we_think_it_is():

@@ -1,10 +1,14 @@
 """Each invariant must fire on a bad synthetic history and stay quiet
 on the matching good one — the checker's unit-level teeth."""
 
+import ast
+import pathlib
+
+import repro.runtime
 from repro.core.keyed import KEY_SPACE, hash_key
 from repro.simulation import metrics as sim_metrics
-from repro.verify.invariants import (InvariantChecker, RunHistory,
-                                     TenantHistory, Violation)
+from repro.verify.invariants import (KNOWN_DROP_REASONS, InvariantChecker,
+                                     RunHistory, TenantHistory, Violation)
 
 
 def history(**overrides) -> RunHistory:
@@ -217,3 +221,34 @@ class TestLossAccounted:
                           "chaos_drop": 2, "corrupt_batch": 1},
             evict_reasons={})
         assert not fired(run, "loss_accounted")
+
+    def test_every_reason_the_runtime_charges_is_known(self):
+        """Each ``reason="..."`` literal counted under DROPPED_TOTAL in
+        ``src/repro/runtime`` (and each one ChaosFabric hands to
+        ``_count_loss``) must be in KNOWN_DROP_REASONS, or the first
+        schedule that produces it reads as a false violation."""
+        charged = {}
+        runtime = pathlib.Path(repro.runtime.__file__).parent
+        for path in sorted(runtime.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "attr", "") == "_count_loss":
+                    values = node.args[:1]
+                elif any(getattr(arg, "attr", "") == "DROPPED_TOTAL"
+                         for arg in node.args):
+                    values = [keyword.value for keyword in node.keywords
+                              if keyword.arg == "reason"]
+                else:
+                    continue
+                for value in values:
+                    for leaf in ast.walk(value):
+                        if isinstance(leaf, ast.Constant) \
+                                and isinstance(leaf.value, str):
+                            charged.setdefault(leaf.value, path.name)
+        # Guard the guard: the scan must see the reasons we know exist.
+        assert {"chaos_drop", "ack_unsent", "send_failed",
+                "corrupt_frame"} <= set(charged)
+        unknown = {reason: where for reason, where in charged.items()
+                   if reason not in KNOWN_DROP_REASONS}
+        assert not unknown, "drop reasons missing from the checker: %s" % unknown
