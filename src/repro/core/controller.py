@@ -554,10 +554,10 @@ class LrsController:
         """Re-own a range and count the move (reason=hot_split|drain|crash)."""
         with self._lock:
             self._table().assign(key_range, new_owner)
-        labels = {"reason": reason, "edge": self.name or "-"}
-        if self.tenant:
-            labels["tenant"] = self.tenant
-        self._registry.increment(metrics_mod.KEY_RANGE_MOVES_TOTAL, **labels)
+        self._registry.increment(
+            metrics_mod.KEY_RANGE_MOVES_TOTAL,
+            **metrics_mod.tenant_labels(self.tenant, reason=reason,
+                                        edge=self.name or "-"))
 
     def pause_range(self, key_range: KeyRange) -> None:
         with self._lock:
@@ -1018,11 +1018,10 @@ class LrsController:
         if sent_at is None:
             return False
         attempt = entry.attempt + 1
-        labels = {"downstream": chosen, "edge": self.name or "-"}
-        if self.tenant:
-            labels["tenant"] = self.tenant
-        self._registry.increment(metrics_mod.REDELIVERED_TOTAL,
-                                 **labels)
+        self._registry.increment(
+            metrics_mod.REDELIVERED_TOTAL,
+            **metrics_mod.tenant_labels(self.tenant, downstream=chosen,
+                                        edge=self.name or "-"))
         if self._trace.enabled:
             self._trace.emit(Span(
                 RETRY, entry.seq, sent_at, sent_at,

@@ -12,8 +12,6 @@ cross-tenant decision function both substrates share:
 * **TenantSpec** — one tenant's share of the swarm: an admission weight
   (how much of a contended queue it may hold) and a priority tier
   (who sheds first when everyone is over budget).
-* **PipelineDeployment** — the record a deployment session is built
-  from: the spec plus the pipeline it runs.
 * :func:`fair_admission` — the cross-tenant extension of
   ``repro.core.overload.admission``: a pure function of queue state,
   taken per arrival by :class:`repro.core.admission.AdmissionQueue`
@@ -84,20 +82,6 @@ class TenantSpec:
             raise RuntimeStateError("tenant weight must be positive")
         if self.input_rate is not None and self.input_rate <= 0:
             raise RuntimeStateError("tenant input_rate must be positive (or None)")
-
-
-@dataclass(frozen=True)
-class PipelineDeployment:
-    """What one deployment session runs: a tenant plus its pipeline."""
-
-    spec: TenantSpec
-    #: name of the pipeline/application this tenant runs (informational;
-    #: the session holds the actual graph object)
-    pipeline: str = ""
-
-    @property
-    def tenant_id(self) -> TenantId:
-        return self.spec.tenant_id
 
 
 def tenant_budgets(specs: Sequence[TenantSpec],

@@ -76,6 +76,15 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
                       256.0, 512.0, 1024.0)
 
 
+def tenant_labels(tenant: str, **labels: str) -> Dict[str, str]:
+    """*labels* plus ``tenant=`` — except for the default tenant ``""``,
+    which carries no label, so a single-pipeline run's series keep the
+    identity they had before multi-tenancy."""
+    if tenant:
+        labels["tenant"] = tenant
+    return labels
+
+
 def _label_key(labels: Mapping[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 

@@ -1,10 +1,15 @@
-"""High-level entry point: run a Swing app on an in-process swarm.
+"""High-level entry point: run Swing apps on an in-process swarm.
 
 :class:`SwingRuntime` wires the whole workflow of Fig. 3 together: it
 creates a master (device A) and a set of worker threads, lets workers
-join via discovery, deploys the dataflow graph, starts the sources, and
-collects ordered results from the sink.  Per-worker ``slowdowns``
+join via discovery, deploys the dataflow graphs, starts the sources, and
+collects ordered results from the sinks.  Per-worker ``slowdowns``
 emulate device heterogeneity on one development machine.
+
+One runtime runs one pipeline or many: given an :class:`AppGraph` it is
+the default tenant ``""`` (every frame, edge key and metric label as in
+a single-app swarm); given ``(TenantSpec, AppGraph)`` pairs, every
+tenant shares the same master, workers, fabric, registry and tracer.
 
 Example::
 
@@ -16,7 +21,8 @@ Example::
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
@@ -34,20 +40,178 @@ from repro.core.reorder import ReorderBuffer
 from repro.core.requirements import PerformanceRequirement
 from repro.core.tuples import DataTuple
 from repro.runtime.fabric import Fabric, InProcFabric
-from repro.runtime.master import DeploymentSession, Master
+from repro.runtime.master import Master
 from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, TraceSink
 
 
-class _InProcSwarm:
-    """What both runtimes below are: one master, a worker pool and one
-    fabric — with the start-up waits and the teardown around them."""
+class SwingRuntime:
+    """Build, run and tear down a complete in-process swarm.
 
-    recovery: RecoveryConfig
-    master: Master
-    workers: Dict[str, WorkerRuntime]
-    fabric: Fabric
-    _running: bool
+    *graph* is one :class:`AppGraph` (the default tenant ``""``) or a
+    sequence of ``(TenantSpec, AppGraph)`` pairs.  Each tenant gets its
+    own deployment session (tenant-tagged control messages) and source
+    pacing (``TenantSpec.input_rate``, else the shared rate).  When
+    *overload* bounds the mailbox depth (``queue_capacity``), the
+    weighted budgets of :func:`repro.core.multitenant.tenant_budgets`
+    are installed on every mailbox the runtime creates — including a
+    successor master's and a spawned worker's — so an overloaded tenant
+    sheds its own tuples before touching anyone else's.
+
+    ``requirement`` (a :class:`PerformanceRequirement`) takes precedence
+    over ``source_rate`` and also sizes the sink-side reorder buffer —
+    the programmer-declared performance contract of paper Sec. IV-A.
+    """
+
+    def __init__(self,
+                 graph: Union[AppGraph, Sequence[
+                     Tuple[multitenant_mod.TenantSpec, AppGraph]]],
+                 worker_ids: Sequence[str],
+                 master_id: str = "A", policy: str = "LRS",
+                 source_rate: float = 24.0,
+                 requirement: Optional[PerformanceRequirement] = None,
+                 slowdowns: Optional[Dict[str, float]] = None,
+                 control_interval: float = 0.25,
+                 seed: Optional[int] = None,
+                 overload: Optional[overload_mod.OverloadConfig] = None,
+                 registry: Optional[metrics_mod.MetricsRegistry] = None,
+                 trace: Optional[TraceSink] = None,
+                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
+                 heartbeat_interval: float = 0.0,
+                 heartbeat_timeout: float = 0.0,
+                 recovery: Optional[RecoveryConfig] = None,
+                 checkpoint_store: Optional[CheckpointStore] = None,
+                 fabric_wrapper: Optional[Callable[[Fabric], Fabric]] = None,
+                 keyed: Optional[KeyedConfig] = None
+                 ) -> None:
+        if master_id in worker_ids:
+            raise RuntimeStateError("master id must not collide with workers")
+        if not worker_ids:
+            raise RuntimeStateError("a swarm needs at least one worker")
+        if isinstance(graph, AppGraph):
+            #: the tenant pipelines beside the default one (none here)
+            self.specs: List[multitenant_mod.TenantSpec] = []
+            #: every pipeline's graph by tenant id ("" = default)
+            self.graphs: Dict[str, AppGraph] = {"": graph}
+        else:
+            if not graph:
+                raise RuntimeStateError("need at least one tenant pipeline")
+            self.specs = [spec for spec, _graph in graph]
+            self.graphs = {spec.tenant_id: pipeline
+                           for spec, pipeline in graph}
+            if len(self.graphs) != len(graph):
+                raise RuntimeStateError("duplicate tenant id in pipelines")
+        self.requirement = requirement or PerformanceRequirement(
+            input_rate=source_rate)
+        self.overload = overload
+        # Top-level entry point: when no registry is injected, create ONE
+        # shared registry here and thread it through the fabric, master
+        # and every worker, so the whole swarm's metrics aggregate.
+        self.registry = (registry if registry is not None
+                         else metrics_mod.MetricsRegistry())
+        #: delivery-semantics knobs (at-least-once replay + sink dedup);
+        #: ``None`` keeps today's best-effort behavior
+        self.delivery = delivery
+        #: worker→master liveness beacons; 0 disables them (the default,
+        #: matching the seed behavior) — churn runs need them so silent
+        #: crashes are evicted and rejoins are visible
+        self.heartbeat_interval = heartbeat_interval
+        #: shared TraceSink (a :class:`repro.trace.Tracer`); every
+        #: device in the in-process swarm records into the same ring
+        self.tracer = trace if trace is not None else NULL_TRACER
+        #: recovery/timing knobs shared by master and workers
+        self.recovery = recovery if recovery is not None else RecoveryConfig()
+        #: keyed-routing knobs
+        self.keyed = keyed
+        #: ONE control-plane config for the master and every worker, so
+        #: every edge dispatcher (and keyed range table) agrees
+        self._policy_config = PolicyConfig(
+            policy=policy, seed=seed, control_interval=control_interval,
+            overload=overload, delivery=delivery, keyed=keyed)
+        #: durable checkpoint store; None = historical unrecoverable master
+        self.checkpoint_store = checkpoint_store
+        capacity = overload.queue_capacity if overload is not None else None
+        self._budgets = (multitenant_mod.tenant_budgets(self.specs, capacity)
+                         if capacity is not None else {})
+        self._priorities = {spec.tenant_id: spec.priority
+                            for spec in self.specs}
+        self.fabric: Fabric = InProcFabric(overload=overload,
+                                           registry=self.registry)
+        if fabric_wrapper is not None:
+            # e.g. a ChaosFabric injecting seeded link faults — built by
+            # the caller so this module stays free of chaos imports
+            self.fabric = fabric_wrapper(self.fabric)
+        self._master_id = master_id
+        self._policy = policy
+        self._seed = seed
+        self._control_interval = control_interval
+        self._heartbeat_timeout = heartbeat_timeout
+        self._slowdowns = dict(slowdowns or {})
+        self.master = self._make_master()
+        self.workers: Dict[str, WorkerRuntime] = {}
+        for worker_id in worker_ids:
+            self.workers[worker_id] = self._make_worker(worker_id)
+        self._running = False
+
+    def _make_master(self, epoch: int = 0) -> Master:
+        """The master (incarnation *epoch*) with every pipeline attached."""
+        master = Master(self._master_id, self.fabric, self.graphs.get(""),
+                        policy=self._policy,
+                        source_rate=self.requirement.input_rate,
+                        seed=self._seed,
+                        control_interval=self._control_interval,
+                        heartbeat_timeout=self._heartbeat_timeout,
+                        overload=self.overload, registry=self.registry,
+                        trace=self.tracer, delivery=self.delivery,
+                        recovery=self.recovery,
+                        checkpoint_store=self.checkpoint_store, epoch=epoch,
+                        policy_config=self._policy_config)
+        for spec in self.specs:
+            master.add_pipeline(spec, self.graphs[spec.tenant_id])
+        self._install_budgets(master.runtime)
+        return master
+
+    def _make_worker(self, worker_id: str) -> WorkerRuntime:
+        """A worker with every tenant's graph and rate registered."""
+        worker = WorkerRuntime(
+            worker_id, self.fabric, self.graphs.get(""), policy=self._policy,
+            slowdown=self._slowdowns.get(worker_id, 0.0), seed=self._seed,
+            control_interval=self._control_interval,
+            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_target=self._master_id,
+            policy_config=self._policy_config,
+            overload=self.overload, registry=self.registry,
+            trace=self.tracer, delivery=self.delivery,
+            recovery=self.recovery)
+        for spec in self.specs:
+            worker.register_pipeline(spec.tenant_id,
+                                     self.graphs[spec.tenant_id])
+            if spec.input_rate is not None:
+                worker.set_tenant_rate(spec.tenant_id, spec.input_rate)
+        self._install_budgets(worker)
+        return worker
+
+    def _install_budgets(self, runtime: WorkerRuntime) -> None:
+        """Fair-share budgets on *runtime*'s mailbox: ``fabric.register``
+        made it fresh, so every runtime built here needs them."""
+        if self._budgets:
+            runtime.mailbox.set_tenant_budgets(self._budgets,
+                                               self._priorities)
+
+    # -- lifecycle ---------------------------------------------------------
+    def start(self) -> None:
+        """Launch threads, join workers, deploy and start every pipeline."""
+        if self._running:
+            raise RuntimeStateError("runtime already started")
+        self.master.runtime.start()
+        for worker in self.workers.values():
+            worker.start()
+            worker.join_master(self._master_id)
+        self._await_membership()
+        self.master.deploy()
+        self._await_deployment()
+        self.master.start()
+        self._running = True
 
     def _await_membership(self, timeout: Optional[float] = None) -> None:
         if timeout is None:
@@ -72,6 +236,14 @@ class _InProcSwarm:
                 raise DeploymentError("deployment timed out on %s"
                                       % runtime.worker_id)
 
+    def stop_tenant(self, tenant_id: str) -> None:
+        """Halt one tenant's sources; every other tenant keeps running."""
+        try:
+            session = self.master.sessions[tenant_id]
+        except KeyError:
+            raise RuntimeStateError("unknown tenant %r" % tenant_id) from None
+        session.stop()
+
     def stop(self) -> None:
         if not self._running:
             return
@@ -82,124 +254,11 @@ class _InProcSwarm:
         self.fabric.close()
         self._running = False
 
+    def __enter__(self) -> "SwingRuntime":
+        return self
+
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-
-class SwingRuntime(_InProcSwarm):
-    """Build, run and tear down a complete in-process swarm.
-
-    ``requirement`` (a :class:`PerformanceRequirement`) takes precedence
-    over ``source_rate`` and also sizes the sink-side reorder buffer —
-    the programmer-declared performance contract of paper Sec. IV-A.
-    """
-
-    def __init__(self, graph: AppGraph, worker_ids: Sequence[str],
-                 master_id: str = "A", policy: str = "LRS",
-                 source_rate: float = 24.0,
-                 requirement: Optional[PerformanceRequirement] = None,
-                 slowdowns: Optional[Dict[str, float]] = None,
-                 control_interval: float = 0.25,
-                 seed: Optional[int] = None,
-                 overload: Optional[overload_mod.OverloadConfig] = None,
-                 registry: Optional[metrics_mod.MetricsRegistry] = None,
-                 trace: Optional[TraceSink] = None,
-                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
-                 heartbeat_interval: float = 0.0,
-                 heartbeat_timeout: float = 0.0,
-                 recovery: Optional[RecoveryConfig] = None,
-                 checkpoint_store: Optional[CheckpointStore] = None,
-                 fabric_wrapper: Optional[Callable[[Fabric], Fabric]] = None,
-                 keyed: Optional[KeyedConfig] = None
-                 ) -> None:
-        if master_id in worker_ids:
-            raise RuntimeStateError("master id must not collide with workers")
-        if not worker_ids:
-            raise RuntimeStateError("a swarm needs at least one worker")
-        self.graph = graph
-        self.requirement = requirement or PerformanceRequirement(
-            input_rate=source_rate)
-        source_rate = self.requirement.input_rate
-        self.overload = overload
-        # Top-level entry point: when no registry is injected, create ONE
-        # shared registry here and thread it through the fabric, master
-        # and every worker, so the whole swarm's metrics aggregate.
-        self.registry = (registry if registry is not None
-                         else metrics_mod.MetricsRegistry())
-        registry = self.registry
-        #: delivery-semantics knobs (at-least-once replay + sink dedup);
-        #: ``None`` keeps today's best-effort behavior
-        self.delivery = delivery
-        #: worker→master liveness beacons; 0 disables them (the default,
-        #: matching the seed behavior) — churn runs need them so silent
-        #: crashes are evicted and rejoins are visible
-        self.heartbeat_interval = heartbeat_interval
-        #: shared TraceSink (a :class:`repro.trace.Tracer`); every
-        #: device in the in-process swarm records into the same ring
-        self.tracer = trace if trace is not None else NULL_TRACER
-        trace = self.tracer
-        #: recovery/timing knobs shared by master and workers
-        self.recovery = recovery if recovery is not None else RecoveryConfig()
-        #: keyed-routing knobs; when set every device gets one shared
-        #: PolicyConfig so keyed edges bootstrap identical range tables
-        self.keyed = keyed
-        self._policy_config = (PolicyConfig(
-            policy=policy, seed=seed, control_interval=control_interval,
-            overload=overload, delivery=delivery, keyed=keyed)
-            if keyed is not None else None)
-        #: durable checkpoint store; None = historical unrecoverable master
-        self.checkpoint_store = checkpoint_store
-        self.fabric: Fabric = InProcFabric(overload=overload,
-                                           registry=registry)
-        if fabric_wrapper is not None:
-            # e.g. a ChaosFabric injecting seeded link faults — built by
-            # the caller so this module stays free of chaos imports
-            self.fabric = fabric_wrapper(self.fabric)
-        self.master = Master(master_id, self.fabric, graph, policy=policy,
-                             source_rate=source_rate, seed=seed,
-                             control_interval=control_interval,
-                             heartbeat_timeout=heartbeat_timeout,
-                             overload=overload, registry=registry,
-                             trace=trace, delivery=delivery,
-                             recovery=self.recovery,
-                             checkpoint_store=checkpoint_store,
-                             policy_config=self._policy_config)
-        self._policy = policy
-        self._seed = seed
-        self._control_interval = control_interval
-        self._heartbeat_timeout = heartbeat_timeout
-        self._slowdowns = dict(slowdowns or {})
-        self.workers: Dict[str, WorkerRuntime] = {}
-        for worker_id in worker_ids:
-            self.workers[worker_id] = self._make_worker(worker_id)
-        self._running = False
-
-    def _make_worker(self, worker_id: str) -> WorkerRuntime:
-        return WorkerRuntime(
-            worker_id, self.fabric, self.graph, policy=self._policy,
-            slowdown=self._slowdowns.get(worker_id, 0.0), seed=self._seed,
-            control_interval=self._control_interval,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_target=self.master.master_id,
-            policy_config=self._policy_config,
-            overload=self.overload, registry=self.registry,
-            trace=self.tracer, delivery=self.delivery,
-            recovery=self.recovery)
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        """Launch threads, join workers, deploy and start the app."""
-        if self._running:
-            raise RuntimeStateError("runtime already started")
-        self.master.runtime.start()
-        for worker in self.workers.values():
-            worker.start()
-            worker.join_master(self.master.master_id)
-        self._await_membership()
-        self.master.deploy()
-        self._await_deployment()
-        self.master.start()
-        self._running = True
 
     # -- master failover (used by the chaos harness) -----------------------
     def crash_master(self) -> None:
@@ -218,34 +277,22 @@ class SwingRuntime(_InProcSwarm):
         """Bring up a successor master from the last checkpoint.
 
         The successor runs at ``checkpoint.epoch + 1`` on the same
-        endpoint: it restores the co-located sink's dedup window, waits
-        (up to *await_workers*, default the recovery config's
-        ``await_timeout``) for checkpointed survivors to re-register —
-        their heartbeats draw an epoch-stamped WELCOME, which triggers
-        a JOIN carrying their hosted-unit inventory — then redeploys,
-        restarts sources, and re-imports the checkpointed replay
-        retention so unacknowledged tuples are redelivered (duplicates
-        absorbed by the restored dedup).  Returns the number of
-        retention entries re-imported.
+        endpoint with every pipeline re-attached: it restores the
+        co-located sinks' dedup window, waits (up to *await_workers*,
+        default the recovery config's ``await_timeout``) for
+        checkpointed survivors to re-register — their heartbeats draw an
+        epoch-stamped WELCOME, which triggers a JOIN carrying their
+        hosted-unit inventory — then redeploys, restarts sources, and
+        re-imports the checkpointed replay retention so unacknowledged
+        tuples are redelivered (duplicates absorbed by the restored
+        dedup).  Returns the number of retention entries re-imported.
         """
         if await_workers is None:
             await_workers = self.recovery.await_timeout
         checkpoint = (load_checkpoint(self.checkpoint_store)
                       if self.checkpoint_store is not None else None)
         epoch = (checkpoint.epoch if checkpoint is not None else 0) + 1
-        master_id = self.master.master_id
-        self.master = Master(master_id, self.fabric, self.graph,
-                             policy=self._policy,
-                             source_rate=self.requirement.input_rate,
-                             seed=self._seed,
-                             control_interval=self._control_interval,
-                             heartbeat_timeout=self._heartbeat_timeout,
-                             overload=self.overload, registry=self.registry,
-                             trace=self.tracer, delivery=self.delivery,
-                             recovery=self.recovery,
-                             checkpoint_store=self.checkpoint_store,
-                             epoch=epoch,
-                             policy_config=self._policy_config)
+        self.master = self._make_master(epoch)
         expected: set = set()
         if checkpoint is not None:
             # Await only survivors that still exist on this runtime —
@@ -289,8 +336,7 @@ class SwingRuntime(_InProcSwarm):
         worker = self.workers.pop(worker_id, None)
         if worker is None:
             raise RuntimeStateError("unknown worker %r" % worker_id)
-        elapsed = worker.leave(self.master.master_id, quiet=quiet,
-                               timeout=timeout)
+        elapsed = worker.leave(self._master_id, quiet=quiet, timeout=timeout)
         self.fabric.unregister(worker_id)
         return elapsed
 
@@ -303,19 +349,27 @@ class SwingRuntime(_InProcSwarm):
         worker = self._make_worker(worker_id)
         self.workers[worker_id] = worker
         worker.start()
-        worker.join_master(self.master.master_id)
+        worker.join_master(self._master_id)
 
-    # -- convenience -------------------------------------------------------
-    def sink_unit(self) -> SinkUnit:
-        """The sink instance (hosted on the master device)."""
-        sinks = self.graph.sinks()
+    # -- results -----------------------------------------------------------
+    def sink_unit(self, tenant: str = "") -> SinkUnit:
+        """One pipeline's sink instance (hosted on the master device)."""
+        try:
+            graph = self.graphs[tenant]
+        except KeyError:
+            raise RuntimeStateError("unknown tenant %r" % tenant) from None
+        sinks = graph.sinks()
         if len(sinks) != 1:
             raise DeploymentError("expected exactly one sink, found %d"
                                   % len(sinks))
-        unit = self.master.runtime.unit(sinks[0].name)
+        unit = self.master.runtime.unit(sinks[0].name, tenant=tenant)
         if not isinstance(unit, SinkUnit):
             raise DeploymentError("sink unit is not a SinkUnit")
         return unit
+
+    def results(self, tenant: str = "") -> List[DataTuple]:
+        """What one pipeline's sink has received so far, in arrival order."""
+        return list(self.sink_unit(tenant).results)
 
     def run(self, until_idle: float = 1.0, timeout: float = 60.0,
             reorder: bool = True) -> List[DataTuple]:
@@ -324,8 +378,14 @@ class SwingRuntime(_InProcSwarm):
         The stream is considered drained once the sink has received no
         new result for *until_idle* seconds.  Results are replayed
         through a reorder buffer sized at one second of the source rate
-        (paper Sec. IV-C) unless ``reorder=False``.
+        (paper Sec. IV-C) unless ``reorder=False``.  Single-pipeline
+        only: with several, call :meth:`start`, read
+        :meth:`results` per tenant, then :meth:`stop`.
         """
+        if self.specs:
+            raise DeploymentError(
+                "run() drives the default pipeline only; with tenant "
+                "pipelines use start(), results(tenant) and stop()")
         self.start()
         sink = self.sink_unit()
         seen = 0
@@ -348,165 +408,6 @@ class SwingRuntime(_InProcSwarm):
     def meets_requirement(self, achieved_rate: float) -> bool:
         """Did *achieved_rate* satisfy the declared performance contract?"""
         return self.requirement.meets_rate(achieved_rate)
-
-    def __enter__(self) -> "SwingRuntime":
-        return self
-
-
-class MultiTenantRuntime(_InProcSwarm):
-    """Run N tenant pipelines over ONE shared in-process worker pool.
-
-    Each entry of *pipelines* is a ``(TenantSpec, AppGraph)`` pair: one
-    tenant's admission share plus the dataflow it runs.  All tenants
-    share the same master, workers, fabric, registry and tracer; each
-    tenant gets its own :class:`DeploymentSession` (tenant-tagged
-    control messages) and its own source pacing
-    (``TenantSpec.input_rate``, else *source_rate*).
-
-    When *overload* bounds the mailbox depth (``queue_capacity``), the
-    weighted per-tenant budgets from
-    :func:`repro.core.multitenant.tenant_budgets` are installed on every
-    mailbox, so cross-tenant fair-share admission governs every shared
-    queue: an overloaded tenant sheds its own tuples before touching
-    anyone else's.
-    """
-
-    def __init__(self,
-                 pipelines: Sequence[tuple],
-                 worker_ids: Sequence[str],
-                 master_id: str = "A", policy: str = "LRS",
-                 source_rate: float = 24.0,
-                 slowdowns: Optional[Dict[str, float]] = None,
-                 control_interval: float = 0.25,
-                 seed: Optional[int] = None,
-                 overload: Optional[overload_mod.OverloadConfig] = None,
-                 registry: Optional[metrics_mod.MetricsRegistry] = None,
-                 trace: Optional[TraceSink] = None,
-                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
-                 recovery: Optional[RecoveryConfig] = None
-                 ) -> None:
-        if not pipelines:
-            raise RuntimeStateError("need at least one tenant pipeline")
-        if master_id in worker_ids:
-            raise RuntimeStateError("master id must not collide with workers")
-        if not worker_ids:
-            raise RuntimeStateError("a swarm needs at least one worker")
-        self.specs: List[multitenant_mod.TenantSpec] = [
-            spec for spec, _graph in pipelines]
-        self.graphs: Dict[str, AppGraph] = {
-            spec.tenant_id: graph for spec, graph in pipelines}
-        if len(self.graphs) != len(pipelines):
-            raise RuntimeStateError("duplicate tenant id in pipelines")
-        self.overload = overload
-        self.delivery = delivery
-        self.recovery = recovery if recovery is not None else RecoveryConfig()
-        self.source_rate = source_rate
-        # Top-level entry point: one shared registry for the whole pool.
-        self.registry = (registry if registry is not None
-                         else metrics_mod.MetricsRegistry())
-        self.tracer = trace if trace is not None else NULL_TRACER
-        self.fabric = InProcFabric(overload=overload, registry=self.registry)
-        # The master needs a constructor graph for its default-tenant
-        # session, but the pool never deploys that session — every
-        # pipeline here runs as an explicit tenant.
-        anchor_graph = pipelines[0][1]
-        self.master = Master(master_id, self.fabric, anchor_graph,
-                             policy=policy, source_rate=source_rate,
-                             seed=seed, control_interval=control_interval,
-                             overload=overload, registry=self.registry,
-                             trace=self.tracer, delivery=delivery,
-                             recovery=self.recovery)
-        self.sessions: Dict[str, DeploymentSession] = {}
-        for spec, graph in pipelines:
-            deployment = multitenant_mod.PipelineDeployment(spec=spec)
-            self.sessions[spec.tenant_id] = self.master.add_pipeline(
-                deployment, graph)
-            if spec.input_rate is not None:
-                self.master.runtime.set_tenant_rate(spec.tenant_id,
-                                                    spec.input_rate)
-        self._slowdowns = dict(slowdowns or {})
-        self.workers: Dict[str, WorkerRuntime] = {}
-        for worker_id in worker_ids:
-            worker = WorkerRuntime(
-                worker_id, self.fabric, anchor_graph, policy=policy,
-                slowdown=self._slowdowns.get(worker_id, 0.0), seed=seed,
-                control_interval=control_interval, overload=overload,
-                registry=self.registry, trace=self.tracer,
-                delivery=delivery, recovery=self.recovery)
-            for spec, graph in pipelines:
-                worker.register_pipeline(spec.tenant_id, graph)
-                if spec.input_rate is not None:
-                    worker.set_tenant_rate(spec.tenant_id, spec.input_rate)
-            self.workers[worker_id] = worker
-        self._install_budgets()
-        self._running = False
-
-    def _install_budgets(self) -> None:
-        """Install fair-share budgets on every mailbox (bounded queues)."""
-        capacity = (self.overload.queue_capacity
-                    if self.overload is not None else None)
-        if capacity is None:
-            return
-        budgets = multitenant_mod.tenant_budgets(self.specs, capacity)
-        priorities = {spec.tenant_id: spec.priority for spec in self.specs}
-        for runtime in [self.master.runtime] + list(self.workers.values()):
-            runtime.mailbox.set_tenant_budgets(budgets, priorities)
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        """Launch the pool, then deploy and start every tenant."""
-        if self._running:
-            raise RuntimeStateError("runtime already started")
-        self.master.runtime.start()
-        for worker in self.workers.values():
-            worker.start()
-            worker.join_master(self.master.master_id)
-        self._await_membership()
-        for tenant_id in sorted(self.sessions):
-            self.sessions[tenant_id].deploy()
-        self._await_deployment()
-        for tenant_id in sorted(self.sessions):
-            self.sessions[tenant_id].start()
-        self._running = True
-
-    def stop_tenant(self, tenant_id: str) -> None:
-        """Halt one tenant's sources; every other tenant keeps running."""
-        try:
-            session = self.sessions[tenant_id]
-        except KeyError:
-            raise RuntimeStateError("unknown tenant %r" % tenant_id) from None
-        session.stop()
-
-    # -- convenience -------------------------------------------------------
-    def sink_unit(self, tenant_id: str) -> SinkUnit:
-        """One tenant's sink instance (hosted on the master device)."""
-        try:
-            graph = self.graphs[tenant_id]
-        except KeyError:
-            raise RuntimeStateError("unknown tenant %r" % tenant_id) from None
-        sinks = graph.sinks()
-        if len(sinks) != 1:
-            raise DeploymentError("expected exactly one sink for tenant %r,"
-                                  " found %d" % (tenant_id, len(sinks)))
-        unit = self.master.runtime.unit(sinks[0].name, tenant=tenant_id)
-        if not isinstance(unit, SinkUnit):
-            raise DeploymentError("sink unit is not a SinkUnit")
-        return unit
-
-    def results(self, tenant_id: str) -> List[DataTuple]:
-        return list(self.sink_unit(tenant_id).results)
-
-    def run(self, duration: float) -> Dict[str, List[DataTuple]]:
-        """Start, run all tenants for *duration* seconds, stop, and
-        return each tenant's sink results."""
-        self.start()
-        time.sleep(duration)
-        self.stop()
-        return {tenant_id: self.results(tenant_id)
-                for tenant_id in self.sessions}
-
-    def __enter__(self) -> "MultiTenantRuntime":
-        return self
 
 
 def order_results(results: List[DataTuple], source_rate: float,

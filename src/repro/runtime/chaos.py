@@ -38,7 +38,7 @@ from repro.core.exceptions import RuntimeStateError, SerializationError
 from repro.core.faults import FaultEvent, FaultSchedule
 from repro.runtime.app_runner import SwingRuntime
 from repro.runtime.channels import ChannelClosed
-from repro.runtime.fabric import Fabric, Mailbox
+from repro.runtime.fabric import SEND_ERRORS, Fabric, Mailbox
 from repro.runtime.messages import BATCH, Message
 from repro.runtime.serialization import decode_batch
 
@@ -234,8 +234,10 @@ class ChaosFabric(Fabric):
                       message: Message) -> None:
         try:
             self.inner.send(sender_id, target_id, message)
-        except Exception:
-            pass  # the target vanished while the frame was in flight
+        except SEND_ERRORS:
+            # The target vanished while the frame was held: the sender
+            # saw it leave, so this is where it is lost.
+            self._count_loss("chaos_delay_lost", (sender_id, target_id))
 
     def _count_loss(self, reason: str, link: Tuple[str, str]) -> None:
         self._registry.increment(metrics_mod.DROPPED_TOTAL, reason=reason,

@@ -92,7 +92,7 @@ class UpstreamDispatcher:
     """Routes one unit's output tuples across downstream instances."""
 
     def __init__(self, unit_name: str,
-                 send: Callable[[str, messages.Message], None],
+                 send: Callable[[str, messages.Message], Optional[bool]],
                  policy: str = "LRS", seed: Optional[int] = None,
                  control_interval: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
@@ -225,11 +225,11 @@ class UpstreamDispatcher:
         sampled = (data.trace.sampled if data.trace is not None
                    else tracer.sampled(data.seq))
         if data.expired(now):
-            labels = {"reason": overload_mod.REASON_EXPIRED,
-                      "edge": self.edge}
-            if self.tenant:
-                labels["tenant"] = self.tenant
-            self._registry.increment(metrics_mod.SHED_TOTAL, **labels)
+            self._registry.increment(
+                metrics_mod.SHED_TOTAL,
+                **metrics_mod.tenant_labels(
+                    self.tenant, reason=overload_mod.REASON_EXPIRED,
+                    edge=self.edge))
             if tracer.enabled:
                 tracer.emit(Span(SHED, data.seq, now, now,
                                  device_id=self.device_id or self.edge,
@@ -327,7 +327,9 @@ class UpstreamDispatcher:
         Returns the send timestamp on success, None once the instance
         exhausts its attempts (or sits inside its backoff window).
         ``attempt`` > 1 marks an at-least-once redelivery; it is stamped
-        on the wire so the receiver can attribute the duplicate.
+        on the wire so the receiver can attribute the duplicate.  A frame
+        *send* only held (it returned True) is no proof of life: whoever
+        holds it credits the peer's health when the burst leaves.
         """
         with self._lock:
             parts = self._downstreams.get(instance)
@@ -354,12 +356,12 @@ class UpstreamDispatcher:
             if attempt > 1:
                 message.payload["delivery_attempt"] = attempt
             try:
-                self._send(worker_id, message)
+                held = self._send(worker_id, message)
             except Exception:
                 if self._health is not None:
                     self._health.record_failure(worker_id)
                 continue
-            if self._health is not None:
+            if self._health is not None and not held:
                 self._health.record_success(worker_id)
             return now
         return None

@@ -148,12 +148,11 @@ class Mailbox:
                 action, shed = self._queue.offer(entry, tenant, tuples)
         for _entry, shed_tenant, shed_tuples in shed:
             self.shed_count += shed_tuples
-            labels = {"reason": overload_mod.REASON_QUEUE_FULL,
-                      "queue": self._queue_label}
-            if shed_tenant:
-                labels["tenant"] = shed_tenant
-            self._registry.increment(metrics_mod.SHED_TOTAL,
-                                     amount=shed_tuples, **labels)
+            self._registry.increment(
+                metrics_mod.SHED_TOTAL, amount=shed_tuples,
+                **metrics_mod.tenant_labels(
+                    shed_tenant, reason=overload_mod.REASON_QUEUE_FULL,
+                    queue=self._queue_label))
         if action != overload_mod.ADMIT:
             return False
         depth = len(self._queue)

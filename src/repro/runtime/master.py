@@ -16,9 +16,9 @@ The control plane is split in two layers:
   and tags every control message with its tenant id, so a shared worker
   can host units from many tenants concurrently.
 
-:class:`Master` composes one pool with the default-tenant session and
-preserves the historical single-app API; ``add_pipeline`` attaches
-further tenants to the same pool.  The master owns its own
+:class:`Master` composes one pool with one session per pipeline, keyed
+by tenant id: the constructor graph is the default tenant ``""`` and
+``add_pipeline`` attaches further tenants.  The master owns its own
 :class:`~repro.runtime.worker.WorkerRuntime` (so sources and sinks can
 live on the master device, like phone A in the evaluation).
 """
@@ -417,15 +417,17 @@ class DeploymentSession:
 
 
 class Master:
-    """Coordinates deployment, membership and execution of one app.
+    """Coordinates deployment, membership and execution of the swarm's
+    pipelines.
 
-    Historical single-app facade over the :class:`SwarmPool` +
-    :class:`DeploymentSession` split: the constructor graph becomes the
-    default tenant's session, and :meth:`add_pipeline` attaches further
-    tenant pipelines to the same shared pool.
+    One :class:`SwarmPool` plus one :class:`DeploymentSession` per
+    pipeline in :attr:`sessions`, keyed by tenant id: the constructor
+    graph is the default tenant ``""`` (``graph=None`` hosts none), and
+    :meth:`add_pipeline` attaches further tenants to the same pool.
     """
 
-    def __init__(self, master_id: str, fabric: Fabric, graph: AppGraph,
+    def __init__(self, master_id: str, fabric: Fabric,
+                 graph: Optional[AppGraph],
                  policy: str = "LRS", source_rate: float = 24.0,
                  seed: Optional[int] = None,
                  control_interval: float = 1.0,
@@ -439,7 +441,8 @@ class Master:
                  epoch: int = 0,
                  policy_config: Optional[PolicyConfig] = None
                  ) -> None:
-        graph.validate()
+        if graph is not None:
+            graph.validate()
         self.master_id = master_id
         self.fabric = fabric
         self.graph = graph
@@ -475,8 +478,13 @@ class Master:
             policy_config=policy_config,
             overload=overload, registry=self.registry, trace=trace,
             delivery=delivery, recovery=self.recovery)
-        self.session = DeploymentSession(self.pool, graph, tenant_id="")
-        self._tenant_sessions: Dict[str, DeploymentSession] = {}
+        #: one deployment session per pipeline, keyed by tenant id
+        self.sessions: Dict[str, DeploymentSession] = {}
+        if graph is not None:
+            self.sessions[""] = DeploymentSession(self.pool, graph)
+        #: tenants the restored checkpoint recorded as stopped; the
+        #: successor's start() leaves them stopped
+        self._staged_stopped: Tuple[str, ...] = ()
         #: checkpointed retention staged by restore(), imported into the
         #: runtime's dispatchers once the new deployment exists
         self._staged_retention: Tuple = ()
@@ -501,31 +509,25 @@ class Master:
             self.checkpoints.maybe_checkpoint()
 
     # -- multi-tenancy -----------------------------------------------------
-    def add_pipeline(self,
-                     deployment: "multitenant_mod.PipelineDeployment",
+    def add_pipeline(self, spec: multitenant_mod.TenantSpec,
                      graph: AppGraph) -> DeploymentSession:
         """Attach one tenant's pipeline to the shared pool.
 
-        Registers the graph on the master's own runtime (callers must
-        register it on every remote worker too — the workers host units
-        from this graph once the session deploys) and returns the
-        tenant's :class:`DeploymentSession`.
+        Registers the graph (and the spec's source rate, if any) on the
+        master's own runtime — callers must register them on every
+        remote worker too, which hosts units from this graph once the
+        session deploys — and returns the tenant's
+        :class:`DeploymentSession`.
         """
-        tenant_id = deployment.tenant_id
-        if tenant_id in self._tenant_sessions or tenant_id == "":
+        tenant_id = spec.tenant_id
+        if tenant_id in self.sessions:
             raise DeploymentError("tenant %r already deployed" % tenant_id)
         self.runtime.register_pipeline(tenant_id, graph)
+        if spec.input_rate is not None:
+            self.runtime.set_tenant_rate(tenant_id, spec.input_rate)
         session = DeploymentSession(self.pool, graph, tenant_id=tenant_id)
-        self._tenant_sessions[tenant_id] = session
+        self.sessions[tenant_id] = session
         return session
-
-    def tenant_session(self, tenant_id: str) -> DeploymentSession:
-        if tenant_id == "":
-            return self.session
-        try:
-            return self._tenant_sessions[tenant_id]
-        except KeyError:
-            raise DeploymentError("unknown tenant %r" % tenant_id) from None
 
     # -- membership (delegated to the pool) --------------------------------
     def handle_join(self, worker_id: str) -> None:
@@ -539,33 +541,29 @@ class Master:
         return self.pool.worker_ids
 
     @property
-    def placement(self) -> Optional[Placement]:
-        return self.session.placement
-
-    @property
-    def started(self) -> bool:
-        return self.session.started
-
-    @property
     def _detector(self) -> Optional[threading.Thread]:
         return self.pool._detector
 
-    # -- deployment / execution (default-tenant session) -------------------
+    # -- deployment / execution (every session, in tenant order) -----------
     def deploy(self, worker_ids: Optional[Sequence[str]] = None) -> None:
-        """Compute the placement and push DEPLOY to every device."""
-        self.session.deploy(worker_ids)
+        """Compute each pipeline's placement and push DEPLOY to every
+        device."""
+        for _tenant, session in sorted(self.sessions.items()):
+            session.deploy(worker_ids)
 
     def start(self) -> None:
-        """Instruct source devices to begin sensing (Fig. 3 step 4)."""
-        self.session.start()
+        """Instruct source devices to begin sensing (Fig. 3 step 4) —
+        except for tenants a restored checkpoint recorded as stopped."""
+        for tenant, session in sorted(self.sessions.items()):
+            if tenant not in self._staged_stopped:
+                session.start()
 
     def stop(self) -> None:
         """Shut down control; idempotent, and late membership events
         arriving after this point are ignored rather than raised."""
         self.pool.stop()
         with self.pool.lock:
-            self.session.started = False
-            for session in self._tenant_sessions.values():
+            for session in self.sessions.values():
                 session.started = False
             for worker_id in self.pool.worker_ids:
                 self.pool.send_control(worker_id, messages.stop_message(
@@ -577,9 +575,7 @@ class Master:
         with self.pool.lock:
             workers = tuple(self.pool.worker_ids)
             sessions = []
-            for session in [self.session] \
-                    + sorted(self._tenant_sessions.values(),
-                             key=lambda s: s.tenant_id):
+            for _tenant, session in sorted(self.sessions.items()):
                 if session.placement is None:
                     continue
                 assignments = tuple(sorted(
@@ -632,8 +628,9 @@ class Master:
 
         Seeds the co-located sink's dedup window (so redelivered
         retention is absorbed, not double-counted), stages the
-        checkpointed replay retention for :meth:`import_retention`, and
-        counts ``swing_master_recoveries_total``.  Returns the
+        checkpointed replay retention for :meth:`import_retention` and
+        the stopped tenants for :meth:`start`, and counts
+        ``swing_master_recoveries_total``.  Returns the
         checkpointed worker set so callers can await re-registration
         before computing a placement.
         """
@@ -643,6 +640,9 @@ class Master:
                 "checkpoint (have %d, checkpoint %d)"
                 % (self.pool.epoch, checkpoint.epoch))
         self.runtime.restore_dedup(checkpoint.dedup)
+        self._staged_stopped = tuple(state.tenant
+                                     for state in checkpoint.sessions
+                                     if not state.started)
         self._staged_retention = checkpoint.retention
         self._staged_key_ranges = checkpoint.key_ranges
         self.registry.increment(metrics_mod.MASTER_RECOVERIES_TOTAL,

@@ -63,7 +63,8 @@ HOLD_MAX_UNIT_S = 0.001
 class WorkerRuntime:
     """Hosts and drives function units on one swarm endpoint."""
 
-    def __init__(self, worker_id: str, fabric: Fabric, graph: AppGraph,
+    def __init__(self, worker_id: str, fabric: Fabric,
+                 graph: Optional[AppGraph],
                  policy: str = "LRS", slowdown: float = 0.0,
                  source_rate: float = 24.0, seed: Optional[int] = None,
                  control_interval: float = 1.0,
@@ -131,9 +132,11 @@ class WorkerRuntime:
         #: (the data plane formats no string per tuple)
         self._hop = "worker:%s" % worker_id
         #: per-tenant pipeline graphs; "" is the constructor graph (the
-        #: single-tenant namespace).  Sessions of a shared pool register
-        #: their tenants' graphs before deploying to this worker.
-        self._graphs: Dict[str, AppGraph] = {"": graph}
+        #: single-tenant namespace; ``graph=None`` hosts no default
+        #: pipeline).  Sessions of a shared pool register their tenants'
+        #: graphs before deploying to this worker.
+        self._graphs: Dict[str, AppGraph] = ({"": graph} if graph is not None
+                                             else {})
         #: hosted units keyed by tenant-scoped unit key ("unit" for the
         #: default tenant, "tenant:unit" otherwise)
         self._units: Dict[str, FunctionUnit] = {}
@@ -143,7 +146,6 @@ class WorkerRuntime:
         #: workers by key range
         self._key_states: Dict[str, InMemoryStateStore] = {}
         self._running = threading.Event()
-        self._started = threading.Event()
         #: set by stop(): interrupts source pacing / heartbeat sleeps so
         #: shutdown returns promptly instead of riding out the interval
         self._stopped = threading.Event()
@@ -211,7 +213,7 @@ class WorkerRuntime:
 
     def stop(self, timeout: float = 5.0) -> None:
         self._running.clear()
-        self._started.clear()
+        self._started_tenants.clear()
         self._stopped.set()
         for thread in self._source_threads:
             thread.join(timeout=timeout)
@@ -332,9 +334,9 @@ class WorkerRuntime:
                                          link="%s>?" % self.worker_id)
 
     # -- held writes -------------------------------------------------------
-    def _emit(self, target_id: str, message: messages.Message) -> None:
+    def _emit(self, target_id: str, message: messages.Message) -> bool:
         """Send one result or ACK frame: held on the loop thread, straight
-        out from any other.
+        out from any other.  Returns whether the frame was held.
 
         The loop thread emits a result and an ACK per tuple, each a
         ``sendall`` that gives the GIL away; holding them per target and
@@ -347,26 +349,30 @@ class WorkerRuntime:
         happened to fill the buffer.  Source pumps, heartbeats,
         ``leave()``'s and ``stop()``'s force-flush and master control run
         on other threads and bypass the buffer, which is why it needs no
-        lock.  A held frame's send cannot fail synchronously; see
-        :meth:`_flush_held`.
+        lock.  A held frame's send cannot fail synchronously, and proves
+        nothing about the peer; see :meth:`_flush_held`.
         """
         if threading.get_ident() != self._loop_ident:
             self.fabric.send(self.worker_id, target_id, message)
-            return
+            return False
         held = self._held.get(target_id)
         if held is None:
             held = self._held[target_id] = []
         held.append(message)
         self._held_count += 1
+        return True
 
     def _flush_held(self) -> None:
         """Write every held frame, one burst per target.
 
-        A burst that fails is never silent: the peer's health record
-        takes the failure (so the dispatcher's next send to it is gated
-        like after a synchronous failure), and every frame of the burst
-        is counted — ``ack_unsent`` for an echo, ``send_failed`` for a
-        result, which its upstream edge will redeliver or charge as lost.
+        The peer's health is credited here, where the bytes leave: a
+        burst that went out is one success.  A burst that fails is never
+        silent: the peer's health record takes the failure (so the
+        dispatcher's next send to it is gated like after a synchronous
+        failure, and ``max_failures`` failed bursts mark it dead), and
+        every frame of the burst is counted — ``ack_unsent`` for an
+        echo, ``send_failed`` for a result, which its upstream edge will
+        redeliver or charge as lost.
         """
         if not self._held_count:
             return
@@ -383,6 +389,8 @@ class WorkerRuntime:
                         metrics_mod.DROPPED_TOTAL, link=link,
                         reason=("ack_unsent" if message.kind == messages.ACK
                                 else "send_failed"))
+            else:
+                self.health.record_success(target_id)
 
     # -- epoch fencing -----------------------------------------------------
     @property
@@ -452,16 +460,15 @@ class WorkerRuntime:
         elif message.kind == messages.ACK:
             self._on_ack(message)
         elif message.kind == messages.START:
-            self._on_start(message.payload.get("tenant") or None)
+            self._on_start(message.payload.get("tenant") or "")
         elif message.kind == messages.STOP:
-            tenant = message.payload.get("tenant") or None
-            if tenant is not None:
+            tenant = message.payload.get("tenant") or ""
+            if tenant:
                 # Tenant-scoped stop: only that tenant's sources halt;
                 # the worker (and every other tenant) keeps running.
                 self._started_tenants.discard(tenant)
             else:
                 self._running.clear()
-                self._started.clear()
                 self._started_tenants.clear()
         elif message.kind == messages.WELCOME \
                 and message.payload.get("epoch", 0):
@@ -612,18 +619,6 @@ class WorkerRuntime:
             del self._dispatchers[key]
 
     # -- data plane ------------------------------------------------------
-    def _shed_labels(self, reason: str, tenant: str) -> Dict[str, str]:
-        labels = {"reason": reason, "queue": self._hop}
-        if tenant:
-            labels["tenant"] = tenant
-        return labels
-
-    def _count_deduped(self, tenant: str) -> None:
-        labels = {"queue": self._hop}
-        if tenant:
-            labels["tenant"] = tenant
-        self._registry.increment(metrics_mod.DEDUPED_TOTAL, **labels)
-
     def _serve(self, sender_id: str, message: messages.Message) -> None:
         """Serve one DATA or BATCH message: a tuple is a batch of one.
 
@@ -669,7 +664,9 @@ class WorkerRuntime:
             if self._dedup is not None and self._dedup.seen((edge, data.seq)):
                 # At-least-once redelivery raced the original: suppress
                 # the duplicate before the unit sees it, but still ACK.
-                self._count_deduped(tenant)
+                self._registry.increment(
+                    metrics_mod.DEDUPED_TOTAL,
+                    **metrics_mod.tenant_labels(tenant, queue=hop))
                 continue
             if self._held_count and (
                     self._held_count >= HOLD_MAX_FRAMES
@@ -691,7 +688,9 @@ class WorkerRuntime:
                 # Too stale to be useful: skip the compute, not the ACK.
                 self._registry.increment(
                     metrics_mod.SHED_TOTAL,
-                    **self._shed_labels(overload_mod.REASON_EXPIRED, tenant))
+                    **metrics_mod.tenant_labels(
+                        tenant, reason=overload_mod.REASON_EXPIRED,
+                        queue=hop))
                 if tracer.enabled:
                     tracer.emit(Span(SHED, data.seq, started, started,
                                      device_id=self.worker_id, hop=hop,
@@ -747,30 +746,20 @@ class WorkerRuntime:
                               message.payload["processing_delay"])
 
     # -- sources ------------------------------------------------------------
-    def _on_start(self, tenant: Optional[str] = None) -> None:
-        """Start source pumps: globally, or for one tenant's pipeline.
+    def _on_start(self, tenant: str) -> None:
+        """Start one tenant's source pumps; a no-op if already started.
 
-        A global START (``tenant is None``) spins up every hosted
-        source and marks every hosted tenant started — the historical
-        single-tenant behavior.  A tenant-scoped START only touches
-        that tenant's sources, so a shared pool can bring pipelines up
-        and down independently.
+        An untagged START names the default tenant ``""`` — the only
+        one a single-app worker hosts, since tenant sessions always tag
+        their START — so a shared pool brings pipelines up and down
+        independently.
         """
-        if tenant is None:
-            if self._started.is_set():
-                return
-            self._started.set()
-            self._started_tenants.update(
-                self._key_tenant(key) for key in self._units)
-            self._started_tenants.add("")
-            targets = list(self._units.items())
-        else:
-            self._started.set()
-            self._started_tenants.add(tenant)
-            targets = [(key, unit) for key, unit in self._units.items()
-                       if self._key_tenant(key) == tenant]
-        for unit_key, unit in targets:
-            if isinstance(unit, SourceUnit) and unit_key not in self._pumping:
+        if tenant in self._started_tenants:
+            return
+        self._started_tenants.add(tenant)
+        for unit_key, unit in list(self._units.items()):
+            if (isinstance(unit, SourceUnit) and unit_key not in self._pumping
+                    and self._key_tenant(unit_key) == tenant):
                 self._pumping.add(unit_key)
                 thread = threading.Thread(
                     target=self._pump_source, args=(unit_key, unit),
@@ -804,17 +793,16 @@ class WorkerRuntime:
         rate = self._tenant_rates.get(tenant, self.source_rate)
         interval = 1.0 / rate if rate > 0 else 0.0
         try:
-            while (self._running.is_set() and self._started.is_set()
-                   and tenant in self._started_tenants):
+            while self._running.is_set() and tenant in self._started_tenants:
                 started = time.monotonic()
                 reason = self._source_backpressured(unit_key)
                 if reason is not None:
                     # Admission control: refuse doomed work before spending
                     # generate/encode/transmit effort on it.
-                    labels = {"reason": reason, "source": unit_key}
-                    if tenant:
-                        labels["tenant"] = tenant
-                    self._registry.increment(metrics_mod.SHED_TOTAL, **labels)
+                    self._registry.increment(
+                        metrics_mod.SHED_TOTAL,
+                        **metrics_mod.tenant_labels(tenant, reason=reason,
+                                                    source=unit_key))
                 else:
                     data = unit.generate()
                     if data is None:

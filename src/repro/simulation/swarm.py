@@ -875,10 +875,10 @@ class SwarmSimulation:
             tenant = self._tenant_of(seq)
         self._controller_for(tenant).release_replay(seq, EVICT_SHED)
         self.metrics.drop(seq, drop_reason)
-        labels = {"reason": shed_reason, "queue": queue}
-        if tenant:
-            labels["tenant"] = tenant
-        self.registry.increment(metrics_mod.SHED_TOTAL, **labels)
+        self.registry.increment(
+            metrics_mod.SHED_TOTAL,
+            **metrics_mod.tenant_labels(tenant, reason=shed_reason,
+                                        queue=queue))
         if self.tracer.enabled:
             now = self.sim.now
             device = queue.split(":", 1)[-1]
@@ -1311,10 +1311,9 @@ class SwarmSimulation:
             # At-least-once replay delivered this seq more than once; the
             # ACK above still counts (the worker did the work) but the
             # sink must not double-deliver it.
-            labels = {"queue": sink_name}
-            if frame.tenant:
-                labels["tenant"] = frame.tenant
-            self.registry.increment(metrics_mod.DEDUPED_TOTAL, **labels)
+            self.registry.increment(
+                metrics_mod.DEDUPED_TOTAL,
+                **metrics_mod.tenant_labels(frame.tenant, queue=sink_name))
             return
         if frame.expired(now):
             # Computed, transmitted back — and still too late.  The sink

@@ -58,8 +58,9 @@ KNOWN_DROP_REASONS = frozenset({
     sim_metrics.DROP_DEVICE_LEFT, sim_metrics.DROP_LINK_DOWN,
     sim_metrics.DROP_STALE, sim_metrics.DROP_EXPIRED,
     sim_metrics.DROP_BACKPRESSURE, sim_metrics.DROP_QUEUE_FULL,
-    # runtime chaos fabric injections (always counted, never silent)
-    "chaos_drop", "chaos_corrupt", "chaos_partition",
+    # runtime chaos fabric injections (always counted, never silent); a
+    # delayed frame whose target vanished before it was delivered
+    "chaos_drop", "chaos_corrupt", "chaos_partition", "chaos_delay_lost",
     # runtime worker: undecodable DATA/BATCH frame, ACK / result the
     # fabric could not carry, message whose handler raised, batch flush
     # that raised; TCP reader: undecodable frame; master or worker:

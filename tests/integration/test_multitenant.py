@@ -28,11 +28,11 @@ from repro import metrics as metrics_mod
 from repro.core import overload as overload_mod
 from repro.core.function_unit import CollectingSink, IterableSource, LambdaUnit
 from repro.core.graph import GraphBuilder
-from repro.core.multitenant import (PipelineDeployment, TenantSpec,
-                                    fair_admission, tenant_budgets)
+from repro.core.multitenant import (TenantSpec, fair_admission,
+                                    tenant_budgets)
 from repro.core.overload import OverloadConfig
 from repro.core.exceptions import RuntimeStateError
-from repro.runtime.app_runner import MultiTenantRuntime
+from repro.runtime.app_runner import SwingRuntime
 from repro.simulation import scenarios
 from repro.simulation.swarm import run_swarm
 
@@ -209,10 +209,6 @@ class TestTenantBudgets:
             with pytest.raises(RuntimeStateError):
                 TenantSpec(bad)
 
-    def test_deployment_exposes_its_tenant(self):
-        deployment = PipelineDeployment(spec=TenantSpec("alpha"))
-        assert deployment.tenant_id == "alpha"
-
 
 # ---------------------------------------------------------------------------
 # Threaded runtime: shared pool, bounded fair-share mailboxes.
@@ -256,7 +252,7 @@ class TestRuntimeIsolation:
             (TenantSpec("v2", weight=1.0, input_rate=30.0),
              _pipeline("v2", VICTIM_TUPLES)),
         ]
-        runtime = MultiTenantRuntime(
+        runtime = SwingRuntime(
             pipelines, worker_ids=["B", "C"], policy="RR", seed=3,
             overload=OverloadConfig(queue_capacity=12), registry=registry)
         runtime.start()
@@ -281,8 +277,8 @@ class TestRuntimeIsolation:
             (TenantSpec("alpha", input_rate=120.0), _pipeline("alpha", 30)),
             (TenantSpec("beta", input_rate=120.0), _pipeline("beta", 30)),
         ]
-        runtime = MultiTenantRuntime(pipelines, worker_ids=["B", "C"],
-                                     policy="RR", seed=1)
+        runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
+                               policy="RR", seed=1)
         runtime.start()
         try:
             _await_tenants(runtime, {"alpha": 30, "beta": 30})
@@ -300,8 +296,8 @@ class TestRuntimeIsolation:
             (TenantSpec("alpha", input_rate=40.0), _pipeline("alpha", 200)),
             (TenantSpec("beta", input_rate=120.0), _pipeline("beta", 60)),
         ]
-        runtime = MultiTenantRuntime(pipelines, worker_ids=["B", "C"],
-                                     policy="RR", seed=1)
+        runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
+                               policy="RR", seed=1)
         runtime.start()
         try:
             # Mid-run: alpha must be stopped while still short of done.
@@ -323,8 +319,8 @@ class TestRuntimeIsolation:
             (TenantSpec("alpha", input_rate=150.0), _pipeline("alpha", 50)),
             (TenantSpec("beta", input_rate=150.0), _pipeline("beta", 50)),
         ]
-        runtime = MultiTenantRuntime(pipelines, worker_ids=["B", "C"],
-                                     policy="RR", seed=2)
+        runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
+                               policy="RR", seed=2)
         runtime.start()
         try:
             _await_tenants(runtime, {"alpha": 50, "beta": 50})
@@ -343,7 +339,7 @@ class TestRuntimeIsolation:
             (TenantSpec("alpha", weight=3.0), _pipeline("alpha", 1)),
             (TenantSpec("beta", weight=1.0), _pipeline("beta", 1)),
         ]
-        runtime = MultiTenantRuntime(
+        runtime = SwingRuntime(
             pipelines, worker_ids=["B"], policy="RR",
             overload=OverloadConfig(queue_capacity=8))
         expected = tenant_budgets([spec for spec, _ in pipelines], 8)

@@ -216,6 +216,20 @@ class TestDelay:
         assert len(drain(inbox)) == 3
         assert fabric.injected[("chaos_delay", "A>B")] == 3
 
+    def test_delayed_frame_to_a_vanished_target_is_counted(self):
+        fabric, _inbox, registry = make_fabric()
+        fabric.set_link("A", "B", LinkChaos(delay=1.0, delay_seconds=0.05))
+        send_n(fabric, 1)
+        fabric.unregister("B")  # gone while the frame is held
+        deadline = time.monotonic() + 2.0
+        while (("chaos_delay_lost", "A>B") not in fabric.injected
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert registry.values_by_label(metrics_mod.DROPPED_TOTAL,
+                                        "reason") == {"chaos_delay_lost": 1}
+        assert registry.value(metrics_mod.DROPPED_TOTAL,
+                              reason="chaos_delay_lost", link="A>B") == 1
+
 
 class TestPartition:
     def test_partition_raises_and_counts(self):

@@ -190,3 +190,30 @@ def test_flush_to_a_dead_peer_is_counted_and_health_recorded():
                                     reason="ack_unsent", link="B>A") == 0
     finally:
         swarm.worker.stop()
+
+
+def test_failed_flushes_mark_the_peer_dead():
+    # A held send proves nothing about the peer: only the burst that
+    # leaves does.  Each tuple below is held, then its flush to the
+    # vanished downstream fails; max_failures such flushes must add up
+    # to a dead peer instead of each held send wiping the streak.
+    swarm = _Swarm(tuples=0, downstream="snk@ghost")
+    health = swarm.worker.health
+    try:
+        for seq in range(health.max_failures):
+            wait_until(lambda: health.should_attempt("ghost"),
+                       message="the backoff window to pass")
+            message = messages.data_message(
+                "f", encode_tuple(DataTuple(values={"x": seq}, seq=seq)),
+                seq, time.monotonic())
+            message.payload["edge"] = "src>f"
+            swarm.fabric.send("A", "B", message)
+            wait_until(lambda: swarm.registry.value(
+                metrics_mod.DROPPED_TOTAL, reason="send_failed",
+                link="B>ghost") == seq + 1,
+                message="flush %d failing" % (seq + 1))
+        assert health.snapshot()["ghost"].consecutive_failures \
+            == health.max_failures
+        assert health.is_dead("ghost")
+    finally:
+        swarm.worker.stop()
