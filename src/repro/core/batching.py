@@ -36,9 +36,9 @@ class BatchConfig:
     #: close the batch once this many tuples are buffered (1 = batching off)
     max_tuples: int = 1
     #: close a partial batch once its oldest tuple has waited this long,
-    #: seconds; the hosting substrate checks this on its own cadence
-    #: (dispatch calls + the worker's idle loop), so it is a lower
-    #: bound on the wait, not a hard deadline
+    #: seconds; the hosting substrate checks this at each dispatch call
+    #: and wakes for it (:meth:`BatchBuffer.due_in`), so it is a lower
+    #: bound on the wait, off only by scheduling latency
     max_delay: float = 0.01
 
     def __post_init__(self) -> None:
@@ -80,6 +80,13 @@ class BatchBuffer:
         """True when the oldest buffered item has waited past max_delay."""
         return (bool(self._items) and self._opened_at is not None
                 and now - self._opened_at >= self.config.max_delay)
+
+    def due_in(self, now: float) -> Optional[float]:
+        """Seconds until :meth:`due` turns true (<= 0: already due);
+        None when nothing is buffered."""
+        if not self._items or self._opened_at is None:
+            return None
+        return self._opened_at + self.config.max_delay - now
 
     def take(self) -> Tuple[Any, ...]:
         """Drain and return everything buffered (empty tuple when idle)."""

@@ -73,8 +73,9 @@ class RecoveryConfig:
     ``checkpoint_on_mutation``
         Write immediately on membership / deployment changes.
     ``worker_idle_tick``
-        Worker mailbox poll timeout — bounds how long a partial batch
-        can sit buffered, and how fast a worker notices shutdown.
+        Worker mailbox poll timeout while no partial batch is pending
+        (a pending one is waited for until its ``max_delay``) — how fast
+        a worker notices shutdown.
     ``drain_quiet`` / ``drain_poll``
         Graceful-drain quiescence window and its poll period.
     ``detector_interval``

@@ -105,7 +105,8 @@ class UpstreamDispatcher:
                  trace: Optional[TraceSink] = None,
                  device_id: str = "",
                  delivery: Optional[delivery_mod.DeliveryConfig] = None,
-                 tenant: str = ""
+                 tenant: str = "",
+                 on_batch_open: Optional[Callable[[], None]] = None
                  ) -> None:
         self.unit_name = unit_name
         self.edge = edge or unit_name
@@ -144,6 +145,9 @@ class UpstreamDispatcher:
         self._batch_lock = threading.Lock()
         self._batch: Optional[BatchBuffer] = (BatchBuffer(batching)
                                               if batching.enabled else None)
+        #: called when a tuple opens a new partial batch, so the hosting
+        #: loop can wake in time to age-flush it (see flush_due_in)
+        self._on_batch_open = on_batch_open
 
     # -- membership --------------------------------------------------------
     def set_downstreams(self, instances) -> None:
@@ -264,8 +268,11 @@ class UpstreamDispatcher:
             full = self._batch.append((data.seq, payload, data.deadline),
                                       now)
             close = full or self._batch.due(now)
+            opened = len(self._batch) == 1
         if close:
             return self.flush(now)
+        if opened and self._on_batch_open is not None:
+            self._on_batch_open()
         return None
 
     def flush(self, now: Optional[float] = None) -> Optional[InstanceId]:
@@ -306,6 +313,16 @@ class UpstreamDispatcher:
         if due:
             return self.flush(now)
         return None
+
+    def flush_due_in(self, now: Optional[float] = None) -> Optional[float]:
+        """Seconds until the pending batch is due for :meth:`maybe_flush`
+        (None: nothing pending) — how long the hosting loop may block."""
+        if self._batch is None:
+            return None
+        if now is None:
+            now = self._clock()
+        with self._batch_lock:
+            return self._batch.due_in(now)
 
     def pending_batch(self) -> int:
         """Tuples buffered and not yet flushed (drain visibility)."""

@@ -58,6 +58,9 @@ class Mailbox:
         self._queue = AdmissionQueue(self.overload.queue_capacity,
                                      self.overload.drop_policy)
         self._cond = threading.Condition()
+        #: set by wake(): the next get that finds the queue empty returns
+        #: at once instead of waiting out its timeout
+        self._woken = False
         #: tuples shed here over the mailbox's lifetime
         self.shed_count = 0
         #: high-water mark of ``len(mailbox)``, in messages
@@ -161,18 +164,29 @@ class Mailbox:
         return True
 
     def get(self, timeout: Optional[float] = None) -> Tuple[str, Message]:
+        """The oldest message; ``TimeoutError`` when none arrives within
+        *timeout* or :meth:`wake` cuts the wait short."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while not len(self._queue):
                 leftover = (None if deadline is None
                             else deadline - time.monotonic())
-                if leftover is not None and leftover <= 0:
+                if self._woken or (leftover is not None and leftover <= 0):
+                    self._woken = False
                     raise TimeoutError("mailbox %r empty" % self.owner_id)
                 self._cond.wait(timeout=leftover)
+            self._woken = False
             entry = self._queue.pop()
             self._depth_gauge.set(len(self._queue))
             self._cond.notify_all()
         return entry
+
+    def wake(self) -> None:
+        """End the consumer's current (or next) empty wait early: another
+        thread has given it a deadline sooner than the one it waits on."""
+        with self._cond:
+            self._woken = True
+            self._cond.notify_all()
 
     def __len__(self) -> int:
         with self._cond:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 from repro.core.exceptions import SerializationError
-from repro.runtime.serialization import decode_value, encode_value
+from repro.runtime.serialization import decode_envelope, encode_value
 
 JOIN = "join"
 WELCOME = "welcome"
@@ -29,6 +29,20 @@ LEAVING = "leaving"
 
 _KINDS = frozenset({JOIN, WELCOME, DEPLOY, START, STOP, DATA, BATCH, ACK,
                     HEARTBEAT, LEAVE, LEAVING})
+
+_NUMBER = (int, float)
+_OPTIONAL = (("tenant", (str, type(None))), ("edge", (str, type(None))),
+             ("delivery_attempt", (int, type(None))))
+#: per-tuple kinds: the payload fields a receiver indexes, with the types
+#: it handles (an int passes for a float; ``None`` = may be absent)
+_FIELDS = {
+    DATA: (("unit", str), ("tuple", bytes), ("seq", int),
+           ("sent_at", _NUMBER)) + _OPTIONAL,
+    BATCH: (("unit", str), ("batch", bytes), ("seqs", list),
+            ("sent_at", _NUMBER)) + _OPTIONAL,
+    ACK: (("seq", int), ("processing_delay", _NUMBER),
+          ("seqs", (list, type(None))), ("edge", (str, type(None)))),
+}
 
 
 @dataclass
@@ -47,11 +61,20 @@ class Message:
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
-        decoded = decode_value(data)
-        if not isinstance(decoded, dict) \
-                or not isinstance(decoded.get("kind"), str):
+        """Decode one frame; a non-dict payload, or a DATA/BATCH/ACK
+        frame missing a field its receiver indexes or carrying one of
+        the wrong type, is a :class:`SerializationError`."""
+        kind, payload = decode_envelope(data)
+        if not isinstance(kind, str) or not isinstance(payload, dict):
             raise SerializationError("malformed message frame")
-        return cls(kind=decoded["kind"], payload=decoded.get("payload", {}))
+        for name, types in _FIELDS.get(kind, ()):
+            value = payload.get(name)
+            if not isinstance(value, types) or (
+                    isinstance(value, list)  # seqs: every member an int
+                    and not all(isinstance(seq, int) for seq in value)):
+                raise SerializationError("%s frame with a missing or "
+                                         "malformed %r" % (kind, name))
+        return cls(kind=kind, payload=payload)
 
 
 def join_message(worker_id: str, units: list = (),

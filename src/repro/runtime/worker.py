@@ -221,6 +221,7 @@ class WorkerRuntime:
             self._heartbeat_thread.join(timeout=timeout)
             self._heartbeat_thread = None
         if self._thread is not None:
+            self._mailbox.wake()  # do not wait out the idle tick
             self._thread.join(timeout=timeout)
             self._thread = None
         # The main loop is gone: any partial batch still buffered would
@@ -292,6 +293,7 @@ class WorkerRuntime:
             self._loop_ident = None
 
     def _serve_mailbox(self) -> None:
+        wait = self.recovery.worker_idle_tick
         while self._running.is_set():
             if self._held_count and (self._held_count >= HOLD_MAX_FRAMES
                                      or not len(self._mailbox)):
@@ -299,13 +301,12 @@ class WorkerRuntime:
                 # which a held frame could usefully wait.
                 self._flush_held()
             try:
-                sender_id, message = self._mailbox.get(
-                    timeout=self.recovery.worker_idle_tick)
+                sender_id, message = self._mailbox.get(timeout=wait)
             except TimeoutError:
-                # Idle: close any partial batch that has aged past its
-                # flush delay (the ~50 ms mailbox timeout bounds how
-                # long a trickle of tuples can sit buffered).
-                self._flush_dispatchers()
+                # Idle until the oldest partial batch fell due (or a
+                # source pump opened one): close what has aged past its
+                # flush delay.
+                wait = self._flush_dispatchers()
                 continue
             try:
                 self._handle(sender_id, message)
@@ -316,22 +317,36 @@ class WorkerRuntime:
                                          reason="handler_error",
                                          link="?>%s" % self.worker_id)
             finally:
-                self._flush_dispatchers()
+                wait = self._flush_dispatchers()
 
-    def _flush_dispatchers(self, force: bool = False) -> None:
-        """Age-flush (or force-flush) every edge dispatcher's batch."""
+    def _flush_dispatchers(self, force: bool = False) -> float:
+        """Age-flush (or force-flush) every edge dispatcher's batch;
+        returns how long the loop may block before the oldest batch left
+        pending falls due (the idle tick when none is pending)."""
+        wait = self.recovery.worker_idle_tick
         for dispatcher in list(self._dispatchers.values()):
             try:
                 if force:
                     dispatcher.flush()
                 else:
                     dispatcher.maybe_flush()
+                    due_in = dispatcher.flush_due_in()
+                    if due_in is not None and due_in < wait:
+                        wait = max(0.0, due_in)
             except Exception:
                 # The send itself is health-accounted by the dispatcher;
                 # anything else that broke the flush is counted here.
                 self._registry.increment(metrics_mod.DROPPED_TOTAL,
                                          reason="flush_error",
                                          link="%s>?" % self.worker_id)
+        return wait
+
+    def _batch_opened(self) -> None:
+        """A dispatcher opened a partial batch.  On the loop thread the
+        loop sees it when it next computes its wait; from a source pump
+        the loop may already be blocked on the idle tick, so wake it."""
+        if threading.get_ident() != self._loop_ident:
+            self._mailbox.wake()
 
     # -- held writes -------------------------------------------------------
     def _emit(self, target_id: str, message: messages.Message) -> bool:
@@ -584,7 +599,7 @@ class WorkerRuntime:
                 health=self.health, config=self.policy_config,
                 registry=self._registry, trace=self.tracer,
                 device_id=self.worker_id, delivery=self.delivery,
-                tenant=tenant)
+                tenant=tenant, on_batch_open=self._batch_opened)
             self._dispatchers[key] = dispatcher
             edge_dispatchers.append(dispatcher)
         emit = self._make_emit(edge_dispatchers)

@@ -198,6 +198,17 @@ def _retained_seqs(items) -> Set[int]:
     return seqs
 
 
+def runtime_retained(runtime: SwingRuntime) -> Set[int]:
+    """Un-ACKed seqs every dispatcher of *runtime* still holds: the
+    master's and each worker's (a worker's ``work>snk`` edge retains its
+    results while the sink is unreachable)."""
+    retained: Set[int] = set()
+    for host in [runtime.master.runtime] + list(runtime.workers.values()):
+        for items in host.export_retention().values():
+            retained |= _retained_seqs(items)
+    return retained
+
+
 def run_sim(schedule: FaultSchedule) -> RunHistory:
     """Run *schedule* on the discrete-event engine and normalise it."""
     schedule.validate()
@@ -276,10 +287,7 @@ def run_runtime(schedule: FaultSchedule,
                 break
             time.sleep(0.05)
         time.sleep(0.4)  # let straggling duplicates land
-        # Un-ACKed seqs the master's dispatchers still hold.
-        retained: Set[int] = set()
-        for items in runtime.master.runtime.export_retention().values():
-            retained |= _retained_seqs(items)
+        retained = runtime_retained(runtime)
         recoveries = int(registry.value(
             metrics_mod.MASTER_RECOVERIES_TOTAL,
             device=runtime.master.master_id))

@@ -6,6 +6,8 @@ per-batch replay retention, and an end-to-end runtime flow where every
 hop carries multi-tuple BATCH frames.
 """
 
+import sys
+import threading
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
 from repro.core.overload import OverloadConfig
+from repro.core.recovery import RecoveryConfig
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import UpstreamDispatcher
@@ -59,6 +62,14 @@ class TestBatchBuffer:
         assert not buffer.due(1.4)
         assert buffer.due(1.5)
 
+    def test_due_in_counts_down_to_max_delay(self):
+        buffer = BatchBuffer(BatchConfig(max_tuples=8, max_delay=0.5))
+        assert buffer.due_in(0.0) is None  # empty: nothing to wait for
+        buffer.append("a", now=1.0)
+        buffer.append("b", now=1.3)  # the oldest item sets the deadline
+        assert buffer.due_in(1.3) == pytest.approx(0.2)
+        assert buffer.due_in(1.6) == pytest.approx(-0.1)
+
     def test_take_drains_and_resets_age(self):
         buffer = BatchBuffer(BatchConfig(max_tuples=8, max_delay=0.5))
         buffer.append("a", now=1.0)
@@ -77,13 +88,13 @@ class _FakeClock:
 
 
 def _dispatcher(captured, batching=None, clock=None, policy="RR",
-                delivery=None):
+                delivery=None, on_batch_open=None):
     config = PolicyConfig(policy=policy, batching=batching,
                           delivery=delivery)
     dispatcher = UpstreamDispatcher(
         "src", send=lambda target, msg: captured.append((target, msg)),
         edge="src>f", config=config, clock=clock or _FakeClock(),
-        registry=metrics_mod.MetricsRegistry())
+        registry=metrics_mod.MetricsRegistry(), on_batch_open=on_batch_open)
     dispatcher.set_downstreams(["f@W"])
     return dispatcher
 
@@ -152,6 +163,25 @@ class TestDispatcherBatching:
         clock.now += 0.6
         assert dispatcher.maybe_flush() == "f@W"
         assert len(captured) == 1
+
+    def test_opening_a_batch_announces_its_deadline(self):
+        captured, opened = [], []
+        clock = _FakeClock()
+        dispatcher = _dispatcher(captured,
+                                 BatchConfig(max_tuples=2, max_delay=0.5),
+                                 clock=clock,
+                                 on_batch_open=lambda: opened.append(1))
+        assert dispatcher.flush_due_in() is None
+        first, second, third = _tuples(3)
+        dispatcher.dispatch(first)
+        assert len(opened) == 1
+        clock.now += 0.2
+        assert dispatcher.flush_due_in() == pytest.approx(0.3)
+        dispatcher.dispatch(second)  # fills the batch: flushed, not opened
+        assert len(opened) == 1 and dispatcher.flush_due_in() is None
+        dispatcher.dispatch(third)
+        assert len(opened) == 2
+        assert _dispatcher([], None).flush_due_in() is None  # unbatched
 
     def test_batched_ack_credits_every_member(self):
         captured = []
@@ -268,6 +298,59 @@ class TestMailboxBatchShedding:
             == [messages.DATA, messages.ACK, messages.DATA]
 
 
+class TestMailboxWake:
+    def test_wake_ends_the_next_empty_wait_at_once(self):
+        mailbox = Mailbox("W")
+        mailbox.wake()
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            mailbox.get(timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(TimeoutError):  # consumed: a plain wait again
+            mailbox.get(timeout=0.01)
+
+    def test_wakes_racing_puts_lose_no_message(self):
+        mailbox, producers, per_producer = Mailbox("W"), 4, 300
+
+        def produce():
+            for seq in range(per_producer):
+                mailbox.wake()
+                mailbox.put("A", messages.ack_message(seq, 0.0, 0.0))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=produce)
+                       for _ in range(producers)]
+            for thread in threads:
+                thread.start()
+            received, deadline = 0, time.monotonic() + 10.0
+            while (received < producers * per_producer
+                   and time.monotonic() < deadline):
+                try:
+                    mailbox.get(timeout=5.0)
+                    received += 1
+                except TimeoutError:
+                    pass  # a wake with nothing queued
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert received == producers * per_producer
+        assert len(mailbox) == 0
+
+    def test_a_delivered_message_consumes_the_wake(self):
+        mailbox = Mailbox("W")
+        mailbox.wake()
+        mailbox.put("A", messages.ack_message(1, 0.0, 0.0))
+        assert mailbox.get(timeout=1.0)[1].kind == messages.ACK
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            mailbox.get(timeout=0.05)
+        assert time.monotonic() - started >= 0.04
+
+
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -291,15 +374,16 @@ class TestEndToEndBatching:
                 .chain("src", "f", "snk")
                 .build())
 
-    def _run(self, batching):
+    def _run(self, batching, recovery=None, timeout=10.0):
         fabric = InProcFabric()
         graph = self._graph()
         config = PolicyConfig(policy="RR", batching=batching)
         registry = metrics_mod.MetricsRegistry()
         worker_a = WorkerRuntime("A", fabric, graph, policy_config=config,
-                                 source_rate=2000.0, registry=registry)
+                                 source_rate=2000.0, registry=registry,
+                                 recovery=recovery)
         worker_b = WorkerRuntime("B", fabric, graph, policy_config=config,
-                                 registry=registry)
+                                 registry=registry, recovery=recovery)
         worker_a.start()
         worker_b.start()
         try:
@@ -313,7 +397,7 @@ class TestEndToEndBatching:
             fabric.send("M", "B", messages.start_message())
             sink = worker_a.unit("snk")
             assert wait_until(
-                lambda: len(sink.results) >= self.ITEMS, timeout=10.0)
+                lambda: len(sink.results) >= self.ITEMS, timeout=timeout)
             return worker_a, worker_b, sink, registry
         finally:
             worker_a.stop()
@@ -333,6 +417,47 @@ class TestEndToEndBatching:
         # ACKs flowed back batched and credited every member.
         dispatcher = worker_a.dispatcher("src")
         assert wait_until(lambda: dispatcher.ack_count >= self.ITEMS - 8)
+
+    def test_source_pump_wakes_a_loop_asleep_on_the_idle_tick(self):
+        def late_payloads():
+            time.sleep(0.2)  # the loop is blocked on its idle tick by now
+            yield {"x": 1}
+
+        graph = (GraphBuilder("app")
+                 .source("src", lambda: IterableSource(late_payloads()))
+                 .unit("f", lambda: LambdaUnit(lambda v: v))
+                 .sink("snk", CollectingSink)
+                 .chain("src", "f", "snk")
+                 .build())
+        fabric = InProcFabric()
+        downstream = fabric.register("B")
+        worker = WorkerRuntime(
+            "A", fabric, graph, source_rate=0,
+            policy_config=PolicyConfig(
+                policy="RR", batching=BatchConfig(max_tuples=64,
+                                                  max_delay=0.02)),
+            recovery=RecoveryConfig(worker_idle_tick=5.0))
+        worker.start()
+        try:
+            fabric.send("M", "A", messages.deploy_message(
+                "A", ["src"], {"src>f": ["f@B"]}))
+            assert wait_until(worker.deployed.is_set)
+            fabric.send("M", "A", messages.start_message())
+            _sender, message = downstream.get(timeout=3.0)
+            assert message.kind == messages.DATA  # a batch of one
+        finally:
+            worker.stop()
+
+    def test_last_partial_batch_waits_max_delay_not_the_idle_tick(self):
+        # The source's last batch is opened on its pump thread while A's
+        # loop sleeps, the unit's on B's loop thread: both must flush at
+        # max_delay, long before a 5 s idle tick would come round.
+        started = time.monotonic()
+        _worker_a, _worker_b, sink, _registry = self._run(
+            BatchConfig(max_tuples=64, max_delay=0.02),
+            recovery=RecoveryConfig(worker_idle_tick=5.0), timeout=3.0)
+        assert sorted(sink.values("y")) == list(range(1, self.ITEMS + 1))
+        assert time.monotonic() - started < 3.0
 
     def test_batch_size_one_still_works(self):
         _worker_a, worker_b, sink, _registry = self._run(

@@ -453,6 +453,43 @@ class TestTcpFabric:
             channel.close()
             fabric.close()
 
+    @pytest.mark.parametrize("bad_frame", [
+        # a payload that is not a dict
+        {"kind": "data", "payload": [1]},
+        # a BATCH whose seqs the mailbox cannot weigh
+        {"kind": "batch", "payload": {"unit": "f", "batch": b"x",
+                                      "seqs": 5, "sent_at": 0.5}},
+        # a DATA frame without the unit the worker indexes
+        {"kind": "data", "payload": {"tuple": b"x", "seq": 1,
+                                     "sent_at": 0.5}},
+        # an unhashable tenant the mailbox would key its depths by
+        {"kind": "data", "payload": {"unit": "f", "tuple": b"x", "seq": 1,
+                                     "sent_at": 0.5, "tenant": ["t"]}},
+    ], ids=["non_dict_payload", "batch_seqs_not_a_list",
+            "data_without_unit", "unhashable_tenant"])
+    def test_framed_but_malformed_envelope_is_counted_and_skipped(
+            self, bad_frame):
+        # Regression: such a frame decoded, reached Mailbox._admit and
+        # killed the reader thread — the rest of the burst was lost and
+        # nothing was counted.
+        from repro.runtime.channels import TcpChannel
+        from repro.runtime.serialization import encode_value
+        registry = metrics_mod.MetricsRegistry()
+        fabric = TcpFabric("B", registry=registry)
+        mailbox = fabric.register("B")
+        channel = TcpChannel.connect(*fabric.address)
+        heartbeat = messages.Message(messages.HEARTBEAT, {"worker_id": "C"})
+        try:
+            channel.send(encode_value({"hello": "C"}))
+            channel.send_many([encode_value(bad_frame), heartbeat.encode()])
+            assert mailbox.get(timeout=3.0) == ("C", heartbeat)
+            assert registry.value(metrics_mod.DROPPED_TOTAL,
+                                  reason="corrupt_frame", link="C>B") == 1
+            assert fabric.reader_count() == 1
+        finally:
+            channel.close()
+            fabric.close()
+
     def test_close_does_not_wait_out_the_accept_poll(self):
         alpha = TcpFabric("alpha")
         beta = TcpFabric("beta")

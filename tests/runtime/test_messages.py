@@ -9,10 +9,11 @@ from repro.runtime.messages import Message
 
 class TestEnvelope:
     def test_roundtrip(self):
-        message = Message(messages.DATA, {"seq": 1, "tuple": b"x"})
+        message = messages.data_message("f", b"x", seq=1, sent_at=0.5)
         decoded = Message.decode(message.encode())
         assert decoded.kind == messages.DATA
-        assert decoded.payload == {"seq": 1, "tuple": b"x"}
+        assert decoded.payload == {"unit": "f", "tuple": b"x", "seq": 1,
+                                   "sent_at": 0.5}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError):
@@ -22,6 +23,34 @@ class TestEnvelope:
         from repro.runtime.serialization import encode_value
         with pytest.raises(SerializationError):
             Message.decode(encode_value([1, 2]))
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("start", [1]),
+        ("data", {"tuple": b"x", "seq": 1, "sent_at": 0.5}),
+        ("data", {"unit": "f", "tuple": "x", "seq": 1, "sent_at": 0.5}),
+        ("data", {"unit": "f", "tuple": b"x", "seq": 1.0, "sent_at": 0.5}),
+        ("data", {"unit": "f", "tuple": b"x", "seq": 1, "sent_at": "0"}),
+        ("data", {"unit": "f", "tuple": b"x", "seq": 1, "sent_at": 0.5,
+                  "tenant": ["t"]}),
+        ("data", {"unit": "f", "tuple": b"x", "seq": 1, "sent_at": 0.5,
+                  "edge": 3}),
+        ("batch", {"unit": "f", "batch": b"x", "seqs": 5, "sent_at": 0.5}),
+        ("batch", {"unit": "f", "batch": b"x", "seqs": ["1"],
+                   "sent_at": 0.5}),
+        ("ack", {"sent_at": 0.5, "processing_delay": 0.1}),
+        ("ack", {"seq": 1, "sent_at": 0.5}),
+        ("ack", {"seq": 1, "processing_delay": 0.1, "seqs": (1, 2)}),
+    ])
+    def test_frame_a_receiver_would_trip_over_rejected(self, kind, payload):
+        from repro.runtime.serialization import encode_value
+        with pytest.raises(SerializationError):
+            Message.decode(encode_value({"kind": kind, "payload": payload}))
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        message = messages.ack_message(seq=3, sent_at=0, processing_delay=0)
+        assert Message.decode(message.encode()) == message
+        message = messages.batch_message("f", b"x", [1, 2], sent_at=1)
+        assert Message.decode(message.encode()) == message
 
 
 class TestConstructors:

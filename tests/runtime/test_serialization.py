@@ -136,6 +136,30 @@ class TestErrors:
         with pytest.raises(SerializationError):
             encode_value({"count": -(2 ** 70)})
 
+    @pytest.mark.parametrize("encode, value", [
+        (encode_value, "\ud800"),
+        (encode_value, {"\ud800": 1}),
+        (encode_tuple, DataTuple(values={}, seq=1, created_at=0.0,
+                                 tenant="\ud800")),
+        (encode_tuple, DataTuple(values={}, seq=1, created_at=0.0,
+                                 key="\udc00")),
+    ], ids=["str", "dict_key", "tuple_tenant", "tuple_key"])
+    def test_lone_surrogate_wrapped_as_serialization_error(self, encode,
+                                                           value):
+        # Regression: a str UTF-8 cannot encode used to leak
+        # UnicodeEncodeError out of the encoder.
+        with pytest.raises(SerializationError):
+            encode(value)
+
+    @pytest.mark.parametrize("name", [b"i4,(", b"(2", b"a,b)", b"\xff"])
+    def test_dtype_name_numpy_cannot_parse_rejected(self, name):
+        # numpy parses comma lists of field formats; "i4,(" fails there
+        # with a SyntaxError, which used to escape the decoder.
+        frame = (b"a" + bytes([len(name)]) + name + b"\x00"
+                 + (0).to_bytes(4, "big"))
+        with pytest.raises(SerializationError):
+            decode_value(frame)
+
     def test_encode_nesting_bomb_rejected(self):
         value = []
         for _ in range(MAX_DEPTH + 5):

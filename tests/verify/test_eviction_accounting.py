@@ -82,3 +82,34 @@ class TestByteBoundEvictions:
                  for violation in InvariantChecker().check(history)}
         assert "tuple_conservation" in fired \
             or "at_least_once_completeness" in fired
+
+
+class TestRuntimeRetention:
+    def test_worker_held_retained_seq_is_counted(self):
+        # A worker's ``work>snk`` dispatcher retains results the sink has
+        # not ACKed; the runtime history must count them as retained,
+        # not leave them with no disposition.
+        from repro.core.function_unit import (CollectingSink,
+                                              IterableSource, LambdaUnit)
+        from repro.core.graph import GraphBuilder
+        from repro.core.recovery import RetainedEntry
+        from repro.core.tuples import DataTuple
+        from repro.runtime.app_runner import SwingRuntime
+        from repro.runtime.serialization import encode_tuple
+
+        graph = (GraphBuilder("held")
+                 .source("src", lambda: IterableSource(
+                     [{"x": i} for i in range(3)]))
+                 .unit("work", lambda: LambdaUnit(lambda v: {"y": v["x"]}))
+                 .sink("snk", CollectingSink)
+                 .chain("src", "work", "snk")
+                 .build())
+        runtime = SwingRuntime(graph, ["B"], source_rate=100.0,
+                               delivery=DeliveryConfig(mode=AT_LEAST_ONCE))
+        runtime.start()
+        runtime.stop()
+        frame = encode_tuple(DataTuple(values={"y": 1}, seq=777))
+        assert runtime.workers["B"].import_retention("work>snk", [
+            RetainedEntry(seq=777, attempt=1, deadline=None,
+                          frame=frame)]) == 1
+        assert 777 in adapters.runtime_retained(runtime)
