@@ -33,7 +33,7 @@ from typing import List, Optional
 from repro import trace as trace_mod
 from repro.core.controller import PolicyConfig
 from repro.core.overload import DROP_POLICIES, DROP_OLDEST
-from repro.core.policies import EXTENSION_POLICY_NAMES, POLICY_NAMES
+from repro.core.policies import POLICY_NAMES
 from repro.simulation import scenarios
 from repro.simulation.replication import compare_policies
 from repro.simulation.swarm import SwarmResult, run_swarm
@@ -42,7 +42,6 @@ from repro.tools import format_latency, format_table, sparkline
 
 APP_ALIASES = {"face": FACE_APP, "translation": TRANSLATE_APP,
                "translate": TRANSLATE_APP}
-ALL_POLICIES = POLICY_NAMES + EXTENSION_POLICY_NAMES
 
 
 def _app(name: str) -> str:
@@ -78,7 +77,7 @@ def _add_scenario(sub, name: str, help: str, duration: float, seed: int,
     """A scenario subcommand, with the flags they all share up front."""
     parser = sub.add_parser(name, help=help)
     if policy:
-        parser.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
+        parser.add_argument("--policy", default="LRS", choices=POLICY_NAMES)
     parser.add_argument("--app", type=_app, default="face")
     parser.add_argument("--duration", type=float, default=duration)
     parser.add_argument("--seed", type=int, default=seed)
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cloudlet = sub.add_parser("cloudlet",
                               help="testbed plus a cloudlet VM (Sec. II)")
-    cloudlet.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
+    cloudlet.add_argument("--policy", default="LRS", choices=POLICY_NAMES)
     cloudlet.add_argument("--app", type=_app, default="face")
     cloudlet.add_argument("--duration", type=float, default=60.0)
 
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "decomposition")
     trace.add_argument("--scenario", default="single",
                        choices=["single", "testbed"])
-    trace.add_argument("--policy", default="LRS", choices=ALL_POLICIES)
+    trace.add_argument("--policy", default="LRS", choices=POLICY_NAMES)
     trace.add_argument("--app", type=_app, default="face")
     trace.add_argument("--device", default="B",
                        help="worker device for --scenario single")

@@ -15,7 +15,8 @@ loop.  It owns:
 * probe-cycle scheduling (delegated to the policy's
   :class:`~repro.core.policies.ProbeScheduler`),
 * failure detection: dead-marking on send failure / expiry streaks,
-  resurrection on a probe's ACK,
+  resurrection only by an ACK (an all-dead edge keeps sending to its
+  dead members, so one can arrive),
 * metrics emission (rerouted / update-round / probe-window counters).
 
 It talks to its substrate through three narrow ports:
@@ -55,8 +56,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, Iterable, List, Mapping, Optional,
-                    Tuple, Union)
+from typing import (Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro import metrics as metrics_mod
 from repro.core.batching import BatchConfig
@@ -107,8 +108,6 @@ class PolicyConfig:
     ack_timeout: float = 10.0
     #: consecutive expiry rounds without an ACK before dead-marking
     dead_after: int = 3
-    #: offline capability weights (WRR only): downstream id -> rate
-    capabilities: Optional[Mapping[str, float]] = None
     # -- overload protection ----------------------------------------------
     #: shared shedding/backpressure knobs (``None`` = all mechanisms off);
     #: both the runtime's dispatchers/workers and the simulator consume
@@ -148,13 +147,10 @@ class PolicyConfig:
 
     def policy_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for this config's policy class."""
-        name = self.policy.upper()
-        if name in PROBED_POLICIES:
+        if self.policy.upper() in PROBED_POLICIES:
             return {"probe_every": self.probe_every,
                     "probe_tuples": self.probe_tuples,
                     "probe_spacing": self.probe_spacing}
-        if name == "WRR" and self.capabilities:
-            return {"capabilities": dict(self.capabilities)}
         return {}
 
     def estimator_kwargs(self) -> Dict[str, object]:
@@ -334,21 +330,6 @@ class LrsController:
             now = self._clock()
         with self._lock:
             self._rate.observe(now)
-
-    def select(self) -> Optional[str]:
-        """Route one tuple without sending (adapters that own delivery)."""
-        with self._lock:
-            try:
-                return self._policy.route()
-            except RoutingError:
-                return None
-
-    def record_send(self, seq: int, downstream_id: str,
-                    now: Optional[float] = None) -> None:
-        if now is None:
-            now = self._clock()
-        with self._lock:
-            self._tracker.record_send(seq, downstream_id, now)
 
     def dispatch(self, seq: int, context: Optional[object] = None,
                  deadline: Optional[float] = None,
@@ -644,34 +625,12 @@ class LrsController:
             self._policy.mark_dead(downstream_id)
         self._request_redelivery(downstream_id)
 
-    def revive_downstream(self, downstream_id: str) -> None:
-        """Explicitly resurrect a dead-marked member.
-
-        The normal path back from dead is an ACK (a probe reaches the
-        member again) — but when *every* member of an edge is dead no
-        tuple and no probe is ever sent, so nothing can ACK and the
-        edge wedges with its retention unassigned forever.  A failover
-        creates exactly that shape on worker-hosted edges whose sole
-        downstream is the master-hosted sink: the crash dead-marks it,
-        and the successor re-hosting it is invisible to the data plane.
-        Re-registration calls this to break the deadlock; the next
-        replay sweep then places the retained frames.
-        """
-        with self._lock:
-            if self._tracker.is_alive(downstream_id):
-                return
-            self._tracker.revive(downstream_id, self._clock())
-            self._policy.mark_alive(downstream_id)
-
     def on_ack(self, seq: int, processing_delay: Optional[float] = None,
-               now: Optional[float] = None,
-               downstream_hint: Optional[str] = None
-               ) -> Optional[AckResult]:
+               now: Optional[float] = None) -> Optional[AckResult]:
         """Fold a downstream's timestamp echo into the estimators.
 
-        ``downstream_hint`` backs backlog-driven policies (JSQ) when the
-        pending entry already expired: the substrate knows where the
-        tuple went even if the tracker gave up on it.
+        The echo of a send to a dead-marked member is what brings it
+        back (the only way back from dead, for every policy).
         """
         if self._replay is not None:
             # Any ACK for this seq releases retention — including one
@@ -681,13 +640,11 @@ class LrsController:
             target = self._shrink_batch(seq)
             if target is not None:
                 self._replay.release(target)
-        return self._fold_ack(seq, 1, processing_delay, now, downstream_hint)
+        return self._fold_ack(seq, 1, processing_delay, now)
 
     def on_ack_batch(self, seqs: Iterable[int],
                      processing_delay: Optional[float] = None,
-                     now: Optional[float] = None,
-                     downstream_hint: Optional[str] = None
-                     ) -> Optional[AckResult]:
+                     now: Optional[float] = None) -> Optional[AckResult]:
         """Fold one batched timestamp echo into the estimators.
 
         The runtime worker ACKs a whole batch with one message; the
@@ -700,7 +657,7 @@ class LrsController:
             return None
         if len(seqs) == 1:
             return self.on_ack(seqs[0], processing_delay=processing_delay,
-                               now=now, downstream_hint=downstream_hint)
+                               now=now)
         head = seqs[0]
         if self._replay is not None:
             with self._lock:
@@ -709,12 +666,11 @@ class LrsController:
                     self._key_of.pop(seq, None)
                 self._batch_members.pop(head, None)
             self._replay.release(head)
-        return self._fold_ack(head, len(seqs), processing_delay, now,
-                              downstream_hint)
+        return self._fold_ack(head, len(seqs), processing_delay, now)
 
     def _fold_ack(self, head: int, count: int,
-                  processing_delay: Optional[float], now: Optional[float],
-                  downstream_hint: Optional[str]) -> Optional[AckResult]:
+                  processing_delay: Optional[float],
+                  now: Optional[float]) -> Optional[AckResult]:
         """Match *head*'s pending entry: one sample, *count* tuples."""
         if now is None:
             now = self._clock()
@@ -722,16 +678,9 @@ class LrsController:
             downstream_id = self._tracker.pending_downstream(head)
             sample = self._tracker.record_ack(
                 head, now, processing_delay=processing_delay)
-            if sample is not None:
-                self.ack_count += count
-            resolved = (downstream_id if downstream_id is not None
-                        else downstream_hint)
-            if resolved is not None:
-                on_acked = getattr(self._policy, "on_acked", None)
-                if on_acked is not None:
-                    on_acked(resolved)
-        if sample is None or downstream_id is None:
-            return None
+            if sample is None:
+                return None
+            self.ack_count += count
         # Record the RTT distribution unconditionally (percentiles must
         # survive tracing being sampled out); the span itself is built
         # only for sampled tuples — this sits on the per-ACK hot path.

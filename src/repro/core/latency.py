@@ -278,18 +278,6 @@ class AckTracker:
                                  downstream=downstream_id)
         return sample
 
-    def revive(self, downstream_id: str, now: float) -> None:
-        """Explicitly resurrect a dead-marked member without an ACK.
-
-        The ACK path (:meth:`record_ack`) can only resurrect a member
-        that still receives probes — when *every* member is dead no
-        send happens at all, so an external revival signal (a successor
-        master re-hosting the instance after a failover) must be able
-        to break the deadlock directly.
-        """
-        if downstream_id in self._alive and not self._alive[downstream_id]:
-            self._resurrect(downstream_id, now)
-
     def _resurrect(self, downstream_id: str, before: float) -> None:
         """Mark a dead member alive again, with a clean slate.
 

@@ -12,8 +12,6 @@ from typing import Dict, List, Optional, Type
 from repro.core.exceptions import PolicyError
 from repro.core.policies.base import (PolicyDecision, ProbeScheduler,
                                       RoutingPolicy, weights_from_delays)
-from repro.core.policies.extensions import (JoinShortestQueuePolicy,
-                                            WeightedRoundRobinPolicy)
 from repro.core.policies.round_robin import RoundRobinPolicy
 from repro.core.policies.weighted import (LatencyRoutingPolicy,
                                           LatencyRoutingSelectionPolicy,
@@ -27,16 +25,10 @@ POLICY_REGISTRY: Dict[str, Type[RoutingPolicy]] = {
     "LR": LatencyRoutingPolicy,
     "PRS": ProcessingDelaySelectionPolicy,
     "LRS": LatencyRoutingSelectionPolicy,
-    # extensions beyond the paper (see policies/extensions.py)
-    "JSQ": JoinShortestQueuePolicy,
-    "WRR": WeightedRoundRobinPolicy,
 }
 
 #: evaluation order used throughout the paper's figures
 POLICY_NAMES: List[str] = ["RR", "PR", "LR", "PRS", "LRS"]
-
-#: extension policies available for comparison studies
-EXTENSION_POLICY_NAMES: List[str] = ["JSQ", "WRR"]
 
 
 def make_policy(name: str, seed: Optional[int] = None, **kwargs) -> RoutingPolicy:
@@ -50,11 +42,8 @@ def make_policy(name: str, seed: Optional[int] = None, **kwargs) -> RoutingPolic
 
 
 __all__ = [
-    "EXTENSION_POLICY_NAMES",
-    "JoinShortestQueuePolicy",
     "POLICY_NAMES",
     "POLICY_REGISTRY",
-    "WeightedRoundRobinPolicy",
     "LatencyRoutingPolicy",
     "LatencyRoutingSelectionPolicy",
     "PolicyDecision",

@@ -129,8 +129,10 @@ class RoutingPolicy:
         """Stop routing regular traffic to a failing downstream.
 
         Unlike :meth:`on_downstream_removed` the member is kept: probing
-        still cycles over it, so a recovered device is observed again and
-        :meth:`update` re-admits it once its stats report it alive.
+        still cycles over it (and :meth:`route` cycles over nothing else
+        once every member is dead), so a recovered device is observed
+        again and :meth:`update` re-admits it once its stats report it
+        alive — after an ACK, the only way back from dead.
         """
         if not self._members.get(downstream_id, False):
             return
@@ -138,22 +140,6 @@ class RoutingPolicy:
         if downstream_id in self._table:
             self._table.remove(downstream_id)
         self._refresh_probe_cycler()
-
-    def mark_alive(self, downstream_id: str) -> None:
-        """Resume routing to a dead-marked member (explicit revival).
-
-        Probe-driven re-admission needs at least one live member to
-        keep the send loop turning; when every member is dead, an
-        external signal (e.g. a successor master re-hosting the
-        instance) revives it here.  Re-admission reuses the joiner
-        path, so the member returns with an equal share until the next
-        update round measures it — and subclass membership hooks
-        (cyclers, capability tables) run exactly as for a fresh join.
-        """
-        if self._members.get(downstream_id, True):
-            return  # unknown or already alive
-        self._members.pop(downstream_id)
-        self.on_downstream_added(downstream_id)
 
     def downstream_ids(self) -> List[str]:
         return sorted(self._members)
@@ -200,7 +186,14 @@ class RoutingPolicy:
 
     # -- data plane ------------------------------------------------------
     def route(self) -> str:
-        """Pick the downstream for the next tuple."""
+        """Pick the downstream for the next tuple.
+
+        The one routing rule for every policy: a probe goes round-robin
+        over all members, regular traffic follows the table, and an edge
+        whose table is empty (every member dead) keeps cycling over its
+        dead members — so a send, and with it a reviving ACK, can still
+        happen.
+        """
         if not self._members:
             raise RoutingError("policy %r has no downstreams" % self.name)
         if self._probe.consume():

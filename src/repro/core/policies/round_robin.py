@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.exceptions import RoutingError
 from repro.core.latency import DownstreamStats
 from repro.core.policies.base import PolicyDecision, RoutingPolicy
-from repro.core.routing import RoundRobinCycler
+from repro.core.routing import RoundRobinTable
 
 
 class RoundRobinPolicy(RoutingPolicy):
-    """Strict rotation over every alive downstream."""
+    """Strict rotation over every alive downstream.
+
+    The rotation lives in the routing table (its draw takes turns), so
+    RR routes, dead-marks and falls back exactly like every other policy.
+    """
 
     name = "RR"
     uses_selection = False
@@ -25,36 +28,11 @@ class RoundRobinPolicy(RoutingPolicy):
     def __init__(self, seed=None, **kwargs) -> None:
         # RR needs no probing: every downstream is visited constantly.
         super().__init__(seed=seed, probe_every=1, probe_tuples=0)
-        self._cycler = RoundRobinCycler()
-
-    def on_downstream_added(self, downstream_id: str) -> None:
-        super().on_downstream_added(downstream_id)
-        self._cycler.set_ids(self._alive_ids())
-
-    def on_downstream_removed(self, downstream_id: str) -> None:
-        super().on_downstream_removed(downstream_id)
-        alive = self._alive_ids()
-        if alive:
-            self._cycler.set_ids(alive)
-
-    def mark_dead(self, downstream_id: str) -> None:
-        super().mark_dead(downstream_id)
-        alive = self._alive_ids()
-        if alive:
-            self._cycler.set_ids(alive)
+        self._table = RoundRobinTable()
 
     def compute_decision(self, stats: Mapping[str, DownstreamStats],
                          input_rate: float) -> PolicyDecision:
         alive = sorted(stats)
-        self._cycler.set_ids(alive)
         share = 1.0 / len(alive) if alive else 0.0
         return PolicyDecision(selected=alive,
                               weights={ds: share for ds in alive})
-
-    def route(self) -> str:
-        if not self._cycler.ids():
-            alive = self._alive_ids()
-            if not alive:
-                raise RoutingError("RR policy has no downstreams")
-            self._cycler.set_ids(alive)
-        return self._cycler.next()

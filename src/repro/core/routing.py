@@ -112,7 +112,7 @@ class RoutingTable:
 
 
 class RoundRobinCycler:
-    """Deterministic rotation over a set of downstream IDs (RR policy)."""
+    """Deterministic rotation over a set of downstream IDs (probing, RR)."""
 
     def __init__(self, ids: Optional[Iterable[str]] = None) -> None:
         self._ids: List[str] = sorted(ids) if ids else []
@@ -127,12 +127,29 @@ class RoundRobinCycler:
         else:
             self._index = 0
 
-    def ids(self) -> List[str]:
-        return list(self._ids)
-
     def next(self) -> str:
         if not self._ids:
             raise RoutingError("round-robin cycler has no downstreams")
         downstream_id = self._ids[self._index % len(self._ids)]
         self._index = (self._index + 1) % len(self._ids)
         return downstream_id
+
+
+class RoundRobinTable(RoutingTable):
+    """A routing table whose draw rotates over its IDs (the RR policy).
+
+    Weights are kept (the policy reports equal shares) but ignored by
+    :meth:`choose`: each call returns the next ID in turn, and a
+    membership change keeps rotating from the same place.
+    """
+
+    def __init__(self) -> None:
+        self._cycler = RoundRobinCycler()
+        super().__init__()
+
+    def _rebuild(self) -> None:
+        self._ids = sorted(self._weights)
+        self._cycler.set_ids(self._ids)
+
+    def choose(self, rng: random.Random) -> str:
+        return self._cycler.next()

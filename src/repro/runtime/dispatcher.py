@@ -28,6 +28,7 @@ from repro.core.keyed import hash_key
 from repro.core.policies import PolicyDecision
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
+from repro.runtime.fabric import SEND_ERRORS
 from repro.runtime.health import HealthMonitor
 from repro.runtime.serialization import encode_batch, encode_tuple
 from repro.trace import NULL_TRACER, SERIALIZE, SHED, Span, TraceSink
@@ -178,26 +179,6 @@ class UpstreamDispatcher:
         with self._lock:
             self._downstreams.pop(instance, None)
         self.controller.remove_downstream(instance)
-
-    def revive_worker(self, worker_id: str) -> None:
-        """Revive every downstream instance hosted on *worker_id*.
-
-        Called when a successor master re-hosts its instances after a
-        failover: the crash dead-marked them, and an edge whose only
-        downstreams live on the master can never probe its way back
-        (no live member → no sends → no resurrecting ACK).  Clears the
-        dead-marks and the send-failure backoff so retained frames
-        redeliver on the next replay sweep.
-        """
-        if self._health is not None:
-            self._health.forget(worker_id)
-        with self._lock:
-            instances = [instance
-                         for instance, (_unit, hosted_on)
-                         in self._downstreams.items()
-                         if hosted_on == worker_id]
-        for instance in instances:
-            self.controller.revive_downstream(instance)
 
     def downstream_instances(self):
         with self._lock:
@@ -374,7 +355,7 @@ class UpstreamDispatcher:
                 message.payload["delivery_attempt"] = attempt
             try:
                 held = self._send(worker_id, message)
-            except Exception:
+            except SEND_ERRORS:
                 if self._health is not None:
                     self._health.record_failure(worker_id)
                 continue

@@ -206,7 +206,7 @@ class WorkerRuntime:
                     messages.Message(messages.HEARTBEAT,
                                      {"worker_id": self.worker_id}))
                 self.health.record_success(self.heartbeat_target)
-            except Exception:
+            except SEND_ERRORS:
                 self.health.record_failure(self.heartbeat_target)
             self._stopped.wait(self.heartbeat_interval
                                + self.health.backoff_for(self.heartbeat_target))
@@ -310,7 +310,7 @@ class WorkerRuntime:
                 continue
             try:
                 self._handle(sender_id, message)
-            except Exception:
+            except Exception:  # noqa: BLE001 - a unit may raise anything
                 # A poison message must not kill the device's service —
                 # but what it cost is counted, never silent.
                 self._registry.increment(metrics_mod.DROPPED_TOTAL,
@@ -333,7 +333,7 @@ class WorkerRuntime:
                     due_in = dispatcher.flush_due_in()
                     if due_in is not None and due_in < wait:
                         wait = max(0.0, due_in)
-            except Exception:
+            except Exception:  # noqa: BLE001 - send errors never get here
                 # The send itself is health-accounted by the dispatcher;
                 # anything else that broke the flush is counted here.
                 self._registry.increment(metrics_mod.DROPPED_TOTAL,
@@ -396,7 +396,7 @@ class WorkerRuntime:
         for target_id, burst in held.items():
             try:
                 self.fabric.send_many(self.worker_id, target_id, burst)
-            except Exception:
+            except SEND_ERRORS:
                 self.health.record_failure(target_id)
                 link = "%s>%s" % (self.worker_id, target_id)
                 for message in burst:
@@ -442,14 +442,13 @@ class WorkerRuntime:
         The recovered master reconciles this inventory against its
         checkpoint; the JOIN is idempotent on its side, so retriggered
         re-registrations (WELCOME per heartbeat until one lands) are
-        harmless.  The successor also re-hosts the predecessor's
-        instances (the sink above all): any edge that dead-marked them
-        during the outage is revived here, because an edge whose every
-        downstream is dead sends nothing — not even probes — and so
-        could never observe the recovery on its own.
+        harmless.  The master's failure history is forgotten so that the
+        first send to the successor is not held in transport backoff: an
+        edge that dead-marked the master-hosted instances (the sink above
+        all) during the outage keeps sending to them, and their first
+        ACK brings them back.
         """
-        for dispatcher in list(self._dispatchers.values()):
-            dispatcher.revive_worker(master_id)
+        self.health.forget(master_id)
         try:
             self.fabric.send(self.worker_id, master_id,
                              messages.join_message(self.worker_id,
@@ -742,7 +741,7 @@ class WorkerRuntime:
     def _send_ack(self, upstream_id: str, ack: messages.Message) -> None:
         try:
             self._emit(upstream_id, ack)
-        except Exception:
+        except SEND_ERRORS:
             # The upstream is gone: nothing to acknowledge — but an echo
             # that never left is counted here, where it was lost.
             self._registry.increment(

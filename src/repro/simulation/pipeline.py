@@ -201,14 +201,12 @@ class _Router:
         pipeline = self.pipeline
         sim = pipeline.sim
         self.controller.observe_arrival(sim.now)
-        instance_id = self.controller.select()
+        # One controller per router keeps pending keys unique although
+        # seqs repeat across stages.
+        instance_id = self.controller.dispatch(frame.seq)
         if instance_id is None:
             return
-        target = pipeline.instances.get(instance_id)
-        if target is None:
-            return
-        # Unique per-router pending key: seqs repeat across stages.
-        self.controller.record_send(frame.seq, instance_id, sim.now)
+        target = pipeline.instances[instance_id]
         yield target.credits.get()
         payload = pipeline.stage_input_bytes(self.target_stage)
         delivered = pipeline.send_bytes(self.device_id, target.device_id,

@@ -168,12 +168,6 @@ class SwarmConfig:
 
     def policy_config(self, seed: Optional[int] = None) -> PolicyConfig:
         """This experiment's policy knobs as one shared control-plane config."""
-        capabilities = None
-        if self.policy.upper() == "WRR":
-            # Offline-profiled capability weights: nominal device rates.
-            capabilities = {
-                device_id: profile.service_rate(self.workload.app)
-                for device_id, profile in self.workers.items()}
         return PolicyConfig(policy=self.policy, seed=seed,
                             control_interval=self.control_interval,
                             probe_every=self.probe_every,
@@ -183,7 +177,6 @@ class SwarmConfig:
                             estimator_window=self.estimator_window,
                             ack_timeout=self.ack_timeout,
                             dead_after=self.dead_after,
-                            capabilities=capabilities,
                             overload=self.overload,
                             delivery=self.delivery,
                             batching=self.batching,
@@ -355,8 +348,7 @@ class _WorkerNode:
                             overload_mod.REASON_EXPIRED,
                             queue="ingress:%s" % self.device_id)
                 swarm._controller_for(frame.tenant).on_ack(
-                    frame.seq, processing_delay=0.0, now=sim.now,
-                    downstream_hint=self.device_id)
+                    frame.seq, processing_delay=0.0, now=sim.now)
                 continue
             record = swarm.metrics.frame(frame.seq, frame.created_at)
             record.proc_started_at = sim.now
@@ -1301,11 +1293,8 @@ class SwarmSimulation:
         state = self._states.get(frame.tenant)
         if state is None:
             state = next(iter(self._states.values()))
-        # The hint lets backlog-driven policies (JSQ) decrement their
-        # queue estimate even when the pending entry already expired.
         state.controller.on_ack(frame.seq, processing_delay=processing_delay,
-                                now=now,
-                                downstream_hint=record.device_id or None)
+                                now=now)
         sink_name = "sink:%s" % self.config.source.device_id
         if state.dedup is not None and state.dedup.seen(frame.seq):
             # At-least-once replay delivered this seq more than once; the

@@ -28,15 +28,8 @@ class TestPolicyConfig:
                                           "probe_tuples": 2,
                                           "probe_spacing": 4}
 
-    def test_wrr_gets_capabilities(self):
-        config = PolicyConfig(policy="WRR",
-                              capabilities={"a": 2.0, "b": 1.0})
-        assert config.policy_kwargs() == {"capabilities": {"a": 2.0,
-                                                           "b": 1.0}}
-
     def test_plain_policies_get_no_kwargs(self):
-        for name in ("RR", "JSQ", "WRR"):
-            assert PolicyConfig(policy=name).policy_kwargs() == {}
+        assert PolicyConfig(policy="RR").policy_kwargs() == {}
 
     def test_estimator_kwargs(self):
         assert PolicyConfig(estimator_window=7).estimator_kwargs() == \
@@ -78,30 +71,20 @@ class TestMembership:
         assert controller.dead_downstreams() == ["a"]
 
     def test_revive_resurrects_a_sole_dead_member(self):
-        # Regression: an edge whose ONLY downstream is dead sends
-        # nothing — not even probes — so the ACK path can never
-        # resurrect it (the failover wedge: a worker edge pointing at
-        # the master-hosted sink).  Explicit revival must break it.
+        # An edge whose ONLY downstream is dead (the failover shape: a
+        # worker edge pointing at the master-hosted sink) still sends
+        # to it, so the member's first ACK brings it back.
         controller = self._controller()
         controller.add_downstream("a")
         controller.mark_dead("a")
         assert controller.unsatisfiable()
         assert controller.dead_downstreams() == ["a"]
-        controller.revive_downstream("a")
+        assert controller.dispatch(2) == "a"
+        assert controller.on_ack(2) is not None
         assert controller.is_alive("a")
         assert not controller.unsatisfiable()
-        assert controller.dispatch(2) == "a"
-
-    def test_revive_is_a_noop_for_alive_or_unknown_members(self):
-        controller = self._controller()
-        controller.add_downstream("a")
-        controller.revive_downstream("a")  # alive: nothing to do
-        controller.revive_downstream("ghost")  # unknown: nothing to do
-        assert controller.downstream_ids() == ["a"]
-        assert controller.is_alive("a")
 
     def test_revive_unwedges_retained_at_least_once_frames(self):
-        from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
         clock = FakeClock()
         egress = _FailingEgress(clock, failing={"a"})
         delivery = DeliveryConfig(mode=AT_LEAST_ONCE,
@@ -115,15 +98,23 @@ class TestMembership:
         assert controller.dispatch(1, context=b"frame") is None
         assert not controller.is_alive("a")
         assert controller.replay_depth() == 1
+        # While it stays down, the all-dead edge's sweep retries its
+        # dead member and keeps the frame.
         clock.now = 2.0
         controller.update(clock.now)
-        assert egress.sent == []  # wedged: nobody to redeliver to
-        # The member comes back (successor master): revival + sweep
-        # place the retained frame without any ACK ever arriving.
+        assert egress.attempts == [("a", 1), ("a", 1)]
+        assert egress.sent == []
+        assert controller.replay_depth() == 1
+        # The member comes back (successor master): the first sweep
+        # after recovery places the retained frame, and its ACK revives
+        # the member.
         egress.failing.clear()
-        controller.revive_downstream("a")
+        clock.now = 3.0
         controller.update(clock.now)
-        assert ("a", 1) in egress.sent
+        assert egress.sent == [("a", 1)]
+        assert controller.on_ack(1) is not None
+        assert controller.is_alive("a")
+        assert controller.replay_depth() == 0
 
 
 class _FailingEgress:
@@ -132,9 +123,11 @@ class _FailingEgress:
     def __init__(self, clock, failing):
         self.clock = clock
         self.failing = set(failing)
+        self.attempts = []
         self.sent = []
 
     def send(self, downstream_id, seq, context):
+        self.attempts.append((downstream_id, seq))
         if downstream_id in self.failing:
             return None
         self.sent.append((downstream_id, seq))
@@ -188,6 +181,35 @@ class TestDispatch:
                                    clock=FakeClock(),
                                    registry=metrics_mod.MetricsRegistry())
         assert controller.dispatch(1) is None
+
+
+class TestDeadEdgeLiveness:
+    """One way into and out of dead for every policy: an all-dead edge
+    keeps cycling over its dead members, even after an update round,
+    and one ACK to such a send makes the member alive again."""
+
+    @pytest.mark.parametrize("members", [["a"], ["a", "b"]],
+                             ids=["one_member", "two_members"])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_all_dead_edge_still_dispatches_and_an_ack_revives(
+            self, policy, members):
+        clock = FakeClock()
+        controller = LrsController(PolicyConfig(policy=policy, seed=0),
+                                   clock=clock,
+                                   registry=metrics_mod.MetricsRegistry())
+        for member in members:
+            controller.add_downstream(member)
+        for member in members:
+            controller.mark_dead(member)
+        clock.now = 5.0
+        controller.update(clock.now)
+        chosen = controller.dispatch(1)
+        assert chosen in members
+        assert not controller.is_alive(chosen)
+        clock.now = 5.25
+        assert controller.on_ack(1) == AckResult(downstream_id=chosen,
+                                                 sample=0.25)
+        assert controller.is_alive(chosen)
 
 
 def _at_least_once_controller(clock, egress, registry, trace=None):
@@ -246,10 +268,9 @@ class TestOnePlacementOneFold:
         # Unassigned means the next sweep places it as soon as anyone
         # is back, without waiting for a death signal.
         egress.failing.clear()
-        controller.revive_downstream("a")
         clock.now = 1.0
         controller.update(clock.now)
-        assert egress.sent == [("a", seqs[0])]
+        assert [seq for _target, seq in egress.sent] == [seqs[0]]
 
     @either_size
     def test_ack_is_one_sample_n_tuples_and_releases_retention(self, seqs):

@@ -19,7 +19,7 @@ DEVICE_POOL = ["B", "C", "E", "G", "H", "I"]
 
 config_strategy = st.builds(
     dict,
-    policy=st.sampled_from(POLICY_NAMES + ["JSQ"]),
+    policy=st.sampled_from(POLICY_NAMES),
     worker_ids=st.lists(st.sampled_from(DEVICE_POOL), min_size=1,
                         max_size=4, unique=True),
     rssi_level=st.sampled_from([RSSI_GOOD, RSSI_FAIR, RSSI_POOR]),

@@ -32,8 +32,8 @@ class TestParser:
             build_parser().parse_args(["testbed", "--policy", "FIFO"])
 
     def test_extension_policies_accepted(self):
-        args = build_parser().parse_args(["testbed", "--policy", "JSQ"])
-        assert args.policy == "JSQ"
+        args = build_parser().parse_args(["testbed", "--policy", "PRS"])
+        assert args.policy == "PRS"
 
 
 class TestCommands:

@@ -9,7 +9,6 @@ PUBLIC_MODULES = [
     "repro",
     "repro.core",
     "repro.core.policies",
-    "repro.core.policies.extensions",
     "repro.runtime",
     "repro.simulation",
     "repro.simulation.pipeline",
