@@ -7,7 +7,6 @@ them) and reports when the target is reached and how latency falls.
 """
 
 import json
-import pathlib
 
 import pytest
 
@@ -18,9 +17,6 @@ from repro.simulation.workload import face_workload
 
 #: fastest-first recruitment order (Table-I rates)
 RECRUITMENT = ["H", "I", "G", "B", "F", "D", "C", "E"]
-
-#: root-level trajectory artifacts (BENCH_<issue>.json per PR)
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 def run_suite():
@@ -134,7 +130,9 @@ def test_tenant_ramp(benchmark, report):
         "aggregate_fps_ratio_32v1": round(
             stats[32]["aggregate_fps"] / stats[1]["aggregate_fps"], 3),
     }
-    (REPO_ROOT / "BENCH_7.json").write_text(
+    from conftest import RESULTS_DIR
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "BENCH_7.json").write_text(
         json.dumps(bench, indent=2) + "\n")
 
     # Splitting one workload across tenants must not sink throughput.

@@ -44,7 +44,8 @@ It talks to its substrate through three narrow ports:
     in the same span vocabulary both substrates' adapters use.
 
 The hosting adapters decide *when* to call in (``observe_arrival`` /
-``dispatch`` per tuple, ``maybe_update`` lazily or ``update`` from a
+``dispatch`` per tuple; ``maybe_update`` from the runtime loop's timer,
+which sleeps until ``next_update()``, or ``update`` from the simulator's
 periodic process) but never *what* happens — that is the contract the
 sim/real parity harness in ``tests/integration`` verifies.
 """
@@ -716,8 +717,13 @@ class LrsController:
             return head
 
     # -- control plane ---------------------------------------------------
+    def next_update(self) -> float:
+        """Clock time at which the next once-per-interval round is due."""
+        return self._last_update + self.config.control_interval
+
     def maybe_update(self, now: Optional[float] = None) -> PolicyDecision:
-        """Lazy once-per-interval policy round (the runtime's trigger)."""
+        """Once-per-interval policy round, run only when due (the
+        runtime loop's timer calls this at :meth:`next_update`)."""
         if now is None:
             now = self._clock()
         ran = False

@@ -1,4 +1,4 @@
-"""Control-plane crash recovery: checkpoints, stores and timing knobs.
+"""Control-plane crash recovery: checkpoints, stores and their cadence.
 
 Seven PRs hardened the *workers* against churn; this module makes the
 **master** survivable.  The master is the single writer of swarm
@@ -7,11 +7,7 @@ runtime) the source edges' replay retention — all of it in-memory, all
 of it gone on a crash.  Recovery rests on three pieces:
 
 ``RecoveryConfig``
-    Frozen knob bundle: checkpoint cadence plus the runtime timing
-    knobs that used to be scattered hardcoded sleeps (worker idle tick,
-    drain poll, master sweep interval, deployment await).  Chaos tests
-    compress time by shrinking these deterministically instead of
-    monkeypatching module constants.
+    The periodic checkpoint cadence.
 
 ``ControlPlaneCheckpoint``
     A versioned, frozen snapshot of everything the master must carry
@@ -32,7 +28,7 @@ of it gone on a crash.  Recovery rests on three pieces:
     a torn checkpoint behind.
 
 ``CheckpointManager``
-    Cadence: periodic (piggybacked on control traffic) + on-mutation
+    Cadence: periodic (a deadline on the master's loop) + on-mutation
     writes, and the ``swing_checkpoint_age_seconds`` gauge so staleness
     is observable.
 
@@ -65,50 +61,19 @@ _ENTRY_FIELDS = frozenset({"seq", "attempt", "deadline", "frame", "seqs"})
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs for checkpoint cadence and runtime timing.
+    """Checkpoint cadence.
 
     ``checkpoint_interval``
-        Seconds between periodic checkpoint writes (0 disables the
-        periodic path; on-mutation writes still happen).
-    ``checkpoint_on_mutation``
-        Write immediately on membership / deployment changes.
-    ``worker_idle_tick``
-        Worker mailbox poll timeout while no partial batch is pending
-        (a pending one is waited for until its ``max_delay``) — how fast
-        a worker notices shutdown.
-    ``drain_quiet`` / ``drain_poll``
-        Graceful-drain quiescence window and its poll period.
-    ``detector_interval``
-        Master failure-detector sweep period; ``None`` keeps the
-        historical ``heartbeat_timeout / 2``.
-    ``await_timeout`` / ``await_poll``
-        Bound + poll for membership/deployment waits (app runner).
-    ``run_poll``
-        The app runner's completion-poll period.
+        Seconds between periodic checkpoint writes, run by the master's
+        loop (0 disables the periodic path; on-mutation writes always
+        happen).
     """
 
     checkpoint_interval: float = 1.0
-    checkpoint_on_mutation: bool = True
-    worker_idle_tick: float = 0.05
-    drain_quiet: float = 0.25
-    drain_poll: float = 0.01
-    detector_interval: Optional[float] = None
-    await_timeout: float = 5.0
-    await_poll: float = 0.005
-    run_poll: float = 0.02
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 0:
             raise RuntimeStateError("checkpoint_interval must be >= 0")
-        for name in ("worker_idle_tick", "drain_poll", "await_timeout",
-                     "await_poll", "run_poll"):
-            if getattr(self, name) <= 0:
-                raise RuntimeStateError("%s must be positive" % name)
-        if self.drain_quiet < 0:
-            raise RuntimeStateError("drain_quiet must be >= 0")
-        if self.detector_interval is not None and self.detector_interval <= 0:
-            raise RuntimeStateError("detector_interval must be positive "
-                                    "when set")
 
 
 @dataclass(frozen=True)
@@ -384,9 +349,8 @@ class CheckpointManager:
         self._export_age(now)
 
     def mutation(self, now: Optional[float] = None) -> None:
-        """A membership/deployment change happened; write if configured."""
-        if self.config.checkpoint_on_mutation:
-            self.write(now)
+        """A membership/deployment change happened: write now."""
+        self.write(now)
 
     def maybe_checkpoint(self, now: Optional[float] = None) -> bool:
         """Periodic path: write when the interval elapsed; returns

@@ -44,6 +44,12 @@ from repro.runtime.master import Master
 from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, TraceSink
 
+#: start-up and master-restart waits for workers to join and deploy
+AWAIT_TIMEOUT = 5.0
+AWAIT_POLL = 0.005
+#: how often :meth:`SwingRuntime.run` checks whether the sink went idle
+RUN_POLL = 0.02
+
 
 class SwingRuntime:
     """Build, run and tear down a complete in-process swarm.
@@ -119,7 +125,7 @@ class SwingRuntime:
         #: shared TraceSink (a :class:`repro.trace.Tracer`); every
         #: device in the in-process swarm records into the same ring
         self.tracer = trace if trace is not None else NULL_TRACER
-        #: recovery/timing knobs shared by master and workers
+        #: the master's checkpoint cadence (every incarnation)
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         #: keyed-routing knobs
         self.keyed = keyed
@@ -181,8 +187,7 @@ class SwingRuntime:
             heartbeat_target=self._master_id,
             policy_config=self._policy_config,
             overload=self.overload, registry=self.registry,
-            trace=self.tracer, delivery=self.delivery,
-            recovery=self.recovery)
+            trace=self.tracer, delivery=self.delivery)
         for spec in self.specs:
             worker.register_pipeline(spec.tenant_id,
                                      self.graphs[spec.tenant_id])
@@ -207,27 +212,26 @@ class SwingRuntime:
         for worker in self.workers.values():
             worker.start()
             worker.join_master(self._master_id)
-        self._await_membership()
+        missing = self._await_membership(set(self.workers), AWAIT_TIMEOUT)
+        if missing:
+            raise DeploymentError("workers never joined: %r"
+                                  % sorted(missing))
         self.master.deploy()
         self._await_deployment()
         self.master.start()
         self._running = True
 
-    def _await_membership(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
+    def _await_membership(self, expected: set, timeout: float) -> set:
+        """Wait up to *timeout* seconds for every worker in *expected*
+        to be a pool member; returns the ones still missing."""
         deadline = time.monotonic() + timeout
-        expected = set(self.workers)
-        while time.monotonic() < deadline:
-            if expected <= set(self.master.worker_ids):
-                return
-            time.sleep(self.recovery.await_poll)
-        missing = expected - set(self.master.worker_ids)
-        raise DeploymentError("workers never joined: %r" % sorted(missing))
+        while True:
+            missing = expected - set(self.master.worker_ids)
+            if not missing or time.monotonic() >= deadline:
+                return missing
+            time.sleep(AWAIT_POLL)
 
-    def _await_deployment(self, timeout: Optional[float] = None) -> None:
-        if timeout is None:
-            timeout = self.recovery.await_timeout
+    def _await_deployment(self, timeout: float = AWAIT_TIMEOUT) -> None:
         deadline = time.monotonic() + timeout
         runtimes = [self.master.runtime] + list(self.workers.values())
         for runtime in runtimes:
@@ -279,7 +283,7 @@ class SwingRuntime:
         The successor runs at ``checkpoint.epoch + 1`` on the same
         endpoint with every pipeline re-attached: it restores the
         co-located sinks' dedup window, waits (up to *await_workers*,
-        default the recovery config's ``await_timeout``) for
+        default ``AWAIT_TIMEOUT``) for
         checkpointed survivors to re-register — their heartbeats draw an
         epoch-stamped WELCOME, which triggers a JOIN carrying their
         hosted-unit inventory — then redeploys, restarts sources, and
@@ -288,7 +292,7 @@ class SwingRuntime:
         dedup).  Returns the number of retention entries re-imported.
         """
         if await_workers is None:
-            await_workers = self.recovery.await_timeout
+            await_workers = AWAIT_TIMEOUT
         checkpoint = (load_checkpoint(self.checkpoint_store)
                       if self.checkpoint_store is not None else None)
         epoch = (checkpoint.epoch if checkpoint is not None else 0) + 1
@@ -300,11 +304,9 @@ class SwingRuntime:
             expected = (set(self.master.restore(checkpoint))
                         & set(self.workers))
         self.master.runtime.start()
-        deadline = time.monotonic() + await_workers
-        while time.monotonic() < deadline:
-            if expected <= set(self.master.worker_ids):
-                break
-            time.sleep(self.recovery.await_poll)
+        # A survivor that never re-registers is left out of the new
+        # deployment; it rejoins through the ordinary JOIN path.
+        self._await_membership(expected, await_workers)
         self.master.deploy()
         self._await_deployment()
         self.master.start()
@@ -395,9 +397,8 @@ class SwingRuntime:
             before, seen = seen, len(sink.results)
             return seen == 0 or seen != before
 
-        migration.run(migration.quiesce(flowing, until_idle,
-                                        self.recovery.run_poll, timeout),
-                      time.sleep)
+        migration.run(migration.quiesce(flowing, until_idle, RUN_POLL,
+                                        timeout), time.sleep)
         self.stop()
         results = list(sink.results)
         if not reorder:

@@ -9,7 +9,9 @@ ports: ``time.monotonic`` as the Clock, a health-gated, retried fabric
 send as the Egress, and the process's metrics registry as the sink.
 :meth:`UpstreamDispatcher.dispatch` is called for every tuple the unit
 emits; :meth:`UpstreamDispatcher.on_ack` for every timestamp echo that
-returns.
+returns; :meth:`UpstreamDispatcher.tick` by the hosting worker's loop
+whenever the edge's next deadline (control round or batch flush) falls
+due.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class UpstreamDispatcher:
         self._batch: Optional[BatchBuffer] = (BatchBuffer(batching)
                                               if batching.enabled else None)
         #: called when a tuple opens a new partial batch, so the hosting
-        #: loop can wake in time to age-flush it (see flush_due_in)
+        #: loop can wake in time to age-flush it (see tick)
         self._on_batch_open = on_batch_open
 
     # -- membership --------------------------------------------------------
@@ -224,7 +226,6 @@ class UpstreamDispatcher:
                             sampled=sampled)
             return None
         self.controller.observe_arrival(now)
-        self.controller.maybe_update(now)
         if tracer.enabled:
             encode_started = self._clock()
             payload = encode_tuple(data)
@@ -282,28 +283,23 @@ class UpstreamDispatcher:
         return self.controller.dispatch_batch(seqs, context=context,
                                               deadline=deadline)
 
-    def maybe_flush(self, now: Optional[float] = None) -> Optional[InstanceId]:
-        """Flush only when the oldest pending tuple has waited past
-        ``max_delay`` (the hosting loop's periodic age check)."""
-        if self._batch is None:
-            return None
-        if now is None:
-            now = self._clock()
-        with self._batch_lock:
-            due = self._batch.due(now)
-        if due:
-            return self.flush(now)
-        return None
-
-    def flush_due_in(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds until the pending batch is due for :meth:`maybe_flush`
-        (None: nothing pending) — how long the hosting loop may block."""
-        if self._batch is None:
-            return None
-        if now is None:
-            now = self._clock()
-        with self._batch_lock:
-            return self._batch.due_in(now)
+    def tick(self, now: float) -> float:
+        """Run this edge's periodic work that is due at *now* and return
+        when it is next due: the control round (``maybe_update``, once
+        per ``control_interval``) and the age flush of a partial batch
+        (``max_delay`` after it opened).  The hosting loop's timer is
+        the only caller; :meth:`dispatch` never runs a round."""
+        controller = self.controller
+        controller.maybe_update(now)
+        due = controller.next_update()
+        if self._batch is not None:
+            with self._batch_lock:
+                flush_in = self._batch.due_in(now)
+            if flush_in is not None and flush_in <= 0:
+                self.flush(now)
+            elif flush_in is not None:
+                due = min(due, now + flush_in)
+        return due
 
     def pending_batch(self) -> int:
         """Tuples buffered and not yet flushed (drain visibility)."""

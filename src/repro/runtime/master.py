@@ -10,7 +10,8 @@ The control plane is split in two layers:
 * :class:`SwarmPool` — pool-level membership and health.  One pool
   tracks the worker set (JOIN / LEAVE / LEAVING / heartbeats, failure
   detection) for *every* pipeline sharing the swarm, and notifies each
-  attached session when membership changes.
+  attached session when membership changes.  It owns no thread: its
+  failure sweep is one of the master's periodic duties.
 * :class:`DeploymentSession` — per-tenant deployment.  One session owns
   one pipeline's graph, placement and lifecycle (deploy / start / stop)
   and tags every control message with its tenant id, so a shared worker
@@ -20,7 +21,10 @@ The control plane is split in two layers:
 by tenant id: the constructor graph is the default tenant ``""`` and
 ``add_pipeline`` attaches further tenants.  The master owns its own
 :class:`~repro.runtime.worker.WorkerRuntime` (so sources and sinks can
-live on the master device, like phone A in the evaluation).
+live on the master device, like phone A in the evaluation).  That
+runtime's loop is the master's only clock: the master is its control
+handler, so control frames arrive through :meth:`Master.handle` and the
+failure sweep and periodic checkpoint run from :meth:`Master.tick`.
 """
 
 from __future__ import annotations
@@ -111,8 +115,7 @@ class SwarmPool:
     def __init__(self, master_id: str, fabric: Fabric,
                  heartbeat_timeout: float = 0.0,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
-                 epoch: int = 0,
-                 detector_interval: Optional[float] = None
+                 epoch: int = 0
                  ) -> None:
         if heartbeat_timeout < 0:
             raise DeploymentError("heartbeat timeout must be >= 0")
@@ -124,7 +127,6 @@ class SwarmPool:
         #: this master incarnation's fencing epoch; 0 = never recovered,
         #: where every control frame stays byte-identical to history
         self.epoch = epoch
-        self._detector_interval = detector_interval
         #: per-worker hosted-unit inventory from re-registration JOINs
         self.inventory: Dict[str, List[str]] = {}
         #: called (outside the pool lock) after any membership change;
@@ -139,15 +141,7 @@ class SwarmPool:
                          else metrics_mod.MetricsRegistry())
         self.health = HealthMonitor(timeout=heartbeat_timeout,
                                     registry=self.registry)
-        self._detector: Optional[threading.Thread] = None
-        self._detector_running = threading.Event()
         self._stopped = False
-        if heartbeat_timeout > 0:
-            self._detector_running.set()
-            self._detector = threading.Thread(
-                target=self._detect_failures,
-                name="failure-detector:%s" % master_id, daemon=True)
-            self._detector.start()
 
     # -- sessions ----------------------------------------------------------
     def attach(self, session: "DeploymentSession") -> None:
@@ -207,17 +201,12 @@ class SwarmPool:
             return False
         return True
 
-    def _detect_failures(self) -> None:
+    def evict_silent(self, now: float) -> None:
         """Evict workers whose heartbeats stopped (broken link / crash)."""
-        interval = (self._detector_interval
-                    if self._detector_interval is not None
-                    else self.heartbeat_timeout / 2.0)
-        while self._detector_running.is_set():
-            time.sleep(interval)
-            members = set(self.worker_ids)
-            for worker_id in self.health.check_timeouts():
-                if worker_id in members:
-                    self.handle_leave(worker_id)
+        members = set(self.worker_ids)
+        for worker_id in self.health.check_timeouts(now):
+            if worker_id in members:
+                self.handle_leave(worker_id)
 
     def handle_join(self, worker_id: str,
                     units: Optional[Sequence[str]] = None) -> None:
@@ -248,7 +237,7 @@ class SwarmPool:
     def handle_leave(self, worker_id: str) -> None:
         """Remove a departed device's instances from all routing tables.
 
-        A no-op once the pool is stopped: the failure detector (or a
+        A no-op once the pool is stopped: the failure sweep (or a
         straggling LEAVE/LEAVING message) may race ``stop()``, and a
         late call must neither raise nor resurrect control traffic.
         """
@@ -301,10 +290,6 @@ class SwarmPool:
         """Stop membership tracking; idempotent."""
         with self.lock:
             self._stopped = True
-        self._detector_running.clear()
-        if self._detector is not None:
-            self._detector.join(timeout=2.0)
-            self._detector = None
 
 
 class DeploymentSession:
@@ -458,9 +443,7 @@ class Master:
                          else metrics_mod.MetricsRegistry())
         self.pool = SwarmPool(master_id, fabric,
                               heartbeat_timeout=heartbeat_timeout,
-                              registry=self.registry, epoch=epoch,
-                              detector_interval=self.recovery
-                              .detector_interval)
+                              registry=self.registry, epoch=epoch)
         self.health = self.pool.health
         #: optional crash-recovery checkpointing; None = historical
         #: unrecoverable master (nothing written, nothing to restore)
@@ -471,13 +454,16 @@ class Master:
                             if checkpoint_store is not None else None)
         if self.checkpoints is not None:
             self.pool.on_mutation = self.checkpoints.mutation
+        # The periodic duties' first deadlines: one period after birth.
+        born = time.monotonic()
+        self._sweep_due = born + heartbeat_timeout / 2.0
+        self._checkpoint_due = born + self.recovery.checkpoint_interval
         self.runtime = WorkerRuntime(
             master_id, fabric, graph, policy=policy, source_rate=source_rate,
             seed=seed, control_interval=control_interval,
-            control_handler=self._handle_control,
-            policy_config=policy_config,
+            control_handler=self, policy_config=policy_config,
             overload=overload, registry=self.registry, trace=trace,
-            delivery=delivery, recovery=self.recovery)
+            delivery=delivery)
         #: one deployment session per pipeline, keyed by tenant id
         self.sessions: Dict[str, DeploymentSession] = {}
         if graph is not None:
@@ -496,17 +482,34 @@ class Master:
     def epoch(self) -> int:
         return self.pool.epoch
 
-    def _handle_control(self, sender_id: str,
-                        message: messages.Message) -> None:
-        """Pool control handling plus piggybacked periodic checkpoints.
-
-        Heartbeats arrive every interval from every worker, so hanging
-        ``maybe_checkpoint`` here gives the periodic path a clock
-        without a dedicated timer thread.
-        """
+    # -- the master's hook on its runtime's loop --------------------------
+    def handle(self, sender_id: str, message: messages.Message) -> None:
+        """One control frame (JOIN / LEAVE / LEAVING / HEARTBEAT)."""
         self.pool.handle_control(sender_id, message)
-        if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint()
+
+    def tick(self, now: float) -> float:
+        """Run the periodic duties due at *now* and return when the next
+        one is due: the failure sweep every ``heartbeat_timeout / 2``
+        (heartbeats on) and the periodic checkpoint every
+        ``checkpoint_interval`` (a store configured, interval > 0)."""
+        due = float("inf")
+        if self.heartbeat_timeout > 0:
+            if now >= self._sweep_due:
+                self._sweep_due = now + self.heartbeat_timeout / 2.0
+                self.pool.evict_silent(now)
+            due = self._sweep_due
+        interval = self.recovery.checkpoint_interval
+        if self.checkpoints is not None and interval > 0:
+            if now >= self._checkpoint_due:
+                self._checkpoint_due = now + interval
+                try:
+                    self.checkpoints.maybe_checkpoint(now)
+                except (OSError, SerializationError):
+                    # A failed write must not stop the loop; it shows
+                    # as a growing swing_checkpoint_age_seconds.
+                    pass
+            due = min(due, self._checkpoint_due)
+        return due
 
     # -- multi-tenancy -----------------------------------------------------
     def add_pipeline(self, spec: multitenant_mod.TenantSpec,
@@ -539,10 +542,6 @@ class Master:
     @property
     def worker_ids(self) -> List[str]:
         return self.pool.worker_ids
-
-    @property
-    def _detector(self) -> Optional[threading.Thread]:
-        return self.pool._detector
 
     # -- deployment / execution (every session, in tenant order) -----------
     def deploy(self, worker_ids: Optional[Sequence[str]] = None) -> None:

@@ -2,8 +2,8 @@
 
 The protocol is :func:`repro.core.migration.migrate_range`; this is its
 driver for two ``WorkerRuntime`` hosts: it names them by instance id,
-paces the drain from the source's ``RecoveryConfig`` and spends the
-protocol's waits in ``time.sleep``.
+paces the drain like a worker's graceful drain (``DRAIN_QUIET`` /
+``DRAIN_POLL``) and spends the protocol's waits in ``time.sleep``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro import metrics as metrics_mod
 from repro.core import migration
 from repro.core.keyed import KeyRange
 from repro.runtime.dispatcher import UpstreamDispatcher, instance_id
-from repro.runtime.worker import WorkerRuntime
+from repro.runtime.worker import DRAIN_POLL, DRAIN_QUIET, WorkerRuntime
 
 
 def migrate_range(dispatcher: UpstreamDispatcher, key_range: KeyRange,
@@ -34,14 +34,13 @@ def migrate_range(dispatcher: UpstreamDispatcher, key_range: KeyRange,
     Raises ``MigrationAborted`` (a ``RuntimeStateError``) with the range
     left routable on its old owner and no state moved: when it is
     already migrating or not owned by *source*, when *source* has not
-    gone quiet for *quiet* seconds (default: its ``drain_quiet``) within
+    gone quiet for *quiet* seconds (default ``DRAIN_QUIET``) within
     *timeout*, or when either worker stopped while the range drained.
     """
-    recovery = source.recovery
     return migration.run(migration.migrate_range(
         dispatcher.controller, key_range, source, target,
         instance_id(unit_name, source.worker_id), new_owner,
         unit_name, tenant, reason,
-        quiet=recovery.drain_quiet if quiet is None else quiet,
-        poll=recovery.drain_poll, timeout=timeout, registry=registry),
+        quiet=DRAIN_QUIET if quiet is None else quiet,
+        poll=DRAIN_POLL, timeout=timeout, registry=registry),
         time.sleep)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
@@ -28,7 +28,7 @@ from repro.core.exceptions import (DeploymentError, RuntimeStateError,
 from repro.core.function_unit import FunctionUnit, SourceUnit, UnitContext
 from repro.core.graph import AppGraph
 from repro.core.keyed import KeyRange, KeyRangeTable
-from repro.core.recovery import RecoveryConfig, RetainedEntry
+from repro.core.recovery import RetainedEntry
 from repro.core.state import (InMemoryStateStore, decode_state_snapshot,
                               encode_state_snapshot, snapshot_range)
 from repro.core.tuples import DataTuple
@@ -41,6 +41,9 @@ from repro.runtime.serialization import decode_batch, decode_tuple
 from repro.trace import (NULL_TRACER, PROCESS, QUEUE_WAIT, SHED, Span,
                          SpanContext, TraceSink)
 
+#: the loop's deadline when nothing is pending: block until a message
+_NEVER = float("inf")
+
 #: control kinds a worker rejects when stamped with a stale master epoch.
 #: DATA/BATCH are never fenced (a late tuple is still a real tuple) and
 #: neither are ACKs — fencing only protects control-plane mutations.
@@ -52,6 +55,11 @@ _FENCED_KINDS = frozenset({messages.DEPLOY, messages.START, messages.STOP,
 #: can sit behind the bookkeeping of the messages that followed it.
 HOLD_MAX_FRAMES = 32
 
+#: A graceful drain (``leave``) or a key-range migration waits for its
+#: host to stay idle this long, re-checking every ``DRAIN_POLL`` seconds.
+DRAIN_QUIET = 0.25
+DRAIN_POLL = 0.01
+
 #: A unit whose previous call took longer than this is compute, not
 #: bookkeeping: held frames go out before it is called again.  A held
 #: frame may wait for bookkeeping, never for user compute — the paper's
@@ -61,14 +69,19 @@ HOLD_MAX_UNIT_S = 0.001
 
 
 class WorkerRuntime:
-    """Hosts and drives function units on one swarm endpoint."""
+    """Hosts and drives function units on one swarm endpoint.
+
+    ``control_handler`` (the master, on its own runtime) has
+    ``handle(sender_id, message)`` for control frames a worker does not
+    handle and ``tick(now) -> next_due`` for its periodic duties.
+    """
 
     def __init__(self, worker_id: str, fabric: Fabric,
                  graph: Optional[AppGraph],
                  policy: str = "LRS", slowdown: float = 0.0,
                  source_rate: float = 24.0, seed: Optional[int] = None,
                  control_interval: float = 1.0,
-                 control_handler: Optional[Callable] = None,
+                 control_handler: Optional[object] = None,
                  heartbeat_interval: float = 0.0,
                  heartbeat_target: Optional[str] = None,
                  health: Optional[HealthMonitor] = None,
@@ -76,8 +89,7 @@ class WorkerRuntime:
                  overload: Optional[overload_mod.OverloadConfig] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
                  trace: Optional[TraceSink] = None,
-                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
-                 recovery: Optional[RecoveryConfig] = None
+                 delivery: Optional[delivery_mod.DeliveryConfig] = None
                  ) -> None:
         if slowdown < 0:
             raise RuntimeStateError("slowdown must be non-negative")
@@ -105,8 +117,6 @@ class WorkerRuntime:
             delivery = policy_config.delivery
         #: delivery-semantics knobs (None = historical best-effort)
         self.delivery = delivery
-        #: recovery/timing knobs (idle tick, drain pacing, epoch fencing)
-        self.recovery = recovery if recovery is not None else RecoveryConfig()
         #: highest master epoch adopted so far; 0 = never-recovered
         #: master, where fencing is inert and frames stay byte-identical
         self._master_epoch = 0
@@ -173,6 +183,9 @@ class WorkerRuntime:
         self._held: Dict[str, List[messages.Message]] = {}
         self._held_count = 0
         self._loop_ident: Optional[int] = None
+        #: set when a deadline may have moved earlier than the one the
+        #: loop computed last (a batch opened, an edge was deployed)
+        self._retick = False
         #: duration of each hosted unit's most recent call (hold rule)
         self._last_call_s: Dict[str, float] = {}
 
@@ -221,12 +234,12 @@ class WorkerRuntime:
             self._heartbeat_thread.join(timeout=timeout)
             self._heartbeat_thread = None
         if self._thread is not None:
-            self._mailbox.wake()  # do not wait out the idle tick
+            self._mailbox.wake()  # the loop may be blocked with no deadline
             self._thread.join(timeout=timeout)
             self._thread = None
         # The main loop is gone: any partial batch still buffered would
         # be lost silently, so push it out on the caller's thread.
-        self._flush_dispatchers(force=True)
+        self._flush_batches()
         for unit in self._units.values():
             unit.on_stop()
 
@@ -242,26 +255,26 @@ class WorkerRuntime:
 
         The master stops routing here on LEAVING; this blocks until the
         mailbox has been empty and no DATA message in flight for *quiet*
-        seconds (default: the recovery config's ``drain_quiet``).  A
+        seconds (default ``DRAIN_QUIET``).  A
         drain must terminate, so *timeout* caps the wait, but leaving
         with work undone is counted: ``swing_drain_timeouts_total``.
         Returns the drain duration, also observed into
         ``swing_drain_duration_seconds{device=...}``.
         """
         if quiet is None:
-            quiet = self.recovery.drain_quiet
+            quiet = DRAIN_QUIET
         started = time.monotonic()
         self.fabric.send(self.worker_id, master_id,
                          messages.leaving_message(self.worker_id))
 
         def busy() -> bool:
-            self._flush_dispatchers(force=True)
+            self._flush_batches()
             return self.busy() or any(
                 d.pending_batch() for d in list(self._dispatchers.values()))
 
         if not migration.run(
-                migration.quiesce(busy, quiet, self.recovery.drain_poll,
-                                  timeout), time.sleep):
+                migration.quiesce(busy, quiet, DRAIN_POLL, timeout),
+                time.sleep):
             self._registry.increment(metrics_mod.DRAIN_TIMEOUTS_TOTAL,
                                      device=self.worker_id)
         elapsed = time.monotonic() - started
@@ -293,21 +306,26 @@ class WorkerRuntime:
             self._loop_ident = None
 
     def _serve_mailbox(self) -> None:
-        wait = self.recovery.worker_idle_tick
+        """The runtime's one timer: run whatever is due, then block on
+        the mailbox until the earliest deadline — or with no timeout
+        when nothing is pending.  A message, :meth:`_reschedule` or
+        ``stop()`` ends the wait early."""
+        mailbox = self._mailbox
+        due = 0.0  # tick on the first pass
         while self._running.is_set():
+            now = time.monotonic()
+            if now >= due or self._retick:
+                due = self._tick(now)
             if self._held_count and (self._held_count >= HOLD_MAX_FRAMES
-                                     or not len(self._mailbox)):
+                                     or not len(mailbox)):
                 # Full, or about to block with nothing queued behind
                 # which a held frame could usefully wait.
                 self._flush_held()
             try:
-                sender_id, message = self._mailbox.get(timeout=wait)
+                sender_id, message = mailbox.get(
+                    timeout=None if due == _NEVER else due - now)
             except TimeoutError:
-                # Idle until the oldest partial batch fell due (or a
-                # source pump opened one): close what has aged past its
-                # flush delay.
-                wait = self._flush_dispatchers()
-                continue
+                continue  # a deadline fell due, or stop() woke the loop
             try:
                 self._handle(sender_id, message)
             except Exception:  # noqa: BLE001 - a unit may raise anything
@@ -316,35 +334,47 @@ class WorkerRuntime:
                 self._registry.increment(metrics_mod.DROPPED_TOTAL,
                                          reason="handler_error",
                                          link="?>%s" % self.worker_id)
-            finally:
-                wait = self._flush_dispatchers()
 
-    def _flush_dispatchers(self, force: bool = False) -> float:
-        """Age-flush (or force-flush) every edge dispatcher's batch;
-        returns how long the loop may block before the oldest batch left
-        pending falls due (the idle tick when none is pending)."""
-        wait = self.recovery.worker_idle_tick
+    def _tick(self, now: float) -> float:
+        """Run every periodic duty due at *now* — each edge's control
+        round and batch flush, the control handler's sweeps — and return
+        the earliest next deadline (``_NEVER``: none)."""
+        self._retick = False
+        due = _NEVER
+        if self._control_handler is not None:
+            try:
+                due = self._control_handler.tick(now)
+            except Exception:  # noqa: BLE001 - counted like a handler
+                self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                         reason="handler_error",
+                                         link="?>%s" % self.worker_id)
         for dispatcher in list(self._dispatchers.values()):
             try:
-                if force:
-                    dispatcher.flush()
-                else:
-                    dispatcher.maybe_flush()
-                    due_in = dispatcher.flush_due_in()
-                    if due_in is not None and due_in < wait:
-                        wait = max(0.0, due_in)
+                due = min(due, dispatcher.tick(now))
             except Exception:  # noqa: BLE001 - send errors never get here
-                # The send itself is health-accounted by the dispatcher;
-                # anything else that broke the flush is counted here.
+                # Sends are health-accounted by the dispatcher; anything
+                # else that broke the round or the flush is counted here.
                 self._registry.increment(metrics_mod.DROPPED_TOTAL,
                                          reason="flush_error",
                                          link="%s>?" % self.worker_id)
-        return wait
+        return due
 
-    def _batch_opened(self) -> None:
-        """A dispatcher opened a partial batch.  On the loop thread the
-        loop sees it when it next computes its wait; from a source pump
-        the loop may already be blocked on the idle tick, so wake it."""
+    def _flush_batches(self) -> None:
+        """Push out every edge's partial batch now (stop, drain)."""
+        for dispatcher in list(self._dispatchers.values()):
+            try:
+                dispatcher.flush()
+            except Exception:  # noqa: BLE001 - send errors never get here
+                self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                         reason="flush_error",
+                                         link="%s>?" % self.worker_id)
+
+    def _reschedule(self) -> None:
+        """A deadline may now be earlier than the one the loop waits
+        for (a batch opened, an edge was deployed): the loop ticks again
+        before it next blocks.  From another thread (a source pump) the
+        loop may already be blocked, so wake it."""
+        self._retick = True
         if threading.get_ident() != self._loop_ident:
             self._mailbox.wake()
 
@@ -490,7 +520,7 @@ class WorkerRuntime:
             # (adopted above): re-register with our inventory.
             self._reregister(sender_id)
         elif self._control_handler is not None:
-            self._control_handler(sender_id, message)
+            self._control_handler.handle(sender_id, message)
 
     # -- deployment ----------------------------------------------------------
     def register_pipeline(self, tenant_id: str, graph: AppGraph) -> None:
@@ -598,9 +628,10 @@ class WorkerRuntime:
                 health=self.health, config=self.policy_config,
                 registry=self._registry, trace=self.tracer,
                 device_id=self.worker_id, delivery=self.delivery,
-                tenant=tenant, on_batch_open=self._batch_opened)
+                tenant=tenant, on_batch_open=self._reschedule)
             self._dispatchers[key] = dispatcher
             edge_dispatchers.append(dispatcher)
+            self._reschedule()  # its first control round needs a deadline
         emit = self._make_emit(edge_dispatchers)
         unit_key = self.unit_key(unit_name, tenant)
         state = None

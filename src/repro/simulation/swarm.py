@@ -1236,11 +1236,11 @@ class SwarmSimulation:
             node.credits.try_put(True)
 
     def _control(self):
-        # Eager trigger: the engine has a cheap periodic process, so the
-        # policy round runs on schedule even through idle stretches (the
-        # threaded runtime instead piggybacks ``maybe_update`` on
-        # dispatch).  The round itself — expiry sweep, stats snapshot,
-        # policy update, decision log — is the controller's.
+        # Timer trigger: the policy round runs on schedule even through
+        # idle stretches, as on the threaded runtime, whose worker loop
+        # ticks every edge at its next round.  The round itself — expiry
+        # sweep, stats snapshot, policy update, decision log — is the
+        # controller's.
         while True:
             yield self.sim.timeout(self.config.control_interval)
             if self._master_down:

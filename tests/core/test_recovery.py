@@ -43,13 +43,6 @@ class TestRecoveryConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"checkpoint_interval": -1.0},
-        {"worker_idle_tick": 0.0},
-        {"drain_quiet": -0.1},
-        {"drain_poll": 0.0},
-        {"detector_interval": 0.0},
-        {"await_timeout": 0.0},
-        {"await_poll": -1.0},
-        {"run_poll": 0.0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(RuntimeStateError):
@@ -256,16 +249,10 @@ class TestCheckpointManager:
         assert store.writes == 0
 
     def test_mutation_writes_when_configured(self):
-        manager, store, _clock, _registry = self.make(
-            checkpoint_on_mutation=True)
+        # On-mutation writes are always on.
+        manager, store, _clock, _registry = self.make()
         manager.mutation()
         assert store.writes == 1
-
-    def test_mutation_skipped_when_disabled(self):
-        manager, store, _clock, _registry = self.make(
-            checkpoint_on_mutation=False)
-        manager.mutation()
-        assert store.writes == 0
 
     def test_age_gauge_exported(self):
         manager, _store, clock, registry = self.make()

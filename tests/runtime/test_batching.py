@@ -21,7 +21,6 @@ from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
 from repro.core.overload import OverloadConfig
-from repro.core.recovery import RecoveryConfig
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import UpstreamDispatcher
@@ -152,17 +151,18 @@ class TestDispatcherBatching:
         assert (batched_captured[0][1].encode()
                 == plain_captured[0][1].encode())
 
-    def test_maybe_flush_only_when_due(self):
+    def test_tick_flushes_only_when_due(self):
         captured = []
         clock = _FakeClock()
         dispatcher = _dispatcher(captured,
                                  BatchConfig(max_tuples=8, max_delay=0.5),
                                  clock=clock)
         dispatcher.dispatch(_tuples(1)[0])
-        assert dispatcher.maybe_flush() is None
+        assert dispatcher.tick(clock.now) == pytest.approx(clock.now + 0.5)
+        assert captured == []
         clock.now += 0.6
-        assert dispatcher.maybe_flush() == "f@W"
-        assert len(captured) == 1
+        dispatcher.tick(clock.now)
+        assert [target for target, _message in captured] == ["W"]
 
     def test_opening_a_batch_announces_its_deadline(self):
         captured, opened = [], []
@@ -171,17 +171,20 @@ class TestDispatcherBatching:
                                  BatchConfig(max_tuples=2, max_delay=0.5),
                                  clock=clock,
                                  on_batch_open=lambda: opened.append(1))
-        assert dispatcher.flush_due_in() is None
+        round_due = clock.now + 1.0  # nothing buffered: the next round
+        assert dispatcher.tick(clock.now) == pytest.approx(round_due)
         first, second, third = _tuples(3)
         dispatcher.dispatch(first)
         assert len(opened) == 1
         clock.now += 0.2
-        assert dispatcher.flush_due_in() == pytest.approx(0.3)
+        assert dispatcher.tick(clock.now) == pytest.approx(clock.now + 0.3)
         dispatcher.dispatch(second)  # fills the batch: flushed, not opened
-        assert len(opened) == 1 and dispatcher.flush_due_in() is None
+        assert len(opened) == 1
+        assert dispatcher.tick(clock.now) == pytest.approx(round_due)
         dispatcher.dispatch(third)
         assert len(opened) == 2
-        assert _dispatcher([], None).flush_due_in() is None  # unbatched
+        unbatched = _dispatcher([], None, clock=clock)
+        assert unbatched.tick(clock.now) == pytest.approx(clock.now + 1.0)
 
     def test_batched_ack_credits_every_member(self):
         captured = []
@@ -374,16 +377,16 @@ class TestEndToEndBatching:
                 .chain("src", "f", "snk")
                 .build())
 
-    def _run(self, batching, recovery=None, timeout=10.0):
+    def _run(self, batching, control_interval=1.0, timeout=10.0):
         fabric = InProcFabric()
         graph = self._graph()
-        config = PolicyConfig(policy="RR", batching=batching)
+        config = PolicyConfig(policy="RR", batching=batching,
+                              control_interval=control_interval)
         registry = metrics_mod.MetricsRegistry()
         worker_a = WorkerRuntime("A", fabric, graph, policy_config=config,
-                                 source_rate=2000.0, registry=registry,
-                                 recovery=recovery)
+                                 source_rate=2000.0, registry=registry)
         worker_b = WorkerRuntime("B", fabric, graph, policy_config=config,
-                                 registry=registry, recovery=recovery)
+                                 registry=registry)
         worker_a.start()
         worker_b.start()
         try:
@@ -418,9 +421,9 @@ class TestEndToEndBatching:
         dispatcher = worker_a.dispatcher("src")
         assert wait_until(lambda: dispatcher.ack_count >= self.ITEMS - 8)
 
-    def test_source_pump_wakes_a_loop_asleep_on_the_idle_tick(self):
+    def test_source_pump_wakes_a_blocked_loop(self):
         def late_payloads():
-            time.sleep(0.2)  # the loop is blocked on its idle tick by now
+            time.sleep(0.2)  # the loop is blocked until its round by now
             yield {"x": 1}
 
         graph = (GraphBuilder("app")
@@ -433,10 +436,11 @@ class TestEndToEndBatching:
         downstream = fabric.register("B")
         worker = WorkerRuntime(
             "A", fabric, graph, source_rate=0,
+            # The only deadline before the batch opens is a round 30 s
+            # away: the pump's wake is what gets the batch out in time.
             policy_config=PolicyConfig(
-                policy="RR", batching=BatchConfig(max_tuples=64,
-                                                  max_delay=0.02)),
-            recovery=RecoveryConfig(worker_idle_tick=5.0))
+                policy="RR", control_interval=30.0,
+                batching=BatchConfig(max_tuples=64, max_delay=0.02)))
         worker.start()
         try:
             fabric.send("M", "A", messages.deploy_message(
@@ -448,14 +452,15 @@ class TestEndToEndBatching:
         finally:
             worker.stop()
 
-    def test_last_partial_batch_waits_max_delay_not_the_idle_tick(self):
+    def test_last_partial_batch_flushes_at_max_delay(self):
         # The source's last batch is opened on its pump thread while A's
         # loop sleeps, the unit's on B's loop thread: both must flush at
-        # max_delay, long before a 5 s idle tick would come round.
+        # max_delay, long before the next control round (30 s) wakes
+        # either loop.
         started = time.monotonic()
         _worker_a, _worker_b, sink, _registry = self._run(
             BatchConfig(max_tuples=64, max_delay=0.02),
-            recovery=RecoveryConfig(worker_idle_tick=5.0), timeout=3.0)
+            control_interval=30.0, timeout=3.0)
         assert sorted(sink.values("y")) == list(range(1, self.ITEMS + 1))
         assert time.monotonic() - started < 3.0
 

@@ -140,6 +140,19 @@ class TestControl:
             "det@slow", 0.0)
         assert "det@fast" in decision.selected
 
+    def test_only_the_tick_runs_a_round(self):
+        clock = FakeClock()
+        dispatcher, _sent = make_dispatcher(policy="LRS", clock=clock)
+        dispatcher.set_downstreams(["det@B"])
+        clock.advance(5.0)  # ten intervals overdue
+        dispatcher.dispatch(DataTuple(values={}, seq=0))
+        assert len(dispatcher.controller.decisions) == 0
+        assert dispatcher.tick(clock.now) == pytest.approx(clock.now + 0.5)
+        assert len(dispatcher.controller.decisions) == 1
+        assert dispatcher.tick(clock.now + 0.4) == pytest.approx(
+            clock.now + 0.5)  # not due yet: no second round
+        assert len(dispatcher.controller.decisions) == 1
+
     def test_membership_reconciliation(self):
         dispatcher, _sent = make_dispatcher()
         dispatcher.set_downstreams(["det@B", "det@C"])

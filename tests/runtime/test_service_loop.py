@@ -168,10 +168,11 @@ class TestLoudFailures:
 
     def test_a_flush_that_raises_is_counted(self, served):
         class _BrokenDispatcher:
-            def maybe_flush(self):
+            def tick(self, now):
                 raise RuntimeError("flush broke outside the send")
 
         served.worker._dispatchers["broken>edge"] = _BrokenDispatcher()
+        served.worker._reschedule()  # its deadline is due now
         frame = encode_tuple(DataTuple(values={"x": 1}, seq=0))
         served.send(messages.data_message("snk", frame, 0, 1.0))
         served.acks(1)  # the loop kept serving

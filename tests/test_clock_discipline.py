@@ -47,6 +47,18 @@ def test_core_never_sleeps():
     assert not offenders, "core/ module(s) sleep: %s" % offenders
 
 
+def test_master_owns_no_clock():
+    # The master's periodic duties (failure sweep, checkpoint cadence)
+    # are deadlines on its runtime's worker loop, the runtime's one
+    # timer: the master module starts no thread and never sleeps.
+    text = (SRC / "repro" / "runtime" / "master.py").read_text(
+        encoding="utf-8")
+    assert "class Master" in text, "the guard lost its target"
+    offenders = [line.strip() for line in text.splitlines()
+                 if re.search(r"threading\.Thread|time\.sleep", line)]
+    assert not offenders, "runtime/master.py keeps a clock: %s" % offenders
+
+
 def test_migration_protocol_imports_no_substrate():
     # The sans-IO protocols both substrates drive: migration/drain and
     # the bounded admission queue.
