@@ -356,28 +356,33 @@ class LrsController:
         """
         if key_hash is not None and self._key_table is not None:
             return self._dispatch_keyed(seq, key_hash, context, deadline)
-        return self._place(seq, None, context, deadline)
+        return self._place(seq, None, context, deadline, self._route())
+
+    def _route(self) -> Optional[str]:
+        """One policy draw; ``None`` when the edge has no member."""
+        with self._lock:
+            try:
+                return self._policy.route()
+            except RoutingError:
+                return None
 
     def _place(self, head: int, members: Optional[List[int]],
-               context: Optional[object],
-               deadline: Optional[float]) -> Optional[str]:
-        """One placement decision for one wire unit, whatever its size.
+               context: Optional[object], deadline: Optional[float],
+               chosen: Optional[str]) -> Optional[str]:
+        """Send one wire unit, whatever its size, to the drawn *chosen*.
 
         *head* keys the unit's single pending-ACK entry (one latency
         sample, one loss charge on expiry — what lets a batch amortize
         the control-plane cost) and its single replay entry.  *members*
         lists a batch's seqs, head first; it is ``None`` for a lone
-        tuple, which needs no membership maps.
+        tuple, which needs no membership maps.  A failed send dead-marks
+        *chosen* and falls back to the next live member; with no taker
+        the unit is retained unassigned (at-least-once) or lost.
         """
         count = 1 if members is None else len(members)
         retain = self._replay is not None and context is not None
         if retain and members is not None:
             self._register_batch(members)
-        with self._lock:
-            try:
-                chosen = self._policy.route()
-            except RoutingError:
-                chosen = None
         tried = set()
         while chosen is not None:
             sent_at = self._send_registered(chosen, head, context, deadline)
@@ -579,8 +584,31 @@ class LrsController:
         if not seqs:
             return None
         self._observe_batch_size(len(seqs))
+        return self.dispatch_routed(seqs, self._route(), context, deadline)
+
+    def route_many(self, count: int) -> List[Optional[str]]:
+        """*count* policy draws in order, one per tuple: exactly what
+        *count* calls of :meth:`dispatch` would draw, taken at once so
+        that a caller holding tuples can frame them per downstream
+        (``None``: the edge has no member)."""
+        with self._lock:  # one membership for the whole burst
+            return [self._route() for _ in range(count)]
+
+    def dispatch_routed(self, seqs: Iterable[int], chosen: Optional[str],
+                        context: Optional[object] = None,
+                        deadline: Optional[float] = None) -> Optional[str]:
+        """Send one frame of tuples already routed to *chosen* (by
+        :meth:`route_many`): one pending-ACK entry, one replay entry,
+        one echo — and the same send / fallback / dead-mark path as
+        :meth:`dispatch`.  Within one burst, holding changes the
+        framing, never where a tuple was routed.  Unlike
+        :meth:`dispatch_batch` it records no ``swing_batch_size``: held
+        frames are not configured batches."""
+        seqs = list(seqs)
+        if not seqs:
+            return None
         return self._place(seqs[0], seqs if len(seqs) > 1 else None,
-                           context, deadline)
+                           context, deadline, chosen)
 
     def _register_batch(self, seqs: List[int]) -> None:
         """Map batch members to their head before retaining the batch."""

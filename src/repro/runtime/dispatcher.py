@@ -11,14 +11,15 @@ send as the Egress, and the process's metrics registry as the sink.
 emits; :meth:`UpstreamDispatcher.on_ack` for every timestamp echo that
 returns; :meth:`UpstreamDispatcher.tick` by the hosting worker's loop
 whenever the edge's next deadline (control round or batch flush) falls
-due.
+due; :meth:`UpstreamDispatcher.flush_held` by that loop when it writes
+the tuples it held.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
@@ -32,7 +33,8 @@ from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.fabric import SEND_ERRORS
 from repro.runtime.health import HealthMonitor
-from repro.runtime.serialization import encode_batch, encode_tuple
+from repro.runtime.serialization import (MAX_BATCH_TUPLES, encode_batch,
+                                         encode_tuple)
 from repro.trace import NULL_TRACER, SERIALIZE, SHED, Span, TraceSink
 
 #: an instance is addressed as "unit@worker"
@@ -41,6 +43,13 @@ InstanceId = str
 #: update-round history kept per long-lived dispatcher (policy rounds
 #: run ~1/s; the simulator keeps an unbounded log instead)
 DECISION_HISTORY = 256
+
+#: Held tuples joined into one BATCH stop short of this many encoded
+#: bytes: joining only amortises per-frame costs, which large tuples do
+#: not have, and it keeps every joined frame far below
+#: ``channels.MAX_FRAME_BYTES``.  A tuple this large leaves alone, as
+#: the DATA frame unheld dispatch would send.
+HOLD_MAX_BATCH_BYTES = 1 << 20
 
 
 def instance_id(unit_name: str, worker_id: str) -> InstanceId:
@@ -70,6 +79,42 @@ class BatchPayload:
         self.seqs = list(seqs)
         #: lets the replay buffer charge the batch at its wire size
         self.nbytes = len(frame)
+
+
+def _held_frames(items: list) -> List[list]:
+    """Cut one downstream's held ``(seq, payload, deadline)`` items, in
+    order, into frames of at most :data:`HOLD_MAX_BATCH_BYTES` encoded
+    bytes and :data:`MAX_BATCH_TUPLES` tuples (a lone larger tuple is a
+    frame of its own)."""
+    frames: List[list] = []
+    frame: list = []
+    size = 5  # the BATCH header: magic + count
+    for item in items:
+        grown = size + 4 + len(item[1])
+        if frame and (grown > HOLD_MAX_BATCH_BYTES
+                      or len(frame) == MAX_BATCH_TUPLES):
+            frames.append(frame)
+            frame, grown = [], 9 + len(item[1])
+        frame.append(item)
+        size = grown
+    frames.append(frame)
+    return frames
+
+
+def _wire_unit(items) -> Tuple[List[int], object, Optional[float]]:
+    """One wire unit of ``(seq, payload, deadline)`` items, in order:
+    ``(seqs, context, deadline)``.  A lone payload rides the DATA
+    envelope, byte-identical to unbatched dispatch; several ride one
+    BATCH frame.  The unit's deadline is its earliest member's."""
+    seqs = [seq for seq, _payload, _deadline in items]
+    deadlines = [deadline for _seq, _payload, deadline in items
+                 if deadline is not None]
+    deadline = min(deadlines) if deadlines else None
+    if len(items) == 1:
+        return seqs, items[0][1], deadline
+    return seqs, BatchPayload(
+        encode_batch([payload for _seq, payload, _d in items]),
+        seqs), deadline
 
 
 class _FabricEgress:
@@ -109,8 +154,9 @@ class UpstreamDispatcher:
                  device_id: str = "",
                  delivery: Optional[delivery_mod.DeliveryConfig] = None,
                  tenant: str = "",
-                 on_batch_open: Optional[Callable[[], None]] = None
-                 ) -> None:
+                 on_batch_open: Optional[Callable[[], None]] = None,
+                 hold: Optional[Callable[["UpstreamDispatcher"], bool]]
+                 = None) -> None:
         self.unit_name = unit_name
         self.edge = edge or unit_name
         self.device_id = device_id
@@ -151,6 +197,13 @@ class UpstreamDispatcher:
         #: called when a tuple opens a new partial batch, so the hosting
         #: loop can wake in time to age-flush it (see tick)
         self._on_batch_open = on_batch_open
+        #: asked per tuple of an unbatched, unkeyed edge: True when the
+        #: calling thread holds its writes and will call flush_held at
+        #: its next flush point (the hosting worker's loop thread)
+        self._hold = hold
+        #: (seq, payload, deadline) held since the last flush_held, in
+        #: emission order; only the holding thread touches it
+        self._held: List[Tuple[int, bytes, Optional[float]]] = []
 
     # -- membership --------------------------------------------------------
     def set_downstreams(self, instances) -> None:
@@ -192,7 +245,9 @@ class UpstreamDispatcher:
 
     # -- data plane ----------------------------------------------------------
     def dispatch(self, data: DataTuple) -> Optional[InstanceId]:
-        """Route one tuple; returns the chosen instance (None if lost).
+        """Route one tuple; returns the chosen instance (None if lost, or
+        not placed yet: buffered in a batch, or held for the hosting
+        loop's next flush).
 
         A failed send is retried up to ``max_send_retries`` times (gated
         by the health monitor's backoff window); once a downstream
@@ -244,6 +299,9 @@ class UpstreamDispatcher:
                                             deadline=data.deadline,
                                             key_hash=hash_key(data.key))
         if self._batch is None:
+            if self._hold is not None and self._hold(self):
+                self._held.append((data.seq, payload, data.deadline))
+                return None
             return self.controller.dispatch(data.seq, context=payload,
                                             deadline=data.deadline)
         with self._batch_lock:
@@ -252,12 +310,12 @@ class UpstreamDispatcher:
             close = full or self._batch.due(now)
             opened = len(self._batch) == 1
         if close:
-            return self.flush(now)
+            return self.flush()
         if opened and self._on_batch_open is not None:
             self._on_batch_open()
         return None
 
-    def flush(self, now: Optional[float] = None) -> Optional[InstanceId]:
+    def flush(self) -> Optional[InstanceId]:
         """Send the pending batch now; returns the chosen downstream.
 
         A one-tuple batch is placed like any other and rides the DATA
@@ -269,19 +327,29 @@ class UpstreamDispatcher:
             items = self._batch.take()
         if not items:
             return None
-        if now is None:
-            now = self._clock()
-        seqs = [seq for seq, _payload, _deadline in items]
-        deadlines = [deadline for _seq, _payload, deadline in items
-                     if deadline is not None]
-        deadline = min(deadlines) if deadlines else None
-        if len(items) == 1:
-            context: object = items[0][1]
-        else:
-            context = BatchPayload(
-                encode_batch([payload for _seq, payload, _d in items]), seqs)
+        seqs, context, deadline = _wire_unit(items)
         return self.controller.dispatch_batch(seqs, context=context,
                                               deadline=deadline)
+
+    def flush_held(self) -> None:
+        """Place the tuples held since the last call, in emission order:
+        each takes its own policy draw, as unheld dispatch would, and
+        then each chosen downstream gets one frame — a lone tuple the
+        unheld DATA frame, several one BATCH frame with one pending
+        entry, one retention entry and one echo — or, past
+        :data:`HOLD_MAX_BATCH_BYTES`, a few (:func:`_held_frames`)."""
+        items, self._held = self._held, []
+        if not items:
+            return
+        controller = self.controller
+        groups: Dict[Optional[InstanceId], list] = {}
+        for chosen, item in zip(controller.route_many(len(items)), items):
+            groups.setdefault(chosen, []).append(item)
+        for chosen, group in groups.items():
+            for frame in _held_frames(group):
+                seqs, context, deadline = _wire_unit(frame)
+                controller.dispatch_routed(seqs, chosen, context=context,
+                                           deadline=deadline)
 
     def tick(self, now: float) -> float:
         """Run this edge's periodic work that is due at *now* and return
@@ -296,7 +364,7 @@ class UpstreamDispatcher:
             with self._batch_lock:
                 flush_in = self._batch.due_in(now)
             if flush_in is not None and flush_in <= 0:
-                self.flush(now)
+                self.flush()
             elif flush_in is not None:
                 due = min(due, now + flush_in)
         return due

@@ -50,9 +50,11 @@ _NEVER = float("inf")
 _FENCED_KINDS = frozenset({messages.DEPLOY, messages.START, messages.STOP,
                            messages.WELCOME})
 
-#: A loop thread writes its held frames out once this many are waiting:
-#: bounds the burst one ``sendmsg`` carries and how long the first frame
-#: can sit behind the bookkeeping of the messages that followed it.
+#: A loop thread writes what it holds once this many frames and tuples
+#: are waiting: bounds the burst one ``sendmsg`` carries, the tuples of
+#: a held BATCH (its bytes are capped by the dispatcher's
+#: ``HOLD_MAX_BATCH_BYTES``), and how long the first can sit behind the
+#: bookkeeping of the messages that followed it.
 HOLD_MAX_FRAMES = 32
 
 #: A graceful drain (``leave``) or a key-range migration waits for its
@@ -61,10 +63,10 @@ DRAIN_QUIET = 0.25
 DRAIN_POLL = 0.01
 
 #: A unit whose previous call took longer than this is compute, not
-#: bookkeeping: held frames go out before it is called again.  A held
-#: frame may wait for bookkeeping, never for user compute — the paper's
-#: units take 9-46 ms, so in its regime nothing is ever held across a
-#: unit call and LRS's L_i samples are what they were.
+#: bookkeeping: what is held goes out before it is called again.  A held
+#: tuple or frame may wait for bookkeeping, never for user compute — the
+#: paper's units take 9-46 ms, so in its regime nothing is ever held
+#: across a unit call and LRS's L_i samples are what they were.
 HOLD_MAX_UNIT_S = 0.001
 
 
@@ -176,11 +178,13 @@ class WorkerRuntime:
         self.deployed = threading.Event()
         #: True while a DATA message is being handled (drain visibility)
         self._data_active = False
-        #: results and ACKs the loop thread has emitted but not yet
-        #: written, per target, in emission order.  Touched by the loop
-        #: thread only, so it needs no lock: every other thread's sends
-        #: go straight out (see _emit).
+        #: frames the loop thread has emitted but not yet written, per
+        #: target, in emission order, and the edges holding result
+        #: tuples not yet placed (see _hold).  Touched by the loop thread
+        #: only, so they need no lock: every other thread's sends go
+        #: straight out.  ``_held_count`` counts both frames and tuples.
         self._held: Dict[str, List[messages.Message]] = {}
+        self._holding: List[UpstreamDispatcher] = []
         self._held_count = 0
         self._loop_ident: Optional[int] = None
         #: set when a deadline may have moved earlier than the one the
@@ -188,6 +192,11 @@ class WorkerRuntime:
         self._retick = False
         #: duration of each hosted unit's most recent call (hold rule)
         self._last_call_s: Dict[str, float] = {}
+        #: BATCH members decode as zero-copy views only where batching is
+        #: configured; on unbatched edges a held BATCH carries tuples
+        #: whose units expect ``bytes``, exactly as from a DATA frame
+        self._zero_copy = (policy_config is not None
+                           and policy_config.batching_config().enabled)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -315,6 +324,10 @@ class WorkerRuntime:
         while self._running.is_set():
             now = time.monotonic()
             if now >= due or self._retick:
+                if self._holding:
+                    # Held tuples are placed before a control round can
+                    # change the table they would have been routed by.
+                    self._flush_held()
                 due = self._tick(now)
             if self._held_count and (self._held_count >= HOLD_MAX_FRAMES
                                      or not len(mailbox)):
@@ -379,19 +392,33 @@ class WorkerRuntime:
             self._mailbox.wake()
 
     # -- held writes -------------------------------------------------------
+    def _hold(self, dispatcher: UpstreamDispatcher) -> bool:
+        """Whether *dispatcher* should hold the result tuple it is
+        dispatching instead of placing it: yes on the loop thread, which
+        places every held tuple at its next flush (:meth:`_flush_held`).
+        Under load the results of a burst then leave as one frame per
+        downstream, not one per tuple."""
+        if threading.get_ident() != self._loop_ident:
+            return False
+        if dispatcher not in self._holding:
+            self._holding.append(dispatcher)
+        self._held_count += 1
+        return True
+
     def _emit(self, target_id: str, message: messages.Message) -> bool:
         """Send one result or ACK frame: held on the loop thread, straight
         out from any other.  Returns whether the frame was held.
 
-        The loop thread emits a result and an ACK per tuple, each a
-        ``sendall`` that gives the GIL away; holding them per target and
+        The loop thread emits an ACK per message it serves, and results,
+        each a ``sendall`` that gives the GIL away; holding them per target and
         writing the burst in one :meth:`Fabric.send_many` is what makes
-        the TCP path one syscall per burst.  Held frames are written
-        when the mailbox is empty (:meth:`_serve_mailbox`), before a
-        unit that is known to be slow is called (:meth:`_serve`), and at
-        ``HOLD_MAX_FRAMES`` — always between unit calls, never from in
-        here, so a burst write is not charged to the unit whose emit
-        happened to fill the buffer.  Source pumps, heartbeats,
+        the TCP path one syscall per burst.  What is held — these frames
+        and the result tuples of unbatched edges (:meth:`_hold`) — is
+        written when the mailbox is empty (:meth:`_serve_mailbox`),
+        before a unit that is known to be slow is called (:meth:`_serve`),
+        and at ``HOLD_MAX_FRAMES`` — always between unit calls, never
+        from in here, so a burst write is not charged to the unit whose
+        emit happened to fill the buffer.  Source pumps, heartbeats,
         ``leave()``'s and ``stop()``'s force-flush and master control run
         on other threads and bypass the buffer, which is why it needs no
         lock.  A held frame's send cannot fail synchronously, and proves
@@ -408,7 +435,13 @@ class WorkerRuntime:
         return True
 
     def _flush_held(self) -> None:
-        """Write every held frame, one burst per target.
+        """Place every held tuple, then write every held frame, one
+        burst per target.
+
+        Each holding edge places its tuples first (one frame per chosen
+        downstream; :meth:`UpstreamDispatcher.flush_held`), and those
+        result frames go ahead of the frames held before them, so no
+        ACK leaves ahead of the result of the tuple it acknowledges.
 
         The peer's health is credited here, where the bytes leave: a
         burst that went out is one success.  A burst that fails is never
@@ -416,12 +449,25 @@ class WorkerRuntime:
         dispatcher's next send to it is gated like after a synchronous
         failure, and ``max_failures`` failed bursts mark it dead), and
         every frame of the burst is counted — ``ack_unsent`` for an
-        echo, ``send_failed`` for a result, which its upstream edge will
-        redeliver or charge as lost.
+        echo, ``send_failed`` for each tuple of a result frame, which
+        its upstream edge will redeliver or charge as lost.
         """
         if not self._held_count:
             return
         held, self._held = self._held, {}
+        if self._holding:
+            holding, self._holding = self._holding, []
+            for dispatcher in holding:
+                try:
+                    dispatcher.flush_held()  # its frames land in _held
+                except Exception:  # noqa: BLE001 - send errors never get here
+                    self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                             reason="flush_error",
+                                             link="%s>?" % self.worker_id)
+            results, self._held = self._held, {}
+            for target_id, burst in held.items():
+                results.setdefault(target_id, []).extend(burst)
+            held = results
         self._held_count = 0
         for target_id, burst in held.items():
             try:
@@ -430,10 +476,16 @@ class WorkerRuntime:
                 self.health.record_failure(target_id)
                 link = "%s>%s" % (self.worker_id, target_id)
                 for message in burst:
-                    self._registry.increment(
-                        metrics_mod.DROPPED_TOTAL, link=link,
-                        reason=("ack_unsent" if message.kind == messages.ACK
-                                else "send_failed"))
+                    if message.kind == messages.ACK:
+                        self._registry.increment(metrics_mod.DROPPED_TOTAL,
+                                                 reason="ack_unsent",
+                                                 link=link)
+                    else:
+                        self._registry.increment(
+                            metrics_mod.DROPPED_TOTAL,
+                            len(message.payload["seqs"])
+                            if message.kind == messages.BATCH else 1,
+                            reason="send_failed", link=link)
             else:
                 self.health.record_success(target_id)
 
@@ -541,6 +593,10 @@ class WorkerRuntime:
         self._tenant_rates[tenant_id] = rate
 
     def _on_deploy(self, message: messages.Message) -> None:
+        # Held tuples are placed on the membership they were emitted
+        # under, and none is left on an edge this deploy may tear down.
+        if self._holding:
+            self._flush_held()
         tenant = message.payload.get("tenant", "")
         unit_names = message.payload.get("unit_names", [])
         downstream_map = message.payload.get("downstream_map", {})
@@ -628,7 +684,8 @@ class WorkerRuntime:
                 health=self.health, config=self.policy_config,
                 registry=self._registry, trace=self.tracer,
                 device_id=self.worker_id, delivery=self.delivery,
-                tenant=tenant, on_batch_open=self._reschedule)
+                tenant=tenant, on_batch_open=self._reschedule,
+                hold=self._hold)
             self._dispatchers[key] = dispatcher
             edge_dispatchers.append(dispatcher)
             self._reschedule()  # its first control round needs a deadline
@@ -688,9 +745,10 @@ class WorkerRuntime:
         single = message.kind == messages.DATA
         try:
             # A DATA tuple is decoded detached (units keep receiving
-            # ``bytes``); BATCH members are zero-copy views of the frame.
+            # ``bytes``); BATCH members are zero-copy views of the frame
+            # where batching is configured, detached where it is not.
             batch = ([decode_tuple(payload["tuple"])] if single
-                     else decode_batch(payload["batch"]))
+                     else decode_batch(payload["batch"], self._zero_copy))
         except SerializationError:
             # Poison frame: no ACK, so upstream replay/expiry handles
             # the tuples — but the drop itself must be loud.
