@@ -24,6 +24,7 @@ as one JSON document.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import statistics
@@ -740,6 +741,20 @@ def cmd_verify(args) -> int:
     print("verify: %d schedule(s) x %s -> %d/%d run(s) clean"
           % (args.schedules, "+".join(substrates), clean,
              len(report.runs)))
+    # Coverage a run could not apply is a note, not a failure: say how
+    # much of the sweep it touched, and what it was.
+    print("coverage notes: %s" % ", ".join(
+        "%s %d/%d run(s)" % (substrate,
+                             sum(1 for record in report.runs
+                                 if record.substrate == substrate
+                                 and record.notes),
+                             args.schedules)
+        for substrate in substrates))
+    texts = collections.Counter((record.substrate, note)
+                                for record in report.runs
+                                for note in set(record.notes))
+    for (substrate, note), runs in sorted(texts.items()):
+        print("  %s, %d run(s): %s" % (substrate, runs, note))
     if report.ok:
         return 0
     for case in report.failures:

@@ -29,7 +29,7 @@ It talks to its substrate through three narrow ports:
     An object with ``send(downstream_id, seq, context) -> Optional[float]``
     returning the send timestamp on success and ``None`` on failure; a
     failed send dead-marks the downstream and triggers a re-route.  The
-    runtime's egress performs health-gated, retried fabric sends; the
+    runtime's egress performs one health-gated fabric send; the
     simulator's egress always succeeds instantly because delivery, loss
     and delay are modeled by the network.
 

@@ -1,11 +1,11 @@
 """Lightweight counter registry for runtime observability.
 
-The failure-detection subsystem (ACK expiry accounting, dispatcher
-retries, health monitoring) emits monotonic counters describing the data
-plane: tuples sent, acked, lost, retried, downstreams marked dead or
-resurrected.  A :class:`MetricsRegistry` collects them with optional
-labels (Prometheus-style ``name{key=value}`` identity), so the CLI and
-the simulation harness can print one coherent accounting table after a
+The failure-detection subsystem (ACK expiry accounting, heartbeat
+sweeps) emits monotonic counters describing the data plane: tuples
+sent, acked, lost, rerouted, downstreams marked dead or resurrected.
+A :class:`MetricsRegistry` collects them with optional labels
+(Prometheus-style ``name{key=value}`` identity), so the CLI and the
+simulation harness can print one coherent accounting table after a
 run.
 
 Every runtime, controller and simulation is handed a registry (or
@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 SENT_TOTAL = "swing_tuples_sent_total"
 ACKED_TOTAL = "swing_tuples_acked_total"
 LOST_TOTAL = "swing_tuples_lost_total"
-RETRIED_TOTAL = "swing_tuples_retried_total"
 REROUTED_TOTAL = "swing_tuples_rerouted_total"
 #: overload protection: tuples shed with reason=expired|queue_full|backpressure
 SHED_TOTAL = "swing_tuples_shed_total"

@@ -5,8 +5,8 @@ units.  The routing policy, ACK tracker, rate meter, once-per-second
 policy update, probing, and dead-marking all live in the shared
 :class:`~repro.core.controller.LrsController`; this module only
 translates the threaded runtime's substrate into the controller's three
-ports: ``time.monotonic`` as the Clock, a health-gated, retried fabric
-send as the Egress, and the process's metrics registry as the sink.
+ports: ``time.monotonic`` as the Clock, a health-gated fabric send as
+the Egress, and the process's metrics registry as the sink.
 :meth:`UpstreamDispatcher.dispatch` is called for every tuple the unit
 emits; :meth:`UpstreamDispatcher.on_ack` for every timestamp echo that
 returns; :meth:`UpstreamDispatcher.tick` by the hosting worker's loop
@@ -146,7 +146,6 @@ class UpstreamDispatcher:
                  clock: Callable[[], float] = time.monotonic,
                  edge: Optional[str] = None,
                  health: Optional[HealthMonitor] = None,
-                 max_send_retries: int = 1,
                  ack_timeout: Optional[float] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
                  config: Optional[PolicyConfig] = None,
@@ -179,7 +178,6 @@ class UpstreamDispatcher:
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._health = health
-        self._max_send_retries = max(0, max_send_retries)
         self._lock = threading.Lock()
         self._downstreams: Dict[InstanceId, Tuple[str, str]] = {}
         self.controller = LrsController(config, clock=clock,
@@ -219,7 +217,7 @@ class UpstreamDispatcher:
             # (re)joining worker: start it from a clean slate so a
             # pre-departure failure streak can't instantly re-kill it.
             for instance in set(desired) - previous:
-                self._health.reset_peer(desired[instance][1])
+                self._health.record_success(desired[instance][1])
 
     def add_downstream(self, instance: InstanceId) -> None:
         parts = split_instance(instance)
@@ -228,7 +226,7 @@ class UpstreamDispatcher:
             self._downstreams[instance] = parts
         self.controller.add_downstream(instance)
         if self._health is not None and not known:
-            self._health.reset_peer(parts[1])
+            self._health.record_success(parts[1])
 
     def remove_downstream(self, instance: InstanceId) -> None:
         with self._lock:
@@ -249,12 +247,11 @@ class UpstreamDispatcher:
         not placed yet: buffered in a batch, or held for the hosting
         loop's next flush).
 
-        A failed send is retried up to ``max_send_retries`` times (gated
-        by the health monitor's backoff window); once a downstream
-        exhausts its attempts the controller marks it dead — kept in the
-        membership so probing can resurrect it, but excluded from
-        routing — and re-routes the tuple to the next live downstream
-        (Sec. IV-C).
+        A send is attempted once; one that fails (or that the health
+        monitor's backoff window refuses) makes the controller mark the
+        downstream dead — kept in the membership so probing can
+        resurrect it, but excluded from routing — and re-route the tuple
+        to the next live downstream (Sec. IV-C).
 
         A tuple already past its deadline is shed here, at egress,
         before any transmission cost is paid; the shed is counted as
@@ -383,50 +380,44 @@ class UpstreamDispatcher:
 
     def _try_send(self, instance: InstanceId, payload: object,
                   seq: int, attempt: int = 1) -> Optional[float]:
-        """Attempt (with bounded retry) to push one tuple (or one
-        :class:`BatchPayload`) at *instance*.
+        """Push one tuple (or one :class:`BatchPayload`) at *instance*,
+        once.
 
-        Returns the send timestamp on success, None once the instance
-        exhausts its attempts (or sits inside its backoff window).
-        ``attempt`` > 1 marks an at-least-once redelivery; it is stamped
-        on the wire so the receiver can attribute the duplicate.  A frame
-        *send* only held (it returned True) is no proof of life: whoever
-        holds it credits the peer's health when the burst leaves.
+        Returns the send timestamp on success, None when the send failed
+        or the instance sits inside its backoff window.  ``attempt`` > 1
+        marks an at-least-once redelivery; it is stamped on the wire so
+        the receiver can attribute the duplicate.  A frame *send* only
+        held (it returned True) is no proof of life: whoever holds it
+        credits the peer's health when the burst leaves.
         """
         with self._lock:
             parts = self._downstreams.get(instance)
         if parts is None:
             return None
         unit_name, worker_id = parts
-        attempts = 1 + self._max_send_retries
-        for retry in range(attempts):
-            if (self._health is not None
-                    and not self._health.should_attempt(worker_id)):
-                break
-            if retry > 0:
-                self._registry.increment(metrics_mod.RETRIED_TOTAL,
-                                         downstream=instance)
-            now = self._clock()
-            if isinstance(payload, BatchPayload):
-                message = messages.batch_message(unit_name, payload.frame,
-                                                 payload.seqs, now,
-                                                 tenant=self.tenant)
-            else:
-                message = messages.data_message(unit_name, payload, seq, now,
-                                                tenant=self.tenant)
-            message.payload["edge"] = self.edge
-            if attempt > 1:
-                message.payload["delivery_attempt"] = attempt
-            try:
-                held = self._send(worker_id, message)
-            except SEND_ERRORS:
-                if self._health is not None:
-                    self._health.record_failure(worker_id)
-                continue
-            if self._health is not None and not held:
-                self._health.record_success(worker_id)
-            return now
-        return None
+        health = self._health
+        if health is not None and not health.should_attempt(worker_id):
+            return None
+        now = self._clock()
+        if isinstance(payload, BatchPayload):
+            message = messages.batch_message(unit_name, payload.frame,
+                                             payload.seqs, now,
+                                             tenant=self.tenant)
+        else:
+            message = messages.data_message(unit_name, payload, seq, now,
+                                            tenant=self.tenant)
+        message.payload["edge"] = self.edge
+        if attempt > 1:
+            message.payload["delivery_attempt"] = attempt
+        try:
+            held = self._send(worker_id, message)
+        except SEND_ERRORS:
+            if health is not None:
+                health.record_failure(worker_id)
+            return None
+        if health is not None and not held:
+            health.record_success(worker_id)
+        return now
 
     def on_ack(self, seq: int, processing_delay: float) -> None:
         """Fold a downstream's timestamp echo into the estimators."""
@@ -441,7 +432,8 @@ class UpstreamDispatcher:
     def _credit_health(self, result) -> None:
         """A matched echo is proof of life for the worker that sent it."""
         if result is not None and self._health is not None:
-            self._health.record_ack(split_instance(result.downstream_id)[1])
+            self._health.record_success(
+                split_instance(result.downstream_id)[1])
 
     # -- control plane ---------------------------------------------------
     def force_update(self) -> PolicyDecision:

@@ -7,11 +7,11 @@ can co-locate on the same device with worker threads." (paper Sec. IV-B)
 
 The control plane is split in two layers:
 
-* :class:`SwarmPool` — pool-level membership and health.  One pool
-  tracks the worker set (JOIN / LEAVE / LEAVING / heartbeats, failure
+* :class:`SwarmPool` — pool-level membership and liveness.  One pool
+  tracks the worker set (JOIN / LEAVE / LEAVING / heartbeats, silence
   detection) for *every* pipeline sharing the swarm, and notifies each
   attached session when membership changes.  It owns no thread: its
-  failure sweep is one of the master's periodic duties.
+  silence sweep is one of the master's periodic duties.
 * :class:`DeploymentSession` — per-tenant deployment.  One session owns
   one pipeline's graph, placement and lifecycle (deploy / start / stop)
   and tags every control message with its tenant id, so a shared worker
@@ -47,7 +47,6 @@ from repro.core.recovery import (CheckpointManager, CheckpointStore,
 from repro.runtime import messages
 from repro.runtime.dispatcher import instance_id
 from repro.runtime.fabric import SEND_ERRORS, Fabric
-from repro.runtime.health import HealthMonitor
 from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, RECOVERY, Span, TraceSink
 
@@ -104,12 +103,15 @@ class Placement:
 
 
 class SwarmPool:
-    """Pool-level membership and health for a shared swarm.
+    """Pool-level membership and liveness for a shared swarm.
 
     Tracks the worker set once for every tenant pipeline attached to
     it: JOIN admits a device into the pool, LEAVE / LEAVING / heartbeat
     timeout evicts it, and every attached :class:`DeploymentSession` is
-    notified so its routing tables follow the shared membership.
+    notified so its routing tables follow the shared membership.  The
+    swarm's one silence rule lives here: JOIN and HEARTBEAT stamp when
+    the master last heard a worker, and :meth:`evict_silent` evicts
+    members not heard for ``heartbeat_timeout``.
     """
 
     def __init__(self, master_id: str, fabric: Fabric,
@@ -139,8 +141,9 @@ class SwarmPool:
         self._sessions: List["DeploymentSession"] = []
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
-        self.health = HealthMonitor(timeout=heartbeat_timeout,
-                                    registry=self.registry)
+        #: worker -> monotonic time the master last heard its JOIN or
+        #: HEARTBEAT; a departure pops it
+        self._heard: Dict[str, float] = {}
         self._stopped = False
 
     # -- sessions ----------------------------------------------------------
@@ -165,7 +168,7 @@ class SwarmPool:
                                     kind=message.kind)
             return
         if message.kind == messages.JOIN:
-            self.health.record_heartbeat(message.payload["worker_id"])
+            self._heard[message.payload["worker_id"]] = time.monotonic()
             self.handle_join(message.payload["worker_id"],
                              units=message.payload.get("units"))
         elif message.kind == messages.LEAVE:
@@ -176,7 +179,7 @@ class SwarmPool:
             self.handle_leave(message.payload["worker_id"])
         elif message.kind == messages.HEARTBEAT:
             worker_id = message.payload["worker_id"]
-            self.health.record_heartbeat(worker_id)
+            self._heard[worker_id] = time.monotonic()
             if self.epoch > 0 and worker_id not in self.worker_ids:
                 # A recovered master hears a survivor it has not
                 # re-admitted yet: announce the new epoch so the worker
@@ -202,11 +205,19 @@ class SwarmPool:
         return True
 
     def evict_silent(self, now: float) -> None:
-        """Evict workers whose heartbeats stopped (broken link / crash)."""
-        members = set(self.worker_ids)
-        for worker_id in self.health.check_timeouts(now):
-            if worker_id in members:
-                self.handle_leave(worker_id)
+        """Evict members not heard for more than ``heartbeat_timeout``
+        (broken link, crash, or a loop stuck in a unit call), counting
+        each as ``swing_heartbeat_miss_total{downstream=worker}``.  A
+        member the master never heard (admitted by an explicit deploy)
+        has no stamp and is not on the clock."""
+        with self.lock:
+            silent = [worker_id for worker_id in self._workers
+                      if now - self._heard.get(worker_id, now)
+                      > self.heartbeat_timeout]
+        for worker_id in silent:
+            self.registry.increment(metrics_mod.HEARTBEAT_MISS_TOTAL,
+                                    downstream=worker_id)
+            self.handle_leave(worker_id)
 
     def handle_join(self, worker_id: str,
                     units: Optional[Sequence[str]] = None) -> None:
@@ -222,13 +233,11 @@ class SwarmPool:
                 self.inventory[worker_id] = list(units)
             if self._stopped or worker_id in self._workers:
                 return
-            # A rejoin starts from a clean slate: stale failure history
-            # from a previous incarnation must not shadow the new one.
-            # The JOIN itself is a positive signal, so the heartbeat
+            # The JOIN itself is a positive signal, so the silence
             # clock starts now — a joiner that then goes silent still
-            # ages out.
-            self.health.reset_peer(worker_id)
-            self.health.record_heartbeat(worker_id)
+            # ages out, and a rejoin is not judged by the departed
+            # incarnation's last beat.
+            self._heard[worker_id] = time.monotonic()
             self._workers.append(worker_id)
             for session in self._sessions:
                 session.on_join(worker_id)
@@ -243,7 +252,7 @@ class SwarmPool:
         """
         if self._stopped:
             return
-        self.health.forget(worker_id)
+        self._heard.pop(worker_id, None)
         with self.lock:
             if self._stopped:
                 return
@@ -437,14 +446,13 @@ class Master:
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         # Top-level entry point: when the caller injects no registry,
         # create ONE private registry here and thread it through the
-        # pool, the health monitor and the co-located worker runtime, so
+        # pool and the co-located worker runtime, so
         # their metrics aggregate without touching the process default.
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
         self.pool = SwarmPool(master_id, fabric,
                               heartbeat_timeout=heartbeat_timeout,
                               registry=self.registry, epoch=epoch)
-        self.health = self.pool.health
         #: optional crash-recovery checkpointing; None = historical
         #: unrecoverable master (nothing written, nothing to restore)
         self.checkpoints = (CheckpointManager(self._capture_checkpoint,
@@ -489,7 +497,7 @@ class Master:
 
     def tick(self, now: float) -> float:
         """Run the periodic duties due at *now* and return when the next
-        one is due: the failure sweep every ``heartbeat_timeout / 2``
+        one is due: the silence sweep every ``heartbeat_timeout / 2``
         (heartbeats on) and the periodic checkpoint every
         ``checkpoint_interval`` (a store configured, interval > 0)."""
         due = float("inf")

@@ -4,8 +4,9 @@ A worker corresponds to one device in the swarm.  It receives DEPLOY
 from the master naming the function units to activate (every device has
 the whole app installed — Fig. 3 step 3), processes DATA messages with
 the hosted units, returns ACKs carrying the measured processing delay,
-and runs an :class:`~repro.runtime.dispatcher.UpstreamDispatcher` for
-every hosted unit that has downstream units.
+runs an :class:`~repro.runtime.dispatcher.UpstreamDispatcher` for
+every hosted unit that has downstream units, and — when configured —
+beats a heartbeat toward the master from its loop.
 
 ``slowdown`` emulates device heterogeneity on a shared development
 machine: processing sleeps for ``slowdown * measured_compute`` extra
@@ -86,7 +87,6 @@ class WorkerRuntime:
                  control_handler: Optional[object] = None,
                  heartbeat_interval: float = 0.0,
                  heartbeat_target: Optional[str] = None,
-                 health: Optional[HealthMonitor] = None,
                  policy_config: Optional[PolicyConfig] = None,
                  overload: Optional[overload_mod.OverloadConfig] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
@@ -98,7 +98,9 @@ class WorkerRuntime:
         if heartbeat_interval < 0:
             raise RuntimeStateError("heartbeat interval must be >= 0")
         self.worker_id = worker_id
-        self.health = health if health is not None else HealthMonitor()
+        #: backoff windows of this worker's peers: they gate its edges'
+        #: sends and stretch its heartbeat interval (see health.py)
+        self.health = HealthMonitor()
         self.fabric = fabric
         self.graph = graph
         self.policy_name = policy
@@ -139,6 +141,8 @@ class WorkerRuntime:
         self._control_handler = control_handler
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_target = heartbeat_target
+        #: when the loop next beats (one of its deadlines; 0: at once)
+        self._beat_due = 0.0
         self._mailbox: Mailbox = fabric.register(worker_id)
         #: this device's span hop and shed/dedup queue label, built once
         #: (the data plane formats no string per tuple)
@@ -158,12 +162,11 @@ class WorkerRuntime:
         #: workers by key range
         self._key_states: Dict[str, InMemoryStateStore] = {}
         self._running = threading.Event()
-        #: set by stop(): interrupts source pacing / heartbeat sleeps so
-        #: shutdown returns promptly instead of riding out the interval
+        #: set by stop(): interrupts source pacing so shutdown returns
+        #: promptly instead of riding out the interval
         self._stopped = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._source_threads: List[threading.Thread] = []
-        self._heartbeat_thread: Optional[threading.Thread] = None
         self.processed_count = 0
         #: per-tenant processed-tuple tally ("" = default tenant)
         self.processed_by_tenant: Dict[str, int] = {}
@@ -208,30 +211,6 @@ class WorkerRuntime:
                                         name="worker:%s" % self.worker_id,
                                         daemon=True)
         self._thread.start()
-        if self.heartbeat_interval > 0 and self.heartbeat_target:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name="heartbeat:%s" % self.worker_id, daemon=True)
-            self._heartbeat_thread.start()
-
-    def _heartbeat_loop(self) -> None:
-        """Periodic liveness beacon toward the master (Background Service).
-
-        Send failures feed the health monitor, whose exponential backoff
-        stretches the beacon interval so a dead link is not hammered
-        with blocking reconnect attempts.
-        """
-        while self._running.is_set():
-            try:
-                self.fabric.send(
-                    self.worker_id, self.heartbeat_target,
-                    messages.Message(messages.HEARTBEAT,
-                                     {"worker_id": self.worker_id}))
-                self.health.record_success(self.heartbeat_target)
-            except SEND_ERRORS:
-                self.health.record_failure(self.heartbeat_target)
-            self._stopped.wait(self.heartbeat_interval
-                               + self.health.backoff_for(self.heartbeat_target))
 
     def stop(self, timeout: float = 5.0) -> None:
         self._running.clear()
@@ -239,9 +218,6 @@ class WorkerRuntime:
         self._stopped.set()
         for thread in self._source_threads:
             thread.join(timeout=timeout)
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout=timeout)
-            self._heartbeat_thread = None
         if self._thread is not None:
             self._mailbox.wake()  # the loop may be blocked with no deadline
             self._thread.join(timeout=timeout)
@@ -349,11 +325,16 @@ class WorkerRuntime:
                                          link="?>%s" % self.worker_id)
 
     def _tick(self, now: float) -> float:
-        """Run every periodic duty due at *now* — each edge's control
-        round and batch flush, the control handler's sweeps — and return
-        the earliest next deadline (``_NEVER``: none)."""
+        """Run every periodic duty due at *now* — the heartbeat, each
+        edge's control round and batch flush, the control handler's
+        sweeps — and return the earliest next deadline (``_NEVER``:
+        none)."""
         self._retick = False
         due = _NEVER
+        if self.heartbeat_interval > 0 and self.heartbeat_target:
+            if now >= self._beat_due:
+                self._beat(now)
+            due = self._beat_due
         if self._control_handler is not None:
             try:
                 due = self._control_handler.tick(now)
@@ -371,6 +352,26 @@ class WorkerRuntime:
                                          reason="flush_error",
                                          link="%s>?" % self.worker_id)
         return due
+
+    def _beat(self, now: float) -> None:
+        """Send one heartbeat to the master (Background Service).
+
+        The loop sends it, so a beat proves that the loop is serving: a
+        loop stuck in a unit call stops beating and the master evicts
+        the worker.  A failed send opens the target's backoff window,
+        which stretches the wait for the next beat, so a dead link is
+        not hammered with blocking reconnect attempts.
+        """
+        target = self.heartbeat_target
+        try:
+            self.fabric.send(self.worker_id, target,
+                             messages.Message(messages.HEARTBEAT,
+                                              {"worker_id": self.worker_id}))
+            self.health.record_success(target)
+        except SEND_ERRORS:
+            self.health.record_failure(target)
+        self._beat_due = (now + self.heartbeat_interval
+                          + self.health.backoff_for(target))
 
     def _flush_batches(self) -> None:
         """Push out every edge's partial batch now (stop, drain)."""
@@ -418,11 +419,12 @@ class WorkerRuntime:
         before a unit that is known to be slow is called (:meth:`_serve`),
         and at ``HOLD_MAX_FRAMES`` — always between unit calls, never
         from in here, so a burst write is not charged to the unit whose
-        emit happened to fill the buffer.  Source pumps, heartbeats,
-        ``leave()``'s and ``stop()``'s force-flush and master control run
-        on other threads and bypass the buffer, which is why it needs no
-        lock.  A held frame's send cannot fail synchronously, and proves
-        nothing about the peer; see :meth:`_flush_held`.
+        emit happened to fill the buffer.  Source pumps, ``leave()``'s
+        and ``stop()``'s force-flush and master control run on other
+        threads and bypass the buffer, which is why it needs no lock.
+        The loop's own heartbeat is not a result and is not held.  A
+        held frame's send cannot fail synchronously, and proves nothing
+        about the peer; see :meth:`_flush_held`.
         """
         if threading.get_ident() != self._loop_ident:
             self.fabric.send(self.worker_id, target_id, message)
@@ -445,12 +447,12 @@ class WorkerRuntime:
 
         The peer's health is credited here, where the bytes leave: a
         burst that went out is one success.  A burst that fails is never
-        silent: the peer's health record takes the failure (so the
+        silent: it opens or widens the peer's backoff window (so the
         dispatcher's next send to it is gated like after a synchronous
-        failure, and ``max_failures`` failed bursts mark it dead), and
-        every frame of the burst is counted — ``ack_unsent`` for an
-        echo, ``send_failed`` for each tuple of a result frame, which
-        its upstream edge will redeliver or charge as lost.
+        failure), and every frame of the burst is counted —
+        ``ack_unsent`` for an echo, ``send_failed`` for each tuple of a
+        result frame, which its upstream edge will redeliver or charge
+        as lost.
         """
         if not self._held_count:
             return
@@ -524,13 +526,13 @@ class WorkerRuntime:
         The recovered master reconciles this inventory against its
         checkpoint; the JOIN is idempotent on its side, so retriggered
         re-registrations (WELCOME per heartbeat until one lands) are
-        harmless.  The master's failure history is forgotten so that the
+        harmless.  The master's backoff window is closed so that the
         first send to the successor is not held in transport backoff: an
         edge that dead-marked the master-hosted instances (the sink above
         all) during the outage keeps sending to them, and their first
         ACK brings them back.
         """
-        self.health.forget(master_id)
+        self.health.record_success(master_id)
         try:
             self.fabric.send(self.worker_id, master_id,
                              messages.join_message(self.worker_id,

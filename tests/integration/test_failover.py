@@ -195,15 +195,15 @@ class TestRejoinDuringDrain:
             assert "B" not in pool.worker_ids
             assert drain_thread.is_alive()  # the drain is mid-flight
             # A new incarnation re-registers during the drain.
+            rejoined_at = time.monotonic()
             runtime.fabric.send("B", "A", messages.join_message("B"))
             wait_until(lambda: "B" in pool.worker_ids, poll=0.01,
                        message="the rejoin registration")
             assert "B" in pool.worker_ids
-            # Clean slate: no failure history resurrected from the
-            # previous incarnation's pending state.
-            assert not pool.health.is_dead("B")
-            snapshot = pool.health.snapshot()
-            assert snapshot["B"].consecutive_failures == 0
+            # Clean slate: the rejoin re-stamped B's last-heard time, so
+            # the silence sweep does not judge the new incarnation by
+            # the departed one's last beat.
+            assert pool._heard["B"] >= rejoined_at
             drain_thread.join(timeout=15.0)
             assert not drain_thread.is_alive()
             assert drained["elapsed"] >= 0.0

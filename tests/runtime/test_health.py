@@ -1,12 +1,17 @@
-"""Tests for the runtime peer health monitor."""
+"""Tests for the runtime's liveness rules: the send gate's backoff
+windows (``HealthMonitor``) and the master pool's silence sweep."""
 
 import random
+import time
 
 import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError
+from repro.runtime import messages
+from repro.runtime.fabric import InProcFabric
 from repro.runtime.health import HealthMonitor
+from repro.runtime.master import Master, SwarmPool
 
 
 class FakeClock:
@@ -22,23 +27,20 @@ class FakeClock:
 
 def make_monitor(**kwargs):
     clock = FakeClock()
-    registry = metrics_mod.MetricsRegistry()
-    kwargs.setdefault("timeout", 1.0)
-    kwargs.setdefault("max_failures", 3)
     kwargs.setdefault("base_backoff", 0.1)
     kwargs.setdefault("max_backoff", 1.0)
-    monitor = HealthMonitor(clock=clock, registry=registry, **kwargs)
-    return monitor, clock, registry
+    monitor = HealthMonitor(clock=clock, **kwargs)
+    return monitor, clock
 
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"timeout": -1.0},
-        {"max_failures": 0},
         {"base_backoff": -0.1},
         {"base_backoff": 2.0, "max_backoff": 1.0},
         {"jitter": -0.1},
         {"jitter": 1.0},
+        {"max_backoff": -1.0},
+        {"jitter": 1.5},
     ])
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(RuntimeStateError):
@@ -46,38 +48,28 @@ class TestValidation:
 
 
 class TestFailureCounting:
-    def test_dead_after_max_failures(self):
-        monitor, _clock, registry = make_monitor(max_failures=3)
-        assert monitor.record_failure("B") is False
-        assert monitor.record_failure("B") is False
-        assert monitor.record_failure("B") is True
-        assert monitor.is_dead("B")
-        assert monitor.dead_peers() == ["B"]
-        assert registry.value(metrics_mod.MARKED_DEAD_TOTAL,
-                              downstream="B") == 1
-
     def test_success_resets_everything(self):
-        monitor, _clock, registry = make_monitor(max_failures=2)
+        monitor, _clock = make_monitor(jitter=0.0)
         monitor.record_failure("B")
         monitor.record_failure("B")
-        assert monitor.is_dead("B")
+        assert not monitor.should_attempt("B")
         monitor.record_success("B")
-        assert not monitor.is_dead("B")
+        assert monitor.should_attempt("B")
         assert monitor.backoff_for("B") == 0.0
-        assert registry.value(metrics_mod.RESURRECTED_TOTAL,
-                              downstream="B") == 1
+        # The streak is gone too: the next failure opens a base window.
+        monitor.record_failure("B")
+        assert monitor.backoff_for("B") == pytest.approx(0.1)
 
     def test_unknown_peer_is_not_dead(self):
-        monitor, _clock, _registry = make_monitor()
-        assert not monitor.is_dead("nobody")
+        monitor, _clock = make_monitor()
         assert monitor.should_attempt("nobody")
+        assert monitor.backoff_for("nobody") == 0.0
 
 
 class TestBackoff:
     def test_backoff_doubles_and_caps(self):
-        monitor, _clock, _registry = make_monitor(base_backoff=0.1,
-                                                  max_backoff=0.35,
-                                                  jitter=0.0)
+        monitor, _clock = make_monitor(base_backoff=0.1, max_backoff=0.35,
+                                       jitter=0.0)
         monitor.record_failure("B")
         assert monitor.backoff_for("B") == pytest.approx(0.1)
         monitor.record_failure("B")
@@ -88,9 +80,8 @@ class TestBackoff:
         assert monitor.backoff_for("B") == pytest.approx(0.35)
 
     def test_jitter_stays_within_bounds(self):
-        monitor, _clock, _registry = make_monitor(
-            base_backoff=0.4, max_backoff=0.4, jitter=0.25,
-            rng=random.Random(7))
+        monitor, _clock = make_monitor(base_backoff=0.4, max_backoff=0.4,
+                                       jitter=0.25, rng=random.Random(7))
         monitor.record_failure("B")
         samples = [monitor.backoff_for("B") for _ in range(200)]
         assert all(0.3 <= value <= 0.5 for value in samples)
@@ -100,24 +91,23 @@ class TestBackoff:
     def test_jitter_is_deterministic_under_a_seeded_rng(self):
         samples = []
         for _ in range(2):
-            monitor, _clock, _registry = make_monitor(
-                base_backoff=0.4, jitter=0.25, rng=random.Random(13))
+            monitor, _clock = make_monitor(base_backoff=0.4, jitter=0.25,
+                                           rng=random.Random(13))
             monitor.record_failure("B")
             samples.append([monitor.backoff_for("B") for _ in range(20)])
         assert samples[0] == samples[1]
 
     def test_zero_jitter_returns_the_nominal_window(self):
-        monitor, _clock, _registry = make_monitor(base_backoff=0.1,
-                                                  jitter=0.0)
+        monitor, _clock = make_monitor(base_backoff=0.1, jitter=0.0)
         monitor.record_failure("B")
         assert monitor.backoff_for("B") == pytest.approx(0.1)
 
     def test_healthy_peer_has_no_jittered_backoff(self):
-        monitor, _clock, _registry = make_monitor(jitter=0.5)
+        monitor, _clock = make_monitor(jitter=0.5)
         assert monitor.backoff_for("B") == 0.0
 
     def test_should_attempt_gates_on_backoff_window(self):
-        monitor, clock, _registry = make_monitor(base_backoff=0.5)
+        monitor, clock = make_monitor(base_backoff=0.5)
         monitor.record_failure("B")
         assert not monitor.should_attempt("B")
         clock.advance(0.49)
@@ -126,66 +116,84 @@ class TestBackoff:
         assert monitor.should_attempt("B")
 
 
+def make_pool(timeout=1.0):
+    registry = metrics_mod.MetricsRegistry()
+    pool = SwarmPool("A", InProcFabric(), heartbeat_timeout=timeout,
+                     registry=registry)
+    return pool, registry
+
+
+def join(pool, worker_id):
+    pool.handle_control(worker_id, messages.join_message(worker_id))
+    return pool._heard[worker_id]
+
+
+def beat(pool, worker_id):
+    pool.handle_control(worker_id, messages.Message(
+        messages.HEARTBEAT, {"worker_id": worker_id}))
+    return pool._heard[worker_id]
+
+
 class TestTimeouts:
-    def test_check_timeouts_marks_aged_peers(self):
-        monitor, clock, registry = make_monitor(timeout=1.0)
-        monitor.record_heartbeat("B")
-        monitor.record_heartbeat("C")
-        clock.advance(0.5)
-        monitor.record_heartbeat("C")  # only C stays fresh
-        clock.advance(0.7)
-        assert monitor.check_timeouts() == ["B"]
-        assert monitor.is_dead("B")
-        assert not monitor.is_dead("C")
+    """The pool's sweep is the swarm's one silence detector.  Stamps
+    are real ``time.monotonic`` readings; each sweep is run at a time
+    chosen relative to them."""
+
+    def test_evict_silent_evicts_only_aged_members(self):
+        pool, registry = make_pool(timeout=1.0)
+        joined = join(pool, "B")
+        join(pool, "C")
+        time.sleep(0.05)
+        assert beat(pool, "C") >= joined + 0.05  # only C stays fresh
+        pool.evict_silent(joined + 1.01)
+        assert pool.worker_ids == ["C"]
         assert registry.value(metrics_mod.HEARTBEAT_MISS_TOTAL,
                               downstream="B") == 1
-        # Already dead: not reported twice.
-        assert monitor.check_timeouts() == []
-
-    def test_timeout_zero_disables_sweep(self):
-        monitor, clock, _registry = make_monitor(timeout=0.0)
-        monitor.record_heartbeat("B")
-        clock.advance(1000.0)
-        assert monitor.check_timeouts() == []
-
-    def test_ack_age(self):
-        monitor, clock, _registry = make_monitor()
-        assert monitor.ack_age("B") is None
-        monitor.record_ack("B")
-        clock.advance(0.4)
-        assert monitor.ack_age("B") == pytest.approx(0.4)
+        # Gone: not reported twice.
+        pool.evict_silent(joined + 1.02)
+        assert registry.value(metrics_mod.HEARTBEAT_MISS_TOTAL,
+                              downstream="B") == 1
+        # The sweep never declares a downstream dead: the edge
+        # controller counts those, per instance.
+        assert registry.values_by_label(metrics_mod.MARKED_DEAD_TOTAL,
+                                        "downstream") == {}
 
     def test_forget(self):
-        monitor, _clock, _registry = make_monitor(max_failures=1)
-        monitor.record_failure("B")
-        monitor.forget("B")
-        assert not monitor.is_dead("B")
-        assert monitor.known_peers() == []
-
-    def test_snapshot_is_a_copy(self):
-        monitor, _clock, _registry = make_monitor()
-        monitor.record_failure("B")
-        snapshot = monitor.snapshot()
-        snapshot["B"].consecutive_failures = 99
-        assert monitor.snapshot()["B"].consecutive_failures == 1
+        pool, _registry = make_pool()
+        join(pool, "B")
+        pool.handle_leave("B")
+        assert "B" not in pool._heard
+        assert pool.worker_ids == []
 
     def test_silent_from_birth_peer_is_evicted(self):
-        # Regression: a peer registered without EVER producing a
-        # positive signal (no heartbeat, no ACK, no success) used to
-        # survive check_timeouts forever, because the sweep keyed off
-        # last_success alone.  The timeout clock must start at first
-        # sight.
-        monitor, clock, registry = make_monitor(timeout=1.0, max_failures=5)
-        monitor.record_failure("B")  # seen, but never a positive signal
-        clock.advance(1.1)
-        assert monitor.check_timeouts() == ["B"]
-        assert monitor.is_dead("B")
+        # A worker that joins and never beats is on the clock from its
+        # JOIN: it ages out like any other.
+        pool, registry = make_pool(timeout=1.0)
+        joined = join(pool, "B")
+        pool.evict_silent(joined + 1.1)
+        assert pool.worker_ids == []
         assert registry.value(metrics_mod.HEARTBEAT_MISS_TOTAL,
                               downstream="B") == 1
 
     def test_silent_peer_not_evicted_before_timeout(self):
-        monitor, clock, _registry = make_monitor(timeout=1.0, max_failures=5)
-        monitor.record_failure("B")
-        clock.advance(0.9)
-        assert monitor.check_timeouts() == []
-        assert not monitor.is_dead("B")
+        pool, registry = make_pool(timeout=1.0)
+        joined = join(pool, "B")
+        pool.evict_silent(joined + 0.9)
+        assert pool.worker_ids == ["B"]
+        assert registry.value(metrics_mod.HEARTBEAT_MISS_TOTAL,
+                              downstream="B") == 0
+
+    def test_a_member_never_heard_is_not_on_the_clock(self):
+        # Admitted by an explicit deploy, never joined nor beat.
+        pool, _registry = make_pool(timeout=1.0)
+        pool.admit(["B"])
+        pool.evict_silent(time.monotonic() + 3600.0)
+        assert pool.worker_ids == ["B"]
+
+    def test_timeout_zero_disables_sweep(self):
+        # heartbeat_timeout=0 schedules no sweep on the master's loop.
+        master = Master("A", InProcFabric(), None, heartbeat_timeout=0.0)
+        join(master.pool, "B")
+        assert master.tick(time.monotonic() + 1000.0) == float("inf")
+        assert master.worker_ids == ["B"]
+        master.stop()

@@ -24,6 +24,7 @@ from repro.core.function_unit import (CollectingSink, FunctionUnit,
 from repro.core.graph import GraphBuilder
 from repro.core.tuples import DataTuple
 from repro.runtime import channels, messages
+from repro.runtime import worker as worker_mod
 from repro.runtime.chaos import ChaosFabric, LinkChaos
 from repro.runtime.dispatcher import HOLD_MAX_BATCH_BYTES, UpstreamDispatcher
 from repro.runtime.fabric import Fabric, InProcFabric, TcpFabric
@@ -317,15 +318,17 @@ def test_flush_to_a_dead_peer_is_counted_and_health_recorded():
         swarm.worker.stop()
 
 
-def test_failed_flushes_mark_the_peer_dead():
+def test_failed_flushes_widen_the_backoff_window():
     # A held send proves nothing about the peer: only the burst that
     # leaves does.  Each tuple below is held, then its flush to the
-    # vanished downstream fails; max_failures such flushes must add up
-    # to a dead peer instead of each held send wiping the streak.
+    # vanished downstream fails; the failure streak must survive the
+    # held sends, so after n failed flushes the window is
+    # base x 2^(n-1) (capped), not a fresh base window each time.
     swarm = _Swarm(tuples=0, downstream="snk@ghost")
     health = swarm.worker.health
+    flushes = 3
     try:
-        for seq in range(health.max_failures):
+        for seq in range(flushes):
             wait_until(lambda: health.should_attempt("ghost"),
                        message="the backoff window to pass")
             message = messages.data_message(
@@ -337,9 +340,11 @@ def test_failed_flushes_mark_the_peer_dead():
                 metrics_mod.DROPPED_TOTAL, reason="send_failed",
                 link="B>ghost") == seq + 1,
                 message="flush %d failing" % (seq + 1))
-        assert health.snapshot()["ghost"].consecutive_failures \
-            == health.max_failures
-        assert health.is_dead("ghost")
+        nominal = min(health.max_backoff,
+                      health.base_backoff * 2 ** (flushes - 1))
+        assert nominal * (1 - health.jitter) \
+            <= health.backoff_for("ghost") \
+            <= nominal * (1 + health.jitter)
     finally:
         swarm.worker.stop()
 
@@ -502,13 +507,55 @@ def test_units_see_the_same_value_types_whatever_the_load(batching,
         worker.stop()
 
 
-def test_a_dropped_held_batch_is_redelivered_whole_and_deduped():
+class _DropFirstWrites(_RecordingFabric):
+    """Records like its base over a ChaosFabric, and drops exactly the
+    first write on each link of *links*, one link after the other.  The
+    link's chaos changes on the sending thread right after that write,
+    so no timer can race it: the next link is armed only once the
+    previous one has dropped its write."""
+
+    def __init__(self, chaos: ChaosFabric, links) -> None:
+        super().__init__(chaos)
+        self._chaos = chaos
+        self._links = list(links)
+        self._lock = threading.Lock()
+        chaos.set_link(*self._links[0], LinkChaos(drop=1.0))
+
+    def _after(self, sender_id, target_id):
+        with self._lock:
+            if self._links and (sender_id, target_id) == self._links[0]:
+                self._chaos.set_link(sender_id, target_id, LinkChaos())
+                self._links.pop(0)
+                if self._links:
+                    self._chaos.set_link(*self._links[0],
+                                         LinkChaos(drop=1.0))
+
+    def send(self, sender_id, target_id, message):
+        super().send(sender_id, target_id, message)
+        self._after(sender_id, target_id)
+
+    def send_many(self, sender_id, target_id, burst):
+        super().send_many(sender_id, target_id, burst)
+        self._after(sender_id, target_id)
+
+
+def test_a_dropped_held_batch_is_redelivered_whole_and_deduped(monkeypatch):
+    # The premise is that B's four results leave as ONE held BATCH.  Any
+    # flush point between them splits it, both frames are dropped, and
+    # the drop count passes 1 for good: a control round (the loop ticks
+    # between messages), or a unit call that took > HOLD_MAX_UNIT_S,
+    # which a GC pass or a GIL wait inside the call is enough for.  So
+    # the tuples arrive in one BATCH, and no unit call counts as slow.
+    monkeypatch.setattr(worker_mod, "HOLD_MAX_UNIT_S", float("inf"))
     tuples = 4
     calls, sent = [], []
     graph = _graph(calls, sent)
     registry = metrics_mod.MetricsRegistry()
     chaos = ChaosFabric(InProcFabric(), registry=registry)
-    fabric = _RecordingFabric(chaos)
+    # The held BATCH is lost on its way to C; then the echo of its
+    # first redelivery is lost on its way back, so the second
+    # redelivery reaches a receiver that already has every member.
+    fabric = _DropFirstWrites(chaos, [("B", "C"), ("C", "B")])
     fabric.register("A")
     delivery = DeliveryConfig(mode=AT_LEAST_ONCE, redelivery_timeout=0.2)
     workers = {worker_id: WorkerRuntime(worker_id, fabric, graph,
@@ -518,32 +565,29 @@ def test_a_dropped_held_batch_is_redelivered_whole_and_deduped():
     fabric.send("A", "C", messages.deploy_message("C", ["snk"], {}))
     fabric.send("A", "B", messages.deploy_message(
         "B", ["f"], {"f>snk": ["snk@C"]}))
-    for seq in range(tuples):
-        fabric.send("A", "B", _data_frame(seq))
+    batch = messages.batch_message(
+        "f", encode_batch([encode_tuple(DataTuple(values={"x": seq},
+                                                  seq=seq))
+                           for seq in range(tuples)]),
+        list(range(tuples)), time.monotonic())
+    batch.payload["edge"] = "src>f"
+    fabric.send("A", "B", batch)
 
     def chaos_drops(link):
         return registry.value(metrics_mod.DROPPED_TOTAL,
                               reason="chaos_drop", link=link)
 
-    # The held BATCH is lost on its way to C; then the echo of its
-    # first redelivery is lost on its way back, so the second
-    # redelivery reaches a receiver that already has every member.
-    chaos.set_link("B", "C", LinkChaos(drop=1.0))
     for worker in workers.values():
         worker.start()
     sink = workers["C"].unit("snk")
     dispatcher = workers["B"].dispatcher("f", "snk")
     try:
-        wait_until(lambda: chaos_drops("B>C") == 1,
-                   message="the held BATCH dropped")
-        chaos.set_link("C", "B", LinkChaos(drop=1.0))
-        chaos.set_link("B", "C", LinkChaos())
         wait_until(lambda: len(sink.results) == tuples
-                   and chaos_drops("C>B") >= 1,
+                   and chaos_drops("C>B") == 1,
                    message="the redelivery served, its echo dropped")
-        chaos.set_link("C", "B", LinkChaos())
         wait_until(lambda: dispatcher.controller.replay_depth() == 0,
                    message="the batch released")
+        assert chaos_drops("B>C") == 1
         to_c = [m for _when, to, burst in fabric.writes if to == "C"
                 for m in burst]
         assert [m.kind for m in to_c] == [messages.BATCH] * len(to_c)

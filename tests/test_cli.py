@@ -176,6 +176,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "clean" in out
 
+    def test_sweep_prints_its_coverage_notes(self, capsys):
+        # Notes never fail a sweep, but they are printed: how many runs
+        # carried one, per substrate, then each distinct text once.
+        assert main(["verify", "--schedules", "3", "--seed", "1",
+                     "--quiet"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verify: 3 schedule(s) x sim -> 3/3 run(s) clean"
+        assert lines[1] == "coverage notes: sim 2/3 run(s)"
+        assert lines[2:] == [
+            "  sim, 1 run(s): chaos_corrupt window on A>B has no "
+            "discrete-event mirror",
+            "  sim, 1 run(s): chaos_corrupt window on A>H has no "
+            "discrete-event mirror",
+            "  sim, 1 run(s): chaos_duplicate window on A>B has no "
+            "discrete-event mirror"]
+
     def test_violation_exits_one_and_writes_repro(self, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.setenv("SWING_FAULT_SKIP_REDELIVERY", "1")

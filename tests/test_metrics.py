@@ -87,8 +87,8 @@ class TestRegistry:
 
     def test_module_constants_are_distinct(self):
         names = [metrics_mod.SENT_TOTAL, metrics_mod.ACKED_TOTAL,
-                 metrics_mod.LOST_TOTAL, metrics_mod.RETRIED_TOTAL,
-                 metrics_mod.REROUTED_TOTAL, metrics_mod.MARKED_DEAD_TOTAL,
+                 metrics_mod.LOST_TOTAL, metrics_mod.REROUTED_TOTAL,
+                 metrics_mod.MARKED_DEAD_TOTAL,
                  metrics_mod.RESURRECTED_TOTAL, metrics_mod.DROPPED_TOTAL,
                  metrics_mod.HEARTBEAT_MISS_TOTAL]
         assert len(set(names)) == len(names)
