@@ -114,6 +114,15 @@ class AdmissionQueue:
         """Remove and return every queued item, oldest first."""
         return [self.pop() for _ in range(len(self._entries))]
 
+    def hand_over(self, burst: Deque[Entry]) -> None:
+        """Move every entry, oldest first, onto the end of *burst*.  It
+        holds them before the queue lets them go, so a lock-free reader
+        summing both lengths may count one twice, never zero times."""
+        burst.extend(self._entries)
+        self._entries.clear()
+        self.depth = 0
+        self.tenant_depths.clear()
+
     def _forget(self, entry: Entry) -> None:
         _item, tenant, tuples = entry
         self.depth -= tuples

@@ -250,6 +250,10 @@ class LrsController:
         self._key_of: Dict[int, int] = {}
         #: lazily created swing_batch_size histogram for this edge
         self._batch_histogram: Optional[metrics_mod.Histogram] = None
+        #: per-downstream swing_ack_rtt_seconds handles
+        self._ack_rtt = metrics_mod.Handles(self._registry.histogram,
+                                            metrics_mod.ACK_RTT_SECONDS,
+                                            "downstream")
         #: update-round log: (time, decision); capped when the hosting
         #: substrate is long-lived (the runtime), unbounded in the
         #: duration-limited simulator and the parity harness
@@ -713,8 +717,7 @@ class LrsController:
         # Record the RTT distribution unconditionally (percentiles must
         # survive tracing being sampled out); the span itself is built
         # only for sampled tuples — this sits on the per-ACK hot path.
-        self._registry.observe_histogram(metrics_mod.ACK_RTT_SECONDS,
-                                         sample, downstream=downstream_id)
+        self._ack_rtt[downstream_id].observe(sample)
         if self._trace.enabled and self._trace.sampled(head):
             self._trace.emit(Span(ACK_RTT, head, now - sample, now,
                                   device_id=self.name or "-",

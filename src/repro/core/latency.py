@@ -175,6 +175,11 @@ class AckTracker:
         self._dead_after = dead_after
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
+        #: per-downstream handles of the two per-message counters
+        self._sent_total = metrics_mod.Handles(
+            self._registry.counter, metrics_mod.SENT_TOTAL, "downstream")
+        self._acked_total = metrics_mod.Handles(
+            self._registry.counter, metrics_mod.ACKED_TOTAL, "downstream")
         self._latency: Dict[str, object] = {}
         self._processing: Dict[str, object] = {}
         self._pending: Dict[int, _PendingSend] = {}
@@ -245,8 +250,7 @@ class AckTracker:
         """Count a send that went out."""
         if downstream_id in self._sent:
             self._sent[downstream_id] += 1
-        self._registry.increment(metrics_mod.SENT_TOTAL,
-                                 downstream=downstream_id)
+        self._sent_total[downstream_id].inc()
 
     def cancel_send(self, seq: int,
                     displaced: Optional[_PendingSend]) -> None:
@@ -274,8 +278,7 @@ class AckTracker:
             self._processing[downstream_id].observe(max(0.0, processing_delay))
         self._acked[downstream_id] += 1
         self._expiry_streak[downstream_id] = 0
-        self._registry.increment(metrics_mod.ACKED_TOTAL,
-                                 downstream=downstream_id)
+        self._acked_total[downstream_id].inc()
         return sample
 
     def _resurrect(self, downstream_id: str, before: float) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: canonical counter names emitted by the runtime / simulation
 SENT_TOTAL = "swing_tuples_sent_total"
@@ -118,19 +118,18 @@ class Counter:
 
 
 class Gauge:
-    """One instantaneous value (queue depth); unlike counters it may fall."""
+    """One instantaneous value (queue depth); unlike counters it may
+    fall.  A set is one attribute store and takes no lock."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "labels", "_value")
 
     def __init__(self, name: str, labels: Mapping[str, str]) -> None:
         self.name = name
         self.labels = dict(labels)
         self._value = 0
-        self._lock = threading.Lock()
 
     def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
+        self._value = value
 
     @property
     def value(self) -> int:
@@ -177,6 +176,12 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+
+    def _clear(self) -> None:
+        with self._lock:
+            self._counts = [0] * len(self._counts)
+            self._sum = 0.0
+            self._count = 0
 
     @property
     def count(self) -> int:
@@ -236,82 +241,99 @@ class Histogram:
                 "p99": self.quantile(0.99), "buckets": self.bucket_counts()}
 
 
+class Handles(dict):
+    """``handles[value]``: the *name* series whose *label* is *value*,
+    got by *get* (a registry's ``counter`` or ``histogram``) on first
+    use only, so a per-message path makes no name lookup and a series
+    appears only once it counts."""
+
+    __slots__ = ("_get", "_name", "_label")
+
+    def __init__(self, get: Callable[..., object], name: str,
+                 label: str) -> None:
+        super().__init__()
+        self._get, self._name, self._label = get, name, label
+
+    def __missing__(self, value: str):
+        metric = self[value] = self._get(self._name, **{self._label: value})
+        return metric
+
+
+_Key = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
 class MetricsRegistry:
-    """Thread-safe get-or-create store of named, labelled counters."""
+    """Thread-safe get-or-create store of named, labelled counters; a
+    lookup reads without the lock, which guards creation only."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Counter] = {}
-        self._gauges: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Gauge] = {}
-        self._histograms: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
-                               Histogram] = {}
+        self._counters: Dict[_Key, Counter] = {}
+        self._gauges: Dict[_Key, Gauge] = {}
+        self._histograms: Dict[_Key, Histogram] = {}
+        #: series zeroed by reset() and not asked for by name since;
+        #: the views leave them out until they count again
+        self._dormant: set = set()
+
+    def _series(self, table: Dict[_Key, object], kind: type, name: str,
+                labels: Mapping[str, str], *args: object):
+        key = (name, _label_key(labels))
+        metric = table.get(key)
+        if metric is None or self._dormant:
+            with self._lock:
+                metric = table.get(key)
+                if metric is None:
+                    metric = table[key] = kind(name, labels, *args)
+                self._dormant.discard(metric)
+        return metric
+
+    def _shown(self, table: Dict[_Key, object],
+               used: Callable[[object], object]) -> list:
+        with self._lock:
+            return sorted((metric for metric in table.values()
+                           if metric not in self._dormant or used(metric)),
+                          key=lambda metric: metric.identity())
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
-        with self._lock:
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = Counter(name, labels)
-                self._counters[key] = counter
-            return counter
+        return self._series(self._counters, Counter, name, labels)
 
     def increment(self, name: str, amount: int = 1, **labels: str) -> None:
         self.counter(name, **labels).inc(amount)
 
     def value(self, name: str, **labels: str) -> int:
-        key = (name, _label_key(labels))
-        with self._lock:
-            counter = self._counters.get(key)
+        counter = self._counters.get((name, _label_key(labels)))
         return counter.value if counter is not None else 0
 
     # -- gauges ----------------------------------------------------------
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
-        with self._lock:
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                gauge = Gauge(name, labels)
-                self._gauges[key] = gauge
-            return gauge
+        return self._series(self._gauges, Gauge, name, labels)
 
     def set_gauge(self, name: str, value: int, **labels: str) -> None:
         self.gauge(name, **labels).set(value)
 
     def gauge_value(self, name: str, **labels: str) -> int:
-        key = (name, _label_key(labels))
-        with self._lock:
-            gauge = self._gauges.get(key)
+        gauge = self._gauges.get((name, _label_key(labels)))
         return gauge.value if gauge is not None else 0
 
     def gauges(self) -> List[Gauge]:
-        with self._lock:
-            return sorted(self._gauges.values(), key=lambda g: g.identity())
+        return self._shown(self._gauges, lambda gauge: gauge.value)
 
     # -- histograms ------------------------------------------------------
     def histogram(self, name: str,
                   buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels: str) -> Histogram:
-        key = (name, _label_key(labels))
-        with self._lock:
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = Histogram(name, labels, buckets=buckets)
-                self._histograms[key] = histogram
-            return histogram
+        return self._series(self._histograms, Histogram, name, labels,
+                            buckets)
 
     def observe_histogram(self, name: str, value: float,
                           **labels: str) -> None:
         self.histogram(name, **labels).observe(value)
 
     def histograms(self) -> List[Histogram]:
-        with self._lock:
-            return sorted(self._histograms.values(),
-                          key=lambda h: h.identity())
+        return self._shown(self._histograms, lambda histogram: histogram.count)
 
     def counters(self) -> List[Counter]:
-        with self._lock:
-            return sorted(self._counters.values(),
-                          key=lambda c: c.identity())
+        return self._shown(self._counters, lambda counter: counter.value)
 
     def snapshot(self) -> Dict[str, int]:
         """Flat ``identity -> value`` view of every counter and gauge."""
@@ -363,7 +385,13 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
+        """Zero every series and leave it out of the views.  Handles
+        taken before stay valid: a series is zeroed in place and shows
+        again once it counts, or is asked for by name."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+            for metric in (*self._counters.values(), *self._gauges.values()):
+                metric._value = 0
+            for histogram in self._histograms.values():
+                histogram._clear()
+            self._dormant = {*self._counters.values(), *self._gauges.values(),
+                             *self._histograms.values()}

@@ -390,8 +390,7 @@ class UpstreamDispatcher:
         held (it returned True) is no proof of life: whoever holds it
         credits the peer's health when the burst leaves.
         """
-        with self._lock:
-            parts = self._downstreams.get(instance)
+        parts = self._downstreams.get(instance)  # one atomic dict read
         if parts is None:
             return None
         unit_name, worker_id = parts

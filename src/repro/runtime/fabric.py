@@ -15,13 +15,15 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
 from repro.core import overload as overload_mod
 from repro.core.admission import AdmissionQueue
 from repro.core.exceptions import (DiscoveryError, RuntimeStateError,
                                    SerializationError)
+from repro.runtime import channels
 from repro.runtime.channels import ChannelClosed, TcpChannel, TcpListener
 from repro.runtime import messages as messages_mod
 from repro.runtime.messages import Message
@@ -44,7 +46,8 @@ class Mailbox:
     Sheds count in tuples (``shed_count``,
     ``swing_tuples_shed_total{reason=queue_full}``); ``len(mailbox)``,
     ``max_depth`` and the ``swing_queue_depth`` gauge count *messages*
-    of every kind — what a loop has left to serve.
+    of every kind — what a loop has left to serve, including a burst
+    :meth:`get` has taken but not yet handed out.
     """
 
     def __init__(self, owner_id: str,
@@ -57,7 +60,9 @@ class Mailbox:
                           else metrics_mod.MetricsRegistry())
         self._queue = AdmissionQueue(self.overload.queue_capacity,
                                      self.overload.drop_policy)
-        self._cond = threading.Condition()
+        #: taken from the queue by get(), not handed out yet (consumer's)
+        self._taken: Deque[Tuple[Tuple[str, Message], str, int]] = deque()
+        self._cond = threading.Condition(threading.Lock())
         #: set by wake(): the next get that finds the queue empty returns
         #: at once instead of waiting out its timeout
         self._woken = False
@@ -93,7 +98,8 @@ class Mailbox:
     def items(self) -> Tuple[Tuple[str, Message], ...]:
         """The queued ``(sender, message)`` pairs, oldest first."""
         with self._cond:
-            return self._queue.items()
+            return (tuple(entry[0] for entry in self._taken)
+                    + self._queue.items())
 
     def put(self, sender_id: str, message: Message,
             timeout: Optional[float] = None) -> bool:
@@ -116,7 +122,7 @@ class Mailbox:
             for message in messages:
                 admitted += self._admit(sender_id, message, timeout)
             if admitted:
-                self._depth_gauge.set(len(self._queue))
+                self._depth_gauge.set(len(self._queue) + len(self._taken))
                 self._cond.notify_all()
         return admitted
 
@@ -158,17 +164,26 @@ class Mailbox:
                     queue=self._queue_label))
         if action != overload_mod.ADMIT:
             return False
-        depth = len(self._queue)
+        depth = len(self._queue) + len(self._taken)
         if depth > self.max_depth:
             self.max_depth = depth
         return True
 
     def get(self, timeout: Optional[float] = None) -> Tuple[str, Message]:
         """The oldest message; ``TimeoutError`` when none arrives within
-        *timeout* or :meth:`wake` cuts the wait short."""
+        *timeout* or :meth:`wake` cuts the wait short.  One consumer only
+        (the endpoint's loop): unbounded, a take moves everything queued
+        into a burst handed out without locking; bounded, it takes one
+        message, so admission sees the occupancy it bounds."""
+        taken = self._taken
+        if taken:
+            entry = taken.popleft()[0]
+            self._depth_gauge.set(len(self._queue) + len(taken))
+            return entry
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not len(self._queue):
+            queue = self._queue
+            while not len(queue):
                 leftover = (None if deadline is None
                             else deadline - time.monotonic())
                 if self._woken or (leftover is not None and leftover <= 0):
@@ -176,9 +191,13 @@ class Mailbox:
                     raise TimeoutError("mailbox %r empty" % self.owner_id)
                 self._cond.wait(timeout=leftover)
             self._woken = False
-            entry = self._queue.pop()
-            self._depth_gauge.set(len(self._queue))
-            self._cond.notify_all()
+            if queue.capacity is None:
+                queue.hand_over(taken)
+                entry = taken.popleft()[0]
+            else:
+                entry = queue.pop()
+                self._cond.notify_all()  # room for a blocked producer
+            self._depth_gauge.set(len(queue) + len(taken))
         return entry
 
     def wake(self) -> None:
@@ -189,8 +208,7 @@ class Mailbox:
             self._cond.notify_all()
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._queue)
+        return len(self._queue) + len(self._taken)
 
 
 #: what :meth:`Fabric.send` raises for a peer that is gone or unreachable
@@ -324,12 +342,28 @@ class TcpFabric(Fabric):
 
     def send_many(self, sender_id: str, target_id: str,
                   messages: Sequence[Message]) -> None:
-        """One frame per message, the whole burst in one socket write."""
+        """One frame per message, the whole burst in one socket write.
+        A frame over ``channels.MAX_FRAME_BYTES`` can never cross: it
+        alone is dropped, counted per tuple it carries as
+        ``swing_frames_dropped_total{reason=oversized_frame}``."""
         if target_id == self.endpoint_id:
             # Local delivery (e.g. the master deploying to itself).
             self._mailbox.put_many(sender_id, messages)
             return
-        frames = [message.encode() for message in messages]
+        frames = []
+        for message in messages:
+            frame = message.encode()
+            if len(frame) <= channels.MAX_FRAME_BYTES:
+                frames.append(frame)
+                continue
+            self._registry.increment(
+                metrics_mod.DROPPED_TOTAL,
+                len(message.payload["seqs"])
+                if message.kind == messages_mod.BATCH else 1,
+                reason="oversized_frame",
+                link="%s>%s" % (sender_id, target_id))
+        if not frames:
+            return
         # A cached channel may be stale (peer restarted, NAT rebind); one
         # fresh dial distinguishes "stale cache" from "peer is gone".
         for attempt in range(2):

@@ -63,11 +63,11 @@ KNOWN_DROP_REASONS = frozenset({
     "chaos_drop", "chaos_corrupt", "chaos_partition", "chaos_delay_lost",
     # runtime worker: undecodable DATA/BATCH frame, ACK / result the
     # fabric could not carry, message whose handler raised, batch flush
-    # that raised; TCP reader: undecodable frame; master or worker:
-    # control frame to a peer that is gone
-    # (tests/verify/test_invariants.py greps the runtime for new ones)
+    # that raised; TCP reader: undecodable frame; TCP writer: frame too
+    # large to send; master or worker: control frame to a peer that is
+    # gone (tests/verify/test_invariants.py greps the runtime for new ones)
     "corrupt_batch", "ack_unsent", "send_failed", "handler_error",
-    "flush_error", "corrupt_frame", "control_unsent",
+    "flush_error", "corrupt_frame", "oversized_frame", "control_unsent",
 })
 KNOWN_EVICT_REASONS = frozenset({
     delivery.EVICT_CAPACITY, delivery.EVICT_BYTES, delivery.EVICT_ATTEMPTS,

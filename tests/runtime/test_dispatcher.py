@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro import metrics as metrics_mod
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import (UpstreamDispatcher, instance_id,
@@ -166,3 +167,52 @@ class TestControl:
         assert dispatcher.downstream_instances() == ["det@B"]
         dispatcher.remove_downstream("det@B")
         assert dispatcher.downstream_instances() == []
+
+
+class TestMetricHandles:
+    def test_steady_state_rounds_look_up_no_metric_by_name(self,
+                                                            monkeypatch):
+        # Sends, ACKs and RTT samples count through per-downstream
+        # handles: a name lookup (kwargs, label sort, registry read)
+        # happens once per downstream, never per message.
+        calls = []
+        for name in ("counter", "histogram", "gauge"):
+            lookup = getattr(metrics_mod.MetricsRegistry, name)
+
+            def counted(registry, *args, _lookup=lookup, _name=name,
+                        **labels):
+                calls.append(_name)
+                return _lookup(registry, *args, **labels)
+
+            monkeypatch.setattr(metrics_mod.MetricsRegistry, name, counted)
+        registry = metrics_mod.MetricsRegistry()
+        clock = FakeClock()
+        dispatcher = UpstreamDispatcher(
+            "src", send=lambda _worker, _message: None, policy="LRS",
+            clock=clock, edge="src>det", registry=registry)
+        downstreams = ["det@B", "det@C"]
+        dispatcher.set_downstreams(downstreams)
+        chosen = set()
+        for seq in range(100):
+            chosen.add(dispatcher.dispatch(DataTuple(values={}, seq=seq)))
+            clock.advance(0.001)
+            dispatcher.on_ack(seq=seq, processing_delay=0.0005)
+            if chosen == set(downstreams):
+                break
+        assert chosen == set(downstreams)
+        assert calls  # the first tuple per downstream made the handles
+        del calls[:]
+        for seq in range(seq + 1, seq + 1001):
+            assert dispatcher.dispatch(DataTuple(values={}, seq=seq)) \
+                in downstreams
+            clock.advance(0.001)
+            dispatcher.on_ack(seq=seq, processing_delay=0.0005)
+        assert calls == []
+        sent = registry.values_by_label(metrics_mod.SENT_TOTAL, "downstream")
+        assert sum(sent.values()) == seq + 1
+        assert registry.values_by_label(metrics_mod.ACKED_TOTAL,
+                                        "downstream") == sent
+        rtt = [h for h in registry.histograms()
+               if h.name == metrics_mod.ACK_RTT_SECONDS]
+        assert sorted(h.labels["downstream"] for h in rtt) == downstreams
+        assert sum(h.count for h in rtt) == seq + 1

@@ -1,5 +1,6 @@
 """Tests for message fabrics."""
 
+import sys
 import threading
 import time
 
@@ -7,10 +8,16 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError
+from repro.core.function_unit import (CollectingSink, FunctionUnit,
+                                      IterableSource)
+from repro.core.graph import GraphBuilder
 from repro.core.overload import BLOCK, DROP_NEWEST, DROP_OLDEST, OverloadConfig
+from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.channels import ChannelClosed
 from repro.runtime.fabric import InProcFabric, Mailbox, TcpFabric
+from repro.runtime.serialization import encode_tuple
+from repro.runtime.worker import WorkerRuntime
 
 
 def data(seq):
@@ -228,6 +235,158 @@ class TestPutMany:
         assert mailbox.put_many("A", [data(seq) for seq in range(3)]) == 3
         assert [mailbox.get(timeout=0.1)[1].payload["seq"]
                 for _ in range(3)] == [0, 1, 2]
+
+
+class _Gated(FunctionUnit):
+    """Forwards each tuple; the first waits for *release* after setting
+    *entered*."""
+
+    def __init__(self, entered, release) -> None:
+        super().__init__()
+        self._entered, self._release = entered, release
+
+    def process_data(self, data) -> None:
+        if not self._entered.is_set():
+            self._entered.set()
+            self._release.wait(5.0)
+        self.send(data.derive(dict(data.values)))
+
+
+class TestMailboxBursts:
+    """An unbounded mailbox hands its consumer everything queued in one
+    take; the taken messages are served without locking but still count
+    as queued until they are handed out."""
+
+    def test_fifo_across_takes_while_producers_keep_putting(self):
+        mailbox = Mailbox("W", registry=metrics_mod.MetricsRegistry())
+        senders, total = ("A", "B", "C"), 2000
+
+        def produce(sender):
+            seq = 0
+            while seq < total:
+                size = min(1 + seq % 7, total - seq)
+                mailbox.put_many(sender, [data(s) for s in
+                                          range(seq, seq + size)])
+                seq += size
+
+        producers = [threading.Thread(target=produce, args=(sender,),
+                                      daemon=True) for sender in senders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-take often
+        try:
+            for producer in producers:
+                producer.start()
+            served = {sender: [] for sender in senders}
+            for _ in range(len(senders) * total):
+                sender, message = mailbox.get(timeout=5.0)
+                served[sender].append(message.payload["seq"])
+        finally:
+            sys.setswitchinterval(interval)
+        for producer in producers:
+            producer.join(timeout=5.0)
+            assert not producer.is_alive()
+        assert served == {sender: list(range(total)) for sender in senders}
+        assert len(mailbox) == 0
+
+    def test_a_taken_burst_counts_until_served(self):
+        registry = metrics_mod.MetricsRegistry()
+        mailbox = Mailbox("W", registry=registry)
+        mailbox.put_many("A", [data(seq) for seq in range(3)])
+        assert mailbox.get(timeout=0.1)[1].payload["seq"] == 0
+        # All three were taken at once: the queue under the mailbox is
+        # empty, yet two messages are still to serve.
+        assert mailbox.tenant_depths == {}
+        assert len(mailbox) == 2
+        assert registry.gauge_value(metrics_mod.QUEUE_DEPTH,
+                                    queue="mailbox:W") == 2
+        assert [m.payload["seq"] for _s, m in mailbox.items()] == [1, 2]
+        mailbox.put("A", data(3))
+        assert len(mailbox) == 3 and mailbox.max_depth == 3
+        assert [mailbox.get(timeout=0.1)[1].payload["seq"]
+                for _ in range(3)] == [1, 2, 3]
+        assert len(mailbox) == 0
+        assert registry.gauge_value(metrics_mod.QUEUE_DEPTH,
+                                    queue="mailbox:W") == 0
+
+    def test_leave_waits_out_a_half_served_burst(self):
+        entered, release = threading.Event(), threading.Event()
+        graph = (GraphBuilder("burst")
+                 .source("src", lambda: IterableSource([]))
+                 .unit("f", lambda: _Gated(entered, release))
+                 .sink("snk", CollectingSink)
+                 .chain("src", "f", "snk")
+                 .build())
+        fabric = InProcFabric()
+        peer = fabric.register("A")
+        worker = WorkerRuntime("B", fabric, graph, policy="RR")
+        fabric.send("A", "B", messages.deploy_message(
+            "B", ["f"], {"f>snk": ["snk@A"]}))
+        for seq in range(4):
+            frame = messages.data_message(
+                "f", encode_tuple(DataTuple(values={"x": seq}, seq=seq)),
+                seq, time.monotonic())
+            frame.payload["edge"] = "src>f"
+            fabric.send("A", "B", frame)
+        worker.start()
+        try:
+            assert entered.wait(5.0)
+            # The loop took all four in one go and is inside the first.
+            assert worker.mailbox.tenant_depths == {}
+            assert len(worker.mailbox) == 3
+            assert worker.busy()
+            leaver = threading.Thread(
+                target=worker.leave, args=("A",),
+                kwargs={"quiet": 0.02, "timeout": 5.0}, daemon=True)
+            leaver.start()
+            leaver.join(timeout=0.2)
+            assert leaver.is_alive()
+            release.set()
+            leaver.join(timeout=5.0)
+            assert not leaver.is_alive()
+            assert worker.processed_count == 4
+            received = []
+            while len(peer):
+                received.append(peer.get(timeout=1.0)[1])
+            assert sorted(m.payload["seq"] for m in received
+                          if m.kind == messages.ACK) == [0, 1, 2, 3]
+        finally:
+            release.set()
+            worker.stop()
+
+    def test_wake_ends_the_next_empty_wait_while_a_burst_is_pending(self):
+        mailbox = Mailbox("W", registry=metrics_mod.MetricsRegistry())
+        mailbox.put_many("A", [data(seq) for seq in range(3)])
+        assert mailbox.get(timeout=0.1)[1].payload["seq"] == 0
+        mailbox.wake()
+        # The burst is served first, without waiting ...
+        assert [mailbox.get(timeout=5.0)[1].payload["seq"]
+                for _ in range(2)] == [1, 2]
+        # ... then the wake ends the first empty wait at once ...
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            mailbox.get(timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        # ... and only that one.
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            mailbox.get(timeout=0.05)
+        assert time.monotonic() - started >= 0.04
+
+    def test_a_bounded_mailbox_hands_over_one_message_per_take(self):
+        mailbox, registry = bounded_mailbox(capacity=3, policy=DROP_OLDEST)
+        for seq in range(3):
+            assert mailbox.put("A", data(seq))
+        assert mailbox.get(timeout=0.1)[1].payload["seq"] == 0
+        # The other two are still queued under the bound: one slot is
+        # free, not three.
+        assert mailbox.tenant_depths == {"": 2}
+        assert len(mailbox) == 2
+        assert mailbox.put("A", data(3))
+        assert mailbox.shed_count == 0
+        assert mailbox.put("A", data(4))
+        assert mailbox.shed_count == 1
+        assert [mailbox.get(timeout=0.1)[1].payload["seq"]
+                for _ in range(3)] == [2, 3, 4]
 
 
 class TestInProcFabric:

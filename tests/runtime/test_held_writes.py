@@ -579,6 +579,10 @@ def test_a_dropped_held_batch_is_redelivered_whole_and_deduped(monkeypatch):
 
     for worker in workers.values():
         worker.start()
+    # Each loop applies its DEPLOY asynchronously; ask for what it
+    # creates only once it has.
+    wait_until(lambda: all(w.deployed.is_set() for w in workers.values()),
+               message="both workers deployed")
     sink = workers["C"].unit("snk")
     dispatcher = workers["B"].dispatcher("f", "snk")
     try:

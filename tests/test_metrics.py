@@ -1,5 +1,6 @@
 """Tests for the labelled counter registry."""
 
+import sys
 import threading
 
 import pytest
@@ -84,6 +85,34 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert registry.value("x_total", downstream="B") == 8000
+
+    def test_concurrent_first_use_makes_one_series(self):
+        # Lookups read without the lock: threads racing to create a
+        # series, by name or through one shared Handles, must still all
+        # count into the same one.
+        registry = MetricsRegistry()
+        handles = metrics_mod.Handles(registry.counter, "x_total",
+                                      "downstream")
+
+        def worker():
+            for index in range(2000):
+                downstream = "d%d" % (index % 40)
+                registry.increment("x_total", downstream=downstream)
+                handles[downstream].inc()
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.values_by_label("x_total", "downstream") \
+            == {"d%d" % index: 8 * 2 * 50 for index in range(40)}
 
     def test_module_constants_are_distinct(self):
         names = [metrics_mod.SENT_TOTAL, metrics_mod.ACKED_TOTAL,
@@ -189,3 +218,41 @@ class TestRegistryHistograms:
         assert metrics_mod.ACK_RTT_SECONDS != metrics_mod.SPAN_SECONDS
         assert metrics_mod.DEFAULT_BUCKETS == tuple(
             sorted(metrics_mod.DEFAULT_BUCKETS))
+
+
+class TestHandles:
+    def test_a_handle_is_made_on_first_use_only(self):
+        registry = MetricsRegistry()
+        sent = metrics_mod.Handles(registry.counter, "sent_total",
+                                   "downstream")
+        assert registry.counters() == []  # no zero-valued series
+        sent["B"].inc()
+        sent["B"].inc(2)
+        assert sent["B"] is registry.counter("sent_total", downstream="B")
+        assert registry.snapshot() == {"sent_total{downstream=B}": 3}
+
+    def test_handles_taken_before_reset_still_report_after_it(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("x_total", downstream="B")
+        histogram = registry.histogram("lat", downstream="B")
+        gauge = registry.gauge("depth", queue="q")
+        counter.inc(5)
+        histogram.observe(0.5)
+        gauge.set(7)
+        registry.reset()
+        assert registry.render() == ""
+        assert registry.histograms() == []
+        counter.inc()
+        histogram.observe(0.25)
+        gauge.set(2)
+        assert registry.value("x_total", downstream="B") == 1
+        assert registry.snapshot() == {"x_total{downstream=B}": 1,
+                                       "depth{queue=q}": 2}
+        assert [(h.identity(), h.count) for h in registry.histograms()] \
+            == [("lat{downstream=B}", 1)]
+        assert registry.counter("x_total", downstream="B") is counter
+        # Asked for by name after the reset, a series shows again even
+        # before it counts, as a new one would.
+        registry.reset()
+        assert registry.counter("x_total", downstream="B").value == 0
+        assert registry.snapshot() == {"x_total{downstream=B}": 0}
