@@ -5,6 +5,8 @@ This bench sweeps the moving-average window and compares against EWMA
 smoothing, measuring how the estimator's memory affects LRS.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation import scenarios
@@ -18,12 +20,14 @@ def run_sweep():
     out = {}
     for window in WINDOWS:
         config = scenarios.testbed(policy="LRS", duration=60.0)
-        config.estimator = "moving-average"
-        config.estimator_window = window
+        config.policy_config = replace(config.policy_config,
+                                       estimator="moving-average",
+                                       estimator_window=window)
         out[("ma", window)] = run_swarm(config)
     for alpha in ALPHAS:
         config = scenarios.testbed(policy="LRS", duration=60.0)
-        config.estimator = "ewma"
+        config.policy_config = replace(config.policy_config,
+                                       estimator="ewma")
         out[("ewma", alpha)] = run_swarm(config)
     return out
 

@@ -7,6 +7,8 @@ disabled entirely, and reports LRS throughput/latency under each — the
 design-choice ablation DESIGN.md calls out.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation import scenarios
@@ -20,8 +22,9 @@ def run_sweep():
     out = {}
     for probe_every, probe_tuples in SETTINGS:
         config = scenarios.testbed(policy="LRS", duration=60.0)
-        config.probe_every = probe_every
-        config.probe_tuples = probe_tuples
+        config.policy_config = replace(config.policy_config,
+                                       probe_every=probe_every,
+                                       probe_tuples=probe_tuples)
         out[(probe_every, probe_tuples)] = run_swarm(config)
     return out
 

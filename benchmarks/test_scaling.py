@@ -26,7 +26,7 @@ def run_suite():
         config = SwarmConfig(workload=face_workload(),
                              workers=profiles.worker_profiles(ids),
                              source=profiles.device_profile("A"),
-                             policy="LRS", duration=40.0, seed=1)
+                             duration=40.0, seed=1)
         out[count] = run_swarm(config)
     return out
 

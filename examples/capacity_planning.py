@@ -46,7 +46,7 @@ def main():
                          workers={device_id: catalogue[device_id]
                                   for device_id in plan.device_ids},
                          source=profiles.device_profile("A"),
-                         policy="LRS", duration=30.0, seed=0)
+                         duration=30.0, seed=0)
     result = run_swarm(config)
     verdict = "meets" if result.meets_input_rate() else "misses"
     print("simulated throughput: %.1f FPS (%s the 24 FPS target)"

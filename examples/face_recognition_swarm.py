@@ -14,7 +14,8 @@ Run with:  python examples/face_recognition_swarm.py
 import time
 
 from repro.apps.face.pipeline import build_face_graph
-from repro.runtime import SwingRuntime
+from repro.core.controller import PolicyConfig
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 
 FRAMES = 40
 #: emulated heterogeneity: extra processing per measured compute second
@@ -33,8 +34,10 @@ def score(results, ground_truth):
 def run(policy):
     graph = build_face_graph(num_identities=5, frame_count=FRAMES, seed=7)
     runtime = SwingRuntime(graph, worker_ids=list(SLOWDOWNS),
-                           policy=policy, source_rate=60.0,
-                           slowdowns=SLOWDOWNS, seed=7)
+                           source_rate=60.0, slowdowns=SLOWDOWNS,
+                           config=PolicyConfig(
+                               policy=policy, seed=7,
+                               control_interval=CONTROL_INTERVAL))
     started = time.monotonic()
     results = runtime.run(until_idle=1.0, timeout=120.0)
     elapsed = time.monotonic() - started

@@ -34,7 +34,7 @@ def build_app(item_count=30):
 def run_threaded_swarm():
     print("== 1. Running on a swarm of worker threads (LRS) ==")
     runtime = SwingRuntime(build_app(), worker_ids=["B", "G", "H"],
-                           policy="LRS", source_rate=120.0,
+                           source_rate=120.0,
                            slowdowns={"B": 20.0})  # B is a slow device
     results = runtime.run(until_idle=0.5, timeout=30.0)
     energies = [data.get_value("energy") for data in results]

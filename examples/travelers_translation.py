@@ -10,7 +10,8 @@ Run with:  python examples/travelers_translation.py
 """
 
 from repro.apps.translate.pipeline import build_translation_graph
-from repro.runtime import SwingRuntime
+from repro.core.controller import PolicyConfig
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 
 UTTERANCES = 10
 
@@ -19,8 +20,9 @@ def main():
     print("Collaborative voice translation on a 2-phone swarm "
           "(%d utterances)" % UTTERANCES)
     graph = build_translation_graph(frame_count=UTTERANCES, seed=12)
-    runtime = SwingRuntime(graph, worker_ids=["B", "G"], policy="LRS",
-                           source_rate=15.0, seed=12)
+    runtime = SwingRuntime(graph, worker_ids=["B", "G"], source_rate=15.0,
+                           config=PolicyConfig(
+                               seed=12, control_interval=CONTROL_INTERVAL))
     results = runtime.run(until_idle=1.0, timeout=120.0)
 
     microphone = runtime.master.runtime.unit("microphone")

@@ -123,10 +123,6 @@ class WindowedAggregateUnit(FunctionUnit):
 class AggregateSink(SinkUnit):
     """Collects closed windows; accessors for tests and the CLI."""
 
-    def windows_for(self, user: str) -> List[DataTuple]:
-        return [data for data in self.results
-                if data.get_value("user") == user]
-
     def users(self) -> List[str]:
         return sorted({data.get_value("user") for data in self.results})
 

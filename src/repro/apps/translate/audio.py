@@ -12,7 +12,6 @@ primitives (windowing, FFT, energy tracking) that carry real compute.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,11 +88,3 @@ def decode_audio(data: bytes) -> np.ndarray:
     if len(data) % 2:
         raise SwingError("PCM payload has odd length")
     return np.frombuffer(data, dtype="<i2").astype(np.float32) / 32767.0
-
-
-@dataclass(frozen=True)
-class Utterance:
-    """Ground truth for one synthesized audio frame."""
-
-    words: Tuple[str, ...]
-    waveform_seconds: float

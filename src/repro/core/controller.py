@@ -64,7 +64,7 @@ from repro import metrics as metrics_mod
 from repro.core.batching import BatchConfig
 from repro.core.delivery import (EVICT_ATTEMPTS, EVICT_EXPIRED,
                                  DeliveryConfig, ReplayBuffer, ReplayEntry)
-from repro.core.exceptions import RoutingError
+from repro.core.exceptions import PolicyError, RoutingError
 from repro.core.keyed import (HotRangeDetector, KeyedConfig, KeyRange,
                               KeyRangeTable)
 from repro.core.latency import AckTracker, DownstreamStats, RateMeter
@@ -83,12 +83,14 @@ PROBED_POLICIES = frozenset({"PR", "LR", "PRS", "LRS"})
 class PolicyConfig:
     """Everything needed to build one policy + tracker pair, once.
 
-    The single source of truth for policy-construction defaults
-    (estimator window, probe period, failure-detection thresholds).
-    The simulator's :class:`~repro.simulation.swarm.SwarmConfig`, the
-    runtime's :class:`~repro.runtime.dispatcher.UpstreamDispatcher` and
-    the CLI all derive their defaults from here instead of carrying
-    their own copies.
+    The one carrier of the control-plane settings: the simulator's
+    :class:`~repro.simulation.swarm.SwarmConfig` and
+    :class:`~repro.simulation.pipeline.PipelineConfig` hold one, and
+    :class:`~repro.runtime.app_runner.SwingRuntime` hands its one to
+    every worker and every edge's
+    :class:`~repro.runtime.dispatcher.UpstreamDispatcher`.  Nothing on
+    the way re-declares a field, so both substrates read the same
+    values, and each rule on a value is checked here, once.
     """
 
     policy: str = "LRS"
@@ -129,6 +131,14 @@ class PolicyConfig:
     #: one object drives both substrates so range splits replay
     #: identically
     keyed: Optional[KeyedConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.control_interval <= 0:
+            raise PolicyError("control interval must be positive")
+        if self.ack_timeout <= 0:
+            raise PolicyError("ack timeout must be positive")
+        if self.dead_after < 1:
+            raise PolicyError("dead_after must be >= 1")
 
     def overload_config(self) -> OverloadConfig:
         """The effective overload knobs (defaults when unset)."""

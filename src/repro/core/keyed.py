@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import PolicyError, RuntimeStateError
@@ -229,12 +229,6 @@ class KeyRangeTable:
         for lo, hi, owner in entries:
             table.assign(KeyRange(int(lo), int(hi)), str(owner))
         return table
-
-
-@dataclass
-class _RangeMeter:
-    meter: RateMeter
-    last_split: float = field(default=0.0)
 
 
 class HotRangeDetector:

@@ -1,8 +1,7 @@
 """Threaded master/worker runtime: the SEEP-on-Android substitute."""
 
 from repro.runtime.app_runner import SwingRuntime, order_results
-from repro.runtime.channels import (ChannelClosed, InProcChannel, TcpChannel,
-                                    TcpListener)
+from repro.runtime.channels import ChannelClosed, TcpChannel, TcpListener
 from repro.runtime.discovery import (DEFAULT_BEACON_PORT, LocalDiscovery,
                                      UdpBeacon, listen_for_beacon)
 from repro.runtime.dispatcher import (UpstreamDispatcher, instance_id,
@@ -15,10 +14,10 @@ from repro.runtime.serialization import (decode_tuple, decode_value,
 from repro.runtime.worker import WorkerRuntime
 
 __all__ = [
-    "ChannelClosed", "DEFAULT_BEACON_PORT", "Fabric", "InProcChannel",
-    "InProcFabric", "LocalDiscovery", "Mailbox", "Master", "Message",
-    "Placement", "SwingRuntime", "TcpChannel", "TcpFabric", "TcpListener",
-    "UdpBeacon", "UpstreamDispatcher", "WorkerRuntime", "decode_tuple",
-    "decode_value", "encode_tuple", "encode_value", "instance_id",
-    "listen_for_beacon", "order_results",
+    "ChannelClosed", "DEFAULT_BEACON_PORT", "Fabric", "InProcFabric",
+    "LocalDiscovery", "Mailbox", "Master", "Message", "Placement",
+    "SwingRuntime", "TcpChannel", "TcpFabric", "TcpListener", "UdpBeacon",
+    "UpstreamDispatcher", "WorkerRuntime", "decode_tuple", "decode_value",
+    "encode_tuple", "encode_value", "instance_id", "listen_for_beacon",
+    "order_results",
 ]

@@ -14,7 +14,8 @@ tenant shares the same master, workers, fabric, registry and tracer.
 Example::
 
     runtime = SwingRuntime(graph, worker_ids=["B", "G", "H"],
-                           policy="LRS", source_rate=12.0)
+                           source_rate=12.0,
+                           config=PolicyConfig(policy="LRS", probe_every=2))
     results = runtime.run(until_idle=2.0)
 """
 
@@ -25,13 +26,10 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro import metrics as metrics_mod
-from repro.core import delivery as delivery_mod
 from repro.core import migration
 from repro.core import multitenant as multitenant_mod
-from repro.core import overload as overload_mod
 from repro.core.controller import PolicyConfig
 from repro.core.exceptions import DeploymentError, RuntimeStateError
-from repro.core.keyed import KeyedConfig
 from repro.core.function_unit import SinkUnit
 from repro.core.graph import AppGraph
 from repro.core.recovery import (CheckpointStore, RecoveryConfig,
@@ -44,6 +42,9 @@ from repro.runtime.master import Master
 from repro.runtime.worker import WorkerRuntime
 from repro.trace import NULL_TRACER, TraceSink
 
+#: the control round of a runtime built without a *config*: a quarter
+#: of the paper's 1 s, so a short in-process run sees several rounds
+CONTROL_INTERVAL = 0.25
 #: start-up and master-restart waits for workers to join and deploy
 AWAIT_TIMEOUT = 5.0
 AWAIT_POLL = 0.005
@@ -57,12 +58,16 @@ class SwingRuntime:
     *graph* is one :class:`AppGraph` (the default tenant ``""``) or a
     sequence of ``(TenantSpec, AppGraph)`` pairs.  Each tenant gets its
     own deployment session (tenant-tagged control messages) and source
-    pacing (``TenantSpec.input_rate``, else the shared rate).  When
-    *overload* bounds the mailbox depth (``queue_capacity``), the
-    weighted budgets of :func:`repro.core.multitenant.tenant_budgets`
-    are installed on every mailbox the runtime creates — including a
-    successor master's and a spawned worker's — so an overloaded tenant
-    sheds its own tuples before touching anyone else's.
+    pacing (``TenantSpec.input_rate``, else the shared rate).
+
+    *config* is the one :class:`PolicyConfig` the master and every
+    worker share (default: every field's default, with a
+    :data:`CONTROL_INTERVAL` round).  When its ``overload`` bounds the
+    mailbox depth (``queue_capacity``), the weighted budgets of
+    :func:`repro.core.multitenant.tenant_budgets` are installed on every
+    mailbox the runtime creates — including a successor master's and a
+    spawned worker's — so an overloaded tenant sheds its own tuples
+    before touching anyone else's.
 
     ``requirement`` (a :class:`PerformanceRequirement`) takes precedence
     over ``source_rate`` and also sizes the sink-side reorder buffer —
@@ -73,22 +78,18 @@ class SwingRuntime:
                  graph: Union[AppGraph, Sequence[
                      Tuple[multitenant_mod.TenantSpec, AppGraph]]],
                  worker_ids: Sequence[str],
-                 master_id: str = "A", policy: str = "LRS",
+                 master_id: str = "A",
                  source_rate: float = 24.0,
                  requirement: Optional[PerformanceRequirement] = None,
                  slowdowns: Optional[Dict[str, float]] = None,
-                 control_interval: float = 0.25,
-                 seed: Optional[int] = None,
-                 overload: Optional[overload_mod.OverloadConfig] = None,
+                 config: Optional[PolicyConfig] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
                  trace: Optional[TraceSink] = None,
-                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
                  heartbeat_interval: float = 0.0,
                  heartbeat_timeout: float = 0.0,
                  recovery: Optional[RecoveryConfig] = None,
                  checkpoint_store: Optional[CheckpointStore] = None,
-                 fabric_wrapper: Optional[Callable[[Fabric], Fabric]] = None,
-                 keyed: Optional[KeyedConfig] = None
+                 fabric_wrapper: Optional[Callable[[Fabric], Fabric]] = None
                  ) -> None:
         if master_id in worker_ids:
             raise RuntimeStateError("master id must not collide with workers")
@@ -109,15 +110,15 @@ class SwingRuntime:
                 raise RuntimeStateError("duplicate tenant id in pipelines")
         self.requirement = requirement or PerformanceRequirement(
             input_rate=source_rate)
-        self.overload = overload
+        #: ONE control-plane config for the master and every worker, so
+        #: every edge dispatcher (and keyed range table) agrees
+        self.config = (config if config is not None
+                       else PolicyConfig(control_interval=CONTROL_INTERVAL))
         # Top-level entry point: when no registry is injected, create ONE
         # shared registry here and thread it through the fabric, master
         # and every worker, so the whole swarm's metrics aggregate.
         self.registry = (registry if registry is not None
                          else metrics_mod.MetricsRegistry())
-        #: delivery-semantics knobs (at-least-once replay + sink dedup);
-        #: ``None`` keeps today's best-effort behavior
-        self.delivery = delivery
         #: worker→master liveness beacons; 0 disables them (the default,
         #: matching the seed behavior) — churn runs need them so silent
         #: crashes are evicted and rejoins are visible
@@ -127,15 +128,9 @@ class SwingRuntime:
         self.tracer = trace if trace is not None else NULL_TRACER
         #: the master's checkpoint cadence (every incarnation)
         self.recovery = recovery if recovery is not None else RecoveryConfig()
-        #: keyed-routing knobs
-        self.keyed = keyed
-        #: ONE control-plane config for the master and every worker, so
-        #: every edge dispatcher (and keyed range table) agrees
-        self._policy_config = PolicyConfig(
-            policy=policy, seed=seed, control_interval=control_interval,
-            overload=overload, delivery=delivery, keyed=keyed)
         #: durable checkpoint store; None = historical unrecoverable master
         self.checkpoint_store = checkpoint_store
+        overload = self.config.overload
         capacity = overload.queue_capacity if overload is not None else None
         self._budgets = (multitenant_mod.tenant_budgets(self.specs, capacity)
                          if capacity is not None else {})
@@ -148,9 +143,6 @@ class SwingRuntime:
             # the caller so this module stays free of chaos imports
             self.fabric = fabric_wrapper(self.fabric)
         self._master_id = master_id
-        self._policy = policy
-        self._seed = seed
-        self._control_interval = control_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._slowdowns = dict(slowdowns or {})
         self.master = self._make_master()
@@ -162,16 +154,12 @@ class SwingRuntime:
     def _make_master(self, epoch: int = 0) -> Master:
         """The master (incarnation *epoch*) with every pipeline attached."""
         master = Master(self._master_id, self.fabric, self.graphs.get(""),
-                        policy=self._policy,
                         source_rate=self.requirement.input_rate,
-                        seed=self._seed,
-                        control_interval=self._control_interval,
                         heartbeat_timeout=self._heartbeat_timeout,
-                        overload=self.overload, registry=self.registry,
-                        trace=self.tracer, delivery=self.delivery,
+                        registry=self.registry, trace=self.tracer,
                         recovery=self.recovery,
                         checkpoint_store=self.checkpoint_store, epoch=epoch,
-                        policy_config=self._policy_config)
+                        policy_config=self.config)
         for spec in self.specs:
             master.add_pipeline(spec, self.graphs[spec.tenant_id])
         self._install_budgets(master.runtime)
@@ -180,14 +168,11 @@ class SwingRuntime:
     def _make_worker(self, worker_id: str) -> WorkerRuntime:
         """A worker with every tenant's graph and rate registered."""
         worker = WorkerRuntime(
-            worker_id, self.fabric, self.graphs.get(""), policy=self._policy,
-            slowdown=self._slowdowns.get(worker_id, 0.0), seed=self._seed,
-            control_interval=self._control_interval,
+            worker_id, self.fabric, self.graphs.get(""),
+            slowdown=self._slowdowns.get(worker_id, 0.0),
             heartbeat_interval=self.heartbeat_interval,
-            heartbeat_target=self._master_id,
-            policy_config=self._policy_config,
-            overload=self.overload, registry=self.registry,
-            trace=self.tracer, delivery=self.delivery)
+            heartbeat_target=self._master_id, policy_config=self.config,
+            registry=self.registry, trace=self.tracer)
         for spec in self.specs:
             worker.register_pipeline(spec.tenant_id,
                                      self.graphs[spec.tenant_id])

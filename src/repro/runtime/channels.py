@@ -1,19 +1,15 @@
-"""Transport channels between runtime threads and processes.
+"""The TCP transport between runtime processes.
 
-Two implementations behind one interface:
-
-* :class:`InProcChannel` — a thread-safe queue pair for threads in one
-  process (the common case: one Python process simulating a swarm of
-  worker threads, like Swing's co-located master/worker threads).
-* :class:`TcpChannel` — real localhost TCP sockets with length-prefixed
-  framing, exercising the same code path an Android deployment would.
-
-Channels move opaque byte payloads; serialization is layered above.
+:class:`TcpChannel` carries length-prefixed frames over real sockets,
+exercising the same code path an Android deployment would, and
+:class:`TcpListener` accepts them.  Channels move opaque byte payloads;
+serialization is layered above.  In-process endpoints need no channel:
+:class:`~repro.runtime.fabric.InProcFabric` hands messages straight to
+the target's mailbox.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -43,70 +39,7 @@ class ChannelClosed(RuntimeStateError):
     """Raised when reading from or writing to a closed channel."""
 
 
-class Channel:
-    """Bidirectional, message-oriented transport endpoint."""
-
-    def send(self, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def recv(self, timeout: Optional[float] = None) -> bytes:
-        """Next message; raises :class:`ChannelClosed` at end of stream,
-        :class:`TimeoutError` when *timeout* elapses."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def closed(self) -> bool:
-        raise NotImplementedError
-
-
-class InProcChannel(Channel):
-    """One endpoint of an in-process channel pair."""
-
-    _SENTINEL = object()
-
-    def __init__(self, outbox: "queue.Queue", inbox: "queue.Queue") -> None:
-        self._outbox = outbox
-        self._inbox = inbox
-        self._closed = threading.Event()
-
-    @classmethod
-    def pair(cls) -> Tuple["InProcChannel", "InProcChannel"]:
-        """Create two connected endpoints."""
-        a_to_b: "queue.Queue" = queue.Queue()
-        b_to_a: "queue.Queue" = queue.Queue()
-        return cls(a_to_b, b_to_a), cls(b_to_a, a_to_b)
-
-    def send(self, payload: bytes) -> None:
-        if self._closed.is_set():
-            raise ChannelClosed("send on closed channel")
-        self._outbox.put(payload)
-
-    def recv(self, timeout: Optional[float] = None) -> bytes:
-        if self._closed.is_set():
-            raise ChannelClosed("recv on closed channel")
-        try:
-            item = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError("channel recv timed out") from None
-        if item is self._SENTINEL:
-            self._closed.set()
-            raise ChannelClosed("peer closed the channel")
-        return item
-
-    def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
-            self._outbox.put(self._SENTINEL)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
-
-class TcpChannel(Channel):
+class TcpChannel:
     """Length-prefixed framing over a connected TCP socket.
 
     Reads go through one persistent buffer: a single ``recv_into``
@@ -171,6 +104,8 @@ class TcpChannel(Channel):
 
     # -- reading -----------------------------------------------------------
     def recv(self, timeout: Optional[float] = None) -> bytes:
+        """Next frame; raises :class:`ChannelClosed` at end of stream,
+        :class:`TimeoutError` when *timeout* elapses."""
         return self._recv_frames(timeout, 1)[0]
 
     def recv_many(self) -> List[bytes]:

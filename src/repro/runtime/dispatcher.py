@@ -22,7 +22,6 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import metrics as metrics_mod
-from repro.core import delivery as delivery_mod
 from repro.core import overload as overload_mod
 from repro.core.batching import BatchBuffer
 from repro.core.controller import LrsController, PolicyConfig
@@ -137,21 +136,21 @@ class _FabricEgress:
 
 
 class UpstreamDispatcher:
-    """Routes one unit's output tuples across downstream instances."""
+    """Routes one unit's output tuples across downstream instances.
+
+    *config* is the edge's control-plane settings: the hosting worker's
+    one :class:`PolicyConfig`, handed unchanged to its controller.
+    """
 
     def __init__(self, unit_name: str,
                  send: Callable[[str, messages.Message], Optional[bool]],
-                 policy: str = "LRS", seed: Optional[int] = None,
-                 control_interval: Optional[float] = None,
+                 config: PolicyConfig,
                  clock: Callable[[], float] = time.monotonic,
                  edge: Optional[str] = None,
                  health: Optional[HealthMonitor] = None,
-                 ack_timeout: Optional[float] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
-                 config: Optional[PolicyConfig] = None,
                  trace: Optional[TraceSink] = None,
                  device_id: str = "",
-                 delivery: Optional[delivery_mod.DeliveryConfig] = None,
                  tenant: str = "",
                  on_batch_open: Optional[Callable[[], None]] = None,
                  hold: Optional[Callable[["UpstreamDispatcher"], bool]]
@@ -165,16 +164,6 @@ class UpstreamDispatcher:
         self._trace = trace if trace is not None else NULL_TRACER
         self._send = send
         self._clock = clock
-        if config is None:
-            defaults = PolicyConfig()
-            config = PolicyConfig(
-                policy=policy, seed=seed,
-                control_interval=(control_interval
-                                  if control_interval is not None
-                                  else defaults.control_interval),
-                ack_timeout=(ack_timeout if ack_timeout is not None
-                             else defaults.ack_timeout),
-                delivery=delivery)
         self._registry = (registry if registry is not None
                           else metrics_mod.MetricsRegistry())
         self._health = health

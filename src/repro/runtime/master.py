@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
 from repro.core import multitenant as multitenant_mod
-from repro.core import overload as overload_mod
 from repro.core.controller import PolicyConfig
 from repro.core.exceptions import DeploymentError, SerializationError
 from repro.core.graph import AppGraph
@@ -426,7 +425,6 @@ class Master:
                  seed: Optional[int] = None,
                  control_interval: float = 1.0,
                  heartbeat_timeout: float = 0.0,
-                 overload: Optional[overload_mod.OverloadConfig] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
                  trace: Optional[TraceSink] = None,
                  delivery: Optional[delivery_mod.DeliveryConfig] = None,
@@ -435,12 +433,18 @@ class Master:
                  epoch: int = 0,
                  policy_config: Optional[PolicyConfig] = None
                  ) -> None:
+        # *policy*, *seed*, *control_interval* and *delivery* only build
+        # the control-plane config when no *policy_config* is given; the
+        # co-located runtime holds the one object (``runtime.config``).
+        if policy_config is None:
+            policy_config = PolicyConfig(policy=policy, seed=seed,
+                                         control_interval=control_interval,
+                                         delivery=delivery)
         if graph is not None:
             graph.validate()
         self.master_id = master_id
         self.fabric = fabric
         self.graph = graph
-        self.policy = policy
         self.heartbeat_timeout = heartbeat_timeout
         self.trace = trace if trace is not None else NULL_TRACER
         self.recovery = recovery if recovery is not None else RecoveryConfig()
@@ -467,11 +471,9 @@ class Master:
         self._sweep_due = born + heartbeat_timeout / 2.0
         self._checkpoint_due = born + self.recovery.checkpoint_interval
         self.runtime = WorkerRuntime(
-            master_id, fabric, graph, policy=policy, source_rate=source_rate,
-            seed=seed, control_interval=control_interval,
+            master_id, fabric, graph, source_rate=source_rate,
             control_handler=self, policy_config=policy_config,
-            overload=overload, registry=self.registry, trace=trace,
-            delivery=delivery)
+            registry=self.registry, trace=trace)
         #: one deployment session per pipeline, keyed by tenant id
         self.sessions: Dict[str, DeploymentSession] = {}
         if graph is not None:

@@ -88,11 +88,18 @@ class WorkerRuntime:
                  heartbeat_interval: float = 0.0,
                  heartbeat_target: Optional[str] = None,
                  policy_config: Optional[PolicyConfig] = None,
-                 overload: Optional[overload_mod.OverloadConfig] = None,
                  registry: Optional[metrics_mod.MetricsRegistry] = None,
                  trace: Optional[TraceSink] = None,
                  delivery: Optional[delivery_mod.DeliveryConfig] = None
                  ) -> None:
+        #: the control-plane settings: every edge dispatcher this worker
+        #: builds shares this one object.  *policy*, *seed*,
+        #: *control_interval* and *delivery* only build it when no
+        #: *policy_config* is given; nothing reads them afterwards.
+        self.config = (policy_config if policy_config is not None
+                       else PolicyConfig(policy=policy, seed=seed,
+                                         control_interval=control_interval,
+                                         delivery=delivery))
         if slowdown < 0:
             raise RuntimeStateError("slowdown must be non-negative")
         if heartbeat_interval < 0:
@@ -103,24 +110,11 @@ class WorkerRuntime:
         self.health = HealthMonitor()
         self.fabric = fabric
         self.graph = graph
-        self.policy_name = policy
         self.slowdown = slowdown
         self.source_rate = source_rate
-        self.seed = seed
-        self.control_interval = control_interval
-        #: optional full control-plane config shared by every edge
-        #: dispatcher; when set it wins over the scalar knobs above
-        self.policy_config = policy_config
-        if overload is None and policy_config is not None:
-            overload = policy_config.overload
-        #: overload-protection knobs (deadline stamping at the source,
-        #: source admission control); defaults to everything disabled
-        self.overload = (overload if overload is not None
-                         else overload_mod.OverloadConfig())
-        if delivery is None and policy_config is not None:
-            delivery = policy_config.delivery
-        #: delivery-semantics knobs (None = historical best-effort)
-        self.delivery = delivery
+        #: overload-protection knobs the source pump reads per tuple
+        #: (deadline stamping, source admission); all off by default
+        self._overload = self.config.overload_config()
         #: highest master epoch adopted so far; 0 = never-recovered
         #: master, where fencing is inert and frames stay byte-identical
         self._master_epoch = 0
@@ -128,9 +122,9 @@ class WorkerRuntime:
         #: same (edge, seq) twice; the window suppresses the duplicate
         #: before it reaches the unit, so throughput/accuracy counters
         #: never double-count
+        delivery = self.config.delivery_config()
         self._dedup = (delivery_mod.DedupWindow(delivery.dedup_window)
-                       if delivery is not None and delivery.at_least_once
-                       else None)
+                       if delivery.at_least_once else None)
         # The top-level entry points (Master / SwingRuntime) create one
         # shared registry and thread it through every worker they own.
         self._registry = (registry if registry is not None
@@ -198,8 +192,7 @@ class WorkerRuntime:
         #: BATCH members decode as zero-copy views only where batching is
         #: configured; on unbatched edges a held BATCH carries tuples
         #: whose units expect ``bytes``, exactly as from a DATA frame
-        self._zero_copy = (policy_config is not None
-                           and policy_config.batching_config().enabled)
+        self._zero_copy = self.config.batching_config().enabled
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -630,7 +623,7 @@ class WorkerRuntime:
         Later deploys leave an existing table alone — splits and
         migrations own it from then on.
         """
-        if self.policy_config is None or self.policy_config.keyed is None:
+        if self.config.keyed is None:
             return
         if dispatcher.controller.key_table is not None or not instances:
             return
@@ -679,13 +672,9 @@ class WorkerRuntime:
             # downstream unit, routed among that unit's device replicas.
             key = self.edge_key(unit_name, downstream_unit, tenant)
             dispatcher = UpstreamDispatcher(
-                unit_name,
-                send=self._emit,
-                policy=self.policy_name, seed=self.seed,
-                control_interval=self.control_interval, edge=key,
-                health=self.health, config=self.policy_config,
-                registry=self._registry, trace=self.tracer,
-                device_id=self.worker_id, delivery=self.delivery,
+                unit_name, send=self._emit, config=self.config, edge=key,
+                health=self.health, registry=self._registry,
+                trace=self.tracer, device_id=self.worker_id,
                 tenant=tenant, on_batch_open=self._reschedule,
                 hold=self._hold)
             self._dispatchers[key] = dispatcher
@@ -883,7 +872,7 @@ class WorkerRuntime:
         historical keep-emitting-and-count-losses behavior is preserved
         by default.
         """
-        if not self.overload.enabled:
+        if not self._overload.enabled:
             return None
         prefix = "%s>" % unit_key
         edge_dispatchers = [d for key, d in self._dispatchers.items()
@@ -891,7 +880,7 @@ class WorkerRuntime:
         unsatisfiable = bool(edge_dispatchers) and all(
             d.unsatisfiable() for d in edge_dispatchers)
         return overload_mod.source_admission(len(self._mailbox),
-                                             unsatisfiable, self.overload)
+                                             unsatisfiable, self._overload)
 
     def _pump_source(self, unit_key: str, unit: SourceUnit) -> None:
         tenant = self._key_tenant(unit_key)
@@ -916,9 +905,9 @@ class WorkerRuntime:
                         # Stamp ownership at the origin; the codec carries
                         # it across every downstream hop.
                         data.tenant = tenant
-                    if self.overload.ttl is not None and data.deadline is None:
+                    if self._overload.ttl is not None and data.deadline is None:
                         base = data.created_at if data.created_at else started
-                        data.deadline = self.overload.deadline_for(base)
+                        data.deadline = self._overload.deadline_for(base)
                     if self.tracer.enabled and data.trace is None:
                         # Stamp the sampling decision once, at the origin;
                         # it rides the codec to every downstream hop.

@@ -226,10 +226,6 @@ class MetricsCollector:
             utilization[device_id] = min(1.0, busy + overhead)
         return utilization
 
-    def per_device_bytes(self) -> Dict[str, int]:
-        return {device_id: counters.bytes_received
-                for device_id, counters in self.devices.items()}
-
     def throughput_series(self, duration: float, bin_width: float = 1.0
                           ) -> List[float]:
         """Completions per second in consecutive bins (Figs. 9 and 10)."""

@@ -17,7 +17,7 @@ main harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.controller import PolicyConfig
@@ -64,12 +64,14 @@ class PipelineConfig:
     stages: Sequence[StageSpec]
     devices: Mapping[str, DeviceProfile]
     source_id: str
-    policy: str = "LRS"
+    #: every stage edge's control-plane settings; its ``seed`` stays
+    #: unset, because each edge's policy seed derives from :attr:`seed`
+    policy_config: PolicyConfig = field(default_factory=PolicyConfig)
     duration: float = 60.0
+    #: the experiment's one RNG root (arrivals, jitter, policies)
     seed: int = 0
     rssi: Mapping[str, float] = field(default_factory=dict)
     socket_window_bytes: int = 32768
-    control_interval: float = 1.0
     jitter_sigma: float = 0.30
     reorder_timespan: float = 1.0
 
@@ -78,6 +80,10 @@ class PipelineConfig:
             raise SimulationError("a pipeline needs at least one stage")
         if self.duration <= 0:
             raise SimulationError("duration must be positive")
+        if self.policy_config.seed is not None:
+            raise SimulationError(
+                "each edge's policy seed derives from PipelineConfig.seed;"
+                " leave policy_config.seed unset")
         names = [stage.name for stage in self.stages]
         if len(set(names)) != len(names):
             raise SimulationError("duplicate stage names: %r" % names)
@@ -179,9 +185,8 @@ class _Router:
         self.target_stage = target_stage
         self.controller = engine_controller(
             pipeline.sim,
-            PolicyConfig(policy=pipeline.config.policy,
-                         seed=pipeline.rngs.root_seed + target_stage,
-                         control_interval=pipeline.config.control_interval),
+            replace(pipeline.config.policy_config,
+                    seed=pipeline.rngs.root_seed + target_stage),
             name=upstream_id)
         for instance_id in pipeline.stage_instance_ids(target_stage):
             self.controller.add_downstream(instance_id)
@@ -191,7 +196,7 @@ class _Router:
 
     def _control(self):
         sim = self.pipeline.sim
-        interval = self.pipeline.config.control_interval
+        interval = self.controller.config.control_interval
         while True:
             yield sim.timeout(interval)
             self.controller.update(sim.now)
@@ -398,7 +403,7 @@ def face_pipeline_config(detector_hosts: Sequence[str],
         ),
         devices=profiles.worker_profiles(hosts),
         source_id=profiles.SOURCE_ID,
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy),
         duration=duration,
         seed=seed,
         rssi=dict(rssi or {}),

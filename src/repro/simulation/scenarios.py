@@ -11,6 +11,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro import profiles
 from repro.core import faults
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, BEST_EFFORT, DeliveryConfig
 from repro.core.exceptions import SimulationError
 from repro.core.faults import FaultEvent, FaultSchedule
@@ -49,7 +50,7 @@ def single_device(worker_id: str, app: str = FACE_APP,
         workload=workload_for_app(app, input_rate),
         workers=profiles.worker_profiles([worker_id]),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy="RR",
+        policy_config=PolicyConfig(policy="RR"),
         duration=duration,
         seed=seed,
         rssi={worker_id: rssi},
@@ -81,7 +82,7 @@ def testbed(app: str = FACE_APP, policy: str = "LRS",
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(ids),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy),
         duration=duration,
         seed=seed,
         rssi=rssi,
@@ -117,7 +118,6 @@ def joining(app: str = FACE_APP, duration: float = 30.0, seed: int = 0,
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(initial_ids)),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy="LRS",
         duration=duration,
         seed=seed,
         schedule=FaultSchedule(events=(
@@ -133,7 +133,6 @@ def leaving(app: str = FACE_APP, duration: float = 35.0, seed: int = 0,
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(initial_ids)),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy="LRS",
         duration=duration,
         seed=seed,
         schedule=FaultSchedule(events=(
@@ -185,11 +184,10 @@ def fault_injection(app: str = FACE_APP, policy: str = "LRS",
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(worker_ids)),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy, ack_timeout=ack_timeout,
+                                   dead_after=dead_after),
         duration=duration,
         seed=seed,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
         schedule=FaultSchedule(events=tuple(events)),
     )
 
@@ -242,16 +240,15 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(worker_ids),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy=policy,
+        policy_config=PolicyConfig(
+            policy=policy, ack_timeout=ack_timeout, dead_after=dead_after,
+            overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
+                                    drop_policy=drop_policy)),
         duration=duration,
         seed=seed,
         background_load={device_id: background for device_id in worker_ids},
         thermal_throttling=False,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
         schedule=FaultSchedule(events=tuple(events)),
-        overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
-                                drop_policy=drop_policy),
     )
 
 
@@ -301,13 +298,11 @@ def churn(app: str = FACE_APP, policy: str = "LRS",
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(worker_ids),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy, ack_timeout=ack_timeout,
+                                   dead_after=dead_after, delivery=delivery),
         duration=duration,
         seed=seed,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
         detection_delay=detection_delay,
-        delivery=delivery,
         schedule=schedule,
     )
 
@@ -360,13 +355,11 @@ def failover(app: str = FACE_APP, policy: str = "LRS",
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(worker_ids),
         source=profiles.device_profile(master_id),
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy, ack_timeout=ack_timeout,
+                                   dead_after=dead_after, delivery=delivery),
         duration=duration,
         seed=seed,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
         detection_delay=detection_delay,
-        delivery=delivery,
         schedule=schedule,
     )
 
@@ -433,13 +426,13 @@ def tenants(app: str = FACE_APP, policy: str = "LRS",
         workload=workload,
         workers=profiles.worker_profiles(list(worker_ids)),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy=policy,
+        policy_config=PolicyConfig(
+            policy=policy, ack_timeout=ack_timeout,
+            overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
+                                    drop_policy=DROP_OLDEST),
+            delivery=delivery),
         duration=duration,
         seed=seed,
-        ack_timeout=ack_timeout,
-        overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
-                                drop_policy=DROP_OLDEST),
-        delivery=delivery,
         tenants=tuple(specs),
     )
 
@@ -490,16 +483,15 @@ def skew(app: str = FACE_APP, duration: float = 40.0, seed: int = 3,
         workload=workload_for_app(app, input_rate),
         workers=profiles.worker_profiles(worker_ids),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy="LRS",
+        policy_config=PolicyConfig(
+            ack_timeout=ack_timeout, dead_after=dead_after, delivery=delivery,
+            keyed=KeyedConfig(key_count=key_count, zipf_alpha=zipf_alpha,
+                              split_enabled=split_enabled,
+                              hot_ratio=hot_ratio,
+                              min_split_interval=min_split_interval,
+                              max_splits=max_splits)),
         duration=duration,
         seed=seed,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
-        delivery=delivery,
-        keyed=KeyedConfig(key_count=key_count, zipf_alpha=zipf_alpha,
-                          split_enabled=split_enabled, hot_ratio=hot_ratio,
-                          min_split_interval=min_split_interval,
-                          max_splits=max_splits),
     )
 
 
@@ -519,7 +511,6 @@ def moving(app: str = FACE_APP, duration: float = 180.0, seed: int = 0,
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(worker_ids)),
         source=profiles.device_profile(profiles.SOURCE_ID),
-        policy="LRS",
         duration=duration,
         seed=seed,
         mobility=plan,

@@ -31,15 +31,13 @@ from repro.core import faults
 from repro.core import migration
 from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
-from repro.core.batching import BatchConfig
 from repro.core.controller import LrsController, PolicyConfig
-from repro.core.delivery import DedupWindow, DeliveryConfig, EVICT_SHED
+from repro.core.delivery import DedupWindow, EVICT_SHED
 from repro.core.exceptions import MigrationAborted, SimulationError
 from repro.core.faults import FaultEvent, FaultSchedule
-from repro.core.keyed import (KeyedConfig, KeyRange, KeyRangeTable,
-                              MOVE_CRASH, MOVE_DRAIN, MOVE_HOT_SPLIT,
-                              hash_key, zipf_weights)
-from repro.core.overload import OverloadConfig
+from repro.core.keyed import (KeyRange, KeyRangeTable, MOVE_CRASH,
+                              MOVE_DRAIN, MOVE_HOT_SPLIT, hash_key,
+                              zipf_weights)
 from repro.core.policies import PolicyDecision
 from repro.core.reorder import ReorderBuffer
 from repro.core.state import InMemoryStateStore, WindowAggregator
@@ -68,11 +66,6 @@ UNBOUNDED_QUEUE = 0
 _DRAIN_POLL = 0.05
 _KEYED_UNIT = "agg"
 
-#: single source of truth for policy-construction defaults (probe
-#: period, estimator window, failure-detection thresholds): the
-#: simulator's knobs default to exactly what the runtime uses
-_POLICY_DEFAULTS = PolicyConfig()
-
 
 @dataclass
 class SwarmConfig:
@@ -81,8 +74,13 @@ class SwarmConfig:
     workload: Workload
     workers: Mapping[str, DeviceProfile]
     source: DeviceProfile
-    policy: str = "LRS"
+    #: the control-plane settings (policy, round, probing, estimator,
+    #: failure detection, overload, delivery, batching, keyed routing),
+    #: the same object the threaded runtime takes; its ``seed`` stays
+    #: unset, because the policy seed derives from :attr:`seed`
+    policy_config: PolicyConfig = field(default_factory=PolicyConfig)
     duration: float = 60.0
+    #: the experiment's one RNG root (arrivals, jitter, keys, policy)
     seed: int = 0
     #: initial RSSI per worker; absent workers default to a good signal
     rssi: Mapping[str, float] = field(default_factory=dict)
@@ -97,12 +95,6 @@ class SwarmConfig:
     socket_window_bytes: int = 32768
     #: time for an upstream to detect a broken link and re-route
     detection_delay: float = 0.5
-    control_interval: float = _POLICY_DEFAULTS.control_interval
-    probe_every: int = _POLICY_DEFAULTS.probe_every
-    probe_tuples: int = _POLICY_DEFAULTS.probe_tuples
-    probe_spacing: int = _POLICY_DEFAULTS.probe_spacing
-    estimator: str = _POLICY_DEFAULTS.estimator
-    estimator_window: int = _POLICY_DEFAULTS.estimator_window
     #: lognormal sigma of per-frame service-time noise (Android-level
     #: scheduling/GC variability)
     jitter_sigma: float = 0.30
@@ -116,25 +108,10 @@ class SwarmConfig:
     schedule: FaultSchedule = field(default_factory=FaultSchedule)
     mobility: Optional[MobilityPlan] = None
     reorder_timespan: float = 1.0
-    #: in-flight tuples older than this are charged as lost
-    ack_timeout: float = _POLICY_DEFAULTS.ack_timeout
-    #: consecutive expiry rounds without an ACK before a downstream is
-    #: marked dead (the tracker's failure-detection threshold)
-    dead_after: int = _POLICY_DEFAULTS.dead_after
-    #: overload-protection knobs (TTL, bounded worker ingress queues,
-    #: source admission control) shared verbatim with the threaded
-    #: runtime; ``None`` keeps every mechanism off
-    overload: Optional[OverloadConfig] = None
     #: fraction of tuples traced through ``repro.trace`` (0.0 = tracing
     #: off); sampling is deterministic in (seed, seq), so a seeded run
     #: reproduces its trace exactly
     trace_sample_rate: float = 0.0
-    #: delivery-semantics knobs (at-least-once replay, sink dedup) shared
-    #: verbatim with the threaded runtime; ``None`` keeps best-effort
-    delivery: Optional[DeliveryConfig] = None
-    #: data-plane batching knobs shared verbatim with the threaded
-    #: runtime; ``None`` (or ``max_tuples=1``) keeps per-tuple dispatch
-    batching: Optional[BatchConfig] = None
     #: tenant pipelines sharing this swarm
     #: (:class:`repro.core.multitenant.TenantSpec` instances).  Empty =
     #: the historical single-tenant experiment, byte-identical output.
@@ -142,45 +119,6 @@ class SwarmConfig:
     #: / sink over the SAME device pool, and bounded worker ingress
     #: queues run cross-tenant fair-share admission.
     tenants: Sequence[multitenant_mod.TenantSpec] = ()
-    #: keyed-routing knobs shared verbatim with the threaded runtime;
-    #: ``None`` keeps every frame stateless (historical behaviour).
-    #: With ``key_count > 0`` the source stamps each frame with a key
-    #: drawn from a seeded Zipf distribution, frames route by key-range
-    #: ownership instead of the policy, workers keep per-key windowed
-    #: aggregates, and the control loop splits/migrates hot ranges.
-    keyed: Optional[KeyedConfig] = None
-
-    def batching_config(self) -> BatchConfig:
-        """This experiment's batching knobs (per-tuple by default)."""
-        return self.batching if self.batching is not None else BatchConfig()
-
-    def keyed_config(self) -> KeyedConfig:
-        """This experiment's keyed-routing knobs (stateless by default)."""
-        return self.keyed if self.keyed is not None else KeyedConfig()
-
-    def overload_config(self) -> OverloadConfig:
-        """This experiment's overload knobs (disabled-by-default)."""
-        return self.overload if self.overload is not None else OverloadConfig()
-
-    def delivery_config(self) -> DeliveryConfig:
-        """This experiment's delivery knobs (best-effort by default)."""
-        return self.delivery if self.delivery is not None else DeliveryConfig()
-
-    def policy_config(self, seed: Optional[int] = None) -> PolicyConfig:
-        """This experiment's policy knobs as one shared control-plane config."""
-        return PolicyConfig(policy=self.policy, seed=seed,
-                            control_interval=self.control_interval,
-                            probe_every=self.probe_every,
-                            probe_tuples=self.probe_tuples,
-                            probe_spacing=self.probe_spacing,
-                            estimator=self.estimator,
-                            estimator_window=self.estimator_window,
-                            ack_timeout=self.ack_timeout,
-                            dead_after=self.dead_after,
-                            overload=self.overload,
-                            delivery=self.delivery,
-                            batching=self.batching,
-                            keyed=self.keyed)
 
     def resolved_source_queue(self, workload: Optional[Workload] = None
                               ) -> Optional[int]:
@@ -214,10 +152,10 @@ class SwarmConfig:
             raise SimulationError("socket window must be >= 1 byte")
         if self.detection_delay < 0:
             raise SimulationError("detection delay must be non-negative")
-        if self.ack_timeout <= 0:
-            raise SimulationError("ack timeout must be positive")
-        if self.dead_after < 1:
-            raise SimulationError("dead_after must be >= 1")
+        if self.policy_config.seed is not None:
+            raise SimulationError(
+                "the policy seed derives from SwarmConfig.seed; leave"
+                " policy_config.seed unset")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise SimulationError("trace sample rate must be in [0, 1]")
         if not isinstance(self.schedule, FaultSchedule):
@@ -227,9 +165,11 @@ class SwarmConfig:
                                         for event in self.schedule):
             raise SimulationError("a swarm needs at least one worker")
         self.schedule.validate(set(self.workers))
-        if self.keyed is not None:
-            self.keyed.validate()
-            if self.keyed.key_count > 0 and self.batching_config().enabled:
+        keyed = self.policy_config.keyed
+        if keyed is not None:
+            keyed.validate()
+            if keyed.key_count > 0 \
+                    and self.policy_config.batching_config().enabled:
                 # Keyed tuples route by range ownership per tuple; a
                 # batch spanning ranges has no single owner.
                 raise SimulationError(
@@ -441,10 +381,14 @@ class SwarmSimulation:
     def __init__(self, config: SwarmConfig) -> None:
         config.validate()
         self.config = config
-        self.overload = config.overload_config()
-        self.delivery = config.delivery_config()
+        self.overload = config.policy_config.overload_config()
+        self.delivery = config.policy_config.delivery_config()
         self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
+        #: every tenant's control plane: the experiment's settings under
+        #: the policy seed its RNG root derives
+        self._policy_config = replace(config.policy_config,
+                                      seed=self.rngs.root_seed)
         self.network = Network(self.sim)
         # Private counter registry so concurrent/sequential runs never
         # bleed sent/acked/lost counts into each other.
@@ -510,7 +454,7 @@ class SwarmSimulation:
         #: cumulative Zipf weights over the key universe; empty when the
         #: run is stateless (keyed off or key_count == 0)
         self._key_cum: List[float] = []
-        keyed = config.keyed
+        keyed = config.policy_config.keyed
         if keyed is not None and keyed.key_count > 0:
             total = 0.0
             for weight in zipf_weights(keyed.key_count, keyed.zipf_alpha):
@@ -543,7 +487,7 @@ class SwarmSimulation:
             arrivals_stream = "arrivals"
             keys_stream = "keys"
         controller = engine_controller(
-            self.sim, config.policy_config(seed=self.rngs.root_seed),
+            self.sim, self._policy_config,
             registry=self.registry, name=controller_name,
             trace=self.tracer,
             redelivery=(self._redeliver_frame
@@ -609,7 +553,7 @@ class SwarmSimulation:
         # Keyed routing: every tenant's control plane starts from the
         # same even partition of the key space over the initial pool
         # (later joiners take ownership only through migration).
-        if config.keyed is not None and self.nodes:
+        if config.policy_config.keyed is not None and self.nodes:
             for state in self._states.values():
                 state.controller.set_key_table(
                     KeyRangeTable.bootstrap(sorted(self.nodes)))
@@ -1079,7 +1023,7 @@ class SwarmSimulation:
         controller = state.controller
         egress = state.egress
         edge_name = state.edge_name
-        batching = config.batching_config()
+        batching = config.policy_config.batching_config()
         while True:
             if self._master_down:
                 yield self.sim.timeout(0.05)
@@ -1242,7 +1186,7 @@ class SwarmSimulation:
         # sweep, stats snapshot, policy update, decision log — is the
         # controller's.
         while True:
-            yield self.sim.timeout(self.config.control_interval)
+            yield self.sim.timeout(self._policy_config.control_interval)
             if self._master_down:
                 continue  # no control plane while the master is down
             for state in self._states.values():
@@ -1454,7 +1398,7 @@ class SwarmResult:
                     dead.add(device_id)
             replay_depth += state.controller.replay_depth()
         keyed_audit: Optional[Dict[str, object]] = None
-        if config.keyed is not None:
+        if config.policy_config.keyed is not None:
             tables = {tenant_key: [list(entry) for entry in
                                    state.controller.key_table.snapshot()]
                       for tenant_key, state in swarm._states.items()
@@ -1560,15 +1504,6 @@ class SwarmResult:
                         if record.sink_arrived_at >= warmup
                         and record.total_delay is not None
                         and record.total_delay <= bound)
-        return completed / horizon
-
-    def steady_state_throughput(self, warmup: float = 5.0) -> float:
-        """Completions per second after the warm-up period."""
-        horizon = self.duration - warmup
-        if horizon <= 0:
-            return 0.0
-        completed = sum(1 for record in self.metrics.completed_frames()
-                        if record.sink_arrived_at >= warmup)
         return completed / horizon
 
     # -- per-tenant views (multi-tenant isolation checks) -------------------

@@ -27,6 +27,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
 from repro.core.exceptions import RuntimeStateError
 from repro.core.faults import LOAD_BURST, RESTART_MASTER
@@ -38,7 +39,7 @@ from repro.core.multitenant import TenantSpec
 from repro.core.overload import DROP_OLDEST, OverloadConfig
 from repro.core.recovery import InMemoryCheckpointStore, RecoveryConfig
 from repro import profiles
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.chaos import ChaosFabric, ChurnHarness
 from repro.simulation import scenarios
 from repro.simulation.swarm import SwarmConfig, SwarmResult, SwarmSimulation
@@ -96,16 +97,13 @@ def build_sim_config(schedule: FaultSchedule,
         workload=workload,
         workers=profiles.worker_profiles(list(spec.workers)),
         source=profiles.device_profile(spec.source_id),
-        policy="LRS",
+        policy_config=PolicyConfig(ack_timeout=ack_timeout,
+                                   dead_after=dead_after, overload=overload,
+                                   delivery=delivery, keyed=keyed),
         duration=spec.duration,
         seed=schedule.seed or 0,
-        ack_timeout=ack_timeout,
-        dead_after=dead_after,
         detection_delay=0.25,
-        delivery=delivery,
         schedule=schedule,
-        overload=overload,
-        keyed=keyed,
         tenants=tenants,
     )
 
@@ -158,11 +156,9 @@ def history_from_sim(schedule: FaultSchedule, sim: SwarmSimulation,
             metrics_mod.FENCED_TOTAL, "device").values())
     expected = sum(1 for event in schedule
                    if event.action == RESTART_MASTER)
-    config = result.config
-    capacity = (config.overload.queue_capacity
-                if config.overload is not None else None)
-    at_least_once = (config.delivery is not None
-                     and config.delivery.at_least_once)
+    config = result.config.policy_config
+    capacity = config.overload_config().queue_capacity
+    at_least_once = config.delivery_config().at_least_once
     notes = ["%s window on %s has no discrete-event mirror"
              % (event.action, event.target)
              for event in schedule.unapplied(SwarmSimulation.FAULT_HANDLERS)]
@@ -262,9 +258,11 @@ def run_runtime(schedule: FaultSchedule,
                               dedup_window=8192, max_delivery_attempts=8,
                               redelivery_timeout=0.4)
     runtime = SwingRuntime(
-        graph, worker_ids=sorted(spec.workers), policy="RR",
-        source_rate=source_rate, seed=seed, registry=registry,
-        delivery=delivery,
+        graph, worker_ids=sorted(spec.workers), source_rate=source_rate,
+        config=PolicyConfig(policy="RR", seed=seed,
+                            control_interval=CONTROL_INTERVAL,
+                            delivery=delivery),
+        registry=registry,
         fabric_wrapper=lambda inner: ChaosFabric(inner, seed=seed,
                                                  registry=registry),
         heartbeat_interval=0.1, heartbeat_timeout=0.6,

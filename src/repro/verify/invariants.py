@@ -359,8 +359,3 @@ class InvariantChecker:
                 % sorted(unknown_evictions),
                 {"reasons": sorted(unknown_evictions)}))
         return violations
-
-
-def check_history(history: RunHistory) -> List[Violation]:
-    """Convenience wrapper: run every invariant over *history*."""
-    return InvariantChecker().check(history)

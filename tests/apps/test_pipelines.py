@@ -6,7 +6,10 @@ from repro.apps.face.pipeline import build_face_graph
 from repro.apps.translate.pipeline import (MicrophoneSource,
                                            build_translation_graph,
                                            default_phrases)
-from repro.runtime.app_runner import SwingRuntime
+from repro.core.controller import PolicyConfig
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
+
+RR = PolicyConfig(policy="RR", control_interval=CONTROL_INTERVAL)
 
 
 class TestFaceGraph:
@@ -17,8 +20,8 @@ class TestFaceGraph:
 
     def test_pipeline_recognizes_planted_faces(self):
         graph = build_face_graph(num_identities=4, frame_count=10, seed=3)
-        runtime = SwingRuntime(graph, worker_ids=["B", "G"], policy="RR",
-                               source_rate=60.0)
+        runtime = SwingRuntime(graph, worker_ids=["B", "G"],
+                               source_rate=60.0, config=RR)
         results = runtime.run(until_idle=1.0, timeout=60.0)
         assert len(results) == 10
         names = [name for data in results for name in data.get_value("names")]
@@ -28,7 +31,7 @@ class TestFaceGraph:
     def test_pipeline_under_lrs(self):
         graph = build_face_graph(num_identities=3, frame_count=8, seed=1)
         runtime = SwingRuntime(graph, worker_ids=["B", "G", "H"],
-                               policy="LRS", source_rate=60.0)
+                               source_rate=60.0)
         results = runtime.run(until_idle=1.0, timeout=60.0)
         assert len(results) == 8
 
@@ -41,8 +44,8 @@ class TestTranslationGraph:
 
     def test_pipeline_translates_speech(self):
         graph = build_translation_graph(frame_count=6, seed=4)
-        runtime = SwingRuntime(graph, worker_ids=["B", "G"], policy="RR",
-                               source_rate=30.0)
+        runtime = SwingRuntime(graph, worker_ids=["B", "G"],
+                               source_rate=30.0, config=RR)
         results = runtime.run(until_idle=1.0, timeout=60.0)
         assert len(results) == 6
         texts = [data.get_value("text") for data in results]

@@ -5,10 +5,11 @@ from collections import Counter
 from repro.apps.sensing.pipeline import (AGGREGATE_SCHEMA, ZipfKeyStream,
                                          WindowedAggregateUnit,
                                          build_sensing_graph)
+from repro.core.controller import PolicyConfig
 from repro.core.function_unit import UnitContext
 from repro.core.keyed import KeyedConfig
 from repro.core.tuples import DataTuple
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 
 
 class TestZipfKeyStream:
@@ -75,9 +76,11 @@ class TestSensingGraph:
         graph = build_sensing_graph(reading_count=60, key_count=8,
                                     alpha=1.2, window=0.2, seed=7)
         runtime = SwingRuntime(
-            graph, worker_ids=["B", "C"], policy="RR", source_rate=120.0,
-            seed=3, keyed=KeyedConfig(key_count=8, zipf_alpha=1.2,
-                                      split_enabled=False))
+            graph, worker_ids=["B", "C"], source_rate=120.0,
+            config=PolicyConfig(policy="RR", seed=3,
+                                control_interval=CONTROL_INTERVAL,
+                                keyed=KeyedConfig(key_count=8, zipf_alpha=1.2,
+                                                  split_enabled=False)))
         results = runtime.run(until_idle=1.0, timeout=60.0)
         assert results, "no windows closed"
         # every closed window is a real aggregate over [min, max]

@@ -7,6 +7,7 @@ import pytest
 from repro import metrics as metrics_mod
 from repro.core.controller import AckResult, LrsController, PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, EVICT_SHED, DeliveryConfig
+from repro.core.exceptions import PolicyError
 from repro.core.keyed import KeyRangeTable
 from repro.core.policies import POLICY_NAMES
 from repro.trace import ACK_RTT, RETRY, Tracer
@@ -47,6 +48,29 @@ class TestPolicyConfig:
         tracker = PolicyConfig().make_tracker(registry)
         tracker.record_send(1, "a", 0.0)
         assert registry.value(metrics_mod.SENT_TOTAL, downstream="a") == 1
+
+
+class TestPolicyConfigValidation:
+    """Each rule on a control-plane value is checked once, where the
+    value is built, so no substrate runs with one it would reject."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("control_interval", 0.0), ("control_interval", -1.0),
+        ("ack_timeout", 0.0), ("ack_timeout", -1.0),
+        ("dead_after", 0)])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(PolicyError):
+            PolicyConfig(**{field: value})
+
+    def test_controller_never_sees_a_negative_ack_timeout(self):
+        # -1 s would expire every in-flight tuple at the next round
+        with pytest.raises(PolicyError):
+            LrsController(PolicyConfig(ack_timeout=-1))
+
+    def test_smallest_valid_values_accepted(self):
+        config = PolicyConfig(control_interval=1e-3, ack_timeout=1e-3,
+                              dead_after=1)
+        assert LrsController(config).config is config
 
 
 class TestMembership:

@@ -31,7 +31,7 @@ from repro.core.faults import LEAVE, REJOIN, FaultEvent, FaultSchedule
 from repro.core.function_unit import CollectingSink, IterableSource, LambdaUnit
 from repro.core.graph import GraphBuilder
 from repro.core.tuples import DataTuple
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.chaos import ChurnHarness
 from repro.runtime.dispatcher import UpstreamDispatcher
 from repro.simulation import scenarios
@@ -94,7 +94,7 @@ class TestAtLeastOnceSoak:
             assert at_least_once.drain_seconds[device_id] >= 0.0
 
     def test_replay_buffer_within_cap(self, at_least_once):
-        capacity = at_least_once.config.delivery.replay_capacity
+        capacity = at_least_once.config.policy_config.delivery.replay_capacity
         assert at_least_once.replay_depth_end <= capacity
 
 
@@ -353,9 +353,12 @@ def _runtime(delivery=None, sleep_per_tuple=0.01):
              .chain("src", "double", "snk")
              .build())
     registry = metrics_mod.MetricsRegistry()
-    runtime = SwingRuntime(graph, worker_ids=["B", "C"], policy="RR",
-                           source_rate=100.0, seed=3, registry=registry,
-                           delivery=delivery, heartbeat_interval=0.1,
+    runtime = SwingRuntime(graph, worker_ids=["B", "C"], source_rate=100.0,
+                           config=PolicyConfig(
+                               policy="RR", seed=3,
+                               control_interval=CONTROL_INTERVAL,
+                               delivery=delivery),
+                           registry=registry, heartbeat_interval=0.1,
                            heartbeat_timeout=0.6)
     return runtime, registry
 

@@ -10,10 +10,11 @@ manager reaches the same verdicts in each.
 import pytest
 
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.simulation.swarm import SwarmConfig, run_swarm
 from repro.simulation.workload import face_workload
 
@@ -27,9 +28,11 @@ def runtime_shares(policy, items=120):
              .sink("snk", CollectingSink)
              .chain("src", "f", "snk")
              .build())
-    runtime = SwingRuntime(graph, worker_ids=["fast", "slow"], policy=policy,
+    runtime = SwingRuntime(graph, worker_ids=["fast", "slow"],
                            source_rate=250.0, slowdowns={"slow": 400.0},
-                           seed=3)
+                           config=PolicyConfig(
+                               policy=policy, seed=3,
+                               control_interval=CONTROL_INTERVAL))
     runtime.run(until_idle=0.6, timeout=60.0)
     return {worker_id: worker.processed_count
             for worker_id, worker in runtime.workers.items()}
@@ -40,7 +43,8 @@ def simulator_shares(policy):
     config = SwarmConfig(workload=face_workload(input_rate=12.0),
                          workers=profiles.worker_profiles(["E", "H"]),
                          source=profiles.device_profile("A"),
-                         policy=policy, duration=20.0, seed=3)
+                         policy_config=PolicyConfig(policy=policy),
+                         duration=20.0, seed=3)
     result = run_swarm(config)
     rates = result.input_rates()
     return {"fast": rates["H"], "slow": rates["E"]}

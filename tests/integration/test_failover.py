@@ -30,6 +30,7 @@ import pytest
 from tests.integration.waiting import wait_quiescent, wait_until
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
 from repro.core.faults import (KILL_MASTER, RESTART_MASTER, FaultEvent,
                                FaultSchedule)
@@ -39,7 +40,7 @@ from repro.core.multitenant import TenantSpec, tenant_budgets
 from repro.core.overload import OverloadConfig
 from repro.core.recovery import InMemoryCheckpointStore, RecoveryConfig
 from repro.runtime import messages
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.chaos import ChurnHarness
 from repro.simulation import scenarios
 from repro.simulation.swarm import run_swarm
@@ -66,9 +67,11 @@ def _build_runtime(store, sleep_per_tuple=0.01):
     delivery = DeliveryConfig(mode=AT_LEAST_ONCE, replay_capacity=1024,
                               dedup_window=4096, redelivery_timeout=0.4)
     runtime = SwingRuntime(
-        graph, worker_ids=["B", "C"], policy="RR", source_rate=60.0,
-        seed=5, registry=registry, delivery=delivery,
-        heartbeat_interval=0.1, heartbeat_timeout=0.6,
+        graph, worker_ids=["B", "C"], source_rate=60.0,
+        config=PolicyConfig(policy="RR", seed=5,
+                            control_interval=CONTROL_INTERVAL,
+                            delivery=delivery),
+        registry=registry, heartbeat_interval=0.1, heartbeat_timeout=0.6,
         recovery=RecoveryConfig(checkpoint_interval=0.2),
         checkpoint_store=store)
     return runtime, registry
@@ -235,10 +238,12 @@ def _two_tenant_runtime(store, counts):
                   _tenant_pipeline(tenant, count))
                  for tenant, count in sorted(counts.items())]
     runtime = SwingRuntime(
-        pipelines, worker_ids=["B", "C"], policy="RR", seed=5,
-        registry=registry, delivery=delivery,
-        overload=OverloadConfig(queue_capacity=12),
-        heartbeat_interval=0.1, heartbeat_timeout=0.6,
+        pipelines, worker_ids=["B", "C"],
+        config=PolicyConfig(policy="RR", seed=5,
+                            control_interval=CONTROL_INTERVAL,
+                            overload=OverloadConfig(queue_capacity=12),
+                            delivery=delivery),
+        registry=registry, heartbeat_interval=0.1, heartbeat_timeout=0.6,
         recovery=RecoveryConfig(checkpoint_interval=0.2),
         checkpoint_store=store)
     return runtime, registry, [spec for spec, _graph in pipelines]

@@ -15,13 +15,14 @@ Two halves, mirroring the two substrates:
 from collections import Counter
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       SourceUnit)
 from repro.core.graph import GraphBuilder
 from repro.core.keyed import KeyedConfig, hash_key
 from repro.core.tuples import DataTuple, TupleSchema
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.dispatcher import instance_id
 from repro.runtime.migration import migrate_range
 from repro.simulation import scenarios
@@ -127,12 +128,15 @@ class TestRuntimeSplitMigration:
         registry = metrics_mod.MetricsRegistry()
         runtime = SwingRuntime(
             _build_keyed_graph(), worker_ids=["B", "C"], master_id="A",
-            policy="RR", source_rate=200.0, seed=3, registry=registry,
-            delivery=DeliveryConfig(mode=AT_LEAST_ONCE,
-                                    replay_capacity=4096,
-                                    dedup_window=8192,
-                                    max_delivery_attempts=8),
-            keyed=KeyedConfig(key_count=_KEY_COUNT, split_enabled=False))
+            source_rate=200.0, registry=registry,
+            config=PolicyConfig(
+                policy="RR", seed=3, control_interval=CONTROL_INTERVAL,
+                delivery=DeliveryConfig(mode=AT_LEAST_ONCE,
+                                        replay_capacity=4096,
+                                        dedup_window=8192,
+                                        max_delivery_attempts=8),
+                keyed=KeyedConfig(key_count=_KEY_COUNT,
+                                  split_enabled=False)))
         runtime.start()
         try:
             dispatcher = runtime.master.runtime.dispatcher("feed", "count")

@@ -26,13 +26,14 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core import overload as overload_mod
+from repro.core.controller import PolicyConfig
 from repro.core.function_unit import CollectingSink, IterableSource, LambdaUnit
 from repro.core.graph import GraphBuilder
 from repro.core.multitenant import (TenantSpec, fair_admission,
                                     tenant_budgets)
 from repro.core.overload import OverloadConfig
 from repro.core.exceptions import RuntimeStateError
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.simulation import scenarios
 from repro.simulation.swarm import run_swarm
 
@@ -111,7 +112,7 @@ class TestSimulatorIsolationSoak:
             assert stats is not None and stats.count > 0
 
     def test_worker_ingress_depths_stay_bounded(self, hot_run):
-        capacity = hot_run.config.overload.queue_capacity
+        capacity = hot_run.config.policy_config.overload.queue_capacity
         for name, depth in hot_run.max_queue_depths.items():
             if name.startswith("ingress:"):
                 assert depth <= capacity, name
@@ -253,8 +254,10 @@ class TestRuntimeIsolation:
              _pipeline("v2", VICTIM_TUPLES)),
         ]
         runtime = SwingRuntime(
-            pipelines, worker_ids=["B", "C"], policy="RR", seed=3,
-            overload=OverloadConfig(queue_capacity=12), registry=registry)
+            pipelines, worker_ids=["B", "C"], registry=registry,
+            config=PolicyConfig(policy="RR", seed=3,
+                                control_interval=CONTROL_INTERVAL,
+                                overload=OverloadConfig(queue_capacity=12)))
         runtime.start()
         try:
             _await_tenants(runtime, {"v1": VICTIM_TUPLES,
@@ -278,7 +281,9 @@ class TestRuntimeIsolation:
             (TenantSpec("beta", input_rate=120.0), _pipeline("beta", 30)),
         ]
         runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
-                               policy="RR", seed=1)
+                               config=PolicyConfig(
+                                   policy="RR", seed=1,
+                                   control_interval=CONTROL_INTERVAL))
         runtime.start()
         try:
             _await_tenants(runtime, {"alpha": 30, "beta": 30})
@@ -297,7 +302,9 @@ class TestRuntimeIsolation:
             (TenantSpec("beta", input_rate=120.0), _pipeline("beta", 60)),
         ]
         runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
-                               policy="RR", seed=1)
+                               config=PolicyConfig(
+                                   policy="RR", seed=1,
+                                   control_interval=CONTROL_INTERVAL))
         runtime.start()
         try:
             # Mid-run: alpha must be stopped while still short of done.
@@ -320,7 +327,9 @@ class TestRuntimeIsolation:
             (TenantSpec("beta", input_rate=150.0), _pipeline("beta", 50)),
         ]
         runtime = SwingRuntime(pipelines, worker_ids=["B", "C"],
-                               policy="RR", seed=2)
+                               config=PolicyConfig(
+                                   policy="RR", seed=2,
+                                   control_interval=CONTROL_INTERVAL))
         runtime.start()
         try:
             _await_tenants(runtime, {"alpha": 50, "beta": 50})
@@ -340,8 +349,10 @@ class TestRuntimeIsolation:
             (TenantSpec("beta", weight=1.0), _pipeline("beta", 1)),
         ]
         runtime = SwingRuntime(
-            pipelines, worker_ids=["B"], policy="RR",
-            overload=OverloadConfig(queue_capacity=8))
+            pipelines, worker_ids=["B"],
+            config=PolicyConfig(policy="RR",
+                                control_interval=CONTROL_INTERVAL,
+                                overload=OverloadConfig(queue_capacity=8)))
         expected = tenant_budgets([spec for spec, _ in pipelines], 8)
         assert expected == {"alpha": 6, "beta": 2}
         for host in [runtime.master.runtime] + list(

@@ -17,6 +17,7 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.faults import KILL, FaultEvent, FaultSchedule
 from repro.core.multitenant import TenantSpec, tenant_budgets
 from repro.core.overload import (DROP_NEWEST, DROP_OLDEST, OverloadConfig,
@@ -141,9 +142,10 @@ class TestShedBehaviors:
     def test_backpressure_depth_sheds_at_the_source(self):
         config = scenarios.overload(seed=1, duration=12.0,
                                     overload_until=10.0, kill_id=None)
-        config.overload = OverloadConfig(ttl=TTL,
-                                         queue_capacity=QUEUE_CAPACITY,
-                                         backpressure_depth=4)
+        config.policy_config = replace(
+            config.policy_config,
+            overload=OverloadConfig(ttl=TTL, queue_capacity=QUEUE_CAPACITY,
+                                    backpressure_depth=4))
         result = run_swarm(config)
         assert result.shed_by_reason.get(REASON_BACKPRESSURE, 0) > 0
 
@@ -155,13 +157,13 @@ class TestShedBehaviors:
             workload=face_workload(),
             workers=profiles.worker_profiles(["B"]),
             source=profiles.device_profile(profiles.SOURCE_ID),
-            policy="LRS",
+            policy_config=PolicyConfig(
+                ack_timeout=1.0, dead_after=2,
+                overload=OverloadConfig(ttl=TTL,
+                                        queue_capacity=QUEUE_CAPACITY)),
             duration=12.0,
             seed=0,
-            ack_timeout=1.0,
-            dead_after=2,
             schedule=FaultSchedule(events=(FaultEvent(4.0, KILL, "B"),)),
-            overload=OverloadConfig(ttl=TTL, queue_capacity=QUEUE_CAPACITY),
         )
         result = run_swarm(config)
         assert "B" in result.dead_downstreams

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import RuntimeStateError
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
 from repro.core.tuples import DataTuple
-from repro.runtime.app_runner import SwingRuntime, order_results
+from repro.runtime.app_runner import (CONTROL_INTERVAL, SwingRuntime,
+                                      order_results)
 
 
 def build_graph(items=20):
@@ -34,7 +36,10 @@ class TestRun:
     @pytest.mark.parametrize("policy", ["RR", "LRS"])
     def test_all_results_delivered(self, policy):
         runtime = SwingRuntime(build_graph(items=15), worker_ids=["B", "C"],
-                               policy=policy, source_rate=300.0)
+                               source_rate=300.0,
+                               config=PolicyConfig(
+                                   policy=policy,
+                                   control_interval=CONTROL_INTERVAL))
         results = runtime.run(until_idle=0.4, timeout=30.0)
         values = sorted(data.get_value("y") for data in results)
         assert values == [i * 2 for i in range(15)]
@@ -42,8 +47,10 @@ class TestRun:
     def test_results_in_order_after_reordering(self):
         runtime = SwingRuntime(build_graph(items=30),
                                worker_ids=["B", "C", "D"],
-                               policy="RR", source_rate=400.0,
-                               slowdowns={"B": 30.0})
+                               source_rate=400.0, slowdowns={"B": 30.0},
+                               config=PolicyConfig(
+                                   policy="RR",
+                                   control_interval=CONTROL_INTERVAL))
         results = runtime.run(until_idle=0.5, timeout=30.0)
         seqs = [data.seq for data in results]
         assert seqs == sorted(seqs)
@@ -51,8 +58,9 @@ class TestRun:
     def test_slow_worker_gets_less_under_lrs(self):
         runtime = SwingRuntime(build_graph(items=120),
                                worker_ids=["fastw", "slobw"],
-                               policy="LRS", source_rate=300.0,
-                               slowdowns={"slobw": 400.0}, seed=1)
+                               source_rate=300.0, slowdowns={"slobw": 400.0},
+                               config=PolicyConfig(
+                                   seed=1, control_interval=CONTROL_INTERVAL))
         runtime.run(until_idle=0.6, timeout=60.0)
         fast = runtime.workers["fastw"].processed_count
         slow = runtime.workers["slobw"].processed_count

@@ -1,4 +1,4 @@
-"""Tests for in-process and TCP channels."""
+"""Tests for the TCP channel."""
 
 import socket
 import struct
@@ -8,42 +8,7 @@ import pytest
 
 from repro.core.exceptions import SerializationError
 from repro.runtime import channels
-from repro.runtime.channels import (ChannelClosed, InProcChannel, TcpChannel,
-                                    TcpListener)
-
-
-class TestInProcChannel:
-    def test_bidirectional_pair(self):
-        a, b = InProcChannel.pair()
-        a.send(b"ping")
-        assert b.recv(timeout=1.0) == b"ping"
-        b.send(b"pong")
-        assert a.recv(timeout=1.0) == b"pong"
-
-    def test_fifo_order(self):
-        a, b = InProcChannel.pair()
-        for index in range(5):
-            a.send(bytes([index]))
-        received = [b.recv(timeout=1.0) for _ in range(5)]
-        assert received == [bytes([index]) for index in range(5)]
-
-    def test_recv_timeout(self):
-        a, b = InProcChannel.pair()
-        with pytest.raises(TimeoutError):
-            b.recv(timeout=0.01)
-
-    def test_close_propagates_to_peer(self):
-        a, b = InProcChannel.pair()
-        a.close()
-        with pytest.raises(ChannelClosed):
-            b.recv(timeout=1.0)
-        assert b.closed
-
-    def test_send_on_closed_raises(self):
-        a, _b = InProcChannel.pair()
-        a.close()
-        with pytest.raises(ChannelClosed):
-            a.send(b"late")
+from repro.runtime.channels import ChannelClosed, TcpChannel, TcpListener
 
 
 class TestTcpChannel:

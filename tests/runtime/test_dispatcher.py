@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.tuples import DataTuple
 from repro.runtime import messages
 from repro.runtime.dispatcher import (UpstreamDispatcher, instance_id,
@@ -43,9 +44,10 @@ def make_dispatcher(policy="RR", sent=None, fail_targets=(), clock=None):
             raise ConnectionError("link down")
         sent.append((worker_id, message))
 
-    dispatcher = UpstreamDispatcher("src", send=send, policy=policy, seed=1,
-                                    control_interval=0.5,
-                                    clock=clock or FakeClock())
+    dispatcher = UpstreamDispatcher(
+        "src", send=send,
+        config=PolicyConfig(policy=policy, seed=1, control_interval=0.5),
+        clock=clock or FakeClock())
     return dispatcher, sent
 
 
@@ -188,8 +190,9 @@ class TestMetricHandles:
         registry = metrics_mod.MetricsRegistry()
         clock = FakeClock()
         dispatcher = UpstreamDispatcher(
-            "src", send=lambda _worker, _message: None, policy="LRS",
-            clock=clock, edge="src>det", registry=registry)
+            "src", send=lambda _worker, _message: None,
+            config=PolicyConfig(), clock=clock, edge="src>det",
+            registry=registry)
         downstreams = ["det@B", "det@C"]
         dispatcher.set_downstreams(downstreams)
         chosen = set()

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       IterableSource, LambdaUnit)
 from repro.core.graph import GraphBuilder
@@ -147,7 +148,8 @@ class TestWorkerDeath:
                 raise ConnectionError("gone")
             sent.append(worker_id)
 
-        dispatcher = UpstreamDispatcher("src", send=send, policy="RR")
+        dispatcher = UpstreamDispatcher("src", send=send,
+                                        config=PolicyConfig(policy="RR"))
         dispatcher.set_downstreams(["f@dead", "f@alive"])
         for seq in range(4):
             dispatcher.dispatch(DataTuple(values={}, seq=seq))

@@ -8,10 +8,11 @@ with several upstreams receives the union of their outputs.
 
 import pytest
 
+from repro.core.controller import PolicyConfig
 from repro.core.function_unit import (CollectingSink, IterableSource,
                                       LambdaUnit)
 from repro.core.graph import GraphBuilder
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 
 ITEMS = 12
 
@@ -35,7 +36,10 @@ class TestDiamondGraph:
     @pytest.fixture(scope="class")
     def results(self):
         runtime = SwingRuntime(fan_out_graph(), worker_ids=["B", "C"],
-                               policy="RR", source_rate=150.0)
+                               source_rate=150.0,
+                               config=PolicyConfig(
+                                   policy="RR",
+                                   control_interval=CONTROL_INTERVAL))
         return runtime.run(until_idle=0.6, timeout=60.0, reorder=False)
 
     def test_every_tuple_reaches_both_branches(self, results):
@@ -68,7 +72,7 @@ class TestLongerChain:
                  .chain("src", "a", "b", "c", "snk")
                  .build())
         runtime = SwingRuntime(graph, worker_ids=["B", "C", "D"],
-                               policy="LRS", source_rate=150.0)
+                               source_rate=150.0)
         results = runtime.run(until_idle=0.6, timeout=60.0)
         values = sorted(data.get_value("x") for data in results)
         assert values == sorted((i + 1) * 10 - 5 for i in range(8))

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import DeploymentError
 from repro.core.function_unit import (CollectingSink, FunctionUnit,
                                       IterableSource, LambdaUnit)
@@ -193,8 +194,10 @@ class TestHeartbeats:
                  .sink("snk", CollectingSink)
                  .chain("src", "f", "snk")
                  .build())
-        runtime = SwingRuntime(graph, worker_ids=["B", "C"], policy="RR",
-                               source_rate=100.0, control_interval=0.05,
+        runtime = SwingRuntime(graph, worker_ids=["B", "C"],
+                               source_rate=100.0,
+                               config=PolicyConfig(policy="RR",
+                                                   control_interval=0.05),
                                heartbeat_interval=0.05,
                                heartbeat_timeout=0.3, registry=registry)
         runtime.start()

@@ -358,7 +358,8 @@ def test_a_lone_held_tuple_is_the_unheld_data_frame():
         swarm.worker.stop()
     sent = []
     unheld = UpstreamDispatcher("f", send=lambda _to, m: sent.append(m),
-                                policy="RR", edge="f>snk")
+                                config=PolicyConfig(policy="RR"),
+                                edge="f>snk")
     unheld.set_downstreams(["snk@A"])
     unheld.dispatch(swarm.sent[0])
     [reference] = sent
@@ -382,7 +383,8 @@ def test_held_tuples_are_routed_as_unheld_dispatch_would(policy):
     finally:
         swarm.worker.stop()
     unheld = UpstreamDispatcher("f", send=lambda _to, _m: None,
-                                policy=policy, seed=7, edge="f>snk")
+                                config=PolicyConfig(policy=policy, seed=7),
+                                edge="f>snk")
     unheld.set_downstreams(downstreams)
     expected = {data.seq: unheld.dispatch(data) for data in swarm.sent}
     placed = {seq: "snk@%s" % target for target in ("A", "C")
@@ -407,7 +409,8 @@ def test_held_batches_stop_at_the_byte_cap():
     assert 8 * HOLD_MAX_BATCH_BYTES <= channels.MAX_FRAME_BYTES
     sent = []
     dispatcher = UpstreamDispatcher("f", send=lambda _to, m: sent.append(m),
-                                    policy="RR", edge="f>snk",
+                                    config=PolicyConfig(policy="RR"),
+                                    edge="f>snk",
                                     hold=lambda _dispatcher: True)
     dispatcher.set_downstreams(["snk@A"])
     sizes = [3 << 20, 100_000, 3 << 20] + [100_000] * 25

@@ -5,11 +5,12 @@ import time
 import pytest
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, DeliveryConfig
 from repro.core.exceptions import DeploymentError, RuntimeStateError
 from repro.core.keyed import KEY_SPACE, KeyedConfig, KeyRange, hash_key
 from repro.apps.sensing import build_sensing_graph
-from repro.runtime.app_runner import SwingRuntime
+from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.dispatcher import instance_id
 from repro.runtime.migration import migrate_range
 
@@ -20,12 +21,15 @@ def _keyed_runtime(registry=None, reading_count=400, split_enabled=False):
     graph = build_sensing_graph(reading_count=reading_count, key_count=8,
                                 alpha=1.2, window=0.2, seed=7)
     return SwingRuntime(
-        graph, worker_ids=["B", "C"], master_id="A", policy="RR",
-        source_rate=200.0, seed=3, registry=registry,
-        delivery=DeliveryConfig(mode=AT_LEAST_ONCE, replay_capacity=4096,
-                                dedup_window=8192, max_delivery_attempts=6),
-        keyed=KeyedConfig(key_count=8, zipf_alpha=1.2,
-                          split_enabled=split_enabled))
+        graph, worker_ids=["B", "C"], master_id="A", source_rate=200.0,
+        registry=registry,
+        config=PolicyConfig(
+            policy="RR", seed=3, control_interval=CONTROL_INTERVAL,
+            delivery=DeliveryConfig(mode=AT_LEAST_ONCE, replay_capacity=4096,
+                                    dedup_window=8192,
+                                    max_delivery_attempts=6),
+            keyed=KeyedConfig(key_count=8, zipf_alpha=1.2,
+                              split_enabled=split_enabled)))
 
 
 class TestKeyedBootstrap:
@@ -44,8 +48,11 @@ class TestKeyedBootstrap:
 
     def test_unkeyed_runtime_gets_no_table(self):
         graph = build_sensing_graph(reading_count=4)
-        runtime = SwingRuntime(graph, worker_ids=["B", "C"], policy="RR",
-                               source_rate=200.0, seed=3)
+        runtime = SwingRuntime(graph, worker_ids=["B", "C"],
+                               source_rate=200.0,
+                               config=PolicyConfig(
+                                   policy="RR", seed=3,
+                                   control_interval=CONTROL_INTERVAL))
         runtime.start()
         try:
             disp = runtime.master.runtime.dispatcher("sensor", "aggregate")

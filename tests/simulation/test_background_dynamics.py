@@ -9,6 +9,7 @@ computing capability when processor usage changes".
 import pytest
 
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import RuntimeStateError
 from repro.core.faults import LOAD_BURST, FaultEvent, FaultSchedule
 from repro.simulation.swarm import (SwarmConfig, SwarmSimulation,
@@ -27,7 +28,7 @@ def config_with_event(policy="LRS", load=0.9, at=15.0, duration=30.0):
         workload=face_workload(),
         workers=profiles.worker_profiles(["G", "H", "I"]),
         source=profiles.device_profile("A"),
-        policy=policy,
+        policy_config=PolicyConfig(policy=policy),
         duration=duration,
         seed=2,
         schedule=burst("H", load, at, duration),

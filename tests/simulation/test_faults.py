@@ -11,7 +11,8 @@ to exactly the killed devices.
 import pytest
 
 from repro import metrics as metrics_mod
-from repro.core.exceptions import SimulationError
+from repro.core.controller import PolicyConfig
+from repro.core.exceptions import PolicyError, SimulationError
 from repro.core.faults import (CHAOS_DELAY, CHAOS_DROP, EVERY_LINK, KILL,
                                REJOIN, FaultEvent, FaultSchedule)
 from repro.simulation.scenarios import fault_injection
@@ -136,10 +137,9 @@ class TestMessageFaults:
             workload=face_workload(),
             workers=profiles.worker_profiles(["D", "H"]),
             source=profiles.device_profile(profiles.SOURCE_ID),
-            policy="LRS",
+            policy_config=PolicyConfig(ack_timeout=ACK_TIMEOUT),
             duration=duration,
             seed=0,
-            ack_timeout=ACK_TIMEOUT,
             schedule=FaultSchedule(events=events),
         )
 
@@ -180,14 +180,8 @@ class TestFaultConfigValidation:
             config.validate()
 
     def test_bad_ack_timeout_rejected(self):
-        config = SwarmConfig(
-            workload=face_workload(),
-            workers=profiles.worker_profiles(["D"]),
-            source=profiles.device_profile(profiles.SOURCE_ID),
-            ack_timeout=0.0,
-        )
-        with pytest.raises(SimulationError):
-            config.validate()
+        with pytest.raises(PolicyError):
+            PolicyConfig(ack_timeout=0.0)
 
     def test_cannot_kill_every_worker(self):
         with pytest.raises(SimulationError):

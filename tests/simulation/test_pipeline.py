@@ -3,6 +3,7 @@
 import pytest
 
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import SimulationError
 from repro.simulation.network import RSSI_POOR
 from repro.simulation.pipeline import (PipelineConfig, StageSpec,
@@ -38,6 +39,12 @@ class TestConfigValidation:
                                 stages=(stage, stage),
                                 devices=profiles.worker_profiles(["B"]),
                                 source_id="A")
+        with pytest.raises(SimulationError):
+            config.validate()
+
+    def test_policy_seed_rejected(self):
+        config = face_pipeline_config(["B"], ["B"])
+        config.policy_config = PolicyConfig(seed=4)
         with pytest.raises(SimulationError):
             config.validate()
 

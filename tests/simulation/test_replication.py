@@ -3,6 +3,7 @@
 import pytest
 
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import SimulationError
 from repro.simulation.replication import (MetricSummary, compare_policies,
                                           replicate)
@@ -14,7 +15,8 @@ def small_config(policy="LRS"):
     return SwarmConfig(workload=face_workload(),
                        workers=profiles.worker_profiles(["G", "H"]),
                        source=profiles.device_profile("A"),
-                       policy=policy, duration=8.0, seed=0)
+                       policy_config=PolicyConfig(policy=policy),
+                       duration=8.0, seed=0)
 
 
 class TestMetricSummary:

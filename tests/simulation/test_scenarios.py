@@ -38,7 +38,7 @@ class TestTestbed:
             assert config.rssi[device_id] == RSSI_GOOD
 
     def test_policy_passthrough(self):
-        assert scenarios.testbed(policy="PR").policy == "PR"
+        assert scenarios.testbed(policy="PR").policy_config.policy == "PR"
 
     def test_worker_subset(self):
         config = scenarios.testbed(worker_ids=["G", "H"])
@@ -92,20 +92,20 @@ class TestSkewScenario:
     def test_shape(self):
         config = scenarios.skew()
         assert sorted(config.workers) == ["B", "D", "G", "H"]
-        assert config.policy == "LRS"
-        keyed = config.keyed_config()
+        assert config.policy_config.policy == "LRS"
+        keyed = config.policy_config.keyed_config()
         assert keyed.key_count == 64
         assert keyed.zipf_alpha == 1.2
         assert keyed.split_enabled
-        assert config.delivery_config().at_least_once
+        assert config.policy_config.delivery_config().at_least_once
 
     def test_static_variant_disables_splitting(self):
         config = scenarios.skew(split_enabled=False)
-        assert not config.keyed_config().split_enabled
+        assert not config.policy_config.keyed_config().split_enabled
 
     def test_best_effort_variant(self):
         config = scenarios.skew(at_least_once=False)
-        assert not config.delivery_config().at_least_once
+        assert not config.policy_config.delivery_config().at_least_once
 
     def test_validates(self):
         scenarios.skew().validate()
@@ -136,7 +136,7 @@ class TestOverloadScenario:
 
     def test_overload_protection_enabled(self):
         config = scenarios.overload(ttl=1.5, queue_capacity=4)
-        overload = config.overload_config()
+        overload = config.policy_config.overload_config()
         assert overload.enabled
         assert overload.ttl == 1.5
         assert overload.queue_capacity == 4

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import profiles
+from repro.core.controller import PolicyConfig
 from repro.core.exceptions import RuntimeStateError, SimulationError
 from repro.core.faults import JOIN, FaultEvent, FaultSchedule
 from repro.core.multitenant import TenantSpec
@@ -20,7 +21,6 @@ def small_config(**overrides):
         workload=face_workload(),
         workers=profiles.worker_profiles(["G", "H", "I"]),
         source=profiles.device_profile("A"),
-        policy="LRS",
         duration=10.0,
         seed=1,
     )
@@ -36,6 +36,12 @@ class TestConfigValidation:
     def test_needs_workers(self):
         with pytest.raises(SimulationError):
             small_config(workers={}).validate()
+
+    def test_policy_seed_rejected(self):
+        # the experiment has one seed; a second one would be ignored
+        config = small_config(policy_config=PolicyConfig(seed=4))
+        with pytest.raises(SimulationError):
+            config.validate()
 
     def test_join_conflicts_with_initial(self):
         config = small_config(schedule=FaultSchedule(events=(
@@ -119,7 +125,8 @@ class TestBasicOperation:
 class TestOverload:
     def test_single_slow_device_sheds_load(self):
         config = small_config(workers=profiles.worker_profiles(["E"]),
-                              policy="RR", duration=10.0)
+                              policy_config=PolicyConfig(policy="RR"),
+                              duration=10.0)
         result = run_swarm(config)
         # E can do ~2 FPS of the offered 24: most frames must drop.
         assert result.throughput < 4.0
@@ -127,7 +134,7 @@ class TestOverload:
 
     def test_unbounded_queue_has_no_source_drops(self):
         config = small_config(workers=profiles.worker_profiles(["E"]),
-                              policy="RR",
+                              policy_config=PolicyConfig(policy="RR"),
                               source_queue_frames=UNBOUNDED_QUEUE,
                               socket_window_bytes=1 << 30,
                               duration=5.0)
@@ -137,7 +144,7 @@ class TestOverload:
 
     def test_delay_builds_up_when_overloaded(self):
         config = small_config(workers=profiles.worker_profiles(["E"]),
-                              policy="RR",
+                              policy_config=PolicyConfig(policy="RR"),
                               source_queue_frames=UNBOUNDED_QUEUE,
                               socket_window_bytes=1 << 30,
                               duration=5.0)
@@ -152,7 +159,8 @@ class TestWeakSignal:
     def test_poor_signal_worker_has_higher_latency(self):
         config = small_config(workers=profiles.worker_profiles(["B", "H"]),
                               rssi={"B": RSSI_POOR, "H": RSSI_GOOD},
-                              policy="RR", duration=10.0)
+                              policy_config=PolicyConfig(policy="RR"),
+                              duration=10.0)
         result = run_swarm(config)
         frames = result.metrics.completed_frames()
         by_device = {}
@@ -169,7 +177,7 @@ class TestWeakSignal:
     def test_lrs_avoids_poor_signal_worker(self):
         config = small_config(
             workers=profiles.worker_profiles(["B", "G", "H", "I"]),
-            rssi={"B": RSSI_POOR}, policy="LRS", duration=15.0)
+            rssi={"B": RSSI_POOR}, duration=15.0)
         result = run_swarm(config)
         rates = result.input_rates()
         assert rates["B"] < rates["H"] / 2

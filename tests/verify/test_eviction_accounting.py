@@ -4,6 +4,7 @@ the invariant checker must classify them as *accounted* loss — never
 silent, never double-booked."""
 
 from repro import metrics as metrics_mod
+from repro.core.controller import PolicyConfig
 from repro.core.delivery import AT_LEAST_ONCE, EVICT_BYTES, DeliveryConfig
 from repro.core.faults import HEAL, PARTITION, FaultEvent
 from repro.simulation import scenarios
@@ -94,7 +95,7 @@ class TestRuntimeRetention:
         from repro.core.graph import GraphBuilder
         from repro.core.recovery import RetainedEntry
         from repro.core.tuples import DataTuple
-        from repro.runtime.app_runner import SwingRuntime
+        from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
         from repro.runtime.serialization import encode_tuple
 
         graph = (GraphBuilder("held")
@@ -105,7 +106,10 @@ class TestRuntimeRetention:
                  .chain("src", "work", "snk")
                  .build())
         runtime = SwingRuntime(graph, ["B"], source_rate=100.0,
-                               delivery=DeliveryConfig(mode=AT_LEAST_ONCE))
+                               config=PolicyConfig(
+                                   control_interval=CONTROL_INTERVAL,
+                                   delivery=DeliveryConfig(
+                                       mode=AT_LEAST_ONCE)))
         runtime.start()
         runtime.stop()
         frame = encode_tuple(DataTuple(values={"y": 1}, seq=777))
