@@ -1,19 +1,21 @@
 """Ablation: latency-estimator choice (Sec. V-B).
 
 The paper estimates L_i as "a moving average of latency estimates".
-This bench sweeps the moving-average window and compares against EWMA
-smoothing, measuring how the estimator's memory affects LRS.
+This bench sweeps the moving-average window and compares against one
+EWMA run at :class:`EwmaEstimator`'s default smoothing factor (the only
+alpha a ``PolicyConfig`` builds), measuring how the estimator's memory
+affects LRS.
 """
 
+import inspect
 from dataclasses import replace
 
-import pytest
-
+from repro.core.latency import EwmaEstimator
 from repro.simulation import scenarios
 from repro.simulation.swarm import run_swarm
 
 WINDOWS = [5, 20, 80]
-ALPHAS = [0.1, 0.5]
+EWMA_ALPHA = inspect.signature(EwmaEstimator).parameters["alpha"].default
 
 
 def run_sweep():
@@ -24,11 +26,9 @@ def run_sweep():
                                        estimator="moving-average",
                                        estimator_window=window)
         out[("ma", window)] = run_swarm(config)
-    for alpha in ALPHAS:
-        config = scenarios.testbed(policy="LRS", duration=60.0)
-        config.policy_config = replace(config.policy_config,
-                                       estimator="ewma")
-        out[("ewma", alpha)] = run_swarm(config)
+    config = scenarios.testbed(policy="LRS", duration=60.0)
+    config.policy_config = replace(config.policy_config, estimator="ewma")
+    out[("ewma", EWMA_ALPHA)] = run_swarm(config)
     return out
 
 

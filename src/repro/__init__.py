@@ -15,9 +15,23 @@ Quickstart::
     print(result.throughput, result.latency.mean)
 """
 
-from repro import core, planner, profiles, simulation, tools
+from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
 
-__all__ = ["core", "planner", "profiles", "simulation", "tools",
-           "__version__"]
+#: subpackages loaded on first attribute access (PEP 562), so a device
+#: importing ``repro.runtime`` or ``repro.metrics`` does not pay for the
+#: simulator, the planner or the tools it never runs
+_SUBPACKAGES = ("core", "planner", "profiles", "simulation", "tools")
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        return _import_module("repro." + name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBPACKAGES))

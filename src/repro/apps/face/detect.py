@@ -10,7 +10,7 @@ frame — the property the offloading framework cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

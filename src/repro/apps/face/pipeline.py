@@ -9,14 +9,11 @@ the threaded runtime.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from repro.apps.face.detect import FaceDetector, crop
-from repro.apps.face.images import (FRAME_HEIGHT, FRAME_WIDTH, FaceGenerator,
-                                    FrameSynthesizer, decode_frame,
-                                    encode_frame)
+from repro.apps.face.detect import FaceDetector
+from repro.apps.face.images import (FaceGenerator, FrameSynthesizer,
+                                    decode_frame, encode_frame)
 from repro.apps.face.recognize import EigenfaceRecognizer
 from repro.core.function_unit import FunctionUnit, SinkUnit, SourceUnit
 from repro.core.graph import AppGraph, GraphBuilder

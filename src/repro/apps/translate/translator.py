@@ -10,7 +10,7 @@ tags, morphological handling of plurals, article agreement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.exceptions import SwingError
 

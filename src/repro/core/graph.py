@@ -9,8 +9,8 @@ on multiple devices), and the routing policies pick among those replicas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import GraphError, GraphValidationError
 from repro.core.function_unit import FunctionUnit

@@ -15,7 +15,7 @@ tuples are late or lost; video playback must go on).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 

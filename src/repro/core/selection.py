@@ -11,7 +11,7 @@ minimises the compute resources (and therefore energy) in use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 
 def select_min_prefix(rates: Mapping[str, float], target_rate: float) -> List[str]:

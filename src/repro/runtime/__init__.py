@@ -19,5 +19,5 @@ __all__ = [
     "SwingRuntime", "TcpChannel", "TcpFabric", "TcpListener", "UdpBeacon",
     "UpstreamDispatcher", "WorkerRuntime", "decode_tuple", "decode_value",
     "encode_tuple", "encode_value", "instance_id", "listen_for_beacon",
-    "order_results",
+    "order_results", "split_instance",
 ]

@@ -12,7 +12,6 @@ binds IDs to transports.  Two fabrics are provided:
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from collections import deque

@@ -7,7 +7,11 @@ implement a compact, self-describing binary codec from scratch — no
 pickle, so a malicious peer cannot execute code through the data plane.
 
 Supported value types: None, bool, int, float, str, bytes, list, tuple,
-dict (string keys), and numpy arrays.
+dict (string keys), and numpy arrays and scalars.  numpy is imported
+only when one of its values reaches the codec — to encode, once a numpy
+value exists (so numpy was imported by its maker); to decode, at the
+first array tag — so a device whose tuples carry no arrays never loads
+it.
 
 On top of the per-value codec sits the batched frame format of the
 batched data plane: :func:`encode_batch` concatenates many encoded
@@ -32,8 +36,6 @@ from __future__ import annotations
 
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.core.exceptions import SerializationError
 from repro.core.tuples import DataTuple
@@ -134,23 +136,52 @@ def _encode_into(value: Any, out: List[bytes], depth: int) -> None:
             _encode_into(item, out, depth + 1)
     elif value is None:
         out.append(_TAG_NONE)
-    elif value is True or value is False or isinstance(value, np.bool_):
-        # np.bool_ is neither a Python bool nor an integer type.
+    elif value is True or value is False:
         out.append(_TAG_TRUE if value else _TAG_FALSE)
     elif isinstance(value, (list, tuple)):
         out.append(_TAGGED_U32.pack(
             _TAG_LIST if isinstance(value, list) else _TAG_TUPLE, len(value)))
         for item in value:
             _encode_into(item, out, depth + 1)
-    # Subclasses and numpy scalars travel as the plain type they extend.
-    elif isinstance(value, (int, np.integer)):
+    # Subclasses travel as the plain type they extend.
+    elif isinstance(value, int):
         _encode_into(int(value), out, depth)
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         _encode_into(float(value), out, depth)
     elif isinstance(value, str):
         _encode_into(str(value), out, depth)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         _encode_into(bytes(value), out, depth)
+    elif _is_numpy_type(kind):
+        _encode_numpy(value, out, depth)
+    else:
+        raise SerializationError("cannot serialize value of type %r"
+                                 % kind.__name__)
+
+
+def _is_numpy_type(kind: type) -> bool:
+    """Whether *kind* is, or derives from, a type numpy defines.
+
+    Decided from the type alone, never from ``sys.modules``: while
+    another thread is still importing numpy its module is already
+    listed there, half initialised."""
+    return any(getattr(base, "__module__", "").partition(".")[0] == "numpy"
+               for base in kind.__mro__)
+
+
+def _encode_numpy(value: Any, out: List[bytes], depth: int) -> None:
+    """Encode a numpy scalar or array; its maker imported numpy, and an
+    import still running in another thread finishes before this one
+    returns."""
+    import numpy as np
+    if isinstance(value, np.bool_):
+        # np.bool_ is neither a Python bool nor an integer type.
+        out.append(_TAG_TRUE if value else _TAG_FALSE)
+    # numpy scalars travel as the plain type they stand for.
+    elif isinstance(value, np.integer):
+        _encode_into(int(value), out, depth)
+    elif isinstance(value, np.floating):
+        _encode_into(float(value), out, depth)
     elif isinstance(value, np.ndarray):
         dtype, shape = value.dtype.str.encode("ascii"), value.shape
         payload = np.ascontiguousarray(value).tobytes()
@@ -269,7 +300,8 @@ def _decode_items(buf: bytes, pos: int, count: int, result: dict,
 
 
 def _decode_ndarray(buf: bytes, pos: int,
-                    views: Optional[memoryview]) -> Tuple[np.ndarray, int]:
+                    views: Optional[memoryview]) -> Tuple[Any, int]:
+    import numpy as np  # loaded by the first array a device receives
     start = pos + 1
     pos = start + buf[pos]
     try:  # UnicodeDecodeError is a ValueError; numpy parses comma

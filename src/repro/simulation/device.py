@@ -9,8 +9,8 @@ jitter.  The power figures feed the energy model of Sec. VI-B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 from repro.core.exceptions import SimulationError
 

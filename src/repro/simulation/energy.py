@@ -10,7 +10,7 @@ that estimator on top of the simulator's measured utilisations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.exceptions import SimulationError
 from repro.simulation.device import DeviceProfile

@@ -27,10 +27,9 @@ RSSI regions used throughout the paper: good (> -30 dBm), fair
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import SimulationError
 from repro.simulation.engine import Event, Simulator

@@ -7,7 +7,7 @@ build on these so the exact testbed layouts live in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import profiles
 from repro.core import faults
@@ -19,8 +19,7 @@ from repro.core.keyed import KeyedConfig
 from repro.core.multitenant import TenantSpec
 from repro.core.overload import DROP_OLDEST, OverloadConfig
 from repro.simulation.mobility import MobilityPlan, MobilityTrace
-from repro.simulation.network import (RSSI_FAIR, RSSI_GOOD, RSSI_POOR,
-                                      rssi_for_region)
+from repro.simulation.network import RSSI_GOOD, RSSI_POOR
 from repro.simulation.swarm import SwarmConfig, UNBOUNDED_QUEUE
 from repro.simulation.workload import (FACE_APP, TRANSLATE_APP, Workload,
                                        face_workload, translation_workload)

@@ -46,11 +46,11 @@ from repro.simulation.control import (collect_batch, engine_controller,
 from repro.simulation.device import CpuModel, DeviceProfile, ThermalThrottle
 from repro.simulation.energy import EnergyReport, PowerEstimator
 from repro.simulation.engine import Simulator, Store
-from repro.simulation.metrics import (DROP_BACKPRESSURE, DROP_CONN_OVERFLOW,
-                                      DROP_DEVICE_LEFT, DROP_EXPIRED,
-                                      DROP_LINK_DOWN, DROP_QUEUE_FULL,
-                                      DROP_SOURCE_QUEUE, DROP_STALE,
-                                      LatencyStats, MetricsCollector)
+from repro.simulation.metrics import (DROP_BACKPRESSURE, DROP_DEVICE_LEFT,
+                                      DROP_EXPIRED, DROP_LINK_DOWN,
+                                      DROP_QUEUE_FULL, DROP_SOURCE_QUEUE,
+                                      DROP_STALE, LatencyStats,
+                                      MetricsCollector)
 from repro.simulation.mobility import MobilityPlan
 from repro.simulation.network import Network, RSSI_GOOD
 from repro.simulation.rng import RngRegistry

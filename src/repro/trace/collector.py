@@ -32,7 +32,6 @@ import threading
 from typing import List, Optional, Protocol, runtime_checkable
 
 from repro import metrics as metrics_mod
-from repro.core.exceptions import SimulationError
 from repro.trace.spans import Span
 
 
@@ -89,6 +88,8 @@ class TraceCollector:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
+            # not at module load: ``repro.core`` imports this package
+            from repro.core.exceptions import SimulationError
             raise SimulationError("trace ring capacity must be >= 1")
         self.capacity = capacity
         self._slots: List[Optional[Span]] = [None] * capacity
@@ -149,6 +150,7 @@ class Tracer:
                  sample_rate: float = 1.0, seed: int = 0,
                  registry: Optional[metrics_mod.MetricsRegistry] = None) -> None:
         if not 0.0 <= sample_rate <= 1.0:
+            from repro.core.exceptions import SimulationError
             raise SimulationError("sample_rate must be in [0, 1]")
         self.collector = (collector if collector is not None
                           else TraceCollector())

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List
 
-from repro.core.exceptions import SerializationError
 from repro.trace.spans import SPAN_KINDS, Span
 
 #: seconds -> trace_event microseconds
@@ -106,6 +105,8 @@ def validate_chrome_trace(trace: Dict[str, Any]) -> List[Dict[str, Any]]:
     unknown span kind.  Tests (and the CI smoke step) call this on the
     written artifact so a malformed trace never ships silently.
     """
+    # not at module load: ``repro.core`` imports this package
+    from repro.core.exceptions import SerializationError
     if not isinstance(trace, dict) or "traceEvents" not in trace:
         raise SerializationError("not a trace_event object "
                                  "(missing 'traceEvents')")

@@ -27,8 +27,11 @@ adversarial harness:
     to a minimal JSON repro replayable via ``--replay``.
 """
 
-from repro.verify.explorer import explore, replay, shrink  # noqa: F401
-from repro.verify.invariants import (InvariantChecker,  # noqa: F401
-                                     RunHistory, Violation)
-from repro.verify.schedule import (FaultSchedule, RunProfile,  # noqa: F401
-                                   ScheduleSpec)
+from repro.verify.explorer import explore, replay, shrink
+from repro.verify.invariants import InvariantChecker, RunHistory, Violation
+from repro.verify.schedule import FaultSchedule, RunProfile, ScheduleSpec
+
+__all__ = [
+    "FaultSchedule", "InvariantChecker", "RunHistory", "RunProfile",
+    "ScheduleSpec", "Violation", "explore", "replay", "shrink",
+]

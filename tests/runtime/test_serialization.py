@@ -1,5 +1,6 @@
 """Tests for the binary tuple codec."""
 
+import json
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.runtime.serialization import (BATCH_MAGIC, MAX_BATCH_TUPLES,
                                          encode_batch, encode_tuple,
                                          encode_value)
 from repro.trace import SpanContext
+from tests.fresh import fresh_interpreter
 
 
 def roundtrip(value):
@@ -104,6 +106,108 @@ class TestArrays:
         result = roundtrip(array)
         assert result.shape == array.shape
         assert np.array_equal(result, array, equal_nan=True)
+
+
+class TestLazyNumpy:
+    """numpy loads only when one of its values crosses the codec."""
+
+    ARRAYS = [np.asarray(np.float32(2.5)),
+              np.arange(5, dtype=np.int64),
+              np.arange(6, dtype=np.float32).reshape(2, 3),
+              np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::2]]
+
+    def test_fresh_interpreter_decodes_arrays(self):
+        frames = [encode_value(a).hex() for a in self.ARRAYS]
+        batch = encode_batch([encode_tuple(DataTuple(
+            values={"arr": a}, seq=i)) for i, a in enumerate(self.ARRAYS)])
+        out = fresh_interpreter("""
+            import json, sys
+            from repro.runtime.serialization import (decode_batch,
+                                                     decode_value,
+                                                     encode_value)
+            frames, batch = json.loads(sys.stdin.read())
+            plain = [1, 2.5, "x", b"y", (True, None), {"k": [0]}]
+            assert decode_value(encode_value(plain)) == plain
+            before = "numpy" in sys.modules
+            values = [decode_value(bytes.fromhex(f)) for f in frames]
+            viewed = [d.values["arr"] for d in
+                      decode_batch(bytes.fromhex(batch))]
+            print(json.dumps({
+                "before": before, "after": "numpy" in sys.modules,
+                "values": [[a.dtype.str, list(a.shape), a.tolist()]
+                           for a in values + viewed],
+                "read_only": [not a.flags.writeable for a in viewed]}))
+        """, stdin=json.dumps([frames, batch.hex()]))
+        report = json.loads(out)
+        assert report["before"] is False
+        assert report["after"] is True
+        assert report["values"] == [[a.dtype.str, list(a.shape), a.tolist()]
+                                    for a in self.ARRAYS] * 2
+        assert report["read_only"] == [True] * len(self.ARRAYS)
+
+    @pytest.mark.parametrize("scalar, plain", [
+        (np.bool_(True), True), (np.bool_(False), False),
+        (np.int64(-7), -7), (np.int32(2**31 - 1), 2**31 - 1),
+        (np.float32(0.1), float(np.float32(0.1))), (np.float64(1.5), 1.5)])
+    def test_numpy_scalars_encode_as_the_plain_value(self, scalar, plain):
+        assert encode_value(scalar) == encode_value(plain)
+
+    def test_array_bytes_are_pinned(self):
+        array = np.arange(3, dtype="<i4")
+        assert encode_value(array) == (
+            b"a" + bytes([3]) + b"<i4" + bytes([1]) + struct.pack(">q", 3)
+            + struct.pack(">I", 12) + array.tobytes())
+
+    def test_ndarray_subclass_encodes_as_ndarray(self):
+        class Tagged(np.ndarray):
+            pass
+
+        array = np.arange(4, dtype=np.uint8)
+        assert encode_value(array.view(Tagged)) == encode_value(array)
+
+    def test_unsupported_numpy_scalar_rejected(self):
+        with pytest.raises(SerializationError):
+            encode_value(np.complex64(1 + 2j))
+
+    def test_encoding_while_another_thread_imports_numpy(self):
+        out = fresh_interpreter("""
+            import enum, sys, threading
+            from repro.runtime.serialization import encode_value
+
+            class Level(enum.IntEnum):
+                LOW = 1
+
+            class Count(int):
+                pass
+
+            errors, done = [], threading.Event()
+
+            def load():
+                import numpy  # noqa: F401
+                done.set()
+
+            def encode():
+                try:
+                    rounds = 0
+                    while not done.is_set() or rounds < 1000:
+                        encode_value([Level.LOW, Count(rounds), [1.5, "s"],
+                                      (True, None)])
+                        rounds += 1
+                except Exception as error:
+                    errors.append(repr(error))
+
+            assert "numpy" not in sys.modules
+            threads = [threading.Thread(target=encode),
+                       threading.Thread(target=load)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            import numpy as np
+            assert encode_value(np.bool_(True)) == encode_value(True)
+            print(len(errors), errors[:1])
+        """)
+        assert out.split()[0] == "0", out
 
 
 class TestErrors:
