@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 from repro.core.exceptions import SerializationError
-from repro.runtime.serialization import decode_envelope, encode_value
+from repro.runtime.serialization import decode_envelope, encode_envelope
 
 JOIN = "join"
 WELCOME = "welcome"
@@ -57,7 +57,7 @@ class Message:
             raise SerializationError("unknown message kind %r" % self.kind)
 
     def encode(self) -> bytes:
-        return encode_value({"kind": self.kind, "payload": self.payload})
+        return encode_envelope(self.kind, self.payload)
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":

@@ -24,12 +24,13 @@ emitted in the legacy single-tuple wire format, byte-identical to what
 this module produced before batching existed, which keeps mixed-version
 peers and the sim/runtime parity tests working unchanged.
 
-One decoder walks a frame by integer offsets (:func:`_decode_at`).
-The per-tuple frames this module writes — tuple and message envelopes —
-start with a fixed header, which :func:`decode_tuple` and
-:func:`decode_envelope` read in one step before handing the rest to that
-decoder; any other bytes are decoded field by field, as the format
-defines.  Every failure either way is a :class:`SerializationError`.
+One decoder walks a frame by integer offsets (:func:`_decode_at`), and
+it and :func:`encode_value` define the format.  The frames that cross
+once per tuple have fixed layouts written and read by offset, each a
+twin of those two: a tuple's header and flat ``values`` dict, and the
+DATA, BATCH and ACK envelopes.  A value or frame off its layout goes
+through the general pair.  Every failure either way is a
+:class:`SerializationError`.
 """
 
 from __future__ import annotations
@@ -376,7 +377,9 @@ def encode_tuple(data: DataTuple) -> bytes:
             out.append(_KEY_CREATED_AT)
             _encode_into(created_at, out, 1)
             out.append(_KEY_VALUES)
-        _encode_into(data.values, out, 1)
+        values = data.values
+        if type(values) is not dict or not _encode_flat(values, out):
+            _encode_into(values, out, 1)
         if deadline is not None:
             out.append(_KEY_DEADLINE)
             _encode_into(deadline, out, 1)
@@ -401,6 +404,97 @@ def encode_tuple(data: DataTuple) -> bytes:
     return body
 
 
+#: encoded ``values`` keys (str tag, length, UTF-8), up to
+#: _KEY_CACHE_SIZE of them and none longer than _KEY_CACHE_KEY_BYTES:
+#: tuples of one job reuse a handful of short names, and a key a peer
+#: sent can pin no more than this
+_KEY_CACHE: Dict[str, bytes] = {}
+_KEY_CACHE_SIZE = 1024
+_KEY_CACHE_KEY_BYTES = 64
+
+
+def _encode_flat(values: dict, out: List[bytes]) -> bool:
+    """``_encode_into(values, out, 1)`` for a dict with exact-``str`` keys,
+    written inline for int, float, str, bytes and C-contiguous memoryview
+    values (anything else goes through :func:`_encode_into`).  Returns
+    False, with *out* untouched, at the first key of another type."""
+    parts = [_TAGGED_U32.pack(_TAG_DICT, len(values))]
+    append = parts.append
+    for key, value in values.items():
+        if type(key) is not str:
+            return False
+        head = _KEY_CACHE.get(key)
+        if head is None:
+            data = key.encode("utf-8")
+            head = _TAGGED_U32.pack(_TAG_STR, len(data)) + data
+            if len(data) <= _KEY_CACHE_KEY_BYTES \
+                    and len(_KEY_CACHE) < _KEY_CACHE_SIZE:
+                _KEY_CACHE[key] = head
+        append(head)
+        kind = type(value)
+        if kind is int:
+            append(_TAGGED_I64.pack(_TAG_INT, value))
+        elif kind is bytes:
+            append(_TAGGED_U32.pack(_TAG_BYTES, len(value)))
+            append(value)
+        elif kind is float:
+            append(_TAGGED_F64.pack(_TAG_FLOAT, value))
+        elif kind is str:
+            data = value.encode("utf-8")
+            append(_TAGGED_U32.pack(_TAG_STR, len(data)))
+            append(data)
+        elif kind is memoryview and value.c_contiguous:
+            # a zero-copy value forwarded as is: joined, not copied
+            append(_TAGGED_U32.pack(_TAG_BYTES, value.nbytes))
+            append(value)
+        else:
+            _encode_into(value, parts, 2)
+    out += parts
+    return True
+
+
+def _decode_flat(buf: bytes, pos: int,
+                 views: Optional[memoryview]) -> Tuple[Any, int]:
+    """``_decode_at(buf, pos, 1, views)`` for a ``values`` dict: str keys
+    and int, float, str and bytes values are read inline (others through
+    :func:`_decode_at`); anything but a dict with str-tagged keys is left
+    to :func:`_decode_at` from *pos*."""
+    if buf[pos] != _ORD_DICT:
+        return _decode_at(buf, pos, 1, views)
+    first = pos
+    count = _U32_AT(buf, pos + 1)[0]
+    pos += 5
+    values = {}
+    for _ in range(count):
+        if buf[pos] != _ORD_STR:
+            return _decode_at(buf, first, 1, views)
+        start = pos + 5
+        pos = start + _U32_AT(buf, pos + 1)[0]
+        try:
+            key = buf[start:pos].decode("utf-8")
+            tag = buf[pos]
+            if tag == _ORD_INT:
+                value = _I64_AT(buf, pos + 1)[0]
+                pos += 9
+            elif tag == _ORD_BYTES:
+                start = pos + 5
+                pos = start + _U32_AT(buf, pos + 1)[0]
+                value = buf[start:pos] if views is None else views[start:pos]
+            elif tag == _ORD_FLOAT:
+                value = _F64_AT(buf, pos + 1)[0]
+                pos += 9
+            elif tag == _ORD_STR:
+                start = pos + 5
+                pos = start + _U32_AT(buf, pos + 1)[0]
+                value = buf[start:pos].decode("utf-8")
+            else:
+                value, pos = _decode_at(buf, pos, 2, views)
+        except UnicodeDecodeError as error:
+            raise SerializationError("malformed utf-8 string") from error
+        values[key] = value
+    return values, pos
+
+
 def decode_tuple(payload: Union[bytes, bytearray, memoryview]) -> DataTuple:
     """Reconstruct a :class:`DataTuple` from :func:`encode_tuple` output."""
     buf, _ = _frame(payload, False)
@@ -421,7 +515,7 @@ def _decode_tuple_at(buf: bytes, start: int, end: int,
         if (tag == _ORD_DICT and count >= 3 and seq_key == _SEQ_INT
                 and created_key == _CREATED_AT_FLOAT
                 and values_key == _KEY_VALUES):
-            values, pos = _decode_at(buf, start + _TUPLE_HEAD.size, 1, views)
+            values, pos = _decode_flat(buf, start + _TUPLE_HEAD.size, views)
             if count == 3:
                 _check_end(pos, end)
                 return DataTuple(values=values, seq=seq,
@@ -456,25 +550,41 @@ def _tuple_from_fields(fields: Dict[str, Any]) -> DataTuple:
 #: field count
 _ENVELOPE_KIND = _TAGGED_U32.pack(_TAG_DICT, 2) + encode_value("kind")
 _ENVELOPE_PAYLOAD = encode_value("payload") + _TAG_DICT
-_KIND_AT = len(_ENVELOPE_KIND)
+
+
+def encode_envelope(kind: str, payload: Any) -> bytes:
+    """``encode_value({"kind": kind, "payload": payload})``.  A per-tuple
+    frame whose payload has the fields, order and types of a fixed layout
+    (below) is written by that layout, byte for byte the same."""
+    if type(payload) is dict and type(kind) is str:
+        encode = _LAYOUT_ENCODERS.get((kind, tuple(payload)))
+        if encode is not None:
+            try:
+                frame = encode(payload)
+            except (struct.error, UnicodeEncodeError):
+                frame = None  # the general encoder reports it
+            if frame is not None:
+                return frame
+    return encode_value({"kind": kind, "payload": payload})
 
 
 def decode_envelope(data: Union[bytes, bytearray, memoryview]
                     ) -> Tuple[Any, Any]:
-    """Decode ``encode_value({"kind": ..., "payload": ...})`` output
-    into ``(kind, payload)``, for the caller to type-check.  A frame with
-    other keys, another key order or no payload (read as ``{}``) goes
-    through the general decoder."""
+    """Decode :func:`encode_envelope` output into ``(kind, payload)``,
+    for the caller to type-check.  A frame that matches a fixed layout
+    (below) is read by it; any other goes through the general decoder,
+    and one without a payload reads as ``{}``."""
     buf, _ = _frame(data, False)
-    try:
-        if buf.startswith(_ENVELOPE_KIND):
-            kind, pos = _decode_at(buf, _KIND_AT, 1, None)
-            if buf.startswith(_ENVELOPE_PAYLOAD, pos):
-                pos += len(_ENVELOPE_PAYLOAD)
-                payload, pos = _decode_items(buf, pos + 4,
-                                             _U32_AT(buf, pos)[0], {}, 2, None)
-                _check_end(pos, len(buf))
+    for head, kind, decode in _LAYOUT_DECODERS:
+        if buf.startswith(head):
+            try:
+                payload = decode(buf, len(head))
+            except (IndexError, struct.error, UnicodeDecodeError):
+                payload = None  # the general decoder reports it
+            if payload is not None:
                 return kind, payload
+            break
+    try:
         decoded, pos = _decode_at(buf, 0, 0, None)
     except _TRUNCATED as error:
         raise SerializationError("truncated payload") from error
@@ -482,6 +592,259 @@ def decode_envelope(data: Union[bytes, bytearray, memoryview]
     if not isinstance(decoded, dict):
         raise SerializationError("malformed message frame")
     return decoded.get("kind"), decoded.get("payload", {})
+
+
+# -- fixed per-tuple layouts ----------------------------------------------
+# DATA   unit tuple seq sent_at [tenant] edge [delivery_attempt]
+# BATCH  unit batch seqs sent_at [tenant] edge [delivery_attempt]
+# ACK    [seqs] seq sent_at processing_delay [epoch] edge
+#
+# Each field has one type (str, bytes, int, float, or a non-empty list of
+# int for ``seqs``); its key and type tag are one constant, packed and
+# compared as a ``%ds`` field next to the scalars and lengths around it.
+# An encoder returns None, and a decoder returns None or lets a read past
+# the end raise, where the payload or frame leaves its layout: the
+# general path then decides, so each layout is a twin of
+# encode_value / _decode_at.
+def _keyed(name: str, tag: bytes) -> bytes:
+    return encode_value(name) + tag
+
+
+def _layout(*parts: Union[bytes, str]) -> struct.Struct:
+    """A big-endian struct of constant byte strings and format codes."""
+    return struct.Struct(">" + "".join(
+        part if isinstance(part, str) else "%ds" % len(part)
+        for part in parts))
+
+
+def _head(kind: str) -> bytes:
+    return _ENVELOPE_KIND + encode_value(kind) + _ENVELOPE_PAYLOAD
+
+
+_DATA_HEAD, _BATCH_HEAD, _ACK_HEAD = map(_head, ("data", "batch", "ack"))
+_K_UNIT = _keyed("unit", _TAG_STR)
+_K_TUPLE = _keyed("tuple", _TAG_BYTES)
+_K_BATCH = _keyed("batch", _TAG_BYTES)
+_K_SEQ = _keyed("seq", _TAG_INT)
+_K_SEQS = _keyed("seqs", _TAG_LIST)
+_K_SENT_AT = _keyed("sent_at", _TAG_FLOAT)
+_K_DELAY = _keyed("processing_delay", _TAG_FLOAT)
+_K_TENANT = _keyed("tenant", _TAG_STR)
+_K_EDGE = _keyed("edge", _TAG_STR)
+_K_ATTEMPT = _keyed("delivery_attempt", _TAG_INT)
+_K_EPOCH = _keyed("epoch", _TAG_INT)
+
+_UNIT = _layout("I", _K_UNIT, "I")  # field count, then the unit's length
+_TUPLE = _layout(_K_TUPLE, "I")
+_BATCH = _layout(_K_BATCH, "I")
+_SEQ_SENT_AT = _layout(_K_SEQ, "q", _K_SENT_AT, "d")
+_SEQS = _layout(_K_SEQS, "I")
+_SENT_AT = _layout(_K_SENT_AT, "d")
+_TENANT = _layout(_K_TENANT, "I")
+_EDGE = _layout(_K_EDGE, "I")
+_ATTEMPT = _layout(_K_ATTEMPT, "q")
+_ACK = _layout(_K_SEQ, "q", _K_SENT_AT, "d", _K_DELAY, "d")
+_EPOCH = _layout(_K_EPOCH, "q")
+_INT_TYPE = {int}
+
+
+def _encode_seqs(seqs: Any, out: List[bytes]) -> bool:
+    if type(seqs) is not list or not seqs or set(map(type, seqs)) != _INT_TYPE:
+        return False
+    out.append(_SEQS.pack(_K_SEQS, len(seqs)))
+    out += [_TAGGED_I64.pack(_TAG_INT, seq) for seq in seqs]
+    return True
+
+
+def _decode_seqs(buf: bytes, pos: int) -> Tuple[Optional[list], int]:
+    """The members of ``seqs``, int-tagged values in a row, read by one
+    ``iter_unpack`` over a view of the frame: the declared count costs
+    nothing beyond the list the walker would build."""
+    key, count = _SEQS.unpack_from(buf, pos)
+    pos += _SEQS.size
+    end = pos + _TAGGED_I64.size * count
+    if key != _K_SEQS or not count or end > len(buf):
+        return None, pos
+    seqs = []
+    for tag, seq in _TAGGED_I64.iter_unpack(memoryview(buf)[pos:end]):
+        if tag != _TAG_INT:
+            return None, pos
+        seqs.append(seq)
+    return seqs, end
+
+
+def _encode_tail(payload: dict, out: List[bytes]) -> Optional[bytes]:
+    """DATA and BATCH after ``sent_at``: [tenant] edge [attempt]."""
+    if "tenant" in payload:
+        tenant = payload["tenant"]
+        if type(tenant) is not str:
+            return None
+        tenant = tenant.encode("utf-8")
+        out += (_TENANT.pack(_K_TENANT, len(tenant)), tenant)
+    edge = payload["edge"]
+    if type(edge) is not str:
+        return None
+    edge = edge.encode("utf-8")
+    out += (_EDGE.pack(_K_EDGE, len(edge)), edge)
+    if "delivery_attempt" in payload:
+        attempt = payload["delivery_attempt"]
+        if type(attempt) is not int:
+            return None
+        out.append(_ATTEMPT.pack(_K_ATTEMPT, attempt))
+    return b"".join(out)
+
+
+def _decode_tail(buf: bytes, pos: int, left: int,
+                 payload: dict) -> Optional[dict]:
+    """The *left* DATA or BATCH fields after ``sent_at``."""
+    if buf.startswith(_K_TENANT, pos):
+        size = _TENANT.unpack_from(buf, pos)[1]
+        pos += _TENANT.size
+        payload["tenant"] = buf[pos:pos + size].decode("utf-8")
+        pos += size
+        left -= 1
+    edge_key, size = _EDGE.unpack_from(buf, pos)
+    pos += _EDGE.size
+    payload["edge"] = buf[pos:pos + size].decode("utf-8")
+    pos += size
+    if left == 2:
+        attempt_key, attempt = _ATTEMPT.unpack_from(buf, pos)
+        if attempt_key != _K_ATTEMPT:
+            return None
+        payload["delivery_attempt"] = attempt
+        pos += _ATTEMPT.size
+        left = 1
+    if edge_key != _K_EDGE or left != 1 or pos != len(buf):
+        return None
+    return payload
+
+
+def _encode_data(payload: dict) -> Optional[bytes]:
+    unit, body, seq, sent_at = (payload["unit"], payload["tuple"],
+                                payload["seq"], payload["sent_at"])
+    if type(unit) is not str or type(body) is not bytes \
+            or type(seq) is not int or type(sent_at) is not float:
+        return None
+    unit = unit.encode("utf-8")
+    return _encode_tail(payload, [
+        _DATA_HEAD, _UNIT.pack(len(payload), _K_UNIT, len(unit)), unit,
+        _TUPLE.pack(_K_TUPLE, len(body)), body,
+        _SEQ_SENT_AT.pack(_K_SEQ, seq, _K_SENT_AT, sent_at)])
+
+
+def _decode_data(buf: bytes, pos: int) -> Optional[dict]:
+    count, unit_key, size = _UNIT.unpack_from(buf, pos)
+    pos += _UNIT.size
+    unit = buf[pos:pos + size]
+    pos += size
+    body_key, size = _TUPLE.unpack_from(buf, pos)
+    pos += _TUPLE.size
+    body = buf[pos:pos + size]
+    pos += size
+    seq_key, seq, sent_key, sent_at = _SEQ_SENT_AT.unpack_from(buf, pos)
+    if unit_key != _K_UNIT or body_key != _K_TUPLE or seq_key != _K_SEQ \
+            or sent_key != _K_SENT_AT:
+        return None
+    return _decode_tail(buf, pos + _SEQ_SENT_AT.size, count - 4, {
+        "unit": unit.decode("utf-8"), "tuple": body, "seq": seq,
+        "sent_at": sent_at})
+
+
+def _encode_batch(payload: dict) -> Optional[bytes]:
+    unit, body, sent_at = (payload["unit"], payload["batch"],
+                           payload["sent_at"])
+    if type(unit) is not str or type(body) is not bytes \
+            or type(sent_at) is not float:
+        return None
+    unit = unit.encode("utf-8")
+    out = [_BATCH_HEAD, _UNIT.pack(len(payload), _K_UNIT, len(unit)), unit,
+           _BATCH.pack(_K_BATCH, len(body)), body]
+    if not _encode_seqs(payload["seqs"], out):
+        return None
+    out.append(_SENT_AT.pack(_K_SENT_AT, sent_at))
+    return _encode_tail(payload, out)
+
+
+def _decode_batch(buf: bytes, pos: int) -> Optional[dict]:
+    count, unit_key, size = _UNIT.unpack_from(buf, pos)
+    pos += _UNIT.size
+    unit = buf[pos:pos + size]
+    pos += size
+    body_key, size = _BATCH.unpack_from(buf, pos)
+    pos += _BATCH.size
+    body = buf[pos:pos + size]
+    seqs, pos = _decode_seqs(buf, pos + size)
+    sent_key, sent_at = _SENT_AT.unpack_from(buf, pos)
+    if unit_key != _K_UNIT or body_key != _K_BATCH or seqs is None \
+            or sent_key != _K_SENT_AT:
+        return None
+    return _decode_tail(buf, pos + _SENT_AT.size, count - 4, {
+        "unit": unit.decode("utf-8"), "batch": body, "seqs": seqs,
+        "sent_at": sent_at})
+
+
+def _encode_ack(payload: dict) -> Optional[bytes]:
+    seq, sent_at, delay, edge = (payload["seq"], payload["sent_at"],
+                                 payload["processing_delay"], payload["edge"])
+    if type(seq) is not int or type(sent_at) is not float \
+            or type(delay) is not float or type(edge) is not str:
+        return None
+    out = [_ACK_HEAD, _PACK_U32.pack(len(payload))]
+    if "seqs" in payload and not _encode_seqs(payload["seqs"], out):
+        return None
+    out.append(_ACK.pack(_K_SEQ, seq, _K_SENT_AT, sent_at, _K_DELAY, delay))
+    if "epoch" in payload:
+        epoch = payload["epoch"]
+        if type(epoch) is not int:
+            return None
+        out.append(_EPOCH.pack(_K_EPOCH, epoch))
+    edge = edge.encode("utf-8")
+    out += (_EDGE.pack(_K_EDGE, len(edge)), edge)
+    return b"".join(out)
+
+
+def _decode_ack(buf: bytes, pos: int) -> Optional[dict]:
+    left = _U32_AT(buf, pos)[0] - 4
+    pos += 4
+    payload = {}
+    if buf.startswith(_K_SEQS, pos):
+        seqs, pos = _decode_seqs(buf, pos)
+        if seqs is None:
+            return None
+        payload["seqs"] = seqs
+        left -= 1
+    seq_key, payload["seq"], sent_key, payload["sent_at"], delay_key, \
+        payload["processing_delay"] = _ACK.unpack_from(buf, pos)
+    pos += _ACK.size
+    if buf.startswith(_K_EPOCH, pos):
+        payload["epoch"] = _EPOCH.unpack_from(buf, pos)[1]
+        pos += _EPOCH.size
+        left -= 1
+    edge_key, size = _EDGE.unpack_from(buf, pos)
+    pos += _EDGE.size
+    if seq_key != _K_SEQ or sent_key != _K_SENT_AT or delay_key != _K_DELAY \
+            or edge_key != _K_EDGE or left != 0 or pos + size != len(buf):
+        return None
+    payload["edge"] = buf[pos:].decode("utf-8")
+    return payload
+
+
+#: (kind, payload keys in order) -> the layout's encoder
+_LAYOUT_ENCODERS = {
+    (kind, first + tenant + ("edge",) + attempt): encode
+    for kind, first, encode in (
+        ("data", ("unit", "tuple", "seq", "sent_at"), _encode_data),
+        ("batch", ("unit", "batch", "seqs", "sent_at"), _encode_batch))
+    for tenant in ((), ("tenant",))
+    for attempt in ((), ("delivery_attempt",))}
+_LAYOUT_ENCODERS.update(
+    (("ack", seqs + ("seq", "sent_at", "processing_delay") + epoch
+      + ("edge",)), _encode_ack)
+    for seqs in ((), ("seqs",)) for epoch in ((), ("epoch",)))
+#: (constant head, kind, decoder): the frame's first bytes pick a layout
+_LAYOUT_DECODERS = ((_DATA_HEAD, "data", _decode_data),
+                    (_ACK_HEAD, "ack", _decode_ack),
+                    (_BATCH_HEAD, "batch", _decode_batch))
 
 
 # -- batched frames ------------------------------------------------------
