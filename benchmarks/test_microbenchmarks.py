@@ -150,7 +150,7 @@ def test_tracing_overhead_report():
     tuples_per_round, reps, passes = 400, 20, 3
 
     class _Egress:
-        def send(self, downstream_id, seq, context=None):
+        def send(self, downstream_id, seq, context=None, attempt=1):
             return time.monotonic()
 
     def make_hot_path(tracer):
@@ -260,7 +260,7 @@ def test_batched_data_plane_report():
              for seq in range(tuples_per_round)]
 
     class _Egress:
-        def send(self, downstream_id, seq, context=None):
+        def send(self, downstream_id, seq, context=None, attempt=1):
             return time.monotonic()
 
     def make_controller():
@@ -401,7 +401,7 @@ def test_keyed_routing_report():
                    for seq in range(tuples_per_round)]
 
     class _Egress:
-        def send(self, downstream_id, seq, context=None):
+        def send(self, downstream_id, seq, context=None, attempt=1):
             return time.monotonic()
 
     def make_controller(keyed):

@@ -26,12 +26,15 @@ It talks to its substrate through three narrow ports:
     the runtime, ``lambda: sim.now`` on the engine).
 
 ``Egress``
-    An object with ``send(downstream_id, seq, context) -> Optional[float]``
-    returning the send timestamp on success and ``None`` on failure; a
-    failed send dead-marks the downstream and triggers a re-route.  The
-    runtime's egress performs one health-gated fabric send; the
-    simulator's egress always succeeds instantly because delivery, loss
-    and delay are modeled by the network.
+    An object with ``send(downstream_id, seq, context, attempt) ->
+    Optional[float]`` returning the send timestamp on success and
+    ``None`` on failure; a failed send dead-marks the downstream and
+    triggers a re-route.  It is the only way to the wire: *attempt* is
+    1 for a first send and counts up for each at-least-once
+    redelivery.  The runtime's egress performs one health-gated fabric
+    send (stamping the attempt on the frame); the simulator's egress
+    always succeeds instantly because delivery, loss and delay are
+    modeled by the network, and puts a redelivered frame on the air.
 
 ``MetricSink``
     A :class:`~repro.metrics.MetricsRegistry`; every counter the control
@@ -52,13 +55,12 @@ sim/real parity harness in ``tests/integration`` verifies.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, Iterable, List, Optional, Tuple,
-                    Union)
+from typing import (Callable, Collection, Deque, Dict, Iterable, List,
+                    Optional, Tuple, Union)
 
 from repro import metrics as metrics_mod
 from repro.core.batching import BatchConfig
@@ -104,8 +106,6 @@ class PolicyConfig:
     # -- latency estimation ---------------------------------------------
     estimator: str = "moving-average"
     estimator_window: int = 20
-    #: sliding window of the input-rate meter, seconds
-    rate_window: float = 1.0
     # -- failure detection -----------------------------------------------
     #: in-flight tuples older than this are charged as lost
     ack_timeout: float = 10.0
@@ -204,8 +204,6 @@ class LrsController:
                  name: str = "",
                  max_decisions: Optional[int] = None,
                  trace: Optional[TraceSink] = None,
-                 redelivery: Optional[Callable[[int, str, object, int],
-                                               None]] = None,
                  tenant: str = "") -> None:
         self.config = config if config is not None else PolicyConfig()
         self.name = name
@@ -220,7 +218,7 @@ class LrsController:
         self._trace = trace if trace is not None else NULL_TRACER
         self._policy = self.config.make_policy()
         self._tracker = self.config.make_tracker(self._registry)
-        self._rate = RateMeter(window=self.config.rate_window)
+        self._rate = RateMeter()
         self._lock = threading.RLock()
         self._last_update = clock()
         # -- at-least-once delivery (None = historical best-effort) ------
@@ -232,32 +230,11 @@ class LrsController:
                                         name=name or "-")
             if delivery.redelivery_timeout is not None:
                 self._redelivery_timeout = delivery.redelivery_timeout
-        #: substrate hook run after each successful redelivery send; the
-        #: simulator uses it to put the frame back on the radio (the
-        #: runtime's egress already delivers, so it leaves this unset)
-        self.on_redeliver = redelivery
         self._redeliver_queue: Deque[Union[str, ReplayEntry]] = deque()
         self._redelivering = False
-        # Mutation hook for the verification harness: when the env flag
-        # is set, the first overdue redelivery is silently dropped (no
-        # re-retain, no eviction count) — a seeded at-least-once bug the
-        # invariant checker must find and shrink.  Never set outside
-        # `swing verify` mutation tests.
-        self._fault_skip_redelivery = bool(
-            os.environ.get("SWING_FAULT_SKIP_REDELIVERY"))
-        # -- batched dispatch bookkeeping (populated only when a batch is
-        # retained for replay): member seq -> head seq, and head seq ->
-        # the members still awaiting an ACK.  The replay buffer holds ONE
-        # entry per batch (keyed by the head), so per-tuple ACKs must
-        # drain the membership before the batch entry is released.
-        self._batch_of: Dict[int, int] = {}
-        self._batch_members: Dict[int, set] = {}
         # -- keyed routing (None until the substrate attaches a table) ---
         self._key_table: Optional[KeyRangeTable] = None
         self._key_detector: Optional[HotRangeDetector] = None
-        #: in-flight seq -> key hash, so redelivery after churn or a
-        #: range flip still honors key-range ownership
-        self._key_of: Dict[int, int] = {}
         #: lazily created swing_batch_size histogram for this edge
         self._batch_histogram: Optional[metrics_mod.Histogram] = None
         #: per-downstream swing_ack_rtt_seconds handles
@@ -369,8 +346,13 @@ class LrsController:
         lossless under at-least-once delivery.
         """
         if key_hash is not None and self._key_table is not None:
-            return self._dispatch_keyed(seq, key_hash, context, deadline)
-        return self._place(seq, None, context, deadline, self._route())
+            with self._lock:
+                if self._key_detector is not None:
+                    self._key_detector.observe(
+                        self._key_table.range_of(key_hash), self._clock())
+            return self._place(seq, (), context, deadline,
+                               self._owner(key_hash), key_hash=key_hash)
+        return self._place(seq, (), context, deadline, self._route())
 
     def _route(self) -> Optional[str]:
         """One policy draw; ``None`` when the edge has no member."""
@@ -380,53 +362,99 @@ class LrsController:
             except RoutingError:
                 return None
 
-    def _place(self, head: int, members: Optional[List[int]],
-               context: Optional[object], deadline: Optional[float],
-               chosen: Optional[str]) -> Optional[str]:
-        """Send one wire unit, whatever its size, to the drawn *chosen*.
+    def _owner(self, key_hash: int) -> Optional[str]:
+        """The live owner of *key_hash*'s range; ``None`` when the range
+        is paused or unowned, or its owner is dead-marked."""
+        with self._lock:
+            owner = self._key_table.owner_of(key_hash)
+            if owner is not None and self._tracker.is_alive(owner):
+                return owner
+        return None
 
-        *head* keys the unit's single pending-ACK entry (one latency
-        sample, one loss charge on expiry — what lets a batch amortize
-        the control-plane cost) and its single replay entry.  *members*
-        lists a batch's seqs, head first; it is ``None`` for a lone
-        tuple, which needs no membership maps.  A failed send dead-marks
-        *chosen* and falls back to the next live member; with no taker
-        the unit is retained unassigned (at-least-once) or lost.
+    def _place(self, seq: int, members: Collection[int],
+               context: Optional[object], deadline: Optional[float],
+               chosen: Optional[str], key_hash: Optional[int] = None,
+               replayed: Optional[ReplayEntry] = None) -> Optional[str]:
+        """Send one wire unit to *chosen*, the first target its caller
+        picked: a policy draw, a key's live range owner, or a
+        redelivery's fallback.
+
+        Every unit takes this one loop: a lone tuple, a frame of
+        *members* (head *seq* first; empty for a lone tuple), a keyed
+        tuple (*key_hash*: only its range owner may take it), or
+        *replayed*, a retained entry back for redelivery.  *seq* keys
+        the unit's single pending-ACK entry (one latency sample, one
+        loss charge on expiry — what lets a batch amortize the
+        control-plane cost) and its single replay entry.  A failed send
+        dead-marks its target and a stateless unit falls back to the
+        next live member; with no taker the unit is parked unassigned
+        (at-least-once) or lost.
         """
-        count = 1 if members is None else len(members)
         retain = self._replay is not None and context is not None
-        if retain and members is not None:
-            self._register_batch(members)
-        tried = set()
+        # Counted before the send: an ACK folded inside it strikes
+        # members off the shared set.
+        count = len(members) or 1
+        if replayed is None:
+            attempt, tried = 1, set()
+            if retain and members:
+                members = set(members)  # struck off as members are ACKed
+        else:  # the member it was last sent to (None: parked) is tried
+            attempt, tried = replayed.attempt + 1, {replayed.downstream}
         while chosen is not None:
-            sent_at = self._send_registered(chosen, head, context, deadline)
+            sent_at = self._send_registered(chosen, seq, members, context,
+                                            deadline, key_hash, attempt)
             if sent_at is not None:
-                if tried:
-                    self._registry.increment(metrics_mod.REROUTED_TOTAL,
-                                             downstream=chosen)
-                    if self._trace.enabled:
-                        self._trace.emit(Span(
-                            RETRY, head, sent_at, sent_at,
-                            device_id=self.name or "-",
-                            hop="egress:%s" % (self.name or "-"),
-                            detail=",".join(sorted(tried))))
-                self.dispatched += count
+                self._count_placed(seq, count, chosen, tried, sent_at,
+                                   replayed)
                 return chosen
             tried.add(chosen)
             self.mark_dead(chosen)
+            if key_hash is not None and self._key_table is not None:
+                break  # nobody but the range owner may take a keyed tuple
             chosen = self._fallback(tried)
         if retain:
-            # No live member took it: retain it unassigned so the next
-            # redelivery sweep can place it once someone comes back.
-            self._replay.retain(head, None, context, now=self._clock(),
-                                deadline=deadline)
+            # No live member took it (or its range is paused): park it
+            # unassigned so the next redelivery sweep places it once
+            # someone comes back.  Parking spends no attempt.
+            self._replay.retain(seq, None, context, now=self._clock(),
+                                deadline=deadline,
+                                attempt=max(attempt - 1, 1),
+                                members=members, key_hash=key_hash)
         return None
 
+    def _count_placed(self, seq: int, count: int, chosen: str, tried,
+                      sent_at: float,
+                      replayed: Optional[ReplayEntry]) -> None:
+        """Book a unit that went out: a first send counts its tuples as
+        dispatched (and a re-route, when a target failed before
+        *chosen*), a redelivery counts itself."""
+        if replayed is None:
+            self.dispatched += count
+            if not tried:
+                return
+            self._registry.increment(metrics_mod.REROUTED_TOTAL,
+                                     downstream=chosen)
+            detail, tenant = ",".join(sorted(tried)), ""
+        else:
+            self._registry.increment(
+                metrics_mod.REDELIVERED_TOTAL,
+                **metrics_mod.tenant_labels(self.tenant, downstream=chosen,
+                                            edge=self.name or "-"))
+            detail = "redeliver:%s>%s#%d" % (replayed.downstream or "-",
+                                              chosen, replayed.attempt + 1)
+            tenant = self.tenant
+        if self._trace.enabled:
+            self._trace.emit(Span(RETRY, seq, sent_at, sent_at,
+                                  device_id=self.name or "-",
+                                  hop="egress:%s" % (self.name or "-"),
+                                  detail=detail, tenant=tenant))
+
     def _send_registered(self, downstream_id: str, seq: int,
+                         members: Collection[int],
                          context: Optional[object],
                          deadline: Optional[float],
-                         redelivered: Optional[ReplayEntry] = None
-                         ) -> Optional[float]:
+                         key_hash: Optional[int],
+                         attempt: int) -> Optional[float]:
         """Register *seq* as in flight and retained, THEN run the egress.
 
         The egress may block and drop the GIL (a socket write), and the
@@ -436,64 +464,28 @@ class LrsController:
         retained was an orphan: swept as stale, redelivered past the
         dedup windows and delivered twice, its pending entry charged as a
         lost tuple.  A failed send is undone exactly — the pending entry
-        it displaced (an earlier attempt, when *redelivered*) is put
-        back, retention released, nothing counted as sent.
+        it displaced (an earlier attempt, on a redelivery) is put back,
+        retention withdrawn, nothing counted as sent.
         """
         now = self._clock()
         retain = self._replay is not None and context is not None
         with self._lock:
             displaced = self._tracker.begin_send(seq, downstream_id, now)
-        if redelivered is None:
-            if retain:
-                self._replay.retain(seq, downstream_id, context, now=now,
-                                    deadline=deadline)
-            sent_at = self._send(downstream_id, seq, context)
-        else:
+        if retain:
             self._replay.retain(seq, downstream_id, context, now=now,
-                                deadline=deadline,
-                                attempt=redelivered.attempt + 1,
-                                nbytes=redelivered.nbytes)
-            sent_at = self._send_redelivery(downstream_id, redelivered)
+                                deadline=deadline, attempt=attempt,
+                                members=members, key_hash=key_hash)
+        sent_at = (self._clock() if self._egress is None
+                   else self._egress.send(downstream_id, seq, context,
+                                          attempt))
         with self._lock:
             if sent_at is None:
                 self._tracker.cancel_send(seq, displaced)
             else:
                 self._tracker.commit_send(downstream_id)
         if sent_at is None and retain:
-            self._replay.release(seq)
+            self._replay.withdraw(seq)
         return sent_at
-
-    def _dispatch_keyed(self, seq: int, key_hash: int,
-                        context: Optional[object],
-                        deadline: Optional[float]) -> Optional[str]:
-        with self._lock:
-            table = self._key_table
-            if self._key_detector is not None:
-                self._key_detector.observe(table.range_of(key_hash),
-                                           self._clock())
-            owner = table.owner_of(key_hash)
-            alive = owner is not None and self._tracker.is_alive(owner)
-            retain = self._replay is not None and context is not None
-            if retain:
-                # Sent or parked, the retained tuple keeps its key — and
-                # like the retention itself it is on record before the
-                # send, so an early ACK clears it.
-                self._key_of[seq] = key_hash
-        if alive:
-            if self._send_registered(owner, seq, context,
-                                     deadline) is not None:
-                self.dispatched += 1
-                return owner
-            self.mark_dead(owner)
-        # Paused range, unowned hash, dead owner, or failed send: park
-        # the tuple unassigned; the replay sweep re-places it once the
-        # range is routable again.  Without a replay buffer (best
-        # effort) the tuple is simply dropped, like an exhausted
-        # stateless dispatch.
-        if retain:
-            self._replay.retain(seq, None, context, now=self._clock(),
-                                deadline=deadline)
-        return None
 
     # -- keyed routing ---------------------------------------------------
     @property
@@ -621,16 +613,8 @@ class LrsController:
         seqs = list(seqs)
         if not seqs:
             return None
-        return self._place(seqs[0], seqs if len(seqs) > 1 else None,
+        return self._place(seqs[0], seqs if len(seqs) > 1 else (),
                            context, deadline, chosen)
-
-    def _register_batch(self, seqs: List[int]) -> None:
-        """Map batch members to their head before retaining the batch."""
-        head = seqs[0]
-        with self._lock:
-            self._batch_members[head] = set(seqs)
-            for seq in seqs:
-                self._batch_of[seq] = head
 
     def _observe_batch_size(self, size: int) -> None:
         if self._batch_histogram is None:
@@ -639,12 +623,6 @@ class LrsController:
                 buckets=metrics_mod.BATCH_SIZE_BUCKETS,
                 edge=self.name or "-")
         self._batch_histogram.observe(size)
-
-    def _send(self, downstream_id: str, seq: int,
-              context: Optional[object]) -> Optional[float]:
-        if self._egress is None:
-            return self._clock()
-        return self._egress.send(downstream_id, seq, context)
 
     def _fallback(self, tried) -> Optional[str]:
         """Next live, not-yet-tried downstream; None when exhausted."""
@@ -678,11 +656,9 @@ class LrsController:
         if self._replay is not None:
             # Any ACK for this seq releases retention — including one
             # from a previous delivery attempt racing a redelivery.  A
-            # batch member's ACK only shrinks the membership (the
-            # simulator ACKs batch members one result at a time).
-            target = self._shrink_batch(seq)
-            if target is not None:
-                self._replay.release(target)
+            # batch member's ACK only strikes the member (the simulator
+            # ACKs batch members one result at a time).
+            self._replay.release(seq)
         return self._fold_ack(seq, 1, processing_delay, now)
 
     def on_ack_batch(self, seqs: Iterable[int],
@@ -701,15 +677,9 @@ class LrsController:
         if len(seqs) == 1:
             return self.on_ack(seqs[0], processing_delay=processing_delay,
                                now=now)
-        head = seqs[0]
         if self._replay is not None:
-            with self._lock:
-                for seq in seqs:
-                    self._batch_of.pop(seq, None)
-                    self._key_of.pop(seq, None)
-                self._batch_members.pop(head, None)
-            self._replay.release(head)
-        return self._fold_ack(head, len(seqs), processing_delay, now)
+            self._replay.release_batch(seqs)
+        return self._fold_ack(seqs[0], len(seqs), processing_delay, now)
 
     def _fold_ack(self, head: int, count: int,
                   processing_delay: Optional[float],
@@ -735,27 +705,6 @@ class LrsController:
                                   detail=downstream_id),
                              sampled=True)
         return AckResult(downstream_id=downstream_id, sample=sample)
-
-    def _shrink_batch(self, seq: int) -> Optional[int]:
-        """Strike *seq* from its batch's un-ACKed membership.
-
-        A batch is retained as ONE entry keyed by its head seq.  Returns
-        the replay key whose entry may go now — *seq* itself for a lone
-        tuple, the head once a batch's last member is struck — or
-        ``None`` while other members still need the entry.
-        """
-        with self._lock:
-            self._key_of.pop(seq, None)
-            head = self._batch_of.pop(seq, None)
-            if head is None:
-                return seq
-            members = self._batch_members.get(head)
-            if members is not None:
-                members.discard(seq)
-                if members:
-                    return None
-                del self._batch_members[head]
-            return head
 
     # -- control plane ---------------------------------------------------
     def next_update(self) -> float:
@@ -808,11 +757,7 @@ class LrsController:
         still retained is recoverable, not lost.  A batch member is
         covered by its batch's single entry (keyed by the head seq).
         """
-        if self._replay is None:
-            return False
-        with self._lock:
-            head = self._batch_of.get(seq, seq)
-        return self._replay.holds(head)
+        return self._replay is not None and self._replay.holds(seq)
 
     def replay_depth(self) -> int:
         return len(self._replay) if self._replay is not None else 0
@@ -822,15 +767,13 @@ class LrsController:
         """Snapshot retained entries for a control-plane checkpoint.
 
         Each item is ``(seq, attempt, deadline, context, member_seqs)``;
-        ``member_seqs`` is non-empty for batch entries (head included).
+        ``member_seqs`` lists a batch entry's un-ACKed members (head
+        included while un-ACKed) and is empty for a lone tuple.
         """
         if self._replay is None:
             return []
-        with self._lock:
-            members_of = {head: tuple(sorted(members))
-                          for head, members in self._batch_members.items()}
         return [(entry.seq, entry.attempt, entry.deadline, entry.context,
-                 members_of.get(entry.seq, ()))
+                 tuple(sorted(entry.members)))
                 for entry in self._replay.entries()]
 
     def import_retention(self, items: Iterable[Tuple[int, int,
@@ -849,11 +792,10 @@ class LrsController:
         count = 0
         now = self._clock()
         for seq, attempt, deadline, context, members in items:
-            if members and len(members) > 1:
-                ordered = [seq] + [s for s in members if s != seq]
-                self._register_batch(ordered)
             self._replay.retain(seq, None, context, now=now,
-                                deadline=deadline, attempt=attempt)
+                                deadline=deadline, attempt=attempt,
+                                members=(set(members) | {seq}
+                                         if len(members) > 1 else ()))
             count += 1
         return count
 
@@ -868,12 +810,7 @@ class LrsController:
         membership; the batch entry itself is evicted when its last
         member is given up (or released by an ACK).
         """
-        if self._replay is None:
-            return False
-        target = self._shrink_batch(seq)
-        if target is None:
-            return True  # entry stays for the other members
-        return self._replay.evict(target, reason)
+        return self._replay is not None and self._replay.evict(seq, reason)
 
     def _sweep_replay(self, now: float) -> None:
         """Redeliver retained tuples whose ACK is overdue."""
@@ -884,35 +821,6 @@ class LrsController:
             with self._lock:
                 self._redeliver_queue.extend(stale)
             self._drain_redeliveries()
-        self._prune_batches()
-
-    def _forget_batch(self, head: int) -> None:
-        """Drop the membership maps of a batch whose entry was given up."""
-        with self._lock:
-            members = self._batch_members.pop(head, None)
-            if members:
-                for seq in members:
-                    self._batch_of.pop(seq, None)
-
-    def _prune_batches(self) -> None:
-        """Forget batches whose replay entry is gone (internal eviction).
-
-        The replay buffer evicts oldest entries on its own when a bound
-        trips; the membership maps of such a batch would otherwise live
-        forever.  Heads sitting in the redelivery queue are skipped —
-        their entry is only *temporarily* popped.
-        """
-        if self._replay is None or not self._batch_members:
-            return
-        with self._lock:
-            queued = {item.seq for item in self._redeliver_queue
-                      if not isinstance(item, str)}
-            stale_heads = [head for head in self._batch_members
-                           if head not in queued
-                           and not self._replay.holds(head)]
-            for head in stale_heads:
-                for seq in self._batch_members.pop(head):
-                    self._batch_of.pop(seq, None)
 
     def _request_redelivery(self, downstream_id: str) -> None:
         """Queue redelivery of everything assigned to *downstream_id*."""
@@ -948,13 +856,10 @@ class LrsController:
                 self._redelivering = False
 
     def _redeliver_entry(self, entry: ReplayEntry) -> None:
-        if self._fault_skip_redelivery:
-            # Seeded bug (see __init__): drop this overdue tuple on the
-            # floor exactly once — it leaves the replay buffer with no
-            # eviction record and is never sent again.
-            self._fault_skip_redelivery = False
-            self._forget_batch(entry.seq)
-            return
+        """Give *entry* up (expired, out of attempts) or place it again:
+        a keyed tuple on its range's live owner only, anything else on
+        a live member other than the one that failed to ACK it (that one
+        itself when it is the sole survivor)."""
         give_up = None
         if entry.deadline is not None and self._clock() > entry.deadline:
             # Shed-aware: an expired tuple would be dropped on arrival
@@ -965,81 +870,16 @@ class LrsController:
             give_up = EVICT_ATTEMPTS
         if give_up is not None:
             self._replay.discard(entry, give_up)
-            self._forget_batch(entry.seq)
-            with self._lock:
-                self._key_of.pop(entry.seq, None)
             return
-        with self._lock:
-            key_hash = self._key_of.get(entry.seq)
-            keyed = key_hash is not None and self._key_table is not None
-            if keyed:
-                owner = self._key_table.owner_of(key_hash)
-                if owner is None or not self._tracker.is_alive(owner):
-                    owner = None
-        if keyed:
-            # Key-range ownership binds redelivery too: the tuple may
-            # only go to the range owner.  No routable owner (paused
-            # mid-migration, or the owner is down) re-parks it for the
-            # next sweep.
-            if owner is not None:
-                if self._redeliver_to(owner, entry):
-                    return
-                self.mark_dead(owner)
-            self._replay.retain(entry.seq, None, entry.context,
-                                now=entry.sent_at, deadline=entry.deadline,
-                                attempt=entry.attempt, nbytes=entry.nbytes)
-            return
-        tried = {entry.downstream} if entry.downstream is not None else set()
-        chosen = self._fallback(tried)
-        if chosen is None and entry.downstream is not None \
-                and self.is_alive(entry.downstream):
-            chosen = entry.downstream  # sole survivor: retry in place
-        while chosen is not None:
-            if self._redeliver_to(chosen, entry):
-                return
-            tried.add(chosen)
-            self.mark_dead(chosen)
-            chosen = self._fallback(tried)
-        # Nobody can take it right now: keep it (unassigned) for the
-        # next sweep instead of dropping it on the floor.
-        self._replay.retain(entry.seq, None, entry.context,
-                            now=entry.sent_at, deadline=entry.deadline,
-                            attempt=entry.attempt, nbytes=entry.nbytes)
-
-    def _redeliver_to(self, chosen: str, entry: ReplayEntry) -> bool:
-        """One redelivery send (registered first, like a first send) and,
-        when it went out, its counter, span and substrate hook."""
-        sent_at = self._send_registered(chosen, entry.seq, entry.context,
-                                        entry.deadline, redelivered=entry)
-        if sent_at is None:
-            return False
-        attempt = entry.attempt + 1
-        self._registry.increment(
-            metrics_mod.REDELIVERED_TOTAL,
-            **metrics_mod.tenant_labels(self.tenant, downstream=chosen,
-                                        edge=self.name or "-"))
-        if self._trace.enabled:
-            self._trace.emit(Span(
-                RETRY, entry.seq, sent_at, sent_at,
-                device_id=self.name or "-",
-                hop="egress:%s" % (self.name or "-"),
-                detail="redeliver:%s>%s#%d"
-                       % (entry.downstream or "-", chosen, attempt),
-                tenant=self.tenant))
-        if self.on_redeliver is not None:
-            self.on_redeliver(entry.seq, chosen, entry.context,
-                              attempt)
-        return True
-
-    def _send_redelivery(self, downstream_id: str,
-                         entry: ReplayEntry) -> Optional[float]:
-        if self._egress is None:
-            return self._clock()
-        send_redelivery = getattr(self._egress, "send_redelivery", None)
-        if send_redelivery is not None:
-            return send_redelivery(downstream_id, entry.seq, entry.context,
-                                   entry.attempt + 1)
-        return self._egress.send(downstream_id, entry.seq, entry.context)
+        if entry.key_hash is not None and self._key_table is not None:
+            chosen = self._owner(entry.key_hash)
+        else:
+            chosen = self._fallback({entry.downstream})
+            if chosen is None and entry.downstream is not None \
+                    and self.is_alive(entry.downstream):
+                chosen = entry.downstream  # sole survivor: retry in place
+        self._place(entry.seq, entry.members, entry.context, entry.deadline,
+                    chosen, entry.key_hash, replayed=entry)
 
     # -- snapshots -------------------------------------------------------
     @property

@@ -30,7 +30,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Hashable, Iterable, List, Optional, Set
+from typing import (AbstractSet, Deque, Dict, Hashable, Iterable, List,
+                    Optional, Set)
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError
@@ -104,25 +105,37 @@ class DeliveryConfig:
 
 @dataclass
 class ReplayEntry:
-    """One retained tuple awaiting its ACK."""
+    """One retained wire unit awaiting its ACK: a tuple or a batch."""
 
-    seq: int
+    seq: int                   # the unit's head seq (its replay key)
     downstream: Optional[str]  # None = not currently assigned anywhere
     context: object            # opaque payload (bytes / sim frame)
     nbytes: int
     attempt: int               # delivery attempts spent so far (>= 1)
     sent_at: float
     deadline: Optional[float]
+    #: a batch's un-ACKed member seqs, head included (empty for a lone
+    #: tuple); every entry of one unit shares this set, so an ACK or a
+    #: shed strikes a member even while the unit waits for redelivery
+    members: AbstractSet[int] = frozenset()
+    #: the key hash of a keyed tuple, so redelivery honors range owners
+    key_hash: Optional[int] = None
 
 
 class ReplayBuffer:
-    """Bounded retention of un-ACKed tuples for at-least-once replay.
+    """Bounded retention of un-ACKed units for at-least-once replay.
 
-    Entries are keyed by ``seq`` and kept in insertion order.  Both
-    bounds (count and bytes) are enforced on every ``retain``; when a
-    bound trips, expired entries go first, then the oldest — and every
+    Entries are keyed by their head ``seq`` and kept in insertion order.
+    Both bounds (count and bytes) are enforced on every ``retain``; when
+    a bound trips, expired entries go first, then the oldest — and every
     eviction increments ``swing_replay_evicted_total{reason=...}`` so
     retention loss is observable, never silent.
+
+    A batch is ONE entry; its members are indexed to it from their
+    first retention until the entry goes for good (released, evicted,
+    discarded), including while :meth:`take_for` / :meth:`take_stale`
+    have handed it out for redelivery.  A member's ACK or shed strikes
+    it, and the entry goes with its last member.
     """
 
     def __init__(self, config: DeliveryConfig,
@@ -133,34 +146,41 @@ class ReplayBuffer:
         self._registry = registry if registry is not None \
             else metrics_mod.MetricsRegistry()
         self._entries: "OrderedDict[int, ReplayEntry]" = OrderedDict()
+        #: batch member seq -> the latest entry of its batch
+        self._member_of: Dict[int, ReplayEntry] = {}
         self._bytes = 0
         self._lock = threading.Lock()
 
     # -- retention ---------------------------------------------------------
     def retain(self, seq: int, downstream: Optional[str], context: object,
                now: float, deadline: Optional[float] = None,
-               attempt: int = 1, nbytes: Optional[int] = None) -> None:
-        """Remember *seq* until it is ACKed, evicting to stay in bounds."""
-        if nbytes is None:
-            if isinstance(context, (bytes, bytearray, memoryview)):
-                nbytes = len(context)
-            elif isinstance(context, (tuple, list)):
-                # A batched retention's context is its member frames;
-                # the batch weighs what its members weigh.
-                nbytes = sum(int(getattr(item, "nbytes", 0) or 0)
-                             for item in context)
-            else:
-                nbytes = int(getattr(context, "nbytes", 0) or 0)
+               attempt: int = 1, members: AbstractSet[int] = frozenset(),
+               key_hash: Optional[int] = None) -> None:
+        """Remember *seq* until it is ACKed, evicting to stay in bounds.
+
+        *members* is a batch's un-ACKed member set (head included); the
+        entry keeps that very set, so retaining a unit again shares its
+        ACK tally with the unit's earlier entries.
+        """
+        if isinstance(context, (bytes, bytearray, memoryview)):
+            nbytes = len(context)
+        elif isinstance(context, (tuple, list)):
+            # A batched retention's context is its member frames; the
+            # batch weighs what its members weigh.
+            nbytes = sum(int(getattr(item, "nbytes", 0) or 0)
+                         for item in context)
+        else:
+            nbytes = int(getattr(context, "nbytes", 0) or 0)
+        entry = ReplayEntry(seq=seq, downstream=downstream, context=context,
+                            nbytes=nbytes, attempt=attempt, sent_at=now,
+                            deadline=deadline, members=members,
+                            key_hash=key_hash)
         with self._lock:
-            stale = self._entries.pop(seq, None)
-            if stale is not None:
-                self._bytes -= stale.nbytes
-            entry = ReplayEntry(seq=seq, downstream=downstream,
-                                context=context, nbytes=int(nbytes),
-                                attempt=attempt, sent_at=now,
-                                deadline=deadline)
+            self._pop_locked(seq)
             self._entries[seq] = entry
-            self._bytes += entry.nbytes
+            self._bytes += nbytes
+            for member in members:
+                self._member_of[member] = entry
             self._enforce_bounds(now, keep=seq)
 
     def _enforce_bounds(self, now: float, keep: int) -> None:
@@ -190,7 +210,8 @@ class ReplayBuffer:
         if victim is None:  # only the just-retained entry remains
             victim = self._entries[keep]
         self._pop_locked(victim.seq)
-        self._count_eviction(victim, reason)
+        self._forget_locked(victim)
+        self._count_eviction(reason)
 
     def _pop_locked(self, seq: int) -> Optional[ReplayEntry]:
         entry = self._entries.pop(seq, None)
@@ -198,32 +219,81 @@ class ReplayBuffer:
             self._bytes -= entry.nbytes
         return entry
 
-    def _count_eviction(self, entry: ReplayEntry, reason: str) -> None:
+    def _forget_locked(self, entry: ReplayEntry) -> None:
+        """Un-index the members of a unit that is gone for good."""
+        for member in entry.members:
+            self._member_of.pop(member, None)
+        if entry.members:
+            entry.members.clear()
+
+    def _strike_locked(self, seq: int) -> Optional[int]:
+        """Strike *seq* from its batch; the replay key whose entry may go
+        now (*seq* itself for a lone tuple, the head once a batch's last
+        member is struck), ``None`` while other members need it."""
+        entry = self._member_of.pop(seq, None)
+        if entry is None:
+            return seq
+        entry.members.discard(seq)
+        return None if entry.members else entry.seq
+
+    def _count_eviction(self, reason: str) -> None:
         self._registry.increment(metrics_mod.REPLAY_EVICTED_TOTAL,
                                  reason=reason, edge=self.name)
 
     # -- release / takeover ------------------------------------------------
     def release(self, seq: int) -> bool:
-        """Drop *seq* because its ACK arrived.  True if it was held."""
+        """*seq*'s ACK arrived: drop its entry (a batch's, with its last
+        member).  True if an entry went."""
         with self._lock:
-            return self._pop_locked(seq) is not None
+            target = self._strike_locked(seq)
+            return target is not None and self._pop_locked(target) is not None
+
+    def release_batch(self, seqs: List[int]) -> bool:
+        """The whole batch headed by ``seqs[0]`` was ACKed at once."""
+        with self._lock:
+            entry = next((self._member_of[seq] for seq in seqs
+                          if seq in self._member_of),
+                         self._entries.get(seqs[0]))
+            if entry is not None:
+                self._forget_locked(entry)
+            return self._pop_locked(seqs[0]) is not None
+
+    def withdraw(self, seq: int) -> None:
+        """Take back the entry retained for a send that failed; its unit
+        is retained again (re-routed or parked) or discarded next, so
+        its members stay indexed."""
+        with self._lock:
+            self._pop_locked(seq)
 
     def evict(self, seq: int, reason: str) -> bool:
-        """Drop *seq* for *reason* (shed, attempts, ...), counting it."""
+        """Give *seq* up for *reason* (shed, ...), counting the eviction
+        when its entry goes: a batch member only shrinks the batch until
+        its last member is given up (True: the entry stays for the
+        others).  False when nothing was held."""
         with self._lock:
-            entry = self._pop_locked(seq)
+            target = self._strike_locked(seq)
+            if target is None:
+                return True
+            entry = self._pop_locked(target)
+            if entry is not None:
+                self._forget_locked(entry)
         if entry is None:
             return False
-        self._count_eviction(entry, reason)
+        self._count_eviction(reason)
         return True
 
     def discard(self, entry: ReplayEntry, reason: str) -> None:
-        """Count giving up on an already-popped *entry* for *reason*."""
-        self._count_eviction(entry, reason)
+        """Count giving up on an already-taken *entry* for *reason*."""
+        with self._lock:
+            self._forget_locked(entry)
+        self._count_eviction(reason)
 
     def holds(self, seq: int) -> bool:
+        """Whether *seq* is retained, alone or as an un-ACKed member of
+        a retained batch."""
         with self._lock:
-            return seq in self._entries
+            entry = self._member_of.get(seq)
+            return (entry.seq if entry is not None else seq) in self._entries
 
     def take_for(self, downstream: str) -> List[ReplayEntry]:
         """Pop every entry assigned to *downstream* (its crash/leave)."""

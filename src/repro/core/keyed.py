@@ -85,7 +85,6 @@ class KeyedConfig:
     min_split_interval: float = 1.0
     max_splits: int = 8
     min_range_width: int = 2
-    rate_window: float = 1.0
 
     def validate(self) -> None:
         if self.key_count < 0:
@@ -100,8 +99,6 @@ class KeyedConfig:
             raise PolicyError("max_splits must be >= 0")
         if self.min_range_width < 2:
             raise PolicyError("min_range_width must be >= 2")
-        if self.rate_window <= 0:
-            raise PolicyError("rate_window must be positive")
 
 
 class KeyRangeTable:
@@ -245,7 +242,7 @@ class HotRangeDetector:
         config.validate()
         self._config = config
         self._meters: Dict[KeyRange, RateMeter] = {}
-        self._edge = RateMeter(window=config.rate_window)
+        self._edge = RateMeter()
         self._last_split: Optional[float] = None
         self.splits = 0
 
@@ -255,8 +252,7 @@ class HotRangeDetector:
             return
         meter = self._meters.get(key_range)
         if meter is None:
-            meter = self._meters[key_range] = RateMeter(
-                window=self._config.rate_window)
+            meter = self._meters[key_range] = RateMeter()
         meter.observe(now)
 
     def forget(self, key_range: KeyRange) -> None:

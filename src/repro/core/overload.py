@@ -77,9 +77,6 @@ class OverloadConfig:
     #: source admission: shed new tuples while the local queue holds at
     #: least this many entries; ``None`` disables the depth signal
     backpressure_depth: Optional[int] = None
-    #: source admission: shed new tuples while every downstream is
-    #: dead-marked (dispatching would only manufacture guaranteed losses)
-    shed_on_unsatisfiable: bool = True
 
     def __post_init__(self) -> None:
         if self.ttl is not None and self.ttl <= 0:
@@ -140,7 +137,9 @@ def source_admission(depth: int, unsatisfiable: bool,
     runtime's mailbox, the simulator's source egress queue);
     *unsatisfiable* is the dispatcher's all-downstreams-dead signal.
     """
-    if unsatisfiable and config.shed_on_unsatisfiable:
+    if unsatisfiable:
+        # every downstream is dead-marked: dispatching would only
+        # manufacture guaranteed losses
         return REASON_BACKPRESSURE
     if (config.backpressure_depth is not None
             and depth >= config.backpressure_depth):

@@ -123,16 +123,9 @@ class _FabricEgress:
         self._dispatcher = dispatcher
 
     def send(self, downstream_id: InstanceId, seq: int,
-             context: Optional[bytes]) -> Optional[float]:
-        return self._dispatcher._try_send(downstream_id, context, seq)
-
-    def send_redelivery(self, downstream_id: InstanceId, seq: int,
-                        context: Optional[bytes],
-                        attempt: int) -> Optional[float]:
-        """Replay send: same path, but the attempt number rides along
-        so the receiver can attribute the duplicate to redelivery."""
+             context: Optional[bytes], attempt: int) -> Optional[float]:
         return self._dispatcher._try_send(downstream_id, context, seq,
-                                          attempt=attempt)
+                                          attempt)
 
 
 class UpstreamDispatcher:

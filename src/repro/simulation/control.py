@@ -26,14 +26,23 @@ class EngineEgress:
     Delivery, loss, and delay are modeled downstream of the controller
     by the network/device processes, so the controller never observes a
     synchronous send failure here — dead-marking happens through the
-    tracker's loss accounting instead.
+    tracker's loss accounting instead.  A first send is only booked: the
+    hosting source process transmits the frame the controller routed.
+    A redelivery has no such process behind it, so *on_air*, when given,
+    puts the replayed frame on the air: ``on_air(downstream_id, seq,
+    context)``.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator,
+                 on_air: Optional[Callable[[str, int, object], None]] = None
+                 ) -> None:
         self._sim = sim
+        self._on_air = on_air
 
-    def send(self, downstream_id: str, seq: int,
-             context: Optional[object] = None) -> float:
+    def send(self, downstream_id: str, seq: int, context: Optional[object],
+             attempt: int) -> float:
+        if attempt > 1 and self._on_air is not None:
+            self._on_air(downstream_id, seq, context)
         return self._sim.now
 
 
@@ -42,20 +51,19 @@ def engine_controller(
         registry: Optional[metrics_mod.MetricsRegistry] = None,
         name: str = "",
         trace: Optional[TraceSink] = None,
-        redelivery: Optional[Callable[[int, str, object, int], None]] = None,
+        egress: Optional[EngineEgress] = None,
         tenant: str = "",
 ) -> LrsController:
     """Build an :class:`LrsController` wired to the engine's ports.
 
-    *redelivery*, when given, is the simulation's hook for physically
-    re-transmitting a replayed frame (the controller only re-books the
-    send; the engine must model the bytes on the air).  *tenant* labels
-    the controller's metrics and spans when a shared swarm runs several
-    tenant pipelines.
+    *egress* defaults to an :class:`EngineEgress` that models no
+    redelivery on the air.  *tenant* labels the controller's metrics and
+    spans when a shared swarm runs several tenant pipelines.
     """
     return LrsController(config, clock=lambda: sim.now,
-                         egress=EngineEgress(sim), registry=registry,
-                         name=name, trace=trace, redelivery=redelivery,
+                         egress=egress if egress is not None
+                         else EngineEgress(sim),
+                         registry=registry, name=name, trace=trace,
                          tenant=tenant)
 
 

@@ -21,6 +21,10 @@ BACKGROUND_CONTENTION = 0.85
 #: residual speed floor so a fully loaded device still makes progress
 MIN_SPEED_FACTOR = 0.10
 
+#: lognormal sigma of per-frame service-time noise (Android-level
+#: scheduling/GC variability)
+SERVICE_JITTER_SIGMA = 0.30
+
 
 @dataclass
 class PowerProfile:

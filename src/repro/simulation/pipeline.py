@@ -24,7 +24,8 @@ from repro.core.controller import PolicyConfig
 from repro.core.exceptions import SimulationError
 from repro.core.reorder import ReorderBuffer
 from repro.simulation.control import engine_controller
-from repro.simulation.device import CpuModel, DeviceProfile
+from repro.simulation.device import (SERVICE_JITTER_SIGMA, CpuModel,
+                                     DeviceProfile)
 from repro.simulation.engine import Resource, Simulator, Store
 from repro.simulation.network import Network, RSSI_GOOD
 from repro.simulation.rng import RngRegistry
@@ -72,7 +73,6 @@ class PipelineConfig:
     seed: int = 0
     rssi: Mapping[str, float] = field(default_factory=dict)
     socket_window_bytes: int = 32768
-    jitter_sigma: float = 0.30
     reorder_timespan: float = 1.0
 
     def validate(self) -> None:
@@ -151,7 +151,7 @@ class _StageInstance:
             frame, ack_to = item
             self.frames_in += 1
             jitter = pipeline.rngs.lognormal_jitter(
-                "svc:%s" % self.instance_id, pipeline.config.jitter_sigma)
+                "svc:%s" % self.instance_id, SERVICE_JITTER_SIGMA)
             service = (cpu.service_time(jitter)
                        * self.stage.compute_fraction)
             # Stage instances on one device share its processor.

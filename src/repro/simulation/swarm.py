@@ -41,9 +41,10 @@ from repro.core.keyed import (KeyRange, KeyRangeTable, MOVE_CRASH,
 from repro.core.policies import PolicyDecision
 from repro.core.reorder import ReorderBuffer
 from repro.core.state import InMemoryStateStore, WindowAggregator
-from repro.simulation.control import (collect_batch, engine_controller,
-                                      spend)
-from repro.simulation.device import CpuModel, DeviceProfile, ThermalThrottle
+from repro.simulation.control import (EngineEgress, collect_batch,
+                                      engine_controller, spend)
+from repro.simulation.device import (SERVICE_JITTER_SIGMA, CpuModel,
+                                     DeviceProfile, ThermalThrottle)
 from repro.simulation.energy import EnergyReport, PowerEstimator
 from repro.simulation.engine import Simulator, Store
 from repro.simulation.metrics import (DROP_BACKPRESSURE, DROP_DEVICE_LEFT,
@@ -95,9 +96,6 @@ class SwarmConfig:
     socket_window_bytes: int = 32768
     #: time for an upstream to detect a broken link and re-route
     detection_delay: float = 0.5
-    #: lognormal sigma of per-frame service-time noise (Android-level
-    #: scheduling/GC variability)
-    jitter_sigma: float = 0.30
     #: sustained-load thermal throttling (set False to disable, e.g. for
     #: the short single-device characterization runs)
     thermal_throttling: bool = True
@@ -302,7 +300,7 @@ class _WorkerNode:
                                        tenant=frame.tenant))
             self.current_frame = frame
             jitter = swarm.rngs.lognormal_jitter(
-                "service:%s" % self.device_id, swarm.config.jitter_sigma)
+                "service:%s" % self.device_id, SERVICE_JITTER_SIGMA)
             service = self.cpu.service_time(jitter)
             if self.thermal is not None:
                 self.thermal.update(sim.now)
@@ -490,8 +488,7 @@ class SwarmSimulation:
             self.sim, self._policy_config,
             registry=self.registry, name=controller_name,
             trace=self.tracer,
-            redelivery=(self._redeliver_frame
-                        if self.delivery.at_least_once else None),
+            egress=EngineEgress(self.sim, on_air=self._redeliver_frame),
             tenant=tenant_id)
         # A real-time sensor cannot block on its own queue: it evicts
         # under drop_oldest and sheds the newest frame otherwise.
@@ -740,9 +737,9 @@ class SwarmSimulation:
                 if device_id != source_id]
 
     # -- at-least-once redelivery ----------------------------------------
-    def _redeliver_frame(self, seq: int, destination: str, frame: _Frame,
-                         attempt: int) -> None:
-        """Controller redelivery hook: put the replayed frame on the air.
+    def _redeliver_frame(self, destination: str, seq: int,
+                         frame: _Frame) -> None:
+        """The source egress's ``on_air``: put a replayed frame on the air.
 
         The controller already re-booked the send (pending entry, replay
         retention with the bumped attempt); this models the physical
@@ -756,7 +753,7 @@ class SwarmSimulation:
         """
         if isinstance(frame, tuple):
             for member in frame:
-                self._redeliver_frame(member.seq, destination, member, attempt)
+                self._redeliver_frame(destination, member.seq, member)
             return
         node = self.nodes.get(destination)
         if node is None or not node.alive() or node.draining:

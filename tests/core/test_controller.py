@@ -150,7 +150,7 @@ class _FailingEgress:
         self.attempts = []
         self.sent = []
 
-    def send(self, downstream_id, seq, context):
+    def send(self, downstream_id, seq, context, attempt):
         self.attempts.append((downstream_id, seq))
         if downstream_id in self.failing:
             return None
@@ -357,7 +357,7 @@ class _AckingEgress:
         self.acking = True
         self.sent = []
 
-    def send(self, downstream_id, seq, context):
+    def send(self, downstream_id, seq, context, attempt):
         self.sent.append((downstream_id, seq))
         if self.acking:
             if self.members and len(self.members) > 1:
@@ -404,6 +404,7 @@ class TestAckOvertakesSend:
         controller = self._controller(clock, egress, registry)
         assert _dispatch(controller, seqs, context=b"frame") is not None
         assert not any(controller.replay_holds(seq) for seq in seqs)
+        assert controller.dispatched == len(seqs)
         self._assert_settled(controller, registry, egress, clock, len(seqs))
 
     def test_ack_folded_inside_a_redelivery_send(self):
@@ -429,7 +430,8 @@ class TestAckOvertakesSend:
         controller = self._controller(clock, egress, registry)
         controller.set_key_table(KeyRangeTable.bootstrap(["a", "b"]))
         assert controller.dispatch(5, context=b"frame", key_hash=0) == "a"
-        assert controller._key_of == {}
+        assert controller.replay_depth() == 0
+        assert controller.export_retention() == []
         self._assert_settled(controller, registry, egress, clock, 1)
 
     @either_size
@@ -467,6 +469,127 @@ class TestAckOvertakesSend:
         assert controller.replay_depth() == 1
         assert registry.value(metrics_mod.SENT_TOTAL, downstream=first) == 1
         assert registry.values_by_label(metrics_mod.REDELIVERED_TOTAL,
+                                        "downstream") == {}
+
+
+class _HookedEgress(_FailingEgress):
+    """Failing egress that also runs ``hooks[seq]`` once, when *seq* is
+    sent for the second time (its redelivery), before returning."""
+
+    def __init__(self, clock, failing=()):
+        super().__init__(clock, failing)
+        self.hooks = {}
+
+    def send(self, downstream_id, seq, context, attempt):
+        if [s for _target, s in self.attempts].count(seq) == 1 \
+                and seq in self.hooks:
+            self.hooks.pop(seq)()
+        return super().send(downstream_id, seq, context, attempt)
+
+
+class TestOneLoopOneRecord:
+    """Every wire unit takes one placement loop, and a retained unit's
+    record carries its members and its key wherever it goes: queued
+    for redelivery, re-parked, evicted, checkpointed."""
+
+    def test_member_ack_while_its_batch_waits_for_redelivery(self):
+        clock = FakeClock()
+        egress = _HookedEgress(clock)
+        controller = _at_least_once_controller(
+            clock, egress, metrics_mod.MetricsRegistry())
+        controller.dispatch(1, context=b"one")
+        controller.dispatch_batch([5, 6, 7], context=b"frame")
+        # Both go overdue in one sweep; while the lone tuple is being
+        # redelivered, the batch waits its turn — and member 6's ACK
+        # lands.  It must still count once the batch is back.
+        egress.hooks[1] = lambda: controller.on_ack(6)
+        clock.now = 1.0
+        controller.update(clock.now)
+        assert [seq for _target, seq in egress.sent] == [1, 5, 1, 5]
+        controller.on_ack(1)
+        controller.on_ack(5)
+        assert controller.replay_depth() == 1
+        assert controller.replay_holds(7)
+        controller.on_ack(7)
+        assert controller.replay_depth() == 0
+        assert controller.export_retention() == []
+
+    def test_capacity_eviction_leaves_no_member_behind(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        controller = LrsController(
+            PolicyConfig(policy="RR", seed=0, delivery=DeliveryConfig(
+                mode=AT_LEAST_ONCE, replay_capacity=1)),
+            clock=clock, egress=_FailingEgress(clock, failing=()),
+            registry=registry, name="s>d")
+        controller.add_downstream("a")
+        controller.dispatch_batch([5, 6, 7], context=b"frame")
+        controller.dispatch(9, context=b"nine")  # evicts the batch
+        assert registry.values_by_label(metrics_mod.REPLAY_EVICTED_TOTAL,
+                                        "reason") == {"capacity": 1}
+        assert not any(controller.replay_holds(seq) for seq in (5, 6, 7))
+        controller.on_ack(6)
+        controller.update(clock.now)
+        assert not any(controller.replay_holds(seq) for seq in (5, 6, 7))
+        assert controller.export_retention() == [(9, 1, None, b"nine", ())]
+
+    def test_shed_member_keeps_the_batch_until_its_last_member(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _FailingEgress(clock, failing=())
+        controller = _at_least_once_controller(clock, egress, registry)
+        controller.dispatch_batch([5, 6, 7], context=b"frame")
+        assert controller.release_replay(6, EVICT_SHED)
+        assert controller.replay_depth() == 1
+        assert not controller.replay_holds(6)
+        assert controller.replay_holds(5) and controller.replay_holds(7)
+        clock.now = 1.0
+        controller.update(clock.now)  # redelivered wholesale
+        assert [seq for _target, seq in egress.sent] == [5, 5]
+        assert [members for *_rest, members
+                in controller.export_retention()] == [(5, 7)]
+        controller.on_ack(5)
+        assert controller.release_replay(7, EVICT_SHED)
+        assert controller.replay_depth() == 0
+        assert registry.values_by_label(metrics_mod.REPLAY_EVICTED_TOTAL,
+                                        "reason") == {EVICT_SHED: 1}
+
+    def test_parked_keyed_tuple_keeps_its_key_through_a_re_park(self):
+        clock = FakeClock()
+        egress = _FailingEgress(clock, failing=())
+        controller = _at_least_once_controller(
+            clock, egress, metrics_mod.MetricsRegistry())
+        controller.add_downstream("c")
+        table = KeyRangeTable.bootstrap(["a", "b", "c"])
+        controller.set_key_table(table)
+        ((first_range, owner),) = [(key_range, owner) for key_range, owner
+                                   in table.ranges() if owner == "a"]
+        controller.pause_range(first_range)
+        assert controller.dispatch(0, context=b"x", key_hash=5) is None
+        clock.now = 1.0
+        controller.update(clock.now)  # still paused: parked again
+        assert egress.attempts == []
+        assert controller.replay_holds(0)
+        # Unkeyed traffic keeps the policy rotating over every member.
+        assert {controller.dispatch(seq, context=b"y")
+                for seq in (1, 2, 3)} == {"a", "b", "c"}
+        controller.move_range(first_range, "c", reason="drain")
+        controller.resume_range(first_range)
+        assert [target for target, seq in egress.sent if seq == 0] == ["c"]
+        assert egress.attempts.count(("c", 0)) == 1
+
+    def test_failed_send_to_key_owner_parks_without_fallback(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _FailingEgress(clock, failing={"a"})
+        controller = _at_least_once_controller(clock, egress, registry)
+        controller.set_key_table(KeyRangeTable.bootstrap(["a", "b"]))
+        assert controller.dispatch(0, context=b"x", key_hash=5) is None
+        assert egress.attempts == [("a", 0)]
+        assert controller.dead_downstreams() == ["a"]
+        assert controller.replay_holds(0)
+        assert controller.dispatched == 0
+        assert registry.values_by_label(metrics_mod.REROUTED_TOTAL,
                                         "downstream") == {}
 
 

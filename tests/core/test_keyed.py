@@ -52,7 +52,7 @@ class TestKeyedConfig:
     @pytest.mark.parametrize("kwargs", [
         {"key_count": -1}, {"zipf_alpha": -0.1}, {"hot_ratio": 1.0},
         {"min_split_interval": -1}, {"max_splits": -1},
-        {"min_range_width": 1}, {"rate_window": 0.0},
+        {"min_range_width": 1},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(PolicyError):
@@ -133,8 +133,7 @@ class TestKeyRangeTable:
 
 class TestHotRangeDetector:
     def _config(self, **kwargs):
-        base = dict(hot_ratio=1.5, min_split_interval=0.0, max_splits=4,
-                    rate_window=1.0)
+        base = dict(hot_ratio=1.5, min_split_interval=0.0, max_splits=4)
         base.update(kwargs)
         return KeyedConfig(**base)
 

@@ -21,7 +21,7 @@ class _RecordingEgress:
         self.clock = clock
         self.sent = []
 
-    def send(self, downstream_id, seq, context):
+    def send(self, downstream_id, seq, context, attempt):
         self.sent.append((downstream_id, seq))
         return self.clock()
 

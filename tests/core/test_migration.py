@@ -236,13 +236,11 @@ class TestMigrateRange:
         sent = []
 
         class Egress:
-            def send(self, downstream_id, seq, context):
+            def send(self, downstream_id, seq, context, attempt):
                 sent.append((downstream_id, seq))
                 return swarm.clock()
 
         swarm.controller._egress = Egress()
-        swarm.controller.on_redeliver = (
-            lambda seq, chosen, context, attempt: None)
         steps = swarm.steps()
         next(steps)  # paused, draining
         key_hash = hash_key(LOWER_KEYS[0])

@@ -35,7 +35,7 @@ from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.runtime.chaos import ChurnHarness
 from repro.runtime.dispatcher import UpstreamDispatcher
 from repro.simulation import scenarios
-from repro.simulation.control import engine_controller
+from repro.simulation.control import EngineEgress, engine_controller
 from repro.simulation.engine import Simulator
 from repro.simulation.swarm import run_swarm
 
@@ -272,11 +272,11 @@ def _run_sim_side():
     registry = metrics_mod.MetricsRegistry()
     controller = engine_controller(
         sim, PARITY_CONFIG, registry=registry, name="det",
-        redelivery=lambda seq, chosen, context, attempt: sim.schedule(
+        egress=EngineEgress(sim, lambda chosen, seq, context: sim.schedule(
             ACK_DELAY[chosen],
             lambda: controller.on_ack(
                 seq, processing_delay=PROCESSING_DELAY[chosen],
-                now=sim.now)))
+                now=sim.now))))
     controller.set_downstreams(DOWNSTREAMS)
 
     choices = []

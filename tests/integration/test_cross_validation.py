@@ -17,10 +17,17 @@ from repro.core.graph import GraphBuilder
 from repro.runtime.app_runner import CONTROL_INTERVAL, SwingRuntime
 from repro.simulation.swarm import SwarmConfig, run_swarm
 from repro.simulation.workload import face_workload
+from tests.integration.waiting import wait_until
 
 
 def runtime_shares(policy, items=120):
-    """Work split between a fast and a 40x-slower worker (threads)."""
+    """Work split between a fast and a 40x-slower worker (threads).
+
+    The counts are read once the sink holds every tuple.  The slowed
+    worker sleeps 400x its *measured* call time, so one call the OS
+    preempts can sleep for most of a second: an idle-window stop could
+    fall inside that sleep and cut the slow worker's share short.
+    """
     graph = (GraphBuilder("xval")
              .source("src", lambda: IterableSource(
                  [{"x": i} for i in range(items)]))
@@ -33,7 +40,13 @@ def runtime_shares(policy, items=120):
                            config=PolicyConfig(
                                policy=policy, seed=3,
                                control_interval=CONTROL_INTERVAL))
-    runtime.run(until_idle=0.6, timeout=60.0)
+    runtime.start()
+    try:
+        sink = runtime.sink_unit()
+        wait_until(lambda: len(sink.results) >= items, timeout=60.0,
+                   message="%d results at the sink" % items)
+    finally:
+        runtime.stop()
     return {worker_id: worker.processed_count
             for worker_id, worker in runtime.workers.items()}
 

@@ -28,7 +28,7 @@ from repro.core.state import InMemoryStateStore
 from repro.core.tuples import DataTuple
 from repro.runtime.dispatcher import UpstreamDispatcher
 from repro.runtime.serialization import decode_tuple
-from repro.simulation.control import engine_controller, spend
+from repro.simulation.control import EngineEgress, engine_controller, spend
 from repro.simulation.engine import Simulator
 
 DOWNSTREAMS = ("det@B", "det@C", "det@D")
@@ -368,12 +368,13 @@ def _run_keyed_sim_side():
                          seq, processing_delay=PROCESSING_DELAY[instance],
                          now=sim.now))
 
-    def on_redeliver(seq, instance, _context, _attempt):
+    def on_redeliver(instance, seq, _context):
         redelivered.append((seq, instance))
         deliver(seq, instance)
 
     controller = engine_controller(sim, KEYED_CONFIG, registry=registry,
-                                   name="det", redelivery=on_redeliver)
+                                   name="det",
+                                   egress=EngineEgress(sim, on_redeliver))
     controller.set_downstreams(DOWNSTREAMS)
     controller.set_key_table(KeyRangeTable.bootstrap(DOWNSTREAMS))
 

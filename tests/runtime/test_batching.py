@@ -216,7 +216,7 @@ class _StubEgress:
         self._clock = clock
         self.sent = []
 
-    def send(self, downstream_id, seq, context=None):
+    def send(self, downstream_id, seq, context=None, attempt=1):
         self.sent.append((downstream_id, seq, context))
         return self._clock()
 

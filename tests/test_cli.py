@@ -193,8 +193,8 @@ class TestVerifyCommand:
             "discrete-event mirror"]
 
     def test_violation_exits_one_and_writes_repro(self, tmp_path,
-                                                  monkeypatch, capsys):
-        monkeypatch.setenv("SWING_FAULT_SKIP_REDELIVERY", "1")
+                                                  seeded_redelivery_bug,
+                                                  capsys):
         repro = tmp_path / "repro.json"
         code = main(["verify", "--schedules", "1", "--seed", "1",
                      "--quiet", "--out", str(repro)])
@@ -206,16 +206,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_replay_reproduces_then_clears(self, tmp_path, monkeypatch,
-                                           capsys):
-        monkeypatch.setenv("SWING_FAULT_SKIP_REDELIVERY", "1")
+    def test_replay_reproduces_then_clears(self, tmp_path,
+                                           seeded_redelivery_bug, capsys):
         repro = tmp_path / "repro.json"
         assert main(["verify", "--schedules", "1", "--seed", "1",
                      "--quiet", "--out", str(repro)]) == 1
         capsys.readouterr()
         assert main(["verify", "--replay", str(repro), "--quiet"]) == 1
-        # The "fix" (bug flag unset) turns the same repro clean: exit 0.
-        monkeypatch.delenv("SWING_FAULT_SKIP_REDELIVERY")
+        # The "fix" (the seeded bug undone) turns the same repro clean: exit 0.
+        seeded_redelivery_bug.undo()
         assert main(["verify", "--replay", str(repro), "--quiet"]) == 0
 
     def test_usage_error_exits_two(self):

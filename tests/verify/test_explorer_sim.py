@@ -1,7 +1,7 @@
 """Explorer sweeps on the discrete-event substrate.
 
 Includes the mutation test the acceptance bar demands: with the seeded
-at-least-once bug enabled (``SWING_FAULT_SKIP_REDELIVERY``), the
+at-least-once bug enabled (the ``seeded_redelivery_bug`` fixture), the
 explorer must find a violating schedule within 50 seeds and shrink it
 to a handful of fault events that reproduce deterministically.
 """
@@ -46,8 +46,8 @@ class TestCleanSweep:
 
 class TestMutationHasTeeth:
     @pytest.fixture
-    def seeded_bug(self, monkeypatch):
-        monkeypatch.setenv("SWING_FAULT_SKIP_REDELIVERY", "1")
+    def seeded_bug(self, seeded_redelivery_bug):
+        return seeded_redelivery_bug
 
     def test_bug_found_within_50_seeds_and_shrinks_small(self, seeded_bug):
         case = None
@@ -83,21 +83,19 @@ class TestMutationHasTeeth:
             [violation.to_dict() for violation in second]
         assert first_case.shrunk.to_json() == second_case.shrunk.to_json()
 
-    def test_fix_clears_the_repro(self, seeded_bug, tmp_path,
-                                  monkeypatch):
+    def test_fix_clears_the_repro(self, seeded_bug, tmp_path):
         report = explorer.explore(1, seed=1)
         path = str(tmp_path / "repro.json")
         explorer.write_repro(report.failures[0], path)
         # "Apply the fix" (unset the seeded bug): the repro must go
         # clean, which is exactly how a real fix is confirmed.
-        monkeypatch.delenv("SWING_FAULT_SKIP_REDELIVERY")
+        seeded_bug.undo()
         _case, violations = explorer.replay(path)
         assert violations == ()
 
 
 class TestShrink:
-    def test_shrink_drops_irrelevant_atoms(self, monkeypatch):
-        monkeypatch.setenv("SWING_FAULT_SKIP_REDELIVERY", "1")
+    def test_shrink_drops_irrelevant_atoms(self, seeded_redelivery_bug):
         schedule = FaultSchedule.generate(2)
         assert len(schedule.atoms()) >= 2
         shrunk = explorer.shrink(schedule, adapters.SIM)
