@@ -434,7 +434,7 @@ class LrsController:
                 return
             self._registry.increment(metrics_mod.REROUTED_TOTAL,
                                      downstream=chosen)
-            detail, tenant = ",".join(sorted(tried)), ""
+            detail = ",".join(sorted(tried))
         else:
             self._registry.increment(
                 metrics_mod.REDELIVERED_TOTAL,
@@ -442,12 +442,11 @@ class LrsController:
                                             edge=self.name or "-"))
             detail = "redeliver:%s>%s#%d" % (replayed.downstream or "-",
                                               chosen, replayed.attempt + 1)
-            tenant = self.tenant
         if self._trace.enabled:
             self._trace.emit(Span(RETRY, seq, sent_at, sent_at,
                                   device_id=self.name or "-",
                                   hop="egress:%s" % (self.name or "-"),
-                                  detail=detail, tenant=tenant))
+                                  detail=detail, tenant=self.tenant))
 
     def _send_registered(self, downstream_id: str, seq: int,
                          members: Collection[int],
@@ -653,13 +652,7 @@ class LrsController:
         The echo of a send to a dead-marked member is what brings it
         back (the only way back from dead, for every policy).
         """
-        if self._replay is not None:
-            # Any ACK for this seq releases retention — including one
-            # from a previous delivery attempt racing a redelivery.  A
-            # batch member's ACK only strikes the member (the simulator
-            # ACKs batch members one result at a time).
-            self._replay.release(seq)
-        return self._fold_ack(seq, 1, processing_delay, now)
+        return self._fold(((seq, 1, processing_delay),), now)
 
     def on_ack_batch(self, seqs: Iterable[int],
                      processing_delay: Optional[float] = None,
@@ -674,36 +667,54 @@ class LrsController:
         seqs = list(seqs)
         if not seqs:
             return None
-        if len(seqs) == 1:
-            return self.on_ack(seqs[0], processing_delay=processing_delay,
-                               now=now)
-        if self._replay is not None:
-            self._replay.release_batch(seqs)
-        return self._fold_ack(seqs[0], len(seqs), processing_delay, now)
+        return self._fold(((seqs[0], len(seqs), processing_delay),), now)
 
-    def _fold_ack(self, head: int, count: int,
-                  processing_delay: Optional[float],
-                  now: Optional[float]) -> Optional[AckResult]:
-        """Match *head*'s pending entry: one sample, *count* tuples."""
+    def on_echo(self, heads: Iterable[int], counts: Iterable[int],
+                delays: Iterable[Optional[float]],
+                now: Optional[float] = None) -> Optional[AckResult]:
+        """Fold one echo of several units, each a frame headed by its
+        ``heads`` entry, of its ``counts`` entry tuples, with its
+        ``delays`` entry as processing delay: what one :meth:`on_ack`
+        (a unit of one tuple) or :meth:`on_ack_batch` (of more) per unit
+        would leave, under one clock read and one lock.  Returns the
+        last unit that matched a pending entry."""
+        return self._fold(tuple(zip(heads, counts, delays)), now)
+
+    def _fold(self, units, now: Optional[float]) -> Optional[AckResult]:
+        """Release and match each ``(head, count, delay)`` unit: one
+        sample from *head*'s pending entry, *count* tuples acked."""
+        if self._replay is not None:
+            # Any ACK releases retention — including one from a previous
+            # delivery attempt racing a redelivery.  A unit of one tuple
+            # only strikes it from its batch (the simulator ACKs batch
+            # members one result at a time).
+            self._replay.release_units([(head, count)
+                                        for head, count, _delay in units])
         if now is None:
             now = self._clock()
+        matched = []
         with self._lock:
-            downstream_id = self._tracker.pending_downstream(head)
-            sample = self._tracker.record_ack(
-                head, now, processing_delay=processing_delay)
-            if sample is None:
-                return None
-            self.ack_count += count
+            for head, count, delay in units:
+                downstream_id = self._tracker.pending_downstream(head)
+                sample = self._tracker.record_ack(head, now,
+                                                  processing_delay=delay)
+                if sample is not None:
+                    self.ack_count += count
+                    matched.append((head, downstream_id, sample))
         # Record the RTT distribution unconditionally (percentiles must
         # survive tracing being sampled out); the span itself is built
         # only for sampled tuples — this sits on the per-ACK hot path.
-        self._ack_rtt[downstream_id].observe(sample)
-        if self._trace.enabled and self._trace.sampled(head):
-            self._trace.emit(Span(ACK_RTT, head, now - sample, now,
-                                  device_id=self.name or "-",
-                                  hop="egress:%s" % (self.name or "-"),
-                                  detail=downstream_id),
-                             sampled=True)
+        for head, downstream_id, sample in matched:
+            self._ack_rtt[downstream_id].observe(sample)
+            if self._trace.enabled and self._trace.sampled(head):
+                self._trace.emit(Span(ACK_RTT, head, now - sample, now,
+                                      device_id=self.name or "-",
+                                      hop="egress:%s" % (self.name or "-"),
+                                      detail=downstream_id),
+                                 sampled=True)
+        if not matched:
+            return None
+        _head, downstream_id, sample = matched[-1]
         return AckResult(downstream_id=downstream_id, sample=sample)
 
     # -- control plane ---------------------------------------------------
@@ -831,7 +842,8 @@ class LrsController:
         self._drain_redeliveries()
 
     def _drain_redeliveries(self) -> None:
-        """Work through the redelivery queue, one entry at a time.
+        """Work through the redelivery queue, one entry at a time,
+        skipping an entry whose ACK arrived while it waited.
 
         A failed redelivery send dead-marks its target, which enqueues
         that target's entries here rather than recursing — the
@@ -850,7 +862,10 @@ class LrsController:
                 entries = (self._replay.take_for(item)
                            if isinstance(item, str) else [item])
                 for entry in entries:
-                    self._redeliver_entry(entry)
+                    # An ACK that landed while the entry waited here
+                    # released it: it is not sent again.
+                    if self._replay.owes(entry):
+                        self._redeliver_entry(entry)
         finally:
             with self._lock:
                 self._redelivering = False

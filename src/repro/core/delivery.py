@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import (AbstractSet, Deque, Dict, Hashable, Iterable, List,
-                    Optional, Set)
+                    Optional, Set, Tuple)
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import RuntimeStateError
@@ -135,7 +135,9 @@ class ReplayBuffer:
     first retention until the entry goes for good (released, evicted,
     discarded), including while :meth:`take_for` / :meth:`take_stale`
     have handed it out for redelivery.  A member's ACK or shed strikes
-    it, and the entry goes with its last member.
+    it, and the entry goes with its last member.  An entry handed out is
+    owed (:meth:`owes`) until it is retained again or discarded; an ACK
+    that lands meanwhile releases it there, so it is not sent again.
     """
 
     def __init__(self, config: DeliveryConfig,
@@ -148,6 +150,9 @@ class ReplayBuffer:
         self._entries: "OrderedDict[int, ReplayEntry]" = OrderedDict()
         #: batch member seq -> the latest entry of its batch
         self._member_of: Dict[int, ReplayEntry] = {}
+        #: head seq -> an entry handed out for redelivery, until it is
+        #: retained again, discarded or released by an ACK
+        self._taken: Dict[int, ReplayEntry] = {}
         self._bytes = 0
         self._lock = threading.Lock()
 
@@ -177,6 +182,7 @@ class ReplayBuffer:
                             key_hash=key_hash)
         with self._lock:
             self._pop_locked(seq)
+            self._taken.pop(seq, None)
             self._entries[seq] = entry
             self._bytes += nbytes
             for member in members:
@@ -244,19 +250,30 @@ class ReplayBuffer:
     def release(self, seq: int) -> bool:
         """*seq*'s ACK arrived: drop its entry (a batch's, with its last
         member).  True if an entry went."""
-        with self._lock:
-            target = self._strike_locked(seq)
-            return target is not None and self._pop_locked(target) is not None
+        return self.release_units(((seq, 1),))
 
-    def release_batch(self, seqs: List[int]) -> bool:
-        """The whole batch headed by ``seqs[0]`` was ACKed at once."""
+    def release_units(self, units: Iterable[Tuple[int, int]]) -> bool:
+        """The ACKs of ``(head, count)`` units arrived, under one lock: a
+        unit of one tuple is :meth:`release`'s seq (a lone tuple, or a
+        batch member the simulator ACKs on its own), a unit of more is
+        the whole batch headed by *head*.  True if an entry went."""
+        released = False
         with self._lock:
-            entry = next((self._member_of[seq] for seq in seqs
-                          if seq in self._member_of),
-                         self._entries.get(seqs[0]))
-            if entry is not None:
-                self._forget_locked(entry)
-            return self._pop_locked(seqs[0]) is not None
+            for head, count in units:
+                if count == 1:
+                    target = self._strike_locked(head)
+                else:
+                    target = head
+                    entry = (self._member_of.get(head)
+                             or self._entries.get(head)
+                             or self._taken.get(head))
+                    if entry is not None:
+                        self._forget_locked(entry)
+                if target is not None and (
+                        self._pop_locked(target) is not None
+                        or self._taken.pop(target, None) is not None):
+                    released = True
+        return released
 
     def withdraw(self, seq: int) -> None:
         """Take back the entry retained for a send that failed; its unit
@@ -285,8 +302,15 @@ class ReplayBuffer:
     def discard(self, entry: ReplayEntry, reason: str) -> None:
         """Count giving up on an already-taken *entry* for *reason*."""
         with self._lock:
+            self._taken.pop(entry.seq, None)
             self._forget_locked(entry)
         self._count_eviction(reason)
+
+    def owes(self, entry: ReplayEntry) -> bool:
+        """Whether *entry*, taken for redelivery, still awaits its ACK
+        (False once an ACK released it while it was out)."""
+        with self._lock:
+            return self._taken.get(entry.seq) is entry
 
     def holds(self, seq: int) -> bool:
         """Whether *seq* is retained, alone or as an un-ACKed member of
@@ -300,8 +324,7 @@ class ReplayBuffer:
         with self._lock:
             taken = [entry for entry in self._entries.values()
                      if entry.downstream == downstream]
-            for entry in taken:
-                self._pop_locked(entry.seq)
+            self._take_locked(taken)
         return taken
 
     def take_stale(self, cutoff: float) -> List[ReplayEntry]:
@@ -314,9 +337,13 @@ class ReplayBuffer:
         with self._lock:
             taken = [entry for entry in self._entries.values()
                      if entry.downstream is None or entry.sent_at <= cutoff]
-            for entry in taken:
-                self._pop_locked(entry.seq)
+            self._take_locked(taken)
         return taken
+
+    def _take_locked(self, taken: List[ReplayEntry]) -> None:
+        for entry in taken:
+            self._pop_locked(entry.seq)
+            self._taken[entry.seq] = entry
 
     # -- introspection -----------------------------------------------------
     def entries(self) -> List[ReplayEntry]:

@@ -8,10 +8,10 @@ translates the threaded runtime's substrate into the controller's three
 ports: ``time.monotonic`` as the Clock, a health-gated fabric send as
 the Egress, and the process's metrics registry as the sink.
 :meth:`UpstreamDispatcher.dispatch` is called for every tuple the unit
-emits; :meth:`UpstreamDispatcher.on_ack` for every timestamp echo that
-returns; :meth:`UpstreamDispatcher.tick` by the hosting worker's loop
-whenever the edge's next deadline (control round or batch flush) falls
-due; :meth:`UpstreamDispatcher.flush_held` by that loop when it writes
+emits; :meth:`UpstreamDispatcher.on_ack` (``on_ack_batch``,
+``on_echo``) for every ACK that returns;
+:meth:`UpstreamDispatcher.tick` by the hosting worker's loop whenever
+the edge's next deadline (control round or batch flush) falls due; :meth:`UpstreamDispatcher.flush_held` by that loop when it writes
 the tuples it held.
 """
 
@@ -409,6 +409,11 @@ class UpstreamDispatcher:
         """Fold one batched timestamp echo into the estimators."""
         self._credit_health(self.controller.on_ack_batch(
             seqs, processing_delay=processing_delay))
+
+    def on_echo(self, heads, counts, delays) -> None:
+        """Fold one echo of several units in one pass; the worker that
+        sent it is credited once."""
+        self._credit_health(self.controller.on_echo(heads, counts, delays))
 
     def _credit_health(self, result) -> None:
         """A matched echo is proof of life for the worker that sent it."""

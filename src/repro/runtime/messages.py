@@ -4,7 +4,9 @@ Every frame on a channel is one envelope: a message kind plus a payload
 dict, encoded with the binary tuple codec.  The kinds mirror the Swing
 workflow (Fig. 3): workers JOIN, the master DEPLOYs function units and
 peer addresses, START/STOP drive execution, DATA carries tuples, ACK
-carries the timestamp echo + measured processing delay back upstream.
+carries the timestamp echo + measured processing delay back upstream —
+one ACK per served frame, or one echo for several frames served from
+one upstream edge.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ _KINDS = frozenset({JOIN, WELCOME, DEPLOY, START, STOP, DATA, BATCH, ACK,
 _NUMBER = (int, float)
 _OPTIONAL = (("tenant", (str, type(None))), ("edge", (str, type(None))),
              ("delivery_attempt", (int, type(None))))
-#: per-tuple kinds: the payload fields a receiver indexes, with the types
-#: it handles (an int passes for a float; ``None`` = may be absent)
+#: the payload shape of an ACK that echoes several units (it carries
+#: ``heads``); not a message kind
+_ECHO = "echo"
+#: per-tuple kinds (and the echo): the payload fields a receiver indexes,
+#: with the types it handles (an int passes for a float; ``None`` = may
+#: be absent)
 _FIELDS = {
     DATA: (("unit", str), ("tuple", bytes), ("seq", int),
            ("sent_at", _NUMBER)) + _OPTIONAL,
@@ -42,7 +48,11 @@ _FIELDS = {
             ("sent_at", _NUMBER)) + _OPTIONAL,
     ACK: (("seq", int), ("processing_delay", _NUMBER),
           ("seqs", (list, type(None))), ("edge", (str, type(None)))),
+    _ECHO: (("heads", list), ("counts", list), ("delays", list),
+            ("seq", int), ("edge", (str, type(None)))),
 }
+#: the type every member of a list field must have
+_MEMBERS = {"seqs": int, "heads": int, "counts": int, "delays": _NUMBER}
 
 
 @dataclass
@@ -63,17 +73,26 @@ class Message:
     def decode(cls, data: bytes) -> "Message":
         """Decode one frame; a non-dict payload, or a DATA/BATCH/ACK
         frame missing a field its receiver indexes or carrying one of
-        the wrong type, is a :class:`SerializationError`."""
+        the wrong type, is a :class:`SerializationError` — and so is an
+        echo whose lists differ in length or count a unit of no tuple."""
         kind, payload = decode_envelope(data)
         if not isinstance(kind, str) or not isinstance(payload, dict):
             raise SerializationError("malformed message frame")
-        for name, types in _FIELDS.get(kind, ()):
+        shape = _ECHO if kind == ACK and "heads" in payload else kind
+        for name, types in _FIELDS.get(shape, ()):
             value = payload.get(name)
             if not isinstance(value, types) or (
-                    isinstance(value, list)  # seqs: every member an int
-                    and not all(isinstance(seq, int) for seq in value)):
+                    isinstance(value, list) and not all(
+                        isinstance(member, _MEMBERS[name])
+                        for member in value)):
                 raise SerializationError("%s frame with a missing or "
                                          "malformed %r" % (kind, name))
+        if shape == _ECHO and not (
+                len(payload["heads"]) == len(payload["counts"])
+                == len(payload["delays"]) > 0
+                and min(payload["counts"]) >= 1):
+            raise SerializationError("echo with unmatched heads, counts "
+                                     "and delays")
         return cls(kind=kind, payload=payload)
 
 
@@ -198,6 +217,24 @@ def batch_ack_message(seqs: list, sent_at: float,
     message = Message(ACK, {"seqs": list(seqs), "seq": seqs[0],
                             "sent_at": sent_at,
                             "processing_delay": processing_delay})
+    if epoch:
+        message.payload["epoch"] = epoch
+    return message
+
+
+def echo_message(heads: list, counts: list, delays: list,
+                 epoch: int = 0) -> Message:
+    """One ACK for several units a worker served from one upstream edge.
+
+    Unit *i* is the frame headed by ``heads[i]``, of ``counts[i]``
+    tuples, and ``delays[i]`` is the processing delay its own ACK would
+    carry (W_i: the compute time of a DATA tuple, the mean per member of
+    a BATCH).  There is no per-unit ``sent_at``, which no receiver
+    reads; ``seq`` is the first head, so whatever reads an ACK's
+    ``seq`` still finds one.  *epoch* as in :func:`ack_message`.
+    """
+    message = Message(ACK, {"heads": list(heads), "counts": list(counts),
+                            "delays": list(delays), "seq": heads[0]})
     if epoch:
         message.payload["epoch"] = epoch
     return message

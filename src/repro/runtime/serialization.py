@@ -28,7 +28,8 @@ One decoder walks a frame by integer offsets (:func:`_decode_at`), and
 it and :func:`encode_value` define the format.  The frames that cross
 once per tuple have fixed layouts written and read by offset, each a
 twin of those two: a tuple's header and flat ``values`` dict, and the
-DATA, BATCH and ACK envelopes.  A value or frame off its layout goes
+DATA, BATCH and ACK envelopes (an ACK of one unit or an echo of
+several).  A value or frame off its layout goes
 through the general pair.  Every failure either way is a
 :class:`SerializationError`.
 """
@@ -598,9 +599,11 @@ def decode_envelope(data: Union[bytes, bytearray, memoryview]
 # DATA   unit tuple seq sent_at [tenant] edge [delivery_attempt]
 # BATCH  unit batch seqs sent_at [tenant] edge [delivery_attempt]
 # ACK    [seqs] seq sent_at processing_delay [epoch] edge
+# echo   heads counts delays seq [epoch] edge   (an ACK of several units)
 #
 # Each field has one type (str, bytes, int, float, or a non-empty list of
-# int for ``seqs``); its key and type tag are one constant, packed and
+# int for ``seqs``, ``heads`` and ``counts``, of float for ``delays``);
+# its key and type tag are one constant, packed and
 # compared as a ``%ds`` field next to the scalars and lengths around it.
 # An encoder returns None, and a decoder returns None or lets a read past
 # the end raise, where the payload or frame leaves its layout: the
@@ -633,44 +636,60 @@ _K_TENANT = _keyed("tenant", _TAG_STR)
 _K_EDGE = _keyed("edge", _TAG_STR)
 _K_ATTEMPT = _keyed("delivery_attempt", _TAG_INT)
 _K_EPOCH = _keyed("epoch", _TAG_INT)
+_K_HEADS = _keyed("heads", _TAG_LIST)
+_K_COUNTS = _keyed("counts", _TAG_LIST)
+_K_DELAYS = _keyed("delays", _TAG_LIST)
 
 _UNIT = _layout("I", _K_UNIT, "I")  # field count, then the unit's length
 _TUPLE = _layout(_K_TUPLE, "I")
 _BATCH = _layout(_K_BATCH, "I")
 _SEQ_SENT_AT = _layout(_K_SEQ, "q", _K_SENT_AT, "d")
-_SEQS = _layout(_K_SEQS, "I")
 _SENT_AT = _layout(_K_SENT_AT, "d")
 _TENANT = _layout(_K_TENANT, "I")
 _EDGE = _layout(_K_EDGE, "I")
 _ATTEMPT = _layout(_K_ATTEMPT, "q")
 _ACK = _layout(_K_SEQ, "q", _K_SENT_AT, "d", _K_DELAY, "d")
 _EPOCH = _layout(_K_EPOCH, "q")
-_INT_TYPE = {int}
+_SEQ = _layout(_K_SEQ, "q")
+#: a list field: its key and count, then its members, each tagged
+_LIST_HEADS = {key: _layout(key, "I")
+               for key in (_K_SEQS, _K_HEADS, _K_COUNTS, _K_DELAYS)}
+_MEMBERS = {int: (_TAGGED_I64, _TAG_INT), float: (_TAGGED_F64, _TAG_FLOAT)}
+#: the echo's lists, in wire order: (payload key, key constant, member type)
+_ECHO_LISTS = (("heads", _K_HEADS, int), ("counts", _K_COUNTS, int),
+               ("delays", _K_DELAYS, float))
 
 
-def _encode_seqs(seqs: Any, out: List[bytes]) -> bool:
-    if type(seqs) is not list or not seqs or set(map(type, seqs)) != _INT_TYPE:
+def _encode_list(key: bytes, values: Any, kind: type,
+                 out: List[bytes]) -> bool:
+    """A non-empty list whose members are all exactly *kind*."""
+    if type(values) is not list or not values \
+            or set(map(type, values)) != {kind}:
         return False
-    out.append(_SEQS.pack(_K_SEQS, len(seqs)))
-    out += [_TAGGED_I64.pack(_TAG_INT, seq) for seq in seqs]
+    member, tag = _MEMBERS[kind]
+    out.append(_LIST_HEADS[key].pack(key, len(values)))
+    out += [member.pack(tag, value) for value in values]
     return True
 
 
-def _decode_seqs(buf: bytes, pos: int) -> Tuple[Optional[list], int]:
-    """The members of ``seqs``, int-tagged values in a row, read by one
-    ``iter_unpack`` over a view of the frame: the declared count costs
-    nothing beyond the list the walker would build."""
-    key, count = _SEQS.unpack_from(buf, pos)
-    pos += _SEQS.size
-    end = pos + _TAGGED_I64.size * count
-    if key != _K_SEQS or not count or end > len(buf):
+def _decode_list(buf: bytes, pos: int, key: bytes,
+                 kind: type) -> Tuple[Optional[list], int]:
+    """The members of the list *key*, *kind*-tagged values in a row, read
+    by one ``iter_unpack`` over a view of the frame: the declared count
+    costs nothing beyond the list the walker would build."""
+    head = _LIST_HEADS[key]
+    member, tag = _MEMBERS[kind]
+    found, count = head.unpack_from(buf, pos)
+    pos += head.size
+    end = pos + member.size * count
+    if found != key or not count or end > len(buf):
         return None, pos
-    seqs = []
-    for tag, seq in _TAGGED_I64.iter_unpack(memoryview(buf)[pos:end]):
-        if tag != _TAG_INT:
+    values = []
+    for member_tag, value in member.iter_unpack(memoryview(buf)[pos:end]):
+        if member_tag != tag:
             return None, pos
-        seqs.append(seq)
-    return seqs, end
+        values.append(value)
+    return values, end
 
 
 def _encode_tail(payload: dict, out: List[bytes]) -> Optional[bytes]:
@@ -759,7 +778,7 @@ def _encode_batch(payload: dict) -> Optional[bytes]:
     unit = unit.encode("utf-8")
     out = [_BATCH_HEAD, _UNIT.pack(len(payload), _K_UNIT, len(unit)), unit,
            _BATCH.pack(_K_BATCH, len(body)), body]
-    if not _encode_seqs(payload["seqs"], out):
+    if not _encode_list(_K_SEQS, payload["seqs"], int, out):
         return None
     out.append(_SENT_AT.pack(_K_SENT_AT, sent_at))
     return _encode_tail(payload, out)
@@ -773,7 +792,7 @@ def _decode_batch(buf: bytes, pos: int) -> Optional[dict]:
     body_key, size = _BATCH.unpack_from(buf, pos)
     pos += _BATCH.size
     body = buf[pos:pos + size]
-    seqs, pos = _decode_seqs(buf, pos + size)
+    seqs, pos = _decode_list(buf, pos + size, _K_SEQS, int)
     sent_key, sent_at = _SENT_AT.unpack_from(buf, pos)
     if unit_key != _K_UNIT or body_key != _K_BATCH or seqs is None \
             or sent_key != _K_SENT_AT:
@@ -790,9 +809,28 @@ def _encode_ack(payload: dict) -> Optional[bytes]:
             or type(delay) is not float or type(edge) is not str:
         return None
     out = [_ACK_HEAD, _PACK_U32.pack(len(payload))]
-    if "seqs" in payload and not _encode_seqs(payload["seqs"], out):
+    if "seqs" in payload \
+            and not _encode_list(_K_SEQS, payload["seqs"], int, out):
         return None
     out.append(_ACK.pack(_K_SEQ, seq, _K_SENT_AT, sent_at, _K_DELAY, delay))
+    return _encode_ack_tail(payload, edge, out)
+
+
+def _encode_echo(payload: dict) -> Optional[bytes]:
+    seq, edge = payload["seq"], payload["edge"]
+    if type(seq) is not int or type(edge) is not str:
+        return None
+    out = [_ACK_HEAD, _PACK_U32.pack(len(payload))]
+    for name, key, kind in _ECHO_LISTS:
+        if not _encode_list(key, payload[name], kind, out):
+            return None
+    out.append(_SEQ.pack(_K_SEQ, seq))
+    return _encode_ack_tail(payload, edge, out)
+
+
+def _encode_ack_tail(payload: dict, edge: str,
+                     out: List[bytes]) -> Optional[bytes]:
+    """ACK and echo after their scalars: [epoch] edge."""
     if "epoch" in payload:
         epoch = payload["epoch"]
         if type(epoch) is not int:
@@ -806,24 +844,46 @@ def _encode_ack(payload: dict) -> Optional[bytes]:
 def _decode_ack(buf: bytes, pos: int) -> Optional[dict]:
     left = _U32_AT(buf, pos)[0] - 4
     pos += 4
+    if buf.startswith(_K_HEADS, pos):
+        return _decode_echo(buf, pos, left - 1)
     payload = {}
     if buf.startswith(_K_SEQS, pos):
-        seqs, pos = _decode_seqs(buf, pos)
+        seqs, pos = _decode_list(buf, pos, _K_SEQS, int)
         if seqs is None:
             return None
         payload["seqs"] = seqs
         left -= 1
     seq_key, payload["seq"], sent_key, payload["sent_at"], delay_key, \
         payload["processing_delay"] = _ACK.unpack_from(buf, pos)
-    pos += _ACK.size
+    if seq_key != _K_SEQ or sent_key != _K_SENT_AT or delay_key != _K_DELAY:
+        return None
+    return _decode_ack_tail(buf, pos + _ACK.size, left, payload)
+
+
+def _decode_echo(buf: bytes, pos: int, left: int) -> Optional[dict]:
+    """An echo's *left* + 5 fields, from its ``heads``."""
+    payload = {}
+    for name, key, kind in _ECHO_LISTS:
+        payload[name], pos = _decode_list(buf, pos, key, kind)
+        if payload[name] is None:
+            return None
+    seq_key, payload["seq"] = _SEQ.unpack_from(buf, pos)
+    if seq_key != _K_SEQ:
+        return None
+    return _decode_ack_tail(buf, pos + _SEQ.size, left, payload)
+
+
+def _decode_ack_tail(buf: bytes, pos: int, left: int,
+                     payload: dict) -> Optional[dict]:
+    """ACK and echo after their scalars: [epoch] edge, the last of the
+    frame's fields once *left* more than its scalars' are read."""
     if buf.startswith(_K_EPOCH, pos):
         payload["epoch"] = _EPOCH.unpack_from(buf, pos)[1]
         pos += _EPOCH.size
         left -= 1
     edge_key, size = _EDGE.unpack_from(buf, pos)
     pos += _EDGE.size
-    if seq_key != _K_SEQ or sent_key != _K_SENT_AT or delay_key != _K_DELAY \
-            or edge_key != _K_EDGE or left != 0 or pos + size != len(buf):
+    if edge_key != _K_EDGE or left != 0 or pos + size != len(buf):
         return None
     payload["edge"] = buf[pos:].decode("utf-8")
     return payload
@@ -841,6 +901,9 @@ _LAYOUT_ENCODERS.update(
     (("ack", seqs + ("seq", "sent_at", "processing_delay") + epoch
       + ("edge",)), _encode_ack)
     for seqs in ((), ("seqs",)) for epoch in ((), ("epoch",)))
+_LAYOUT_ENCODERS.update(
+    (("ack", ("heads", "counts", "delays", "seq") + epoch + ("edge",)),
+     _encode_echo) for epoch in ((), ("epoch",)))
 #: (constant head, kind, decoder): the frame's first bytes pick a layout
 _LAYOUT_DECODERS = ((_DATA_HEAD, "data", _decode_data),
                     (_ACK_HEAD, "ack", _decode_ack),

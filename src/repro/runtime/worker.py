@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import metrics as metrics_mod
 from repro.core import delivery as delivery_mod
@@ -51,9 +51,9 @@ _NEVER = float("inf")
 _FENCED_KINDS = frozenset({messages.DEPLOY, messages.START, messages.STOP,
                            messages.WELCOME})
 
-#: A loop thread writes what it holds once this many frames and tuples
-#: are waiting: bounds the burst one ``sendmsg`` carries, the tuples of
-#: a held BATCH (its bytes are capped by the dispatcher's
+#: A loop thread writes what it holds once this many frames, tuples and
+#: echoes are waiting: bounds the burst one ``sendmsg`` carries, the
+#: tuples of a held BATCH (its bytes are capped by the dispatcher's
 #: ``HOLD_MAX_BATCH_BYTES``), and how long the first can sit behind the
 #: bookkeeping of the messages that followed it.
 HOLD_MAX_FRAMES = 32
@@ -69,6 +69,25 @@ DRAIN_POLL = 0.01
 #: paper's units take 9-46 ms, so in its regime nothing is ever held
 #: across a unit call and LRS's L_i samples are what they were.
 HOLD_MAX_UNIT_S = 0.001
+
+
+def _ack_frame(edge: str, units: List[tuple]) -> messages.Message:
+    """The ACK of *units*, the ``(head, seqs, sent_at, delay, epoch)``
+    frames served from one upstream *edge*: a lone frame's own ACK,
+    byte for byte — ``seq`` for DATA, ``seqs`` for BATCH — or one echo
+    of several."""
+    if len(units) == 1:
+        head, seqs, sent_at, delay, epoch = units[0]
+        ack = (messages.ack_message(head, sent_at, delay, epoch=epoch)
+               if seqs is None else
+               messages.batch_ack_message(seqs, sent_at, delay, epoch=epoch))
+    else:
+        ack = messages.echo_message(
+            [unit[0] for unit in units],
+            [1 if unit[1] is None else len(unit[1]) for unit in units],
+            [unit[3] for unit in units], epoch=units[-1][4])
+    ack.payload["edge"] = edge
+    return ack
 
 
 class WorkerRuntime:
@@ -179,9 +198,13 @@ class WorkerRuntime:
         #: target, in emission order, and the edges holding result
         #: tuples not yet placed (see _hold).  Touched by the loop thread
         #: only, so they need no lock: every other thread's sends go
-        #: straight out.  ``_held_count`` counts both frames and tuples.
+        #: straight out.  ``_held_count`` counts frames, tuples and echoes.
         self._held: Dict[str, List[messages.Message]] = {}
         self._holding: List[UpstreamDispatcher] = []
+        #: the ACKs the loop thread owes, per (upstream, edge): one
+        #: ``(head, seqs, sent_at, delay, epoch)`` per served frame
+        #: (``seqs`` None for DATA), each weighing one in ``_held_count``
+        self._echoes: Dict[Tuple[str, str], List[tuple]] = {}
         self._held_count = 0
         self._loop_ident: Optional[int] = None
         #: set when a deadline may have moved earlier than the one the
@@ -400,24 +423,26 @@ class WorkerRuntime:
         return True
 
     def _emit(self, target_id: str, message: messages.Message) -> bool:
-        """Send one result or ACK frame: held on the loop thread, straight
-        out from any other.  Returns whether the frame was held.
+        """Send one result frame: held on the loop thread, straight out
+        from any other.  Returns whether the frame was held.
 
-        The loop thread emits an ACK per message it serves, and results,
-        each a ``sendall`` that gives the GIL away; holding them per target and
-        writing the burst in one :meth:`Fabric.send_many` is what makes
-        the TCP path one syscall per burst.  What is held — these frames
-        and the result tuples of unbatched edges (:meth:`_hold`) — is
-        written when the mailbox is empty (:meth:`_serve_mailbox`),
-        before a unit that is known to be slow is called (:meth:`_serve`),
-        and at ``HOLD_MAX_FRAMES`` — always between unit calls, never
-        from in here, so a burst write is not charged to the unit whose
-        emit happened to fill the buffer.  Source pumps, ``leave()``'s
-        and ``stop()``'s force-flush and master control run on other
-        threads and bypass the buffer, which is why it needs no lock.
-        The loop's own heartbeat is not a result and is not held.  A
-        held frame's send cannot fail synchronously, and proves nothing
-        about the peer; see :meth:`_flush_held`.
+        The loop thread emits results, each a ``sendall`` that gives the
+        GIL away, and owes an ACK per message it serves (:meth:`_echo`;
+        only the loop serves, so every echo is held); holding both per
+        target and writing the burst in one :meth:`Fabric.send_many` is
+        what makes the TCP path one syscall per burst.  What is held —
+        these frames, the echoes and the
+        result tuples of unbatched edges (:meth:`_hold`) — is written
+        when the mailbox is empty (:meth:`_serve_mailbox`), before a
+        unit that is known to be slow is called (:meth:`_serve`), and at
+        ``HOLD_MAX_FRAMES`` — always between unit calls, never from in
+        here, so a burst write is not charged to the unit whose emit
+        happened to fill the buffer.  Source pumps, ``leave()``'s and
+        ``stop()``'s force-flush and master control run on other threads
+        and bypass the buffer, which is why it needs no lock.  The loop's
+        own heartbeat is not a result and is not held.  A held frame's
+        send cannot fail synchronously, and proves nothing about the
+        peer; see :meth:`_flush_held`.
         """
         if threading.get_ident() != self._loop_ident:
             self.fabric.send(self.worker_id, target_id, message)
@@ -429,23 +454,35 @@ class WorkerRuntime:
         self._held_count += 1
         return True
 
+    def _echo(self, upstream_id: str, edge: str, unit: tuple) -> None:
+        """Owe *upstream_id* the ACK of one frame the loop served, *unit*
+        = ``(head, seqs, sent_at, delay, epoch)``: held until the flush,
+        which acknowledges everything served from one upstream edge in
+        one ACK (:func:`_ack_frame`)."""
+        units = self._echoes.get((upstream_id, edge))
+        if units is None:
+            units = self._echoes[(upstream_id, edge)] = []
+        units.append(unit)
+        self._held_count += 1
+
     def _flush_held(self) -> None:
-        """Place every held tuple, then write every held frame, one
-        burst per target.
+        """Place every held tuple, then write every held frame and one
+        ACK per upstream edge served, one burst per target.
 
         Each holding edge places its tuples first (one frame per chosen
         downstream; :meth:`UpstreamDispatcher.flush_held`), and those
-        result frames go ahead of the frames held before them, so no
-        ACK leaves ahead of the result of the tuple it acknowledges.
+        result frames go ahead of the frames held before them; the ACKs
+        go last, so no ACK leaves ahead of the result of the tuple it
+        acknowledges.
 
         The peer's health is credited here, where the bytes leave: a
         burst that went out is one success.  A burst that fails is never
         silent: it opens or widens the peer's backoff window (so the
         dispatcher's next send to it is gated like after a synchronous
         failure), and every frame of the burst is counted —
-        ``ack_unsent`` for an echo, ``send_failed`` for each tuple of a
-        result frame, which its upstream edge will redeliver or charge
-        as lost.
+        ``ack_unsent`` for each unit an ACK acknowledges, ``send_failed``
+        for each tuple of a result frame, which its upstream edge will
+        redeliver or charge as lost.
         """
         if not self._held_count:
             return
@@ -463,6 +500,11 @@ class WorkerRuntime:
             for target_id, burst in held.items():
                 results.setdefault(target_id, []).extend(burst)
             held = results
+        if self._echoes:
+            echoes, self._echoes = self._echoes, {}
+            for (upstream_id, edge), units in echoes.items():
+                held.setdefault(upstream_id, []).append(
+                    _ack_frame(edge, units))
         self._held_count = 0
         for target_id, burst in held.items():
             try:
@@ -472,9 +514,11 @@ class WorkerRuntime:
                 link = "%s>%s" % (self.worker_id, target_id)
                 for message in burst:
                     if message.kind == messages.ACK:
-                        self._registry.increment(metrics_mod.DROPPED_TOTAL,
-                                                 reason="ack_unsent",
-                                                 link=link)
+                        payload = message.payload
+                        self._registry.increment(
+                            metrics_mod.DROPPED_TOTAL,
+                            len(payload["heads"]) if "heads" in payload
+                            else 1, reason="ack_unsent", link=link)
                     else:
                         self._registry.increment(
                             metrics_mod.DROPPED_TOTAL,
@@ -716,15 +760,19 @@ class WorkerRuntime:
         """Serve one DATA or BATCH message: a tuple is a batch of one.
 
         Per tuple: ingress dedup, expiry shed, spans, unit processing.
-        Per message: ONE timestamp echo, shaped by the kind that arrived
-        — ``seq`` for DATA, ``seqs`` plus the mean per-tuple compute
-        time for BATCH (the same number at n = 1).  The ACK is sent even
-        when every member was deduped or shed: the upstream must still
-        release its replay retention, its failure detector must see a
-        healthy worker (a skip is a policy decision, not a fault), and
-        its ACK accounting must not charge the tuple as lost as well.
-        A frame that fails to decode gets no ACK at all: the upstream's
-        replay machinery redelivers or expires it.
+        Per message: ONE timestamp echo (:meth:`_echo`) — its head seq,
+        its member count, and the compute time for DATA or the mean
+        per-tuple compute time for BATCH (the same number at n = 1).
+        The loop's flush writes the echoes of every message served from
+        one upstream edge as one ACK: a lone message's is its own ACK
+        frame (``seq`` for DATA, ``seqs`` for BATCH), several share one
+        echo frame.  The echo is owed even when every member was deduped
+        or shed: the upstream must still release its replay retention,
+        its failure detector must see a healthy worker (a skip is a
+        policy decision, not a fault), and its ACK accounting must not
+        charge the tuple as lost as well.  A frame that fails to decode
+        gets no ACK at all: the upstream's replay machinery redelivers
+        or expires it.
         """
         payload = message.payload
         unit_name = payload["unit"]
@@ -808,36 +856,27 @@ class WorkerRuntime:
                 self.processed_by_tenant.get(tenant, 0) + 1
             busy += elapsed
         if single:
-            ack = messages.ack_message(payload["seq"], sent_at, busy,
-                                       epoch=self._master_epoch)
+            unit = (payload["seq"], None, sent_at, busy, self._master_epoch)
         else:
             seqs = payload.get("seqs") or [data.seq for data in batch]
-            ack = messages.batch_ack_message(seqs, sent_at,
-                                             busy / len(batch),
-                                             epoch=self._master_epoch)
-        ack.payload["edge"] = edge
-        self._send_ack(sender_id, ack)
-
-    def _send_ack(self, upstream_id: str, ack: messages.Message) -> None:
-        try:
-            self._emit(upstream_id, ack)
-        except SEND_ERRORS:
-            # The upstream is gone: nothing to acknowledge — but an echo
-            # that never left is counted here, where it was lost.
-            self._registry.increment(
-                metrics_mod.DROPPED_TOTAL, reason="ack_unsent",
-                link="%s>%s" % (self.worker_id, upstream_id))
+            unit = (seqs[0], seqs, sent_at, busy / len(batch),
+                    self._master_epoch)
+        self._echo(sender_id, edge, unit)
 
     def _on_ack(self, message: messages.Message) -> None:
-        dispatcher = self._dispatchers.get(message.payload.get("edge", ""))
+        payload = message.payload
+        dispatcher = self._dispatchers.get(payload.get("edge", ""))
         if dispatcher is None:
             return
-        seqs = message.payload.get("seqs")
+        if "heads" in payload:
+            dispatcher.on_echo(payload["heads"], payload["counts"],
+                               payload["delays"])
+            return
+        seqs = payload.get("seqs")
         if seqs:
-            dispatcher.on_ack_batch(seqs, message.payload["processing_delay"])
+            dispatcher.on_ack_batch(seqs, payload["processing_delay"])
         else:
-            dispatcher.on_ack(message.payload["seq"],
-                              message.payload["processing_delay"])
+            dispatcher.on_ack(payload["seq"], payload["processing_delay"])
 
     # -- sources ------------------------------------------------------------
     def _on_start(self, tenant: str) -> None:

@@ -3,6 +3,7 @@
 import heapq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import metrics as metrics_mod
 from repro.core.controller import AckResult, LrsController, PolicyConfig
@@ -279,6 +280,20 @@ class TestOnePlacementOneFold:
         (retry,) = [s for s in tracer.spans() if s.kind == RETRY]
         assert (retry.seq, retry.detail) == (seqs[0], "a")
 
+    def test_reroute_span_carries_the_tenant(self):
+        clock = FakeClock()
+        tracer = Tracer(sample_rate=1.0)
+        controller = LrsController(
+            PolicyConfig(policy="RR", seed=0), clock=clock,
+            egress=_FailingEgress(clock, failing={"a"}),
+            registry=metrics_mod.MetricsRegistry(), name="t1:s>d",
+            trace=tracer, tenant="t1")
+        controller.add_downstream("a")
+        controller.add_downstream("b")
+        assert controller.dispatch(5, context=b"frame") == "b"
+        (retry,) = [s for s in tracer.spans() if s.kind == RETRY]
+        assert (retry.detail, retry.tenant) == ("a", "t1")
+
     @either_size
     def test_nobody_alive_retains_the_unit_unassigned(self, seqs):
         clock = FakeClock()
@@ -343,6 +358,13 @@ class TestOnePlacementOneFold:
         assert registry.values_by_label(
             metrics_mod.REPLAY_EVICTED_TOTAL, "reason") == (
                 {EVICT_SHED: 1} if evicts else {})
+
+
+def _ack(controller, seqs, now=None):
+    """A unit's own ACK, as the runtime worker sends it."""
+    if len(seqs) == 1:
+        return controller.on_ack(seqs[0], now=now)
+    return controller.on_ack_batch(seqs, now=now)
 
 
 class _AckingEgress:
@@ -513,6 +535,31 @@ class TestOneLoopOneRecord:
         controller.on_ack(7)
         assert controller.replay_depth() == 0
         assert controller.export_retention() == []
+
+    @pytest.mark.parametrize("queued", [[5], [5, 6, 7]],
+                             ids=["lone", "batch"])
+    def test_unit_acked_while_queued_for_redelivery_is_not_resent(
+            self, queued):
+        clock = FakeClock()
+        egress = _HookedEgress(clock)
+        controller = _at_least_once_controller(
+            clock, egress, metrics_mod.MetricsRegistry())
+        controller.dispatch_routed([1], "a", context=b"one")
+        controller.dispatch_routed(queued, "b", context=b"frame")
+        # Both go overdue in one sweep; while the lone tuple 1 is being
+        # redelivered, the other unit's whole ACK lands.  It is released
+        # where it waits, not sent again.
+        egress.hooks[1] = lambda: _ack(controller, queued)
+        clock.now = 1.0
+        controller.update(clock.now)
+        assert egress.sent == [("a", 1), ("b", 5), ("b", 1)]
+        assert controller.replay_depth() == 1  # tuple 1, now at b
+        controller.on_ack(1)
+        assert controller.replay_depth() == 0
+        assert controller.export_retention() == []
+        clock.now = 2.0
+        controller.update(clock.now)
+        assert [seq for _target, seq in egress.sent].count(5) == 1
 
     def test_capacity_eviction_leaves_no_member_behind(self):
         clock = FakeClock()
@@ -700,3 +747,145 @@ class TestProbeRefresh:
         # worker was never re-selected.
         final = controller.stats()["slow"]
         assert final.latency == pytest.approx(0.02, abs=0.01)
+
+
+# -- one echo, one fold -------------------------------------------------------
+class _RecordingEgress:
+    """Always-succeeding egress that logs every send and, on the first
+    redelivery (attempt > 1), runs *hook* once — an ACK landing while
+    the units taken with it wait their turn in the redelivery queue."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.sent = []
+        self.hook = None
+
+    def send(self, downstream_id, seq, context, attempt):
+        self.sent.append((downstream_id, seq, attempt))
+        if attempt > 1 and self.hook is not None:
+            hook, self.hook = self.hook, None
+            hook()
+        return self.clock()
+
+
+@st.composite
+def echo_scenarios(draw):
+    """Units dispatched before and after an expiry round, and an echo of
+    some of them (duplicates and never-sent heads included)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    units, seq = [], 0
+    for size in sizes:
+        units.append(list(range(seq, seq + size)))
+        seq += size + 1
+    late = draw(st.integers(0, len(units)))
+    acked = draw(st.lists(st.one_of(
+        st.sampled_from(units), st.builds(lambda s: [s], st.integers(
+            1000, 1003)), st.builds(lambda s: [s, s + 1], st.integers(
+                2000, 2003))), min_size=2, max_size=10))
+    delays = draw(st.lists(st.floats(0.0, 0.05), min_size=len(acked),
+                           max_size=len(acked)))
+    return {"units": units, "late": late, "acked": acked, "delays": delays,
+            "at_least_once": draw(st.booleans()),
+            "during_redelivery": draw(st.booleans())}
+
+
+def _echo_state(controller, registry, tracer, egress, seqs):
+    return {
+        "stats": controller.stats(),
+        "pending": {seq: controller.tracker.pending_downstream(seq)
+                    for seq in seqs},
+        "lost": controller.lost_by_downstream(),
+        "ack_count": controller.ack_count,
+        "dispatched": controller.dispatched,
+        "replay": controller.export_retention(),
+        "holds": [seq for seq in seqs if controller.replay_holds(seq)],
+        "counters": registry.snapshot(),
+        "histograms": sorted((h.name, sorted(h.labels.items()), h.count,
+                              h.total) for h in registry.histograms()),
+        "spans": [(s.kind, s.seq, s.start, s.end, s.detail)
+                  for s in tracer.spans()],
+        "sent": list(egress.sent),
+    }
+
+
+class TestEchoFold:
+    """One echo of k units leaves exactly what k ACKs leave, one
+    ``on_ack`` / ``on_ack_batch`` per unit at the same clock."""
+
+    def _run(self, scenario, as_echo):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        tracer = Tracer(sample_rate=1.0)
+        egress = _RecordingEgress(clock)
+        delivery = (DeliveryConfig(mode=AT_LEAST_ONCE,
+                                   redelivery_timeout=0.5)
+                    if scenario["at_least_once"] else None)
+        controller = LrsController(
+            PolicyConfig(policy="RR", seed=0, ack_timeout=10.0,
+                         delivery=delivery),
+            clock=clock, egress=egress, registry=registry, name="s>d",
+            trace=tracer)
+        controller.add_downstream("a")
+        controller.add_downstream("b")
+        units, late = scenario["units"], scenario["late"]
+        for unit in units[:late]:
+            _dispatch(controller, unit, context=b"u%d" % unit[0])
+        clock.now = 11.0
+        controller.update(clock.now)  # expires (or redelivers) the early
+        clock.now = 11.2
+        for unit in units[late:]:
+            _dispatch(controller, unit, context=b"u%d" % unit[0])
+        acked, delays = scenario["acked"], scenario["delays"]
+
+        def fold():
+            if as_echo:
+                controller.on_echo([unit[0] for unit in acked],
+                                   [len(unit) for unit in acked], delays)
+            else:
+                for unit, delay in zip(acked, delays):
+                    if len(unit) == 1:
+                        controller.on_ack(unit[0], processing_delay=delay)
+                    else:
+                        controller.on_ack_batch(unit,
+                                                processing_delay=delay)
+
+        if scenario["during_redelivery"]:
+            egress.hook = fold
+            clock.now = 11.8
+            controller.update(clock.now)  # the late units are overdue
+            if egress.hook is not None:  # nothing was redelivered
+                egress.hook = None
+                fold()
+        else:
+            clock.now = 11.5
+            fold()
+        seqs = sorted({seq for unit in units + acked for seq in unit})
+        states = [_echo_state(controller, registry, tracer, egress, seqs)]
+        clock.now = 30.0
+        controller.update(clock.now)  # what is left is redelivered or lost
+        states.append(_echo_state(controller, registry, tracer, egress,
+                                  seqs))
+        return states
+
+    @given(echo_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_one_echo_folds_as_one_ack_per_unit(self, scenario):
+        assert self._run(scenario, as_echo=True) \
+            == self._run(scenario, as_echo=False)
+
+    def test_an_echo_credits_each_unit_one_sample(self):
+        clock = FakeClock()
+        registry = metrics_mod.MetricsRegistry()
+        egress = _RecordingEgress(clock)
+        controller = _at_least_once_controller(clock, egress, registry)
+        controller.dispatch_routed([1], "a", context=b"one")
+        controller.dispatch_routed([2, 3, 4], "a", context=b"three")
+        clock.now = 0.25
+        result = controller.on_echo([1, 2], [1, 3], [0.001, 0.002])
+        assert result == AckResult(downstream_id="a", sample=0.25)
+        assert controller.ack_count == 4
+        assert controller.replay_depth() == 0
+        assert [h.count for h in registry.histograms()
+                if h.name == metrics_mod.ACK_RTT_SECONDS] == [2]
+        assert controller.stats()["a"].processing_delay \
+            == pytest.approx(0.0015)

@@ -347,8 +347,9 @@ class TestMailboxBursts:
             received = []
             while len(peer):
                 received.append(peer.get(timeout=1.0)[1])
-            assert sorted(m.payload["seq"] for m in received
-                          if m.kind == messages.ACK) == [0, 1, 2, 3]
+            assert sorted(seq for m in received if m.kind == messages.ACK
+                          for seq in m.payload.get(
+                              "heads", [m.payload["seq"]])) == [0, 1, 2, 3]
         finally:
             release.set()
             worker.stop()

@@ -1,7 +1,8 @@
 """The fixed per-tuple layouts are twins of the general codec.
 
 ``runtime/serialization.py`` writes and reads DATA, BATCH and ACK
-envelopes, and a tuple's flat ``values`` dict, by offset.  The general
+envelopes (an echo of several units included), and a tuple's flat
+``values`` dict, by offset.  The general
 walker (``encode_value`` / ``_decode_at``) defines the format; for every
 input a fixed layout must give the same bytes, the same value of the
 same type, or a :class:`SerializationError` where the walker raises one.
@@ -160,9 +161,21 @@ def _ack(draw):
     return payload
 
 
+def _echo(draw):
+    payload = {"heads": draw(SEQS), "counts": draw(SEQS),
+               "delays": draw(st.lists(FLOATS, min_size=1, max_size=64)),
+               "seq": draw(INTS)}
+    if draw(st.booleans()):
+        payload["epoch"] = draw(INTS)
+    payload["edge"] = draw(TEXT)
+    return payload
+
+
 @st.composite
 def layout_frames(draw):
-    kind = draw(st.sampled_from(["data", "batch", "ack"]))
+    kind = draw(st.sampled_from(["data", "batch", "ack", "echo"]))
+    if kind == "echo":
+        return "ack", _echo(draw)
     return kind, (_ack(draw) if kind == "ack" else _data(draw, kind))
 
 
@@ -292,6 +305,22 @@ class TestDecodeTwins:
                              _outcome(_walker_envelope, frame)), (at, change)
         assert taken  # the layout read some of them, not only the walker
 
+    def test_the_echo_frame_is_read_by_its_layout(self):
+        assert "message/echo_epoch_edge" in LAYOUT_FRAMES
+
+    @given(st.sampled_from(["heads", "counts", "delays"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_an_echo_list_of_any_declared_length_decodes_alike(self, key,
+                                                              count):
+        frame = bytearray(FRAMES["message/echo_epoch_edge"])
+        at = frame.index(serialization._keyed(key, serialization._TAG_LIST))
+        at += len(key) + 6
+        frame[at:at + 4] = count.to_bytes(4, "big")
+        frame = bytes(frame)
+        assert _same(_outcome(decode_envelope, frame),
+                     _outcome(_walker_envelope, frame))
+
     def test_hostile_seqs_count_allocates_nothing(self):
         frame = bytearray(FRAMES["message/batch_ack"])
         at = frame.index(serialization._K_SEQS) + len(serialization._K_SEQS)
@@ -358,6 +387,9 @@ TRAFFIC = {
     "batch_ack": _acked(messages.batch_ack_message([7, 8], 0.5, 0.001)),
     "batch_ack_epoch": _acked(messages.batch_ack_message([7, 8], 0.5, 0.001,
                                                          epoch=3)),
+    "echo": _acked(messages.echo_message([7, 9], [1, 2], [0.001, 0.0005])),
+    "echo_epoch": _acked(messages.echo_message([7, 9], [1, 2],
+                                               [0.001, 0.0005], epoch=3)),
 }
 
 
@@ -420,8 +452,9 @@ class _Recording(InProcFabric):
 
 
 def test_a_running_pipeline_sends_only_layout_frames():
-    """Every DATA, BATCH and ACK an at-least-once closed loop sends, with
-    the fields the dispatcher and the worker really put on them."""
+    """Every DATA, BATCH and ACK (echoes included) an at-least-once closed
+    loop sends, with the fields the dispatcher and the worker really put
+    on them."""
     loop = alo._Loop()
     graph = (GraphBuilder("layouts")
              .source("src", lambda: alo._Source(loop))
@@ -462,6 +495,7 @@ def test_a_running_pipeline_sends_only_layout_frames():
     per_tuple = [m for m in list(fabric.sent)
                  if m.kind in (messages.DATA, messages.BATCH, messages.ACK)]
     assert {m.kind for m in per_tuple} >= {messages.DATA, messages.ACK}
+    assert any("heads" in m.payload for m in per_tuple), "no echo was sent"
     walker = sorted({(m.kind,) + tuple(m.payload) for m in per_tuple
                      if not takes_fixed_layout(m)})
     assert not walker, "data-plane frames off their layout: %r" % walker

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as npst
 
 from repro.core.exceptions import SerializationError, SwingError
 from repro.core.tuples import DataTuple
-from repro.runtime.messages import Message
+from repro.runtime.messages import ACK, Message, echo_message
 from repro.runtime.serialization import (decode_batch, decode_tuple,
                                          decode_value, encode_batch,
                                          encode_tuple, encode_value)
@@ -116,6 +116,55 @@ class TestRoundtripFuzz:
         assert [d.seq for d in out] == [seq0 + i for i in range(len(values))]
         for decoded, original in zip(out, values):
             _assert_same(decoded.values["v"], original)
+
+
+def _echo(**changes) -> Message:
+    message = echo_message([3, 7, 12], [1, 4, 1], [0.001, 0.0025, 0.0],
+                           epoch=1)
+    message.payload["edge"] = "src>f"
+    for name, value in changes.items():
+        if value is None:
+            del message.payload[name]
+        else:
+            message.payload[name] = value
+    return message
+
+
+class TestEchoFrameFuzz:
+    """A hostile echo decodes to units whose heads, counts and delays
+    line up, or fails cleanly: a receiver zips the three lists."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_mutated_echo_lines_up_or_fails(self, data):
+        frame = bytearray(_echo().encode())
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(frame) - 1))
+            frame[at] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            del frame[data.draw(st.integers(0, len(frame))):]
+        try:
+            message = Message.decode(bytes(frame))
+        except SerializationError:
+            return
+        payload = message.payload
+        if message.kind == ACK and "heads" in payload:
+            assert len(payload["heads"]) == len(payload["counts"]) \
+                == len(payload["delays"]) > 0
+            assert min(payload["counts"]) >= 1
+
+    @pytest.mark.parametrize("changes", [
+        {"heads": [3]}, {"counts": [1, 4]}, {"delays": []},
+        {"counts": [1, 0, 1]}, {"counts": [1, -4, 1]},
+        {"heads": [3, "7", 12]}, {"counts": [1, 4.0, 1]},
+        {"delays": [0.1, "x", 0.0]}, {"heads": None}, {"seq": None},
+        {"edge": 5}], ids=str)
+    def test_an_echo_that_does_not_line_up_is_rejected(self, changes):
+        with pytest.raises(SerializationError):
+            Message.decode(_echo(**changes).encode())
+
+    def test_a_well_formed_echo_decodes_whole(self):
+        assert Message.decode(_echo().encode()) == _echo()
 
 
 class TestBatchFrameFuzz:

@@ -7,7 +7,8 @@ compute, never past ``stop()`` or ``leave()``, and never silently lost.
 At the flush each held tuple is routed as unheld dispatch would route
 it, and each chosen downstream gets one frame: a lone tuple the DATA
 frame unheld dispatch sends, several one BATCH frame; then one
-``Fabric.send_many`` per target carries the results ahead of the ACKs.
+``Fabric.send_many`` per target carries the results ahead of the ACKs,
+one per upstream edge: a lone frame's own ACK, or an echo of several.
 """
 
 import threading
@@ -108,6 +109,14 @@ def _seqs(message):
     return [message.payload["seq"]]
 
 
+def _acked(message):
+    """The head seq of every unit an ACK acknowledges: one for a frame's
+    own ACK, several for an echo."""
+    if "heads" in message.payload:
+        return list(message.payload["heads"])
+    return [message.payload["seq"]]
+
+
 class _Swarm:
     """Worker "B" hosting ``f``, fed by hand from "A", which also hosts
     the downstream ``snk`` (as a bare mailbox the test reads)."""
@@ -152,9 +161,9 @@ class _Swarm:
                 if message.kind != messages.ACK]
 
     def acks(self, target="A"):
-        return [message.payload["seq"]
-                for _when, to, burst in self.fabric.writes if to == target
-                for message in burst if message.kind == messages.ACK]
+        return [seq for _when, to, burst in self.fabric.writes if to == target
+                for message in burst if message.kind == messages.ACK
+                for seq in _acked(message)]
 
     def result_seqs(self, target="A"):
         return [seq for message in self.results(target)
@@ -174,6 +183,7 @@ class _Swarm:
     def assert_nothing_held(self):
         worker = self.worker
         assert worker._held_count == 0 and not worker._held
+        assert not worker._echoes
         assert not worker._holding
         assert all(not dispatcher._held
                    for dispatcher in worker._dispatchers.values())
@@ -186,9 +196,9 @@ def _in_order(swarm, tuples, target="A"):
     for message in [m for _when, to, burst in swarm.fabric.writes
                     if to == target for m in burst]:
         if message.kind == messages.ACK:
-            seq = message.payload["seq"]
-            assert ("result", seq) in order, "ACK %d overtook" % seq
-            order[("ack", seq)] = len(order)
+            for seq in _acked(message):
+                assert ("result", seq) in order, "ACK %d overtook" % seq
+                order[("ack", seq)] = len(order)
         else:
             for seq in _seqs(message):
                 order[("result", seq)] = len(order)
@@ -202,8 +212,8 @@ def test_held_frames_go_out_when_the_mailbox_empties():
         swarm.wait_for_tuples(3)
         # Nothing but the mailbox running empty writes these (no cap, no
         # slow unit): the backlog goes out coalesced — one write of one
-        # BATCH and three ACKs, unless a scheduling stall made a call
-        # look slow — results ahead of their ACKs.
+        # BATCH and one echo of three units, unless a scheduling stall
+        # made a call look slow — results ahead of their ACKs.
         _in_order(swarm, 3)
         assert len(swarm.bursts()) < 3
         assert len(swarm.results()) < 3
@@ -211,8 +221,8 @@ def test_held_frames_go_out_when_the_mailbox_empties():
                     for _ in range(len(swarm.frames()))]
         assert sorted(seq for m in received if m.kind != messages.ACK
                       for seq in _seqs(m)) == [0, 1, 2]
-        assert [m.payload["seq"] for m in received
-                if m.kind == messages.ACK] == [0, 1, 2]
+        assert [seq for m in received if m.kind == messages.ACK
+                for seq in _acked(m)] == [0, 1, 2]
         assert not swarm.worker.busy()
     finally:
         swarm.worker.stop()
@@ -225,9 +235,11 @@ def test_held_frames_go_out_at_the_cap():
         swarm.wait_for_tuples(tuples)
         # 20 results and 20 ACKs queued behind one another: never all in
         # one write, and no write carries more than HOLD_MAX_FRAMES of
-        # them (a BATCH weighs its tuples).  Exactly [BATCH(16) + 16
-        # ACKs, BATCH(4) + 4 ACKs] unless a stalled call flushed early.
-        weights = [sum(len(_seqs(m)) for m in burst)
+        # them (a BATCH weighs its tuples, an echo its units).  Exactly
+        # [BATCH(16) + an echo of 16, BATCH(4) + an echo of 4] unless a
+        # stalled call flushed early.
+        weights = [sum(len(_acked(m) if m.kind == messages.ACK
+                           else _seqs(m)) for m in burst)
                    for _when, to, burst in swarm.fabric.writes if to == "A"]
         assert sum(weights) == 2 * tuples
         assert max(weights) <= HOLD_MAX_FRAMES and len(weights) >= 2
@@ -296,8 +308,8 @@ def test_leave_leaves_nothing_held():
     assert sorted(seq for m in received
                   if m.kind in (messages.DATA, messages.BATCH)
                   for seq in _seqs(m)) == [0, 1, 2]
-    assert sorted(m.payload["seq"] for m in received
-                  if m.kind == messages.ACK) == [0, 1, 2]
+    assert sorted(seq for m in received if m.kind == messages.ACK
+                  for seq in _acked(m)) == [0, 1, 2]
     swarm.assert_nothing_held()
     assert swarm.registry.values_by_label(metrics_mod.DRAIN_TIMEOUTS_TOTAL,
                                           "device") == {}
@@ -306,16 +318,50 @@ def test_leave_leaves_nothing_held():
 def test_flush_to_a_dead_peer_is_counted_and_health_recorded():
     swarm = _Swarm(tuples=2, downstream="snk@ghost")
     try:
-        swarm.wait_for_frames(2)  # the two ACKs still reach "A"
+        # The two tuples' ACKs still reach "A", in one echo.
+        wait_until(lambda: len(swarm.acks()) == 2,
+                   message="both ACKs written to A")
         wait_until(lambda: swarm.registry.value(
             metrics_mod.DROPPED_TOTAL, reason="send_failed",
             link="B>ghost") == 2, message="both lost results counted")
-        assert swarm.bursts() == [[messages.ACK, messages.ACK]]
+        assert swarm.bursts() == [[messages.ACK]]
+        assert swarm.acks() == [0, 1]
         assert swarm.worker.health.backoff_for("ghost") > 0
         assert swarm.registry.value(metrics_mod.DROPPED_TOTAL,
                                     reason="ack_unsent", link="B>A") == 0
     finally:
         swarm.worker.stop()
+
+
+def test_an_echo_to_a_gone_upstream_counts_each_unit():
+    # Two DATA frames and a BATCH of two from an upstream that is not
+    # on the fabric: served in one burst, they owe one echo of three
+    # units, whose write fails — counted once per unit, as three ACKs
+    # of their own would have been.
+    registry = metrics_mod.MetricsRegistry()
+    fabric = _RecordingFabric()
+    fabric.register("A")
+    worker = WorkerRuntime("B", fabric, _graph([], []), registry=registry)
+    fabric.send("A", "B", messages.deploy_message(
+        "B", ["f"], {"f>snk": ["snk@A"]}))
+    for seq in (0, 1):
+        fabric.send("ghost", "B", _data_frame(seq))
+    batch = messages.batch_message(
+        "f", encode_batch([encode_tuple(DataTuple(values={"x": seq}, seq=seq))
+                           for seq in (2, 3)]), [2, 3], time.monotonic())
+    batch.payload["edge"] = "src>f"
+    fabric.send("ghost", "B", batch)
+    worker.start()
+    try:
+        wait_until(lambda: registry.value(
+            metrics_mod.DROPPED_TOTAL, reason="ack_unsent",
+            link="B>ghost") == 3, message="the echo's three units counted")
+        (burst,) = [burst for _when, to, burst in fabric.writes
+                    if to == "ghost"]
+        assert [(m.kind, m.payload["heads"], m.payload["counts"])
+                for m in burst] == [(messages.ACK, [0, 1, 2], [1, 1, 2])]
+    finally:
+        worker.stop()
 
 
 def test_failed_flushes_widen_the_backoff_window():
@@ -391,7 +437,7 @@ def test_held_tuples_are_routed_as_unheld_dispatch_would(policy):
               for seq in swarm.result_seqs(target)}
     assert placed == expected
     # One frame per chosen downstream per flush: at most one result
-    # frame in each write to A (the rest are ACKs), exactly one in each
+    # frame in each write to A (the rest is the ACK), exactly one in each
     # write to C — and fewer frames than tuples.
     for _when, to, burst in swarm.fabric.writes:
         results = [m for m in burst if m.kind != messages.ACK]
@@ -458,7 +504,7 @@ def test_large_held_tuples_cross_tcp_and_the_loop_survives(monkeypatch):
             while len(seqs) < count or len(acks) < count:
                 _sender, message = inbox.get(timeout=5.0)
                 if message.kind == messages.ACK:
-                    acks.append(message.payload["seq"])
+                    acks.extend(_acked(message))
                 else:
                     results.append(message)
                     seqs.extend(_seqs(message))

@@ -94,7 +94,8 @@ def test_an_oversized_held_result_is_dropped_alone(monkeypatch):
             while len(acks) < count:
                 _sender, message = inbox.get(timeout=5.0)
                 if message.kind == messages.ACK:
-                    acks.append(message.payload["seq"])
+                    acks.extend(message.payload.get(
+                        "heads", [message.payload["seq"]]))
                 else:
                     results.extend(_result_seqs(message))
 

@@ -117,6 +117,10 @@ MESSAGES = {
     "batch_ack_epoch_edge": _with(
         messages.batch_ack_message([4, 5], 0.5, 0.002, epoch=1),
         edge="t0:f>snk"),
+    "echo_epoch_edge": _with(
+        messages.echo_message([41, 44, 50], [1, 3, 1],
+                              [0.001, 0.0005, 0.0], epoch=2),
+        edge="f>snk"),
     "heartbeat": Message(messages.HEARTBEAT, {"worker_id": "B"}),
     "leave": messages.leave_message("B"),
     "leaving": messages.leaving_message("C"),
